@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use cdp_sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
 use cdp_sim::{
-    CheckpointSpec, CheckpointStatus, EngineCounters, JobOutcome, JobReport, Pool, RunStats,
-    SimJob, Simulator, WorkloadCache,
+    CheckpointSpec, CheckpointStatus, Engine, EngineCounters, JobOutcome, JobReport, Pool,
+    RunStats, SimJob, Simulator, WorkloadCache,
 };
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale};
@@ -105,14 +105,7 @@ pub fn run_cfg(ws: &WorkloadSet, cfg: &SystemConfig, bench: Benchmark, scale: Sc
 /// Every prefetch engine's counters in one run, for the manifest's
 /// cross-engine coverage/accuracy/wasted accounting.
 fn engines(stats: &RunStats) -> impl Iterator<Item = &EngineCounters> {
-    [
-        &stats.mem.stride,
-        &stats.mem.content,
-        &stats.mem.markov,
-        &stats.mem.delta,
-        &stats.mem.jump,
-    ]
-    .into_iter()
+    Engine::ALL.into_iter().filter_map(|e| stats.mem.engine(e))
 }
 
 /// One failed sweep cell of a [`run_grid_cells`] grid.

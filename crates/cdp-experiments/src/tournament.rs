@@ -21,9 +21,7 @@
 //! engine's `budget_bytes()`; a requested budget no geometry can land
 //! within ±5% of is refused before anything simulates.
 
-use cdp_prefetch::{
-    DeltaPrefetcher, JumpPrefetcher, MarkovPrefetcher, PerceptronFilter, Prefetcher,
-};
+use cdp_prefetch::{DeltaPrefetcher, JumpPrefetcher, PerceptronFilter};
 use cdp_sim::{speedup, Engine, Pool, RunStats};
 use cdp_types::{DeltaConfig, JumpConfig, MarkovConfig, PerceptronConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
@@ -65,7 +63,7 @@ pub fn table_budget_bytes(cfg: &SystemConfig) -> usize {
     let p = &cfg.prefetchers;
     let mut total = 0;
     if let Some(c) = &p.markov {
-        total += MarkovPrefetcher::new(c).budget_bytes();
+        total += DeltaPrefetcher::stab(c).budget_bytes();
     }
     if let Some(c) = &p.delta {
         total += DeltaPrefetcher::new(c).budget_bytes();

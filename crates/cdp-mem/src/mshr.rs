@@ -410,17 +410,10 @@ impl MshrFile {
     }
 }
 
-/// Encodes a [`RequestKind`] as a tag byte plus depth.
+/// Encodes a [`RequestKind`] as its stable tag byte plus depth
+/// ([`RequestKind::code`]).
 pub(crate) fn save_request_kind(kind: RequestKind, enc: &mut cdp_snap::Enc) {
-    let (tag, depth) = match kind {
-        RequestKind::Demand => (0u8, 0u8),
-        RequestKind::PageWalk => (1, 0),
-        RequestKind::Stride => (2, 0),
-        RequestKind::Content { depth } => (3, depth),
-        RequestKind::Markov => (4, 0),
-        RequestKind::Delta => (5, 0),
-        RequestKind::Jump => (6, 0),
-    };
+    let (tag, depth) = kind.code();
     enc.u8(tag);
     enc.u8(depth);
 }
@@ -431,19 +424,8 @@ pub(crate) fn load_request_kind(
 ) -> Result<RequestKind, cdp_types::SnapshotError> {
     let tag = dec.u8("request kind tag")?;
     let depth = dec.u8("request kind depth")?;
-    Ok(match tag {
-        0 => RequestKind::Demand,
-        1 => RequestKind::PageWalk,
-        2 => RequestKind::Stride,
-        3 => RequestKind::Content { depth },
-        4 => RequestKind::Markov,
-        5 => RequestKind::Delta,
-        6 => RequestKind::Jump,
-        _ => {
-            return Err(cdp_types::SnapshotError::Corrupt {
-                context: "request kind tag",
-            })
-        }
+    RequestKind::from_code(tag, depth).ok_or(cdp_types::SnapshotError::Corrupt {
+        context: "request kind tag",
     })
 }
 

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use cdp_types::{TraceConfig, TraceFilter};
+use cdp_types::{Engine, TraceConfig, TraceFilter};
 
 use crate::json::Json;
 
@@ -64,36 +64,6 @@ impl DropReason {
     }
 }
 
-/// Which engine a traced request belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineTag {
-    /// Demand load/store or page walk.
-    Demand,
-    /// Stride prefetcher.
-    Stride,
-    /// Content-directed prefetcher.
-    Content,
-    /// Markov prefetcher.
-    Markov,
-    /// Delta-space Markov prefetcher.
-    Delta,
-    /// Pointer-chase/jump-pointer prefetcher.
-    Jump,
-}
-
-impl EngineTag {
-    fn name(self) -> &'static str {
-        match self {
-            EngineTag::Demand => "demand",
-            EngineTag::Stride => "stride",
-            EngineTag::Content => "content",
-            EngineTag::Markov => "markov",
-            EngineTag::Delta => "delta",
-            EngineTag::Jump => "jump",
-        }
-    }
-}
-
 /// Coarse classification of a drained fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultTag {
@@ -135,7 +105,7 @@ pub enum TraceData {
         /// Target line address.
         line: u32,
         /// Issuing engine.
-        engine: EngineTag,
+        engine: Engine,
         /// Chain depth (0 for non-content engines).
         depth: u8,
     },
@@ -169,7 +139,7 @@ pub enum TraceData {
         /// The in-flight line.
         line: u32,
         /// Engine of the merging request.
-        engine: EngineTag,
+        engine: Engine,
     },
     /// The hierarchy's fault latch was drained.
     Fault {
@@ -438,30 +408,9 @@ impl TraceRing {
     }
 }
 
-fn engine_tag_code(e: EngineTag) -> u8 {
-    match e {
-        EngineTag::Demand => 0,
-        EngineTag::Stride => 1,
-        EngineTag::Content => 2,
-        EngineTag::Markov => 3,
-        EngineTag::Delta => 4,
-        EngineTag::Jump => 5,
-    }
-}
-
-fn engine_tag_from(code: u8) -> Result<EngineTag, cdp_types::SnapshotError> {
-    Ok(match code {
-        0 => EngineTag::Demand,
-        1 => EngineTag::Stride,
-        2 => EngineTag::Content,
-        3 => EngineTag::Markov,
-        4 => EngineTag::Delta,
-        5 => EngineTag::Jump,
-        _ => {
-            return Err(cdp_types::SnapshotError::Corrupt {
-                context: "trace engine tag",
-            })
-        }
+fn engine_from(code: u8) -> Result<Engine, cdp_types::SnapshotError> {
+    Engine::from_code(code).ok_or(cdp_types::SnapshotError::Corrupt {
+        context: "trace engine tag",
     })
 }
 
@@ -488,7 +437,7 @@ pub fn save_trace_data(data: &TraceData, enc: &mut cdp_snap::Enc) {
         } => {
             enc.u8(2);
             enc.u32(line);
-            enc.u8(engine_tag_code(engine));
+            enc.u8(engine.code());
             enc.u8(depth);
         }
         TraceData::PrefetchDrop {
@@ -521,7 +470,7 @@ pub fn save_trace_data(data: &TraceData, enc: &mut cdp_snap::Enc) {
         TraceData::MshrMerge { line, engine } => {
             enc.u8(6);
             enc.u32(line);
-            enc.u8(engine_tag_code(engine));
+            enc.u8(engine.code());
         }
         TraceData::Fault { kind } => {
             enc.u8(7);
@@ -563,7 +512,7 @@ pub fn load_trace_data(
         },
         2 => TraceData::PrefetchIssue {
             line: dec.u32("trace issue line")?,
-            engine: engine_tag_from(dec.u8("trace issue engine")?)?,
+            engine: engine_from(dec.u8("trace issue engine")?)?,
             depth: dec.u8("trace issue depth")?,
         },
         3 => TraceData::PrefetchDrop {
@@ -593,7 +542,7 @@ pub fn load_trace_data(
         },
         6 => TraceData::MshrMerge {
             line: dec.u32("trace merge line")?,
-            engine: engine_tag_from(dec.u8("trace merge engine")?)?,
+            engine: engine_from(dec.u8("trace merge engine")?)?,
         },
         7 => TraceData::Fault {
             kind: match dec.u8("trace fault kind")? {
@@ -622,7 +571,7 @@ mod tests {
     fn issue(line: u32) -> TraceData {
         TraceData::PrefetchIssue {
             line,
-            engine: EngineTag::Content,
+            engine: Engine::Content,
             depth: 1,
         }
     }
@@ -730,7 +679,7 @@ mod tests {
             },
             TraceData::MshrMerge {
                 line: 0x140,
-                engine: EngineTag::Markov,
+                engine: Engine::Markov,
             },
             TraceData::Fault {
                 kind: FaultTag::Walk,

@@ -1,27 +1,34 @@
 //! A delta-space Markov prefetcher (the Pangloss-style tournament
-//! comparator, arXiv 1906.00877).
+//! comparator, arXiv 1906.00877), which in its address-keyed mode is also
+//! the §5 1-history Markov STAB.
 //!
-//! Classic address-keyed Markov tables (our [`markov`]) must dedicate one
-//! entry per miss address, so their reach scales linearly with silicon.
-//! Pangloss observes that miss *deltas* are heavily reused across the
-//! address space: a table keyed by recent delta history and storing next
-//! deltas compacts regular and mixed patterns into a few hot entries.
+//! Classic address-keyed Markov tables must dedicate one entry per miss
+//! address, so their reach scales linearly with silicon. Pangloss
+//! observes that miss *deltas* are heavily reused across the address
+//! space: a table keyed by recent delta history and storing next deltas
+//! compacts regular and mixed patterns into a few hot entries.
 //!
 //! The engine runs in one of two key spaces ([`DeltaKeySpace`]):
 //!
 //! * `Address` — keys are absolute miss-line addresses. With
-//!   `history == 1` this is structurally the 1-history Markov STAB and
-//!   produces the *exact* prediction stream of [`MarkovPrefetcher`] at
-//!   equal geometry (the differential test anchors on this).
+//!   `history == 1` this is the paper's 1-history Markov STAB ("a State
+//!   Transition Table (STAB) with a fan out of four, [with] transition
+//!   probabilities [modelled by] LRU replacement"): each miss trains the
+//!   previous miss's successor list, then prefetches its own recorded
+//!   successors. [`DeltaPrefetcher::stab`] builds it from a
+//!   [`MarkovConfig`] and stamps its requests [`RequestKind::Markov`];
+//!   `tests/delta_differential.rs` holds it hit-for-hit to a reference
+//!   STAB.
 //! * `Delta` — keys are a signature of the last `history` line deltas;
 //!   successors are next deltas with a saturating confidence byte. A
 //!   confident top successor is chased one extra hop through the table
 //!   (Pangloss's multi-degree prefetch).
 //!
-//! [`markov`]: crate::markov
-//! [`MarkovPrefetcher`]: crate::MarkovPrefetcher
+//! Sets are allocated on their first insert, so a large, sparsely
+//! trained table (the unbounded `markov_big` STAB) costs memory only for
+//! the sets it uses, and steady-state misses never touch the heap.
 
-use cdp_types::{DeltaConfig, DeltaKeySpace, VirtAddr};
+use cdp_types::{DeltaConfig, DeltaKeySpace, MarkovConfig, RequestKind, VirtAddr};
 
 use crate::{Prefetcher, PrefetchRequest};
 
@@ -41,7 +48,8 @@ struct Succ {
 #[derive(Clone, Debug)]
 struct DeltaEntry {
     key: u32,
-    /// MRU-first successors.
+    /// MRU-first successors (capacity `fanout`, reused when the entry is
+    /// evicted).
     succ: Vec<Succ>,
     stamp: u64,
 }
@@ -61,7 +69,8 @@ pub struct DeltaStats {
     pub evictions: u64,
 }
 
-/// The delta-space Markov prefetcher.
+/// The delta-space Markov prefetcher (and, built with
+/// [`DeltaPrefetcher::stab`], the §5 Markov STAB).
 ///
 /// # Examples
 ///
@@ -79,12 +88,15 @@ pub struct DeltaStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeltaPrefetcher {
+    /// Each set is empty (unallocated) until its first insert.
     sets: Vec<Vec<DeltaEntry>>,
     associativity: usize,
     fanout: usize,
     history: usize,
     key_space: DeltaKeySpace,
     entry_bytes: usize,
+    /// Stamped on every request: `Delta`, or `Markov` for the STAB.
+    kind: RequestKind,
     /// Last miss line (both modes; raw line address, low 6 bits zero).
     prev_miss: Option<u32>,
     /// Recent line deltas, oldest first (`Delta` mode only).
@@ -96,18 +108,50 @@ pub struct DeltaPrefetcher {
 impl DeltaPrefetcher {
     /// Creates a delta prefetcher whose table fits in `cfg.table_bytes`.
     pub fn new(cfg: &DeltaConfig) -> Self {
+        Self::with_kind(cfg, RequestKind::Delta)
+    }
+
+    /// Creates the §5 Markov STAB: an address-keyed, history-1 table with
+    /// `cfg`'s geometry whose requests carry [`RequestKind::Markov`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cdp_prefetch::DeltaPrefetcher;
+    /// use cdp_types::{MarkovConfig, RequestKind, VirtAddr};
+    ///
+    /// let mut stab = DeltaPrefetcher::stab(&MarkovConfig::half());
+    /// let mut out = Vec::new();
+    /// // First pass trains A -> B.
+    /// stab.observe_miss(VirtAddr(0x1000), &mut out);
+    /// stab.observe_miss(VirtAddr(0x8000), &mut out);
+    /// assert!(out.is_empty(), "still training");
+    /// // Second encounter of A predicts B.
+    /// stab.observe_miss(VirtAddr(0x1000), &mut out);
+    /// assert_eq!(out[0].vaddr, VirtAddr(0x8000));
+    /// assert_eq!(out[0].kind, RequestKind::Markov);
+    /// ```
+    pub fn stab(cfg: &MarkovConfig) -> Self {
+        Self::with_kind(&DeltaConfig::from(*cfg), RequestKind::Markov)
+    }
+
+    fn with_kind(cfg: &DeltaConfig, kind: RequestKind) -> Self {
         let entries = cfg.num_entries();
         let assoc = cfg.associativity.max(1);
         let sets = (entries / assoc).max(1);
+        let history = cfg.history.max(1);
         DeltaPrefetcher {
-            sets: (0..sets).map(|_| Vec::with_capacity(assoc)).collect(),
+            sets: vec![Vec::new(); sets],
             associativity: assoc,
             fanout: cfg.fanout.max(1),
-            history: cfg.history.max(1),
+            history,
             key_space: cfg.key_space,
             entry_bytes: cfg.entry_bytes(),
+            kind,
             prev_miss: None,
-            hist: Vec::new(),
+            // One slot over `history`: a new delta is pushed before the
+            // oldest is dropped.
+            hist: Vec::with_capacity(history + 1),
             clock: 0,
             stats: DeltaStats::default(),
         }
@@ -132,27 +176,36 @@ impl DeltaPrefetcher {
     #[inline]
     fn set_index(&self, key: u32) -> usize {
         match self.key_space {
-            // Address keys are raw line addresses; index like the Markov
-            // STAB so equal geometry means equal placement.
+            // Address keys are raw line addresses: index by line number.
             DeltaKeySpace::Address => ((key >> 6) as usize) % self.sets.len(),
             DeltaKeySpace::Delta => (key as usize) % self.sets.len(),
         }
     }
 
-    /// FNV-1a signature of the delta history (`Delta` mode keys).
-    fn signature(hist: &[i32]) -> u32 {
+    /// FNV-1a signature of a delta history, oldest first (`Delta` mode
+    /// keys).
+    fn signature(hist: impl IntoIterator<Item = i32>) -> u32 {
         let mut h: u32 = 0x811c_9dc5;
-        for &d in hist {
+        for d in hist {
             h = (h ^ d as u32).wrapping_mul(0x0100_0193);
         }
         h
+    }
+
+    #[inline]
+    fn request(kind: RequestKind, line: u32) -> PrefetchRequest {
+        PrefetchRequest {
+            vaddr: VirtAddr(line),
+            kind,
+            width: false,
+        }
     }
 
     fn train(&mut self, key: u32, to: u32) {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_index(key);
-        let assoc = self.associativity;
+        let (assoc, fanout) = (self.associativity, self.fanout);
         let entries = &mut self.sets[set];
         if let Some(e) = entries.iter_mut().find(|e| e.key == key) {
             e.stamp = clock;
@@ -168,36 +221,43 @@ impl DeltaPrefetcher {
             };
             e.succ.insert(0, Succ { value: to, conf });
         } else {
-            if entries.len() >= assoc {
+            let mut succ = if entries.len() >= assoc {
                 let victim = entries
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, e)| e.stamp)
                     .map(|(i, _)| i)
                     .expect("set non-empty");
-                entries.swap_remove(victim);
                 self.stats.evictions += 1;
-            }
+                let mut recycled = entries.swap_remove(victim).succ;
+                recycled.clear();
+                recycled
+            } else {
+                if entries.capacity() == 0 {
+                    entries.reserve_exact(assoc);
+                }
+                Vec::with_capacity(fanout)
+            };
+            succ.push(Succ { value: to, conf: 1 });
             entries.push(DeltaEntry {
                 key,
-                succ: vec![Succ { value: to, conf: 1 }],
+                succ,
                 stamp: clock,
             });
         }
         self.stats.trained += 1;
     }
 
-    /// Looks `key` up, touches its stamp, and returns a copy of its
-    /// successors (MRU-first). Bumps `table_hits` when found.
-    fn predict(&mut self, key: u32) -> Option<Vec<Succ>> {
+    /// Looks `key` up, touches its stamp, and returns its successors
+    /// (MRU-first, never empty). Bumps `table_hits` when found.
+    fn predict(&mut self, key: u32) -> Option<&[Succ]> {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_index(key);
-        let fanout = self.fanout;
         let e = self.sets[set].iter_mut().find(|e| e.key == key)?;
         e.stamp = clock;
         self.stats.table_hits += 1;
-        Some(e.succ.iter().copied().take(fanout).collect())
+        Some(&e.succ)
     }
 
     /// Observes one L2 miss: trains the transition out of the previous
@@ -211,8 +271,8 @@ impl DeltaPrefetcher {
         }
     }
 
-    /// Address-keyed mode: structurally the 1-history Markov STAB
-    /// (train previous-line -> line, then predict successors of line).
+    /// Address-keyed mode: the 1-history Markov STAB (train
+    /// previous-line -> line, then predict successors of line).
     fn observe_address(&mut self, line: u32, out: &mut Vec<PrefetchRequest>) {
         if let Some(prev) = self.prev_miss {
             if prev != line {
@@ -220,11 +280,11 @@ impl DeltaPrefetcher {
             }
         }
         self.prev_miss = Some(line);
+        let kind = self.kind;
         if let Some(succ) = self.predict(line) {
-            for s in succ {
-                out.push(PrefetchRequest::delta(VirtAddr(s.value)));
-                self.stats.emitted += 1;
-            }
+            let n = succ.len() as u64;
+            out.extend(succ.iter().map(|s| Self::request(kind, s.value)));
+            self.stats.emitted += n;
         }
     }
 
@@ -248,7 +308,7 @@ impl DeltaPrefetcher {
                 return;
             }
             if self.hist.len() == self.history {
-                self.train(Self::signature(&self.hist), delta as u32);
+                self.train(Self::signature(self.hist.iter().copied()), delta as u32);
             }
             self.hist.push(delta as i32);
             if self.hist.len() > self.history {
@@ -259,26 +319,25 @@ impl DeltaPrefetcher {
         if self.hist.len() < self.history {
             return;
         }
-        let Some(succ) = self.predict(Self::signature(&self.hist)) else {
+        let kind = self.kind;
+        let Some(succ) = self.predict(Self::signature(self.hist.iter().copied())) else {
             return;
         };
-        for s in &succ {
-            let target = line_units.wrapping_add(s.value) << 6;
-            out.push(PrefetchRequest::delta(VirtAddr(target)));
-            self.stats.emitted += 1;
-        }
+        let n = succ.len() as u64;
+        out.extend(
+            succ.iter()
+                .map(|s| Self::request(kind, line_units.wrapping_add(s.value) << 6)),
+        );
+        let head = succ[0];
+        self.stats.emitted += n;
         // Chase the confident head one hop: shift its delta into the
         // context and ask the table for the hop after it.
-        let head = succ[0];
         if head.conf >= 2 {
-            let mut next_hist = self.hist.clone();
-            next_hist.push(head.value as i32);
-            next_hist.remove(0);
-            let chased = self.predict(Self::signature(&next_hist));
-            if let Some(chased) = chased {
+            let next_hist = self.hist[1..].iter().copied().chain([head.value as i32]);
+            if let Some(chased) = self.predict(Self::signature(next_hist)) {
                 let base = line_units.wrapping_add(head.value);
                 let target = base.wrapping_add(chased[0].value) << 6;
-                out.push(PrefetchRequest::delta(VirtAddr(target)));
+                out.push(Self::request(kind, target));
                 self.stats.emitted += 1;
             }
         }
@@ -371,16 +430,19 @@ impl DeltaPrefetcher {
                     context: "delta set length",
                 });
             }
+            if len > 0 && set.capacity() == 0 {
+                set.reserve_exact(self.associativity);
+            }
             for _ in 0..len {
                 let key = dec.u32("delta entry key")?;
                 let stamp = dec.u64("delta entry stamp")?;
                 let succ_len = dec.seq_len(5, "delta successor count")?;
-                if succ_len > self.fanout {
+                if succ_len == 0 || succ_len > self.fanout {
                     return Err(SnapshotError::Corrupt {
                         context: "delta successor count",
                     });
                 }
-                let mut succ = Vec::with_capacity(succ_len);
+                let mut succ = Vec::with_capacity(self.fanout);
                 for _ in 0..succ_len {
                     let value = dec.u32("delta successor value")?;
                     let conf = dec.u8("delta successor conf")?;
@@ -428,21 +490,113 @@ mod tests {
         );
     }
 
-    #[test]
-    fn address_markov_never_predicts_cold(){
-        let mut dp = DeltaPrefetcher::new(&DeltaConfig::markov_compat(64 * 1024));
-        let seq: Vec<u32> = (0..6).map(|i| 0x10_0000 + i * 256).collect();
-        assert!(run(&mut dp, &seq).is_empty(), "address keys need reuse");
+    fn stab() -> DeltaPrefetcher {
+        DeltaPrefetcher::stab(&MarkovConfig::half())
     }
 
     #[test]
-    fn address_mode_first_pass_trains_second_predicts() {
-        let mut dp = DeltaPrefetcher::new(&DeltaConfig::markov_compat(512 * 1024));
+    fn stab_never_predicts_cold() {
+        // The paper's key qualitative claim (§5): Markov needs to see a
+        // sequence before predicting it; cold sequences yield nothing.
+        let mut dp = stab();
+        let seq: Vec<u32> = (0..50).map(|i| 0x40_0000 + i * 4096).collect();
+        assert!(run(&mut dp, &seq).is_empty(), "address keys need reuse");
+        assert_eq!(dp.stats().table_hits, 0);
+    }
+
+    #[test]
+    fn stab_first_pass_trains_second_predicts() {
+        let mut dp = stab();
         let seq = [0x1000u32, 0x8000, 0x3000];
         assert!(run(&mut dp, &seq).is_empty(), "training pass is silent");
         let preds = run(&mut dp, &seq);
-        assert!(preds.contains(&0x8000));
-        assert!(preds.contains(&0x3000));
+        assert!(preds.contains(&0x8000), "A predicts B");
+        assert!(preds.contains(&0x3000), "B predicts C");
+    }
+
+    #[test]
+    fn stab_requests_carry_markov_kind() {
+        let mut dp = stab();
+        let mut out = Vec::new();
+        for &a in &[0x1000u32, 0x2000, 0x1000] {
+            dp.observe_miss(VirtAddr(a), &mut out);
+        }
+        assert!(!out.is_empty());
+        assert!(out.iter().all(|r| r.kind == cdp_types::RequestKind::Markov));
+    }
+
+    #[test]
+    fn stab_fanout_limits_successors() {
+        let mut dp = DeltaPrefetcher::stab(&MarkovConfig {
+            fanout: 2,
+            ..MarkovConfig::half()
+        });
+        // A alternates among three successors; only two fit.
+        run(&mut dp, &[0x1000, 0x2000, 0x1000, 0x3000, 0x1000, 0x4000]);
+        let mut out = Vec::new();
+        dp.observe_miss(VirtAddr(0x1000), &mut out);
+        assert_eq!(out.len(), 2);
+        // MRU first: the most recent transition (to 0x4000) leads.
+        assert_eq!(out[0].vaddr.0, 0x4000);
+    }
+
+    #[test]
+    fn stab_repeated_transition_moves_to_mru() {
+        let mut dp = stab();
+        run(&mut dp, &[0x1000, 0x2000, 0x1000, 0x3000, 0x1000, 0x2000]);
+        let mut out = Vec::new();
+        dp.observe_miss(VirtAddr(0x1000), &mut out);
+        assert_eq!(out[0].vaddr.0, 0x2000, "0x2000 re-trained to MRU");
+    }
+
+    #[test]
+    fn stab_same_line_repeat_does_not_self_train() {
+        let mut dp = stab();
+        run(&mut dp, &[0x1000, 0x1010, 0x1020]); // all in line 0x1000
+        let mut out = Vec::new();
+        dp.observe_miss(VirtAddr(0x1000), &mut out);
+        assert!(out.is_empty(), "no self-loop transitions");
+        assert_eq!(dp.stats().trained, 0);
+    }
+
+    #[test]
+    fn stab_hit_rate_grows_with_repetition() {
+        let mut dp = stab();
+        let seq: Vec<u32> = (0..20).map(|i| 0x1000 + i * 4096).collect();
+        run(&mut dp, &seq);
+        assert_eq!(dp.stats().table_hits, 0, "pass 1 is all cold");
+        // Pass 2: every miss address was trained as a key.
+        run(&mut dp, &seq);
+        let hits = dp.stats().table_hits;
+        assert!(hits >= seq.len() as u64 - 2, "{hits}");
+    }
+
+    #[test]
+    fn stab_predictions_never_target_the_current_miss() {
+        let mut dp = stab();
+        let mut out = Vec::new();
+        for &a in &[0x1000u32, 0x2000, 0x1000, 0x2000, 0x1000] {
+            out.clear();
+            dp.observe_miss(VirtAddr(a), &mut out);
+            for r in &out {
+                assert_ne!(r.vaddr.line().0, a & !63, "self-prediction at {a:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn stab_geometry_matches_markov_config() {
+        for m in [
+            MarkovConfig::eighth(),
+            MarkovConfig::half(),
+            MarkovConfig::unbounded(),
+        ] {
+            let dp = DeltaPrefetcher::stab(&m);
+            let sets = m.num_entries() / m.associativity;
+            assert_eq!(dp.capacity(), sets * m.associativity, "{m:?}");
+            assert_eq!(dp.budget_bytes(), dp.capacity() * m.entry_bytes(), "{m:?}");
+        }
+        assert!(DeltaPrefetcher::stab(&MarkovConfig::unbounded()).capacity() >= 1 << 24);
     }
 
     #[test]
@@ -493,29 +647,36 @@ mod tests {
 
     #[test]
     fn capacity_eviction_counts() {
-        let tiny = DeltaConfig {
+        let tiny_delta = DeltaPrefetcher::new(&DeltaConfig {
             table_bytes: 2 * 16 * 16,
             ..DeltaConfig::pangloss(0)
-        };
-        let mut dp = DeltaPrefetcher::new(&tiny);
-        let cap = dp.capacity();
-        // Distinct delta contexts: a run of misses with growing deltas.
-        let mut addr = 0x10_0000u32;
-        let mut seq = Vec::new();
-        for i in 1..(cap as u32 * 4) {
-            seq.push(addr);
-            addr += 64 * (i % 97 + 1);
+        });
+        let tiny_stab = DeltaPrefetcher::stab(&MarkovConfig {
+            stab_bytes: 2 * 20 * 2,
+            associativity: 2,
+            fanout: 4,
+        });
+        for mut dp in [tiny_delta, tiny_stab] {
+            let cap = dp.capacity();
+            // Distinct contexts in both key spaces: a run of misses with
+            // growing deltas.
+            let mut addr = 0x10_0000u32;
+            let mut seq = Vec::new();
+            for i in 1..(cap as u32 * 4) {
+                seq.push(addr);
+                addr += 64 * (i % 97 + 1);
+            }
+            run(&mut dp, &seq);
+            assert!(dp.sets.iter().all(|s| s.len() <= dp.associativity));
+            assert!(dp.stats().evictions > 0, "{:?}", dp.key_space);
         }
-        run(&mut dp, &seq);
-        assert!(dp.sets.iter().all(|s| s.len() <= dp.associativity));
-        assert!(dp.stats().evictions > 0);
     }
 
     #[test]
     fn budget_bytes_matches_config_math() {
         for cfg in [
             DeltaConfig::pangloss(64 * 1024),
-            DeltaConfig::markov_compat(128 * 1024),
+            DeltaConfig::from(MarkovConfig::eighth()),
         ] {
             let dp = DeltaPrefetcher::new(&cfg);
             assert_eq!(

@@ -9,10 +9,11 @@
 //! * [`stride`] — a classic PC-indexed reference-prediction-table stride
 //!   prefetcher; the paper's baseline includes one and every speedup is
 //!   measured relative to it.
-//! * [`markov`] — a 1-history Markov prefetcher with a fan-out-4
-//!   state-transition table (STAB), the §5 comparator.
 //! * [`delta`] — a Pangloss-style delta-space Markov prefetcher with a
-//!   compact fixed-size transition table (tournament comparator).
+//!   compact fixed-size transition table (tournament comparator). Keyed
+//!   by miss address with history 1 ([`DeltaPrefetcher::stab`]) it is
+//!   the §5 comparator: a 1-history Markov prefetcher with a fan-out-4
+//!   state-transition table (STAB).
 //! * [`jump`] — a pointer-chase/jump-pointer engine for linked data
 //!   structures (tournament comparator).
 //! * [`perceptron`] — a learned confidence filter that gates any engine's
@@ -32,7 +33,6 @@ pub mod adaptive;
 pub mod content;
 pub mod delta;
 pub mod jump;
-pub mod markov;
 pub mod perceptron;
 pub mod stream;
 pub mod stride;
@@ -42,7 +42,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveVam};
 pub use content::{ContentPrefetcher, ContentStats};
 pub use delta::{DeltaPrefetcher, DeltaStats};
 pub use jump::{JumpPrefetcher, JumpStats};
-pub use markov::{MarkovPrefetcher, MarkovStats};
 pub use perceptron::{PerceptronFilter, PerceptronStats};
 pub use stream::{StreamConfig, StreamPrefetcher, StreamStats};
 pub use stride::{StridePrefetcher, StrideStats};
@@ -108,15 +107,6 @@ impl PrefetchRequest {
         }
     }
 
-    /// Convenience constructor for a delta-Markov prefetch.
-    pub fn delta(vaddr: VirtAddr) -> Self {
-        PrefetchRequest {
-            vaddr,
-            kind: RequestKind::Delta,
-            width: false,
-        }
-    }
-
     /// Convenience constructor for a jump-pointer prefetch.
     pub fn jump(vaddr: VirtAddr) -> Self {
         PrefetchRequest {
@@ -132,7 +122,7 @@ impl PrefetchRequest {
 ///
 /// The default implementations do nothing, so an engine only overrides the
 /// hooks it cares about (the stride prefetcher watches L1 misses, the
-/// Markov prefetcher watches L2 misses, the content prefetcher watches L2
+/// Markov STAB watches L2 misses, the content prefetcher watches L2
 /// fills).
 pub trait Prefetcher {
     /// An L1 data-cache miss by the instruction at `pc` for `vaddr`.

@@ -20,7 +20,7 @@
 //!
 //! [`Prefetcher`]: crate::Prefetcher
 
-use cdp_types::{PerceptronConfig, RequestKind, VirtAddr, PERCEPTRON_FEATURES};
+use cdp_types::{Engine, PerceptronConfig, VirtAddr, PERCEPTRON_FEATURES};
 
 use crate::PrefetchRequest;
 
@@ -55,7 +55,7 @@ pub struct PerceptronStats {
 /// assert!(pf.accept(&req));
 /// // Wasted-prefetch feedback drives the weights negative ...
 /// for _ in 0..4 {
-///     pf.train(req.vaddr, req.kind, false);
+///     pf.train(req.vaddr, req.kind.engine(), false);
 /// }
 /// // ... and the same request is now suppressed.
 /// assert!(!pf.accept(&req));
@@ -71,19 +71,6 @@ pub struct PerceptronFilter {
     /// zero-line false negative merely goes unnoticed).
     reject: Vec<u32>,
     stats: PerceptronStats,
-}
-
-/// A stable small code per originating engine, mixed into the hashed
-/// features so different engines' accuracy is tracked separately.
-fn kind_feature(kind: RequestKind) -> u32 {
-    match kind {
-        RequestKind::Demand | RequestKind::PageWalk => 0,
-        RequestKind::Stride => 1,
-        RequestKind::Content { .. } => 2,
-        RequestKind::Markov => 3,
-        RequestKind::Delta => 4,
-        RequestKind::Jump => 5,
-    }
 }
 
 impl PerceptronFilter {
@@ -109,8 +96,9 @@ impl PerceptronFilter {
         self.weights.len() + 4 * self.reject.len()
     }
 
-    /// The three feature indices for a (line, kind) pair, one per table.
-    fn feature_indices(&self, vaddr: VirtAddr, kind: RequestKind) -> [usize; PERCEPTRON_FEATURES] {
+    /// The three feature indices for a (line, engine) pair, one per
+    /// table.
+    fn feature_indices(&self, vaddr: VirtAddr, engine: Engine) -> [usize; PERCEPTRON_FEATURES] {
         let n = self.entries_per_feature;
         let line_units = vaddr.line().0 >> 6;
         let page = vaddr.0 >> 12;
@@ -118,7 +106,7 @@ impl PerceptronFilter {
         // line can be trusted from one engine and distrusted from another.
         let mixed = (line_units ^ line_units.rotate_left(13))
             .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(kind_feature(kind));
+            .wrapping_add(u32::from(engine.code()));
         [
             line_units as usize % n,
             n + page as usize % n,
@@ -126,8 +114,8 @@ impl PerceptronFilter {
         ]
     }
 
-    fn sum(&self, vaddr: VirtAddr, kind: RequestKind) -> i32 {
-        self.feature_indices(vaddr, kind)
+    fn sum(&self, vaddr: VirtAddr, engine: Engine) -> i32 {
+        self.feature_indices(vaddr, engine)
             .iter()
             .map(|&i| i32::from(self.weights[i]))
             .sum()
@@ -138,7 +126,7 @@ impl PerceptronFilter {
     /// negatives.
     pub fn accept(&mut self, req: &PrefetchRequest) -> bool {
         self.stats.considered += 1;
-        if self.sum(req.vaddr, req.kind) >= self.threshold {
+        if self.sum(req.vaddr, req.kind.engine()) >= self.threshold {
             self.stats.accepted += 1;
             true
         } else {
@@ -152,16 +140,16 @@ impl PerceptronFilter {
         }
     }
 
-    /// Outcome feedback for an issued prefetch: `useful == true` when a
-    /// demand touched the prefetched line, `false` when it was evicted
-    /// untouched. Saturating ±1 updates.
-    pub fn train(&mut self, vaddr: VirtAddr, kind: RequestKind, useful: bool) {
+    /// Outcome feedback for a prefetch `engine` issued: `useful == true`
+    /// when a demand touched the prefetched line, `false` when it was
+    /// evicted untouched. Saturating ±1 updates.
+    pub fn train(&mut self, vaddr: VirtAddr, engine: Engine, useful: bool) {
         if useful {
             self.stats.trained_useful += 1;
         } else {
             self.stats.trained_wasted += 1;
         }
-        for i in self.feature_indices(vaddr, kind) {
+        for i in self.feature_indices(vaddr, engine) {
             let w = &mut self.weights[i];
             *w = if useful {
                 w.saturating_add(1)
@@ -173,9 +161,8 @@ impl PerceptronFilter {
 
     /// A demand miss: if the missed line was recently rejected, the
     /// rejection was wrong — train the line's features back up under
-    /// `kind` (the engine whose request was suppressed is unknown by
-    /// now, so the caller passes `RequestKind::Demand` to hit the shared
-    /// line/page features).
+    /// [`Engine::Demand`] (the engine whose request was suppressed is
+    /// unknown by now; the shared line/page features still move).
     pub fn on_demand_miss(&mut self, vaddr: VirtAddr) {
         if self.reject.is_empty() {
             return;
@@ -185,7 +172,7 @@ impl PerceptronFilter {
         if self.reject[slot] == line {
             self.reject[slot] = 0;
             self.stats.false_negatives += 1;
-            for i in self.feature_indices(vaddr, RequestKind::Demand) {
+            for i in self.feature_indices(vaddr, Engine::Demand) {
                 let w = &mut self.weights[i];
                 *w = w.saturating_add(1);
             }
@@ -272,7 +259,7 @@ mod tests {
         let mut p = pf();
         let req = PrefetchRequest::markov(VirtAddr(0x4_2000));
         for _ in 0..4 {
-            p.train(req.vaddr, req.kind, false);
+            p.train(req.vaddr, req.kind.engine(), false);
         }
         assert!(!p.accept(&req));
         assert_eq!(p.stats().rejected, 1);
@@ -283,11 +270,11 @@ mod tests {
         let mut p = pf();
         let req = PrefetchRequest::markov(VirtAddr(0x4_2000));
         for _ in 0..4 {
-            p.train(req.vaddr, req.kind, false);
+            p.train(req.vaddr, req.kind.engine(), false);
         }
         assert!(!p.accept(&req));
         for _ in 0..8 {
-            p.train(req.vaddr, req.kind, true);
+            p.train(req.vaddr, req.kind.engine(), true);
         }
         assert!(p.accept(&req));
     }
@@ -297,13 +284,13 @@ mod tests {
         let mut p = pf();
         let req = PrefetchRequest::stride(VirtAddr(0x4_2000));
         for _ in 0..4 {
-            p.train(req.vaddr, req.kind, false);
+            p.train(req.vaddr, req.kind.engine(), false);
         }
         assert!(!p.accept(&req));
         // The demand stream wanted that line after all: repeated misses
         // on rejected lines train the shared features back up.
         for _ in 0..8 {
-            assert!(!p.accept(&req) || p.sum(req.vaddr, req.kind) >= 0);
+            assert!(!p.accept(&req) || p.sum(req.vaddr, req.kind.engine()) >= 0);
             p.on_demand_miss(req.vaddr);
         }
         assert!(p.stats().false_negatives > 0);
@@ -316,8 +303,8 @@ mod tests {
         let addr = VirtAddr(0x4_2000);
         // Markov at this address is junk; stride at this address is good.
         for _ in 0..6 {
-            p.train(addr, RequestKind::Markov, false);
-            p.train(addr, RequestKind::Stride, true);
+            p.train(addr, Engine::Markov, false);
+            p.train(addr, Engine::Stride, true);
         }
         // The shared line/page features cancel; the kind-mixed feature
         // decides.
@@ -330,13 +317,13 @@ mod tests {
         let mut p = pf();
         let addr = VirtAddr(0x4_2000);
         for _ in 0..300 {
-            p.train(addr, RequestKind::Stride, false);
+            p.train(addr, Engine::Stride, false);
         }
-        assert_eq!(p.sum(addr, RequestKind::Stride), -128 * 3);
+        assert_eq!(p.sum(addr, Engine::Stride), -128 * 3);
         for _ in 0..600 {
-            p.train(addr, RequestKind::Stride, true);
+            p.train(addr, Engine::Stride, true);
         }
-        assert_eq!(p.sum(addr, RequestKind::Stride), 127 * 3);
+        assert_eq!(p.sum(addr, Engine::Stride), 127 * 3);
     }
 
     #[test]
@@ -355,7 +342,7 @@ mod tests {
             if !p.accept(&req) {
                 p.on_demand_miss(addr);
             }
-            p.train(addr, RequestKind::Stride, i % 3 == 0);
+            p.train(addr, Engine::Stride, i % 3 == 0);
         }
         let mut enc = cdp_snap::Enc::new();
         p.save_state(&mut enc);

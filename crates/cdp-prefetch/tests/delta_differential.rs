@@ -1,55 +1,153 @@
-//! Differential test: the delta-space Markov engine in its address-keyed,
-//! history-1 compatibility configuration must produce a prediction stream
-//! *equivalent to the existing Markov STAB* on randomized miss traces.
+//! Differential test: the production Markov STAB — the delta table in
+//! address-keyed, history-1 mode, as [`DeltaPrefetcher::stab`] builds it
+//! from a [`MarkovConfig`] — must produce the prediction stream of a
+//! reference 1-history STAB on randomized miss traces.
 //!
-//! This is the anchor that lets the tournament treat the two engines as
-//! points on one axis (key space) rather than unrelated mechanisms: at
-//! equal geometry, `DeltaKeySpace::Address` with `history == 1` *is* the
-//! 1-history STAB — same set indexing, same MRU successor order, same
-//! LRU victim selection — so any divergence is a bug in one of them.
-//! Same pattern as the `vam::classify` differential fuzz.
+//! The reference below is the §5 STAB written out directly: a
+//! set-associative table of miss lines, each holding up to `fanout`
+//! MRU-ordered successor lines, with LRU victim selection. At equal
+//! geometry the delta table must match it exactly — same set indexing,
+//! same MRU successor order, same LRU victims, same entry count (the
+//! unbounded `markov_big` table included) — so any divergence is a bug in
+//! one of them. Same pattern as the `vam::classify` differential fuzz.
 
-use cdp_prefetch::{DeltaPrefetcher, MarkovPrefetcher};
+use cdp_prefetch::{DeltaPrefetcher, DeltaStats};
 use cdp_types::rng::Rng;
-use cdp_types::{DeltaConfig, DeltaKeySpace, MarkovConfig, VirtAddr};
+use cdp_types::{MarkovConfig, RequestKind, VirtAddr};
 
-/// Drives both engines over `trace` and asserts hit-for-hit equivalent
-/// prediction streams (addresses, in order) plus matching table stats.
-fn check(markov_cfg: &MarkovConfig, trace: &[u32], ctx: &str) {
-    let delta_cfg = DeltaConfig {
-        table_bytes: markov_cfg.stab_bytes,
-        associativity: markov_cfg.associativity,
-        fanout: markov_cfg.fanout,
-        history: 1,
-        key_space: DeltaKeySpace::Address,
-    };
+#[derive(Clone, Debug)]
+struct RefEntry {
+    tag: u32,
+    /// MRU-first successor line addresses.
+    successors: Vec<u32>,
+    stamp: u64,
+}
+
+/// The reference 1-history Markov STAB (fan-out successors per miss
+/// line, LRU replacement).
+struct RefStab {
+    sets: Vec<Vec<RefEntry>>,
+    associativity: usize,
+    fanout: usize,
+    prev_miss: Option<u32>,
+    clock: u64,
+    stats: DeltaStats,
+}
+
+impl RefStab {
+    fn new(cfg: &MarkovConfig) -> Self {
+        let assoc = cfg.associativity.max(1);
+        let sets = (cfg.num_entries() / assoc).max(1);
+        RefStab {
+            sets: vec![Vec::new(); sets],
+            associativity: assoc,
+            fanout: cfg.fanout.max(1),
+            prev_miss: None,
+            clock: 0,
+            stats: DeltaStats::default(),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        self.sets.len() * self.associativity
+    }
+
+    fn set_index(&self, line: u32) -> usize {
+        ((line >> 6) as usize) % self.sets.len()
+    }
+
+    /// Records `to` as the MRU successor of `from`.
+    fn train(&mut self, from: u32, to: u32) {
+        self.clock += 1;
+        let clock = self.clock;
+        let set = self.set_index(from);
+        let assoc = self.associativity;
+        let entries = &mut self.sets[set];
+        if let Some(e) = entries.iter_mut().find(|e| e.tag == from) {
+            e.stamp = clock;
+            if let Some(pos) = e.successors.iter().position(|&s| s == to) {
+                // Move to MRU.
+                e.successors.remove(pos);
+            } else if e.successors.len() >= self.fanout {
+                // Drop the LRU successor.
+                e.successors.pop();
+            }
+            e.successors.insert(0, to);
+        } else {
+            if entries.len() >= assoc {
+                let victim = entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.stamp)
+                    .map(|(i, _)| i)
+                    .expect("set non-empty");
+                entries.swap_remove(victim);
+                self.stats.evictions += 1;
+            }
+            entries.push(RefEntry {
+                tag: from,
+                successors: vec![to],
+                stamp: clock,
+            });
+        }
+        self.stats.trained += 1;
+    }
+
+    /// Trains the previous transition, then pushes the recorded
+    /// successors of this miss's line.
+    fn observe_miss(&mut self, vaddr: VirtAddr, out: &mut Vec<u32>) {
+        self.stats.observed += 1;
+        let line = vaddr.line().0;
+        if let Some(prev) = self.prev_miss {
+            if prev != line {
+                self.train(prev, line);
+            }
+        }
+        self.prev_miss = Some(line);
+        self.clock += 1;
+        let clock = self.clock;
+        let set = self.set_index(line);
+        if let Some(e) = self.sets[set].iter_mut().find(|e| e.tag == line) {
+            e.stamp = clock;
+            self.stats.table_hits += 1;
+            for &succ in e.successors.iter().take(self.fanout) {
+                out.push(succ);
+                self.stats.emitted += 1;
+            }
+        }
+    }
+}
+
+/// Drives the reference and the production STAB over `trace` and asserts
+/// hit-for-hit equivalent prediction streams (addresses, in order, all
+/// stamped `Markov`), matching table stats, and matching geometry.
+fn check(cfg: &MarkovConfig, trace: &[u32], ctx: &str) {
+    let mut reference = RefStab::new(cfg);
+    let mut stab = DeltaPrefetcher::stab(cfg);
+    assert_eq!(stab.capacity(), reference.capacity(), "{ctx}: capacity");
     assert_eq!(
-        delta_cfg.entry_bytes(),
-        markov_cfg.entry_bytes(),
-        "{ctx}: equal byte budgets must mean equal entry counts"
+        stab.budget_bytes(),
+        reference.capacity() * cfg.entry_bytes(),
+        "{ctx}: budget"
     );
-    let mut mk = MarkovPrefetcher::new(markov_cfg);
-    let mut dp = DeltaPrefetcher::new(&delta_cfg);
-    let mut mk_out = Vec::new();
-    let mut dp_out = Vec::new();
+    let mut ref_out = Vec::new();
+    let mut stab_out = Vec::new();
     for (i, &addr) in trace.iter().enumerate() {
-        mk_out.clear();
-        dp_out.clear();
-        mk.observe_miss(VirtAddr(addr), &mut mk_out);
-        dp.observe_miss(VirtAddr(addr), &mut dp_out);
-        let mk_preds: Vec<u32> = mk_out.iter().map(|r| r.vaddr.0).collect();
-        let dp_preds: Vec<u32> = dp_out.iter().map(|r| r.vaddr.0).collect();
+        ref_out.clear();
+        stab_out.clear();
+        reference.observe_miss(VirtAddr(addr), &mut ref_out);
+        stab.observe_miss(VirtAddr(addr), &mut stab_out);
+        let preds: Vec<u32> = stab_out.iter().map(|r| r.vaddr.0).collect();
         assert_eq!(
-            mk_preds, dp_preds,
+            ref_out, preds,
             "{ctx}: prediction streams diverge at miss {i} ({addr:#x})"
         );
+        assert!(
+            stab_out.iter().all(|r| r.kind == RequestKind::Markov),
+            "{ctx}: STAB requests must carry the Markov kind"
+        );
     }
-    let (ms, ds) = (mk.stats(), dp.stats());
-    assert_eq!(ms.observed, ds.observed, "{ctx}: observed");
-    assert_eq!(ms.stab_hits, ds.table_hits, "{ctx}: table hits");
-    assert_eq!(ms.emitted, ds.emitted, "{ctx}: emitted");
-    assert_eq!(ms.trained, ds.trained, "{ctx}: trained");
-    assert_eq!(ms.evictions, ds.evictions, "{ctx}: evictions");
+    assert_eq!(reference.stats, stab.stats(), "{ctx}: stats");
 }
 
 /// A randomized miss trace mixing the patterns the suite's benchmarks
@@ -150,17 +248,16 @@ fn equivalent_on_adversarial_patterns() {
 }
 
 #[test]
-fn shipped_compat_preset_matches_table3_markov() {
-    // The preset the tournament actually uses.
+fn shipped_presets_match_the_reference() {
+    // The Table 3 configurations fig11 runs, the unbounded `markov_big`
+    // table included.
     let mut rng = Rng::seed_from_u64(7);
     let trace = random_trace(&mut rng, 5000);
-    for bytes in [128 * 1024, 512 * 1024] {
-        let compat = DeltaConfig::markov_compat(bytes);
-        let markov = MarkovConfig {
-            stab_bytes: bytes,
-            associativity: compat.associativity,
-            fanout: compat.fanout,
-        };
-        check(&markov, &trace, &format!("preset {bytes}"));
+    for cfg in [
+        MarkovConfig::eighth(),
+        MarkovConfig::half(),
+        MarkovConfig::unbounded(),
+    ] {
+        check(&cfg, &trace, &format!("preset {cfg:?}"));
     }
 }

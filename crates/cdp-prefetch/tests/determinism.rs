@@ -9,7 +9,7 @@
 //! RNGs, or anything else outside its inputs.
 
 use cdp_prefetch::{
-    ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, MarkovPrefetcher, PerceptronFilter,
+    ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, PerceptronFilter,
     Prefetcher, PrefetchRequest, StridePrefetcher,
 };
 use cdp_types::rng::Rng;
@@ -138,8 +138,8 @@ fn every_engine_replays_identically() {
                 &format!("markov {ctx}"),
                 &events,
                 true,
-                MarkovPrefetcher::new(&mk),
-                MarkovPrefetcher::new(&mk),
+                DeltaPrefetcher::stab(&mk),
+                DeltaPrefetcher::stab(&mk),
                 |e| format!("{:?}", e.stats()),
             );
             for key_space in [DeltaKeySpace::Delta, DeltaKeySpace::Address] {
@@ -218,8 +218,8 @@ fn perceptron_filter_replays_identically() {
                     }
                     1 => {
                         let useful = rng.gen_range_u32(0..2) == 0;
-                        a.train(vaddr, kind, useful);
-                        b.train(vaddr, kind, useful);
+                        a.train(vaddr, kind.engine(), useful);
+                        b.train(vaddr, kind.engine(), useful);
                     }
                     _ => {
                         a.on_demand_miss(vaddr);

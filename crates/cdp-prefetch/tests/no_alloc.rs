@@ -1,32 +1,33 @@
-//! Proves the VAM hot path is allocation-free: `scan_line` runs under a
+//! Proves the per-event hot paths are allocation-free: they run under a
 //! counting global allocator and must not touch the heap.
 //!
-//! The scanner runs once per L2 fill — millions of times per experiment —
-//! so a `Vec` push in here is a measurable fraction of total wall time.
+//! The VAM scanner runs once per L2 fill and the delta table (the §5
+//! Markov STAB included) once per L2 demand miss — millions of times per
+//! experiment — so a `Vec` push in either is a measurable fraction of
+//! total wall time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use cdp_prefetch::scan_line;
-use cdp_types::{VamConfig, VirtAddr, LINE_SIZE};
+use cdp_prefetch::{scan_line, DeltaPrefetcher};
+use cdp_types::rng::Rng;
+use cdp_types::{DeltaConfig, MarkovConfig, VamConfig, VirtAddr, LINE_SIZE};
 
 /// System allocator wrapper that counts allocations made while the
-/// current thread has opted in. The opt-in keeps libtest's harness
-/// threads (timers, output capture) from bleeding into the measurement
-/// when the machine is loaded — only the measuring loop counts.
+/// current thread has opted in, per thread. Libtest's harness threads
+/// (timers, output capture) and concurrently running tests never bleed
+/// into a measurement — only the measuring loop's own thread counts.
 struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOCS.with(|n| n.set(n.get() + 1));
         }
         unsafe { System.alloc(layout) }
     }
@@ -38,6 +39,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Counts the heap allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get) - before
+}
 
 #[test]
 fn scan_line_never_allocates() {
@@ -61,21 +71,70 @@ fn scan_line_never_allocates() {
     let warm = scan_line(&dense, trigger, &cfg);
     assert!(!warm.is_empty(), "dense line must yield candidates");
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
     let mut found = 0usize;
-    for _ in 0..1000 {
-        found += scan_line(&dense, trigger, &cfg).len();
-        found += scan_line(&junk, trigger, &cfg).len();
-        found += scan_line(&zeros, trigger, &cfg).len();
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            found += scan_line(&dense, trigger, &cfg).len();
+            found += scan_line(&junk, trigger, &cfg).len();
+            found += scan_line(&zeros, trigger, &cfg).len();
+        }
+    });
 
     assert!(found > 0, "the loop did real work");
     assert_eq!(
-        after - before,
-        0,
+        n, 0,
         "scan_line must not allocate (hot path: one call per L2 fill)"
     );
+}
+
+#[test]
+fn delta_table_misses_never_allocate_once_warm() {
+    // A cyclic miss trace: a shuffled ring of 24 lines walked three times
+    // and back to its head, like a traversal of a linked ring. After one
+    // warm-up pass every key the next pass touches is resident, so the
+    // steady state trains, predicts and (in delta space) chases without
+    // a single allocation.
+    let mut rng = Rng::seed_from_u64(0xA110C);
+    let mut ring: Vec<u32> = (0..24).map(|i| 0x10_0000 + i * 0x440).collect();
+    for i in (1..ring.len()).rev() {
+        ring.swap(i, rng.gen_range_usize(0..i + 1));
+    }
+    let mut trace: Vec<u32> = ring.iter().copied().cycle().take(3 * ring.len()).collect();
+    trace.push(ring[0]);
+
+    let engines = [
+        ("stab", DeltaPrefetcher::stab(&MarkovConfig::half())),
+        (
+            "delta",
+            DeltaPrefetcher::new(&DeltaConfig::pangloss(16 * 1024)),
+        ),
+    ];
+    for (name, mut dp) in engines {
+        let mut out = Vec::new();
+        let mut pass = |dp: &mut DeltaPrefetcher| {
+            let mut emitted = 0;
+            for &a in &trace {
+                out.clear();
+                dp.observe_miss(VirtAddr(a), &mut out);
+                emitted += out.len();
+            }
+            emitted
+        };
+        pass(&mut dp);
+        let mut emitted = 0;
+        let n = allocations(|| emitted = pass(&mut dp));
+        assert!(
+            emitted >= trace.len(),
+            "{name}: every warm miss must predict"
+        );
+        assert_eq!(n, 0, "{name}: a warm table must not allocate per miss");
+    }
+}
+
+#[test]
+fn table_sets_are_allocated_on_first_insert() {
+    // The unbounded `markov_big` STAB has 2^20 sets; reserving them up
+    // front would cost ~640 MiB per cell before a single miss.
+    let n = allocations(|| drop(DeltaPrefetcher::stab(&MarkovConfig::unbounded())));
+    assert!(n <= 2, "building an empty table made {n} allocations");
 }

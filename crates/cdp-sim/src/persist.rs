@@ -18,7 +18,9 @@ use cdp_core::CoreStats;
 use cdp_mem::BusStats;
 use cdp_obs::trace::{load_trace_data, save_trace_data, TraceEvent};
 use cdp_prefetch::adaptive::AdaptiveStats;
-use cdp_prefetch::{ContentStats, MarkovStats, StreamStats, StrideStats};
+use cdp_prefetch::{
+    ContentStats, DeltaStats, JumpStats, PerceptronStats, StreamStats, StrideStats,
+};
 use cdp_snap::{Dec, Enc};
 use cdp_types::{ContentConfig, SnapshotError, VamConfig};
 
@@ -26,11 +28,12 @@ use crate::observe::{MetricsWindow, Observation};
 use crate::system::RunStats;
 
 /// Version of the result payload encoding. Bump on any layout change;
-/// older builds refuse newer payloads (and recompute) instead of
-/// misdecoding them. History: v1 — initial layout; v2 — appends the
-/// optional latency-attribution [`cdp_obs::Profile`] to observations
-/// (v1 entries still decode, with `profile: None`).
-pub const RESULT_VERSION: u32 = 2;
+/// payloads of any other version are refused (and recomputed) instead of
+/// misdecoded. History: v1 — initial layout; v2 — appends the optional
+/// latency-attribution [`cdp_obs::Profile`] to observations; v3 — adds
+/// the delta, jump and perceptron stats (the Markov STAB shares the
+/// delta codec).
+pub const RESULT_VERSION: u32 = 3;
 
 /// Encodes a cached cell result — run statistics plus the optional
 /// observation — into self-contained payload bytes for the store.
@@ -53,13 +56,13 @@ pub fn encode_result(stats: &RunStats, obs: Option<&Observation>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a typed [`SnapshotError`] on truncation, a future payload
-/// version, or structurally impossible values. Callers treat any error
-/// as a miss (recompute) after the store quarantines the entry.
+/// Returns a typed [`SnapshotError`] on truncation, a payload version
+/// other than [`RESULT_VERSION`], or structurally impossible values.
+/// Callers treat any error as a miss (recompute).
 pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), SnapshotError> {
     let mut d = Dec::new(bytes);
     let version = d.u32("result payload version")?;
-    if version > RESULT_VERSION {
+    if version != RESULT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: RESULT_VERSION,
@@ -67,7 +70,7 @@ pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), Sn
     }
     let stats = load_run_stats(&mut d)?;
     let obs = if d.bool("result has observation")? {
-        Some(load_observation(&mut d, version)?)
+        Some(load_observation(&mut d)?)
     } else {
         None
     };
@@ -86,7 +89,7 @@ fn save_run_stats(s: &RunStats, e: &mut Enc) {
     s.mem.save_state(e);
     opt(e, s.content.as_ref(), save_content_stats);
     opt(e, s.stride.as_ref(), save_stride_stats);
-    opt(e, s.markov.as_ref(), save_markov_stats);
+    opt(e, s.markov.as_ref(), save_delta_stats);
     opt(e, s.stream.as_ref(), save_stream_stats);
     match &s.adaptive {
         Some((a, cfg)) => {
@@ -98,6 +101,9 @@ fn save_run_stats(s: &RunStats, e: &mut Enc) {
         }
         None => e.bool(false),
     }
+    opt(e, s.delta.as_ref(), save_delta_stats);
+    opt(e, s.jump.as_ref(), save_jump_stats);
+    opt(e, s.perceptron.as_ref(), save_perceptron_stats);
     e.u64(s.bus.transfers);
     e.u64(s.bus.demand_transfers);
     e.u64(s.bus.busy_cycles);
@@ -114,7 +120,7 @@ fn load_run_stats(d: &mut Dec<'_>) -> Result<RunStats, SnapshotError> {
     s.mem.restore_state(d)?;
     s.content = opt_load(d, "result content stats", load_content_stats)?;
     s.stride = opt_load(d, "result stride stats", load_stride_stats)?;
-    s.markov = opt_load(d, "result markov stats", load_markov_stats)?;
+    s.markov = opt_load(d, "result markov stats", load_delta_stats)?;
     s.stream = opt_load(d, "result stream stats", load_stream_stats)?;
     s.adaptive = if d.bool("result has adaptive")? {
         let a = AdaptiveStats {
@@ -126,6 +132,9 @@ fn load_run_stats(d: &mut Dec<'_>) -> Result<RunStats, SnapshotError> {
     } else {
         None
     };
+    s.delta = opt_load(d, "result delta stats", load_delta_stats)?;
+    s.jump = opt_load(d, "result jump stats", load_jump_stats)?;
+    s.perceptron = opt_load(d, "result perceptron stats", load_perceptron_stats)?;
     s.bus = BusStats {
         transfers: d.u64("bus transfers")?,
         demand_transfers: d.u64("bus demand_transfers")?,
@@ -215,21 +224,59 @@ fn load_stride_stats(d: &mut Dec<'_>) -> Result<StrideStats, SnapshotError> {
     })
 }
 
-fn save_markov_stats(m: &MarkovStats, e: &mut Enc) {
-    e.u64(m.observed);
-    e.u64(m.stab_hits);
-    e.u64(m.emitted);
-    e.u64(m.trained);
-    e.u64(m.evictions);
+fn save_delta_stats(s: &DeltaStats, e: &mut Enc) {
+    e.u64(s.observed);
+    e.u64(s.table_hits);
+    e.u64(s.emitted);
+    e.u64(s.trained);
+    e.u64(s.evictions);
 }
 
-fn load_markov_stats(d: &mut Dec<'_>) -> Result<MarkovStats, SnapshotError> {
-    Ok(MarkovStats {
-        observed: d.u64("markov observed")?,
-        stab_hits: d.u64("markov stab_hits")?,
-        emitted: d.u64("markov emitted")?,
-        trained: d.u64("markov trained")?,
-        evictions: d.u64("markov evictions")?,
+fn load_delta_stats(d: &mut Dec<'_>) -> Result<DeltaStats, SnapshotError> {
+    Ok(DeltaStats {
+        observed: d.u64("delta observed")?,
+        table_hits: d.u64("delta table_hits")?,
+        emitted: d.u64("delta emitted")?,
+        trained: d.u64("delta trained")?,
+        evictions: d.u64("delta evictions")?,
+    })
+}
+
+fn save_jump_stats(s: &JumpStats, e: &mut Enc) {
+    e.u64(s.observed);
+    e.u64(s.trained);
+    e.u64(s.table_hits);
+    e.u64(s.emitted);
+    e.u64(s.evictions);
+}
+
+fn load_jump_stats(d: &mut Dec<'_>) -> Result<JumpStats, SnapshotError> {
+    Ok(JumpStats {
+        observed: d.u64("jump observed")?,
+        trained: d.u64("jump trained")?,
+        table_hits: d.u64("jump table_hits")?,
+        emitted: d.u64("jump emitted")?,
+        evictions: d.u64("jump evictions")?,
+    })
+}
+
+fn save_perceptron_stats(s: &PerceptronStats, e: &mut Enc) {
+    e.u64(s.considered);
+    e.u64(s.accepted);
+    e.u64(s.rejected);
+    e.u64(s.trained_useful);
+    e.u64(s.trained_wasted);
+    e.u64(s.false_negatives);
+}
+
+fn load_perceptron_stats(d: &mut Dec<'_>) -> Result<PerceptronStats, SnapshotError> {
+    Ok(PerceptronStats {
+        considered: d.u64("perceptron considered")?,
+        accepted: d.u64("perceptron accepted")?,
+        rejected: d.u64("perceptron rejected")?,
+        trained_useful: d.u64("perceptron trained_useful")?,
+        trained_wasted: d.u64("perceptron trained_wasted")?,
+        false_negatives: d.u64("perceptron false_negatives")?,
     })
 }
 
@@ -300,7 +347,7 @@ fn save_observation(o: &Observation, e: &mut Enc) {
     }
 }
 
-fn load_observation(d: &mut Dec<'_>, version: u32) -> Result<Observation, SnapshotError> {
+fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
     // MetricsWindow is 16 fixed-width fields; 17 is the smallest
     // possible encoding (usize can shrink, the u64s cannot... both are
     // fixed 8 bytes here, but a conservative floor still bounds the
@@ -322,9 +369,7 @@ fn load_observation(d: &mut Dec<'_>, version: u32) -> Result<Observation, Snapsh
     let trace_recorded = d.u64("observation trace_recorded")?;
     let trace_overwritten = d.u64("observation trace_overwritten")?;
     let trace_sampled_out = d.u64("observation trace_sampled_out")?;
-    // v1 entries predate profiles; they decode with `profile: None` so
-    // warm store files stay usable across the upgrade.
-    let profile = if version >= 2 && d.bool("observation has profile")? {
+    let profile = if d.bool("observation has profile")? {
         Some(cdp_obs::Profile::restore_state(d)?)
     } else {
         None
@@ -360,6 +405,46 @@ mod tests {
             candidates: 8,
             emitted: 20,
             depth_terminations: 1,
+        });
+        s.stride = Some(StrideStats {
+            observed: 31,
+            emitted: 32,
+            conflicts: 33,
+        });
+        s.markov = Some(DeltaStats {
+            observed: 41,
+            table_hits: 42,
+            emitted: 43,
+            trained: 44,
+            evictions: 45,
+        });
+        s.stream = Some(StreamStats {
+            observed: 51,
+            confirmed: 52,
+            allocated: 53,
+            emitted: 54,
+        });
+        s.delta = Some(DeltaStats {
+            observed: 61,
+            table_hits: 62,
+            emitted: 63,
+            trained: 64,
+            evictions: 65,
+        });
+        s.jump = Some(JumpStats {
+            observed: 71,
+            trained: 72,
+            table_hits: 73,
+            emitted: 74,
+            evictions: 75,
+        });
+        s.perceptron = Some(PerceptronStats {
+            considered: 81,
+            accepted: 82,
+            rejected: 83,
+            trained_useful: 84,
+            trained_wasted: 85,
+            false_negatives: 86,
         });
         s.adaptive = Some((
             AdaptiveStats {
@@ -402,6 +487,14 @@ mod tests {
     }
 
     #[test]
+    fn sample_sets_every_optional_stat() {
+        // The round-trip tests only cover what the sample sets: every
+        // `Option` field of `RunStats` must be `Some` here.
+        let debug = format!("{:?}", sample_stats());
+        assert!(!debug.contains("None"), "{debug}");
+    }
+
+    #[test]
     fn round_trips_stats_without_observation() {
         let stats = sample_stats();
         let bytes = encode_result(&stats, None);
@@ -429,18 +522,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_payload_decodes_with_no_profile() {
-        // Emulate a pre-profile store entry: same layout minus the
-        // trailing "has profile" flag, tagged version 1.
-        let stats = sample_stats();
-        let mut obs = sample_observation();
-        obs.profile = None;
-        let mut bytes = encode_result(&stats, Some(&obs));
-        bytes[0..4].copy_from_slice(&1u32.to_le_bytes());
-        bytes.pop();
-        let (back_stats, back_obs) = decode_result(&bytes).unwrap();
-        assert_eq!(format!("{stats:?}"), format!("{back_stats:?}"));
-        assert!(back_obs.unwrap().profile.is_none());
+    fn older_versions_are_refused_typed() {
+        // Older payloads lack stats this build reports; replaying them
+        // would turn a fresh run's `Some` into `None`.
+        let mut bytes = encode_result(&sample_stats(), Some(&sample_observation()));
+        for old in 1..RESULT_VERSION {
+            bytes[0..4].copy_from_slice(&old.to_le_bytes());
+            match decode_result(&bytes) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, old);
+                    assert_eq!(supported, RESULT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -5,22 +5,7 @@
 //! timeliness classification of Figure 10 (full vs partial latency
 //! masking per engine), and drop accounting for the arbiters.
 
-/// Which engine owns a line / request, for classification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// Demand traffic (no prefetcher).
-    Demand,
-    /// The stride prefetcher.
-    Stride,
-    /// The content-directed prefetcher.
-    Content,
-    /// The Markov prefetcher.
-    Markov,
-    /// The delta-space Markov prefetcher.
-    Delta,
-    /// The pointer-chase/jump-pointer prefetcher.
-    Jump,
-}
+pub use cdp_types::Engine;
 
 /// Per-engine prefetch counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -109,6 +94,17 @@ pub struct RequestDistribution {
 }
 
 impl RequestDistribution {
+    /// `engine`'s (full, partial) columns; `None` for the engines
+    /// Figure 10 does not classify.
+    fn columns(&mut self, engine: Engine) -> Option<(&mut u64, &mut u64)> {
+        match engine {
+            Engine::Stride => Some((&mut self.stride_full, &mut self.stride_partial)),
+            Engine::Content => Some((&mut self.cpf_full, &mut self.cpf_partial)),
+            Engine::Markov => Some((&mut self.markov_full, &mut self.markov_partial)),
+            Engine::Demand | Engine::Delta | Engine::Jump => None,
+        }
+    }
+
     /// Total classified requests.
     pub fn total(&self) -> u64 {
         self.stride_full
@@ -231,6 +227,59 @@ impl MemStats {
             Engine::Delta => Some(&self.delta),
             Engine::Jump => Some(&self.jump),
             Engine::Demand => None,
+        }
+    }
+
+    /// Mutable counters for one engine; `None` for [`Engine::Demand`].
+    #[inline]
+    fn engine_mut(&mut self, e: Engine) -> Option<&mut EngineCounters> {
+        match e {
+            Engine::Stride => Some(&mut self.stride),
+            Engine::Content => Some(&mut self.content),
+            Engine::Markov => Some(&mut self.markov),
+            Engine::Delta => Some(&mut self.delta),
+            Engine::Jump => Some(&mut self.jump),
+            Engine::Demand => None,
+        }
+    }
+
+    /// Counts a prefetch `e` issued to the memory system.
+    #[inline]
+    pub fn record_issued(&mut self, e: Engine) {
+        if let Some(c) = self.engine_mut(e) {
+            c.issued += 1;
+        }
+    }
+
+    /// Counts the first demand hit on a resident line `e` prefetched
+    /// (full latency mask), in the engine counters and Figure 10.
+    #[inline]
+    pub fn record_useful_full(&mut self, e: Engine) {
+        if let Some(c) = self.engine_mut(e) {
+            c.useful_full += 1;
+        }
+        if let Some((full, _)) = self.distribution.columns(e) {
+            *full += 1;
+        }
+    }
+
+    /// Counts a demand that joined `e`'s in-flight prefetch (partial
+    /// latency mask), in the engine counters and Figure 10.
+    #[inline]
+    pub fn record_useful_partial(&mut self, e: Engine) {
+        if let Some(c) = self.engine_mut(e) {
+            c.useful_partial += 1;
+        }
+        if let Some((_, partial)) = self.distribution.columns(e) {
+            *partial += 1;
+        }
+    }
+
+    /// Counts a line `e` prefetched that was evicted untouched.
+    #[inline]
+    pub fn record_wasted(&mut self, e: Engine) {
+        if let Some(c) = self.engine_mut(e) {
+            c.wasted_evictions += 1;
         }
     }
 }
@@ -440,6 +489,36 @@ mod tests {
             too_deep: 5,
         };
         assert_eq!(d.total(), 15);
+    }
+
+    #[test]
+    fn recorders_update_engine_counters_and_figure_10() {
+        let mut s = MemStats::default();
+        for e in Engine::ALL {
+            s.record_issued(e);
+            s.record_useful_full(e);
+            s.record_useful_partial(e);
+            s.record_wasted(e);
+        }
+        for e in Engine::ALL {
+            let want = (e != Engine::Demand).then_some(EngineCounters {
+                issued: 1,
+                useful_full: 1,
+                useful_partial: 1,
+                wasted_evictions: 1,
+            });
+            assert_eq!(s.engine(e).copied(), want, "{e:?}");
+        }
+        // Figure 10 classifies only its own three engines.
+        let d = s.distribution;
+        assert_eq!(
+            [d.stride_full, d.stride_partial, d.cpf_full, d.cpf_partial],
+            [1; 4]
+        );
+        assert_eq!(
+            [d.markov_full, d.markov_partial, d.unmasked_misses],
+            [1, 1, 0]
+        );
     }
 
     #[test]

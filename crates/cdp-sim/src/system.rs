@@ -5,7 +5,7 @@ use cdp_mem::BusStats;
 use cdp_obs::TraceRing;
 use cdp_prefetch::adaptive::AdaptiveStats;
 use cdp_prefetch::{
-    ContentStats, DeltaStats, JumpStats, MarkovStats, PerceptronStats, StreamStats, StrideStats,
+    ContentStats, DeltaStats, JumpStats, PerceptronStats, StreamStats, StrideStats,
 };
 use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Scale;
@@ -102,8 +102,8 @@ pub struct RunStats {
     pub content: Option<ContentStats>,
     /// Stride-prefetcher internals, if configured.
     pub stride: Option<StrideStats>,
-    /// Markov-prefetcher internals, if configured.
-    pub markov: Option<MarkovStats>,
+    /// Markov STAB internals, if configured.
+    pub markov: Option<DeltaStats>,
     /// Stream-buffer internals, if configured.
     pub stream: Option<StreamStats>,
     /// Adaptive-controller stats and final steering, if configured.

@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! magic     8 bytes   b"CDPSNAP\0"
-//! version   u32 LE    format version (this build writes VERSION)
+//! version   u32 LE    format version (this build writes and reads only
+//!                     VERSION)
 //! run fp    u64 LE    FNV-1a fingerprint of the run being checkpointed
 //!                     (config + workload identity + fault plan)
 //! count     u32 LE    number of sections (so truncation at a section
@@ -29,10 +30,13 @@ use cdp_types::SnapshotError;
 /// Magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"CDPSNAP\0";
 
-/// Format version this build writes (and the highest it reads).
-/// Version 2 appended the core's feed kind (and, for streaming feeds,
-/// the uop window + generation cursor) to the core section.
-pub const VERSION: u32 = 2;
+/// Format version this build writes and the only one it reads: no
+/// section decoder branches on the version, so an older layout is
+/// refused rather than misread. Version 2 appended the core's feed kind
+/// (and, for streaming feeds, the uop window + generation cursor) to the
+/// core section; version 3 stores the Markov STAB in the delta table's
+/// layout.
+pub const VERSION: u32 = 3;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -383,7 +387,7 @@ impl<'a> SnapReader<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = d.u32("version")?;
-        if version > VERSION || version == 0 {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -498,15 +502,17 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert_eq!(
-            SnapReader::parse(&bytes, None).unwrap_err(),
-            SnapshotError::UnsupportedVersion {
-                found: VERSION + 1,
-                supported: VERSION
-            }
-        );
+        for version in [VERSION + 1, VERSION - 1, 0] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                SnapReader::parse(&bytes, None).unwrap_err(),
+                SnapshotError::UnsupportedVersion {
+                    found: version,
+                    supported: VERSION
+                }
+            );
+        }
     }
 
     #[test]

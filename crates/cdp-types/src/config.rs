@@ -472,14 +472,17 @@ impl DeltaConfig {
             key_space: DeltaKeySpace::Delta,
         }
     }
+}
 
-    /// The address-keyed, history-1 compatibility configuration: must be
-    /// prediction-equivalent to [`MarkovConfig`] at the same byte budget.
-    pub fn markov_compat(table_bytes: usize) -> Self {
+/// The §5 STAB as a delta table: address-keyed, history 1, with the same
+/// entry count as [`MarkovConfig::num_entries`] (the unbounded
+/// `markov_big` configuration included).
+impl From<MarkovConfig> for DeltaConfig {
+    fn from(m: MarkovConfig) -> Self {
         DeltaConfig {
-            table_bytes,
-            associativity: 16,
-            fanout: 4,
+            table_bytes: m.num_entries().saturating_mul(m.entry_bytes()),
+            associativity: m.associativity,
+            fanout: m.fanout,
             history: 1,
             key_space: DeltaKeySpace::Address,
         }
@@ -1040,9 +1043,20 @@ mod tests {
 
     #[test]
     fn delta_budgets() {
-        let compat = DeltaConfig::markov_compat(512 * 1024);
-        assert_eq!(compat.entry_bytes(), MarkovConfig::half().entry_bytes());
-        assert_eq!(compat.num_entries(), MarkovConfig::half().num_entries());
+        for m in [
+            MarkovConfig::half(),
+            MarkovConfig::eighth(),
+            MarkovConfig::unbounded(),
+            MarkovConfig {
+                stab_bytes: 100,
+                associativity: 16,
+                fanout: 2,
+            },
+        ] {
+            let stab = DeltaConfig::from(m);
+            assert_eq!(stab.entry_bytes(), m.entry_bytes(), "{m:?}");
+            assert_eq!(stab.num_entries(), m.num_entries(), "{m:?}");
+        }
         let pangloss = DeltaConfig::pangloss(64 * 1024);
         // 2B/history-slot * 2 + 3B/successor * 4 = 16 bytes.
         assert_eq!(pangloss.entry_bytes(), 16);

@@ -70,11 +70,12 @@ pub enum CdpError {
 pub enum SnapshotError {
     /// The file does not start with the snapshot magic bytes.
     BadMagic,
-    /// The snapshot was written by a newer (or unknown) format version.
+    /// The snapshot was written by a format version this build cannot
+    /// decode (a newer one, or an older layout it no longer reads).
     UnsupportedVersion {
         /// Version number found in the header.
         found: u32,
-        /// Highest version this build can decode.
+        /// The version this build writes.
         supported: u32,
     },
     /// The snapshot's run fingerprint does not match the run being
@@ -114,7 +115,7 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::BadMagic => write!(f, "not a cdp snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found, supported } => {
-                write!(f, "snapshot version {found} unsupported (this build reads <= {supported})")
+                write!(f, "snapshot version {found} unsupported (this build writes {supported})")
             }
             SnapshotError::FingerprintMismatch { expected, found } => write!(
                 f,

@@ -47,7 +47,107 @@ pub enum RequestKind {
     Jump,
 }
 
+/// The agent a request, an L2 line, or a statistic belongs to.
+///
+/// This is the one place the engine list lives: its stable codes (L2
+/// line owners in snapshots, trace-ring events, perceptron feature
+/// hashes) and its names (trace output, reports) are defined here and
+/// nowhere else.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
+pub enum Engine {
+    /// Demand traffic (no prefetcher), including page walks.
+    Demand = 0,
+    /// The stride prefetcher.
+    Stride = 1,
+    /// The content-directed prefetcher.
+    Content = 2,
+    /// The §5 Markov STAB.
+    Markov = 3,
+    /// The delta-space Markov prefetcher.
+    Delta = 4,
+    /// The pointer-chase/jump-pointer prefetcher.
+    Jump = 5,
+}
+
+impl Engine {
+    /// Every engine, in code order.
+    pub const ALL: [Engine; 6] = [
+        Engine::Demand,
+        Engine::Stride,
+        Engine::Content,
+        Engine::Markov,
+        Engine::Delta,
+        Engine::Jump,
+    ];
+
+    /// The engine's stable code (its index in [`Engine::ALL`]).
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Engine::code`]; `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<Engine> {
+        Engine::ALL.get(usize::from(code)).copied()
+    }
+
+    /// Lower-case engine name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Demand => "demand",
+            Engine::Stride => "stride",
+            Engine::Content => "content",
+            Engine::Markov => "markov",
+            Engine::Delta => "delta",
+            Engine::Jump => "jump",
+        }
+    }
+}
+
 impl RequestKind {
+    /// The engine that generated this request (page walks are demand
+    /// traffic).
+    #[inline]
+    pub fn engine(self) -> Engine {
+        match self {
+            RequestKind::Demand | RequestKind::PageWalk => Engine::Demand,
+            RequestKind::Stride => Engine::Stride,
+            RequestKind::Content { .. } => Engine::Content,
+            RequestKind::Markov => Engine::Markov,
+            RequestKind::Delta => Engine::Delta,
+            RequestKind::Jump => Engine::Jump,
+        }
+    }
+
+    /// Stable `(tag, depth)` encoding, as in-flight requests are
+    /// snapshotted; `depth` is 0 for every kind but content.
+    pub fn code(self) -> (u8, u8) {
+        match self {
+            RequestKind::Demand => (0, 0),
+            RequestKind::PageWalk => (1, 0),
+            RequestKind::Stride => (2, 0),
+            RequestKind::Content { depth } => (3, depth),
+            RequestKind::Markov => (4, 0),
+            RequestKind::Delta => (5, 0),
+            RequestKind::Jump => (6, 0),
+        }
+    }
+
+    /// Inverse of [`RequestKind::code`]; `None` for an unknown tag.
+    pub fn from_code(tag: u8, depth: u8) -> Option<RequestKind> {
+        Some(match tag {
+            0 => RequestKind::Demand,
+            1 => RequestKind::PageWalk,
+            2 => RequestKind::Stride,
+            3 => RequestKind::Content { depth },
+            4 => RequestKind::Markov,
+            5 => RequestKind::Delta,
+            6 => RequestKind::Jump,
+            _ => return None,
+        })
+    }
+
     /// The request depth: 0 for non-speculative traffic, the chain depth for
     /// content prefetches, 1 for other prefetchers.
     #[inline]
@@ -89,13 +189,9 @@ impl RequestKind {
 impl fmt::Display for RequestKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RequestKind::Demand => write!(f, "demand"),
             RequestKind::PageWalk => write!(f, "pagewalk"),
-            RequestKind::Stride => write!(f, "stride"),
             RequestKind::Content { depth } => write!(f, "content(d{depth})"),
-            RequestKind::Markov => write!(f, "markov"),
-            RequestKind::Delta => write!(f, "delta"),
-            RequestKind::Jump => write!(f, "jump"),
+            kind => f.write_str(kind.engine().name()),
         }
     }
 }
@@ -199,7 +295,41 @@ mod tests {
     }
 
     #[test]
+    fn engine_codes_round_trip_in_order() {
+        for (i, e) in Engine::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(e.code()), i);
+            assert_eq!(Engine::from_code(e.code()), Some(e));
+        }
+        assert_eq!(Engine::from_code(Engine::ALL.len() as u8), None);
+        assert_eq!(RequestKind::PageWalk.engine(), Engine::Demand);
+        assert_eq!(RequestKind::Content { depth: 4 }.engine(), Engine::Content);
+        assert_eq!(Engine::Markov.name(), "markov");
+    }
+
+    #[test]
+    fn request_kind_codes_round_trip() {
+        let kinds = [
+            RequestKind::Demand,
+            RequestKind::PageWalk,
+            RequestKind::Stride,
+            RequestKind::Content { depth: 7 },
+            RequestKind::Markov,
+            RequestKind::Delta,
+            RequestKind::Jump,
+        ];
+        for (tag, k) in kinds.into_iter().enumerate() {
+            let (t, depth) = k.code();
+            assert_eq!(usize::from(t), tag);
+            assert_eq!(RequestKind::from_code(t, depth), Some(k));
+        }
+        assert_eq!(RequestKind::from_code(7, 0), None);
+    }
+
+    #[test]
     fn display_forms() {
+        assert_eq!(RequestKind::Demand.to_string(), "demand");
+        assert_eq!(RequestKind::PageWalk.to_string(), "pagewalk");
+        assert_eq!(RequestKind::Markov.to_string(), "markov");
         assert_eq!(RequestKind::Content { depth: 2 }.to_string(), "content(d2)");
         assert_eq!(RequestKind::Delta.to_string(), "delta");
         assert_eq!(RequestKind::Jump.to_string(), "jump");

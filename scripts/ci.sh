@@ -163,6 +163,48 @@ if [ "$leftover" -ne 0 ]; then
     exit 1
 fi
 
+echo "== STAB checkpoint smoke (kill a live fig11 sweep, resume, byte-identity) =="
+# The checkpoint smoke above runs no Markov STAB, and at smoke scale the
+# STAB never predicts. fig11 at quick scale trains one: kill the sweep
+# while trained STAB cells hold checkpoints, resume, and require
+# byte-identical stdout with at least one STAB cell resumed from disk.
+rm -rf /tmp/cdp-ckpt-stab /tmp/cdp-ckpt-stab-manifest /tmp/cdp-ckpt-stab.jsonl
+mkdir -p /tmp/cdp-ckpt-stab
+./target/release/experiments fig11 --quick --jobs 2 > /tmp/cdp-ckpt-stab-ref.out
+./target/release/experiments fig11 --quick --jobs 2 \
+    --checkpoint-dir /tmp/cdp-ckpt-stab --checkpoint-every 1000000 \
+    --status-jsonl /tmp/cdp-ckpt-stab.jsonl > /dev/null 2> /dev/null &
+pid=$!
+# Baseline cells run first. Kill once a markov_1/2 cell has finished (the
+# STAB cells in flight are then well into training) and both workers'
+# cells have a checkpoint on disk.
+for _ in $(seq 600); do
+    if grep -q '"event":"done","label":"markov_1/2/' /tmp/cdp-ckpt-stab.jsonl 2> /dev/null \
+        && [ "$(find /tmp/cdp-ckpt-stab -name '*.snap' | wc -l)" -ge 2 ]; then
+        break
+    fi
+    sleep 0.05
+done
+kill -9 "$pid" 2> /dev/null || true
+wait "$pid" 2> /dev/null || true
+./target/release/experiments fig11 --quick --jobs 2 \
+    --checkpoint-dir /tmp/cdp-ckpt-stab --checkpoint-every 1000000 --resume \
+    --emit-manifest /tmp/cdp-ckpt-stab-manifest > /tmp/cdp-ckpt-stab-resumed.out 2> /dev/null
+cmp /tmp/cdp-ckpt-stab-ref.out /tmp/cdp-ckpt-stab-resumed.out || {
+    echo "STAB checkpoint smoke: resumed fig11 stdout differs" >&2
+    exit 1
+}
+grep -Eq '"label":"markov_[^"]*","status":"ok",[^}]*"checkpoint":"resumed"' \
+    /tmp/cdp-ckpt-stab-manifest/manifest.json || {
+    echo "STAB checkpoint smoke: no STAB cell resumed from a checkpoint" >&2
+    exit 1
+}
+leftover=$(find /tmp/cdp-ckpt-stab -name '*.snap' | wc -l)
+if [ "$leftover" -ne 0 ]; then
+    echo "STAB checkpoint smoke: $leftover checkpoint(s) left after completion" >&2
+    exit 1
+fi
+
 echo "== fault-injection smoke (expect partial-failure exit 3) =="
 # Unmap two trace pages of slsb: its cells must gap out, every other
 # cell must complete, and the run must exit with the documented
