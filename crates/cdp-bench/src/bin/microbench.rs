@@ -60,7 +60,7 @@ fn cache_fill_evict() -> f64 {
     })
 }
 
-/// One-frame-lookup line read through the open-addressed frame table.
+/// One-frame-lookup line read through the direct-indexed frame table.
 fn phys_read_line_into() -> f64 {
     let mut mem = PhysMem::new();
     const FRAMES: u32 = 256;

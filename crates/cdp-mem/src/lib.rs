@@ -33,6 +33,6 @@ pub use arbiter::{Arbiter, EnqueueOutcome};
 pub use bus::{Bus, BusStats};
 pub use cache::{AccessResult, Cache, Entry, EvictClass, EvictedLine};
 pub use mshr::{InFlight, MshrFile, MshrStats};
-pub use phys::PhysMem;
+pub use phys::{PhysMem, FRAME_LIMIT};
 pub use tlb::Tlb;
 pub use vmem::{AddressSpace, WalkResult};

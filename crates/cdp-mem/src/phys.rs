@@ -6,28 +6,24 @@
 //! (which the VAM heuristic correctly rejects in the all-zeros region
 //! unless filter bits say otherwise).
 //!
-//! The frame table is an open-addressed, linear-probe hash table
-//! (fibonacci hashing, power-of-two capacity) rather than a `HashMap`:
-//! every simulated fill scan does one frame lookup per *line*, and the
-//! byte/word read paths one per access, so the lookup is squarely on the
-//! hot path. Frames are never deleted, which keeps probing tombstone-free.
-//! A last-frame hint (a relaxed atomic, so shared read-only images stay
-//! `Sync`) short-circuits the common case of consecutive reads landing in
-//! the same page.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The frame table is direct-indexed: slot `n` holds frame `n`, boxed,
+//! or `None` until the frame is first written. Every simulated fill scan
+//! does one frame lookup per *line*, and the byte/word read paths one per
+//! access, so the lookup is squarely on the hot path; here it is one
+//! bounds check and one load. The table stays small because the frame
+//! allocator in [`crate::vmem`] hands frames out densely from low
+//! numbers (directory at frame 1, tables from 0x10, data from 0x400).
+//! Any 32-bit physical address names a frame below [`FRAME_LIMIT`];
+//! frame numbers that arrive from outside (snapshots, serialized
+//! workloads) are checked against it before the table grows.
 
 use cdp_types::{LineAddr, PhysAddr, LINE_SIZE, PAGE_SIZE};
 
-/// One materialized frame.
-#[derive(Clone, Debug)]
-struct Frame {
-    number: u32,
-    data: Box<[u8; PAGE_SIZE]>,
-}
+/// Frame numbers a 32-bit physical address can name (`2^32 / PAGE_SIZE`).
+pub const FRAME_LIMIT: u32 = 1 << 20;
 
-/// Fibonacci multiplier (2^64 / golden ratio).
-const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// SplitMix64 increment (2^64 / golden ratio), used by lazy synthesis.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A contiguous physical span whose content is synthesized on first
 /// touch from a seed instead of being materialized at build time.
@@ -55,6 +51,12 @@ impl LazyRegion {
         (off < self.len).then_some(off)
     }
 
+    /// Whether any byte of the frame at `base` lies in the region: one of
+    /// the two spans must contain the other's start.
+    fn overlaps_frame(&self, base: PhysAddr) -> bool {
+        self.offset_of(base).is_some() || self.start.0.wrapping_sub(base.0) < PAGE_SIZE as u32
+    }
+
     /// The synthesized byte at region offset `off`.
     fn byte_at(&self, off: u32) -> u8 {
         let word_base = off & !(LINE_SIZE as u32 - 1);
@@ -68,9 +70,7 @@ impl LazyRegion {
     /// The synthesized u32 at line index `i` (SplitMix64 of the region
     /// seed and `i`, shaped like `(f32_uniform * 1e6).to_bits()`).
     fn word(&self, i: u32) -> u32 {
-        let mut z = self
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(HASH_MUL));
+        let mut z = self.seed.wrapping_add((i as u64).wrapping_mul(GOLDEN));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
@@ -78,10 +78,6 @@ impl LazyRegion {
         (f * 1e6).to_bits()
     }
 }
-
-/// Hint value meaning "no cached lookup" — the frame half is all-ones,
-/// which no real frame number reaches (frames are `addr >> 12`).
-const HINT_EMPTY: u64 = u64::MAX;
 
 /// A sparse physical memory image.
 ///
@@ -97,48 +93,21 @@ const HINT_EMPTY: u64 = u64::MAX;
 /// // Untouched memory reads as zero.
 /// assert_eq!(mem.read_u32(PhysAddr(0x9_0000)), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PhysMem {
-    /// Power-of-two slot array; `None` is vacancy.
-    slots: Vec<Option<Frame>>,
+    /// Frame `n` at index `n`; `None` until first written.
+    frames: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     /// Resident frame count.
     len: usize,
-    /// Last successful lookup, packed `(frame << 32) | slot`. Purely a
-    /// cache: every use re-verifies against `slots`, so a stale value
-    /// (e.g. after a rehash) is harmless. Relaxed is sufficient for the
-    /// same reason.
-    hint: AtomicU64,
     /// Seed-synthesized spans consulted when a frame is absent (empty for
     /// every fully-materialized image, keeping the miss path one check).
     lazy: Vec<LazyRegion>,
 }
 
-impl Default for PhysMem {
-    fn default() -> Self {
-        PhysMem::new()
-    }
-}
-
-impl Clone for PhysMem {
-    fn clone(&self) -> Self {
-        PhysMem {
-            slots: self.slots.clone(),
-            len: self.len,
-            hint: AtomicU64::new(self.hint.load(Ordering::Relaxed)),
-            lazy: self.lazy.clone(),
-        }
-    }
-}
-
 impl PhysMem {
     /// Creates an empty physical memory.
     pub fn new() -> Self {
-        PhysMem {
-            slots: Vec::new(),
-            len: 0,
-            hint: AtomicU64::new(HINT_EMPTY),
-            lazy: Vec::new(),
-        }
+        PhysMem::default()
     }
 
     /// Registers a lazily-synthesized span: reads of non-resident frames
@@ -191,97 +160,30 @@ impl PhysMem {
     }
 
     #[inline]
-    fn probe_start(&self, frame: u32) -> usize {
-        let shift = 64 - self.slots.len().trailing_zeros();
-        ((frame as u64).wrapping_mul(HASH_MUL) >> shift) as usize
-    }
-
-    /// Slot index of `frame`, if resident.
-    #[inline]
-    fn slot_of(&self, frame: u32) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let hint = self.hint.load(Ordering::Relaxed);
-        if (hint >> 32) as u32 == frame {
-            let slot = (hint & 0xffff_ffff) as usize;
-            if slot < self.slots.len()
-                && self.slots[slot].as_ref().is_some_and(|f| f.number == frame)
-            {
-                return Some(slot);
-            }
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.probe_start(frame);
-        loop {
-            match &self.slots[i] {
-                Some(f) if f.number == frame => {
-                    self.hint
-                        .store(((frame as u64) << 32) | i as u64, Ordering::Relaxed);
-                    return Some(i);
-                }
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-    }
-
-    #[inline]
     fn frame(&self, frame: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.slot_of(frame)
-            .map(|i| &*self.slots[i].as_ref().expect("occupied slot").data)
+        self.frames.get(frame as usize)?.as_deref()
     }
 
-    /// Doubles the table (or seeds it) and reinserts every frame.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(64);
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || None);
-        self.hint = AtomicU64::new(HINT_EMPTY);
-        let mask = new_cap - 1;
-        for frame in old.into_iter().flatten() {
-            let mut i = self.probe_start(frame.number);
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = Some(frame);
-        }
-    }
-
+    /// Frame `frame`, materialized if absent (`frame` < [`FRAME_LIMIT`]).
     fn frame_mut(&mut self, frame: u32) -> &mut [u8; PAGE_SIZE] {
-        // Keep load factor under ~7/8 so probe chains stay short; frames
-        // are never removed, so there is no tombstone accounting.
-        if (self.slots.is_empty() || self.len * 8 >= self.slots.len() * 7)
-            && self.slot_of(frame).is_none()
-        {
-            self.grow();
+        let i = frame as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
         }
-        let mask = self.slots.len() - 1;
-        let mut i = self.probe_start(frame);
-        loop {
-            match &self.slots[i] {
-                Some(f) if f.number == frame => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    let mut data = Box::new([0u8; PAGE_SIZE]);
-                    if !self.lazy.is_empty() {
-                        // Materializing a page inside a lazy region must
-                        // capture its synthesized content, not zeros.
-                        let base = (frame as u64 * PAGE_SIZE as u64) as u32;
-                        for (off, b) in data.iter_mut().enumerate() {
-                            *b = self.lazy_u8(PhysAddr(base.wrapping_add(off as u32)));
-                        }
-                    }
-                    self.slots[i] = Some(Frame {
-                        number: frame,
-                        data,
-                    });
-                    self.len += 1;
-                    break;
+        if self.frames[i].is_none() {
+            let mut data = Box::new([0u8; PAGE_SIZE]);
+            let base = PhysAddr(frame << 12);
+            if self.lazy.iter().any(|r| r.overlaps_frame(base)) {
+                // Materializing a page inside a lazy region must capture
+                // its synthesized content, not zeros.
+                for (off, b) in data.iter_mut().enumerate() {
+                    *b = self.lazy_u8(PhysAddr(base.0 + off as u32));
                 }
             }
+            self.frames[i] = Some(data);
+            self.len += 1;
         }
-        &mut self.slots[i].as_mut().expect("occupied slot").data
+        self.frames[i].as_mut().expect("materialized above")
     }
 
     /// Reads one byte.
@@ -380,31 +282,43 @@ impl PhysMem {
             .collect()
     }
 
-    /// Iterates over resident frames as `(frame_number, bytes)`, sorted by
-    /// frame number (serialization support).
+    /// Iterates over resident frames as `(frame_number, bytes)`, in
+    /// ascending frame order (serialization support).
     pub fn frames(&self) -> impl Iterator<Item = (u32, &[u8; PAGE_SIZE])> {
-        let mut resident: Vec<(u32, &[u8; PAGE_SIZE])> = self
-            .slots
+        self.frames
             .iter()
-            .flatten()
-            .map(|f| (f.number, &*f.data))
-            .collect();
-        resident.sort_unstable_by_key(|&(n, _)| n);
-        resident.into_iter()
+            .enumerate()
+            .filter_map(|(n, f)| Some((n as u32, &**f.as_ref()?)))
     }
 
-    /// Installs a whole frame (serialization support).
-    pub fn install_frame(&mut self, frame: u32, data: [u8; PAGE_SIZE]) {
-        *self.frame_mut(frame) = data;
+    /// Installs a whole frame (serialization support), replacing any
+    /// resident content.
+    ///
+    /// # Errors
+    ///
+    /// [`cdp_types::SnapshotError::Corrupt`] when `frame` is at or above
+    /// [`FRAME_LIMIT`]; the table is left untouched.
+    pub fn install_frame(
+        &mut self,
+        frame: u32,
+        data: &[u8; PAGE_SIZE],
+    ) -> Result<(), cdp_types::SnapshotError> {
+        if frame >= FRAME_LIMIT {
+            return Err(cdp_types::SnapshotError::Corrupt {
+                context: "phys frame number",
+            });
+        }
+        self.frame_mut(frame).copy_from_slice(data);
+        Ok(())
     }
 
     /// Order-independent digest of the resident frame contents. Two images
     /// with the same bytes in the same frames produce the same value
-    /// regardless of insertion order or table capacity; used to validate
-    /// that a deterministically rebuilt memory image matches the one a
-    /// snapshot was taken against.
+    /// regardless of insertion order; used to validate that a
+    /// deterministically rebuilt memory image matches the one a snapshot
+    /// was taken against.
     pub fn state_fingerprint(&self) -> u64 {
-        let mut h = cdp_snap::Fnv1a::new();
+        let mut h = cdp_snap::WordHasher::new();
         h.write_u64(self.len as u64);
         for (number, data) in self.frames() {
             h.write_u32(number);
@@ -436,8 +350,9 @@ impl PhysMem {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation or a
-    /// frame payload that is not exactly [`PAGE_SIZE`] bytes.
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation, a frame
+    /// number at or above [`FRAME_LIMIT`], or a frame payload that is not
+    /// exactly [`PAGE_SIZE`] bytes.
     pub fn restore_state(
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
@@ -451,7 +366,7 @@ impl PhysMem {
                 .map_err(|_| cdp_types::SnapshotError::Corrupt {
                     context: "phys frame size",
                 })?;
-            self.install_frame(number, *page);
+            self.install_frame(number, page)?;
         }
         Ok(())
     }
@@ -531,9 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn many_frames_survive_rehash() {
+    fn many_frames_survive_table_growth() {
         let mut mem = PhysMem::new();
-        // Enough frames to force several table doublings.
+        // Enough frames to force several table reallocations.
         for i in 0..500u32 {
             mem.write_u8(PhysAddr(i * PAGE_SIZE as u32), i as u8);
         }
@@ -555,10 +470,25 @@ mod tests {
         mem.write_u8(PhysAddr(0x3000), 0xaa);
         let mut page = [0u8; PAGE_SIZE];
         page[7] = 0xbb;
-        mem.install_frame(3, page);
+        mem.install_frame(3, &page).unwrap();
         assert_eq!(mem.read_u8(PhysAddr(0x3000)), 0, "old byte replaced");
         assert_eq!(mem.read_u8(PhysAddr(0x3007)), 0xbb);
         assert_eq!(mem.resident_frames(), 1);
+    }
+
+    #[test]
+    fn install_frame_refuses_frames_no_address_reaches() {
+        let mut mem = PhysMem::new();
+        let page = [1u8; PAGE_SIZE];
+        // The highest frame a 32-bit address names is accepted...
+        mem.install_frame(FRAME_LIMIT - 1, &page).unwrap();
+        assert_eq!(mem.read_u8(PhysAddr(u32::MAX)), 1);
+        // ...and nothing beyond it, without growing the table.
+        for frame in [FRAME_LIMIT, u32::MAX] {
+            assert!(mem.install_frame(frame, &page).is_err(), "{frame:#x}");
+        }
+        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(mem.frames.len(), FRAME_LIMIT as usize);
     }
 
     #[test]
@@ -651,6 +581,26 @@ mod tests {
     }
 
     #[test]
+    fn only_frames_overlapping_a_lazy_region_are_synthesized() {
+        let mut mem = PhysMem::new();
+        // A region that starts and ends mid-frame, over frames 0x100-0x101.
+        mem.add_lazy_region(PhysAddr(0x10_0840), 4096 + 0x100, 7);
+        let lazy = mem.clone();
+        // Materialize those frames and one on each side. The last byte of
+        // a line is never synthesized, so writing 0 there keeps content.
+        for frame in 0xffu32..=0x102 {
+            mem.write_u8(PhysAddr((frame << 12) | 0xfff), 0);
+        }
+        assert_eq!(mem.resident_frames(), 4);
+        for addr in (0xf_f000u32..0x10_3000).step_by(4) {
+            let addr = PhysAddr(addr);
+            assert_eq!(mem.read_u32(addr), lazy.read_u32(addr), "{addr}");
+        }
+        assert_ne!(mem.read_u32(PhysAddr(0x10_0840)), 0, "region start");
+        assert_ne!(mem.read_u32(PhysAddr(0x10_1900)), 0, "region tail");
+    }
+
+    #[test]
     fn lazy_regions_change_the_fingerprint() {
         let base = PhysMem::new().state_fingerprint();
         let mut a = PhysMem::new();
@@ -661,8 +611,8 @@ mod tests {
         assert_ne!(a.state_fingerprint(), b.state_fingerprint());
     }
 
-    /// Reference-check the open-addressed table against a plain map over
-    /// a mixed write workload.
+    /// Reference-check the frame table against a plain map over a mixed
+    /// write workload.
     #[test]
     fn prop_table_matches_reference_map() {
         use std::collections::HashMap;

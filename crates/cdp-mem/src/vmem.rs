@@ -54,7 +54,9 @@ impl WalkResult {
 /// Pages are mapped on demand (or explicitly via [`AddressSpace::map`]);
 /// frames are allocated sequentially. All virtual reads/writes go through
 /// the real page tables, so the tables always agree with the translations
-/// the walker produces.
+/// the walker produces. The write path remembers its last translation:
+/// an image builder writes page after page word by word, so most writes
+/// skip the two table reads.
 ///
 /// # Examples
 ///
@@ -74,6 +76,11 @@ pub struct AddressSpace {
     next_user_frame: u32,
     next_table_frame: u32,
     mapped_pages: u64,
+    /// The last page [`AddressSpace::map`] resolved, with its frame base.
+    /// `map` only adds mappings, so the entry stays valid until
+    /// [`AddressSpace::unmap`] or [`AddressSpace::phys_mut`] (through
+    /// which the tables could be rewritten) clears it.
+    last_map: Option<(PageNum, PhysAddr)>,
 }
 
 impl Default for AddressSpace {
@@ -90,6 +97,7 @@ impl AddressSpace {
             next_user_frame: FIRST_USER_FRAME,
             next_table_frame: FIRST_TABLE_FRAME,
             mapped_pages: 0,
+            last_map: None,
         }
     }
 
@@ -100,6 +108,7 @@ impl AddressSpace {
 
     /// Mutable access to the physical backing store.
     pub fn phys_mut(&mut self) -> &mut PhysMem {
+        self.last_map = None;
         &mut self.phys
     }
 
@@ -124,6 +133,11 @@ impl AddressSpace {
     /// Panics if the page-table or user frame pools are exhausted (the
     /// workloads in this workspace stay far below the limits).
     pub fn map(&mut self, vpage: PageNum) -> PhysAddr {
+        if let Some((page, base)) = self.last_map {
+            if page == vpage {
+                return base;
+            }
+        }
         let pde_addr = Self::pde_addr(vpage);
         let mut pde = self.phys.read_u32(pde_addr);
         if pde & PTE_PRESENT == 0 {
@@ -147,7 +161,9 @@ impl AddressSpace {
             pte = (frame << 12) | PTE_PRESENT;
             self.phys.write_u32(pte_addr, pte);
         }
-        PhysAddr((pte >> 12) << 12)
+        let base = PhysAddr((pte >> 12) << 12);
+        self.last_map = Some((vpage, base));
+        base
     }
 
     /// Translates a virtual address without side effects. Returns `None` if
@@ -183,13 +199,8 @@ impl AddressSpace {
 
     /// Translates, mapping the page on demand.
     pub fn translate_or_map(&mut self, vaddr: VirtAddr) -> PhysAddr {
-        match self.translate(vaddr) {
-            Some(p) => p,
-            None => {
-                let base = self.map(vaddr.page());
-                PhysAddr(base.0 + vaddr.page_offset())
-            }
-        }
+        let base = self.map(vaddr.page());
+        PhysAddr(base.0 + vaddr.page_offset())
     }
 
     /// Writes a u32 at a virtual address, mapping pages on demand
@@ -257,6 +268,7 @@ impl AddressSpace {
             next_user_frame: cursors.0,
             next_table_frame: cursors.1,
             mapped_pages: cursors.2,
+            last_map: None,
         }
     }
 
@@ -265,6 +277,7 @@ impl AddressSpace {
     /// page being taken away under the prefetcher, not an allocator).
     /// Returns whether a mapping was actually removed.
     pub fn unmap(&mut self, vpage: PageNum) -> bool {
+        self.last_map = None;
         let pde = self.phys.read_u32(Self::pde_addr(vpage));
         if pde & PTE_PRESENT == 0 {
             return false;
@@ -457,6 +470,28 @@ mod tests {
         // Unmapping twice (or an unmapped page) is a no-op.
         assert!(!space.unmap(PageNum(0x10000)));
         assert!(!space.unmap(PageNum(0x70000)));
+    }
+
+    #[test]
+    fn cached_write_translation_follows_unmap_and_table_edits() {
+        let mut space = AddressSpace::new();
+        space.write_u32(VirtAddr(0x1000_0000), 1);
+        let first = space.translate(VirtAddr(0x1000_0000)).unwrap();
+        // Unmapping the cached page: the next write maps a fresh frame.
+        assert!(space.unmap(PageNum(0x10000)));
+        space.write_u32(VirtAddr(0x1000_0004), 2);
+        let second = space.translate(VirtAddr(0x1000_0000)).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(space.read_u32(VirtAddr(0x1000_0004)), 2);
+        assert_eq!(space.phys().read_u32(first), 1, "old frame keeps its bytes");
+        // Repointing the page-table entry through `phys_mut`: writes
+        // follow the table, not the remembered translation.
+        let pte = space.walk(VirtAddr(0x1000_0000)).pte_addr.unwrap();
+        let entry = space.phys().read_u32(pte);
+        space.phys_mut().write_u32(pte, first.0 | (entry & 0xfff));
+        space.write_u32(VirtAddr(0x1000_0008), 3);
+        assert_eq!(space.phys().read_u32(PhysAddr(first.0 + 8)), 3);
+        assert_eq!(space.phys().read_u32(PhysAddr(second.0 + 8)), 0);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! structure, save it, restore into a freshly constructed instance, and
 //! check that *future behavior* (not just observable stats) is identical.
 
-use cdp_mem::{Arbiter, Bus, MshrFile, PhysMem, Tlb};
+use cdp_mem::{Arbiter, Bus, MshrFile, PhysMem, Tlb, FRAME_LIMIT};
 use cdp_snap::{Dec, Enc};
 use cdp_types::rng::Rng;
 use cdp_types::{
-    BusConfig, LineAddr, PageNum, PhysAddr, RequestKind, TlbConfig, VirtAddr, LINE_SIZE, PAGE_SIZE,
+    BusConfig, LineAddr, PageNum, PhysAddr, RequestKind, SnapshotError, TlbConfig, VirtAddr,
+    LINE_SIZE, PAGE_SIZE,
 };
 
 fn roundtrip<T>(save: impl FnOnce(&mut Enc), restore: impl FnOnce(&mut Dec<'_>) -> T) -> T {
@@ -174,9 +175,36 @@ fn physmem_roundtrip_and_fingerprint() {
     let mut c = PhysMem::new();
     let frames: Vec<(u32, [u8; PAGE_SIZE])> = a.frames().map(|(n, d)| (n, *d)).collect();
     for (n, d) in frames.iter().rev() {
-        c.install_frame(*n, *d);
+        c.install_frame(*n, d).unwrap();
     }
     assert_eq!(c.state_fingerprint(), fp);
+}
+
+#[test]
+fn physmem_restore_refuses_frames_beyond_the_address_space() {
+    let page = [0xa5u8; PAGE_SIZE];
+    let encode = |frame: u32| {
+        let mut enc = Enc::new();
+        enc.seq_len(1);
+        enc.u32(frame);
+        enc.bytes(&page);
+        enc.into_bytes()
+    };
+    let last = FRAME_LIMIT - 1;
+    let mut ok = PhysMem::new();
+    ok.restore_state(&mut Dec::new(&encode(last))).unwrap();
+    assert_eq!(ok.read_u8(PhysAddr(u32::MAX)), 0xa5);
+    for frame in [FRAME_LIMIT, FRAME_LIMIT + 1, u32::MAX] {
+        let mut mem = PhysMem::new();
+        assert_eq!(
+            mem.restore_state(&mut Dec::new(&encode(frame))),
+            Err(SnapshotError::Corrupt {
+                context: "phys frame number"
+            }),
+            "frame {frame:#x}"
+        );
+        assert_eq!(mem.resident_frames(), 0);
+    }
 }
 
 #[test]

@@ -328,7 +328,7 @@ impl Simulator {
     /// workload's content fingerprint — so a snapshot can only be resumed
     /// against a bit-identical setup.
     pub fn snapshot_fingerprint(&self, workload: &Workload, obs: Option<&ObsConfig>) -> u64 {
-        let mut h = cdp_snap::Fnv1a::new();
+        let mut h = cdp_snap::WordHasher::new();
         h.write(format!("{:?}", self.cfg).as_bytes());
         h.write(format!("{:?}", self.pollution).as_bytes());
         h.write(format!("{:?}", self.walk_fault).as_bytes());
@@ -955,6 +955,30 @@ mod tests {
                 ..
             })) => {}
             other => panic!("expected fingerprint mismatch, got {other:?}"),
+        }
+
+        // One load's address, or one word of the image, changed.
+        use cdp_core::UopKind;
+        let (i, addr) = (w.program.uops.iter().enumerate())
+            .find_map(|(i, u)| match u.kind {
+                UopKind::Load { vaddr } => Some((i, vaddr)),
+                _ => None,
+            })
+            .expect("a load");
+        let mut moved = w.clone();
+        moved.program.uops[i].kind = UopKind::Load {
+            vaddr: addr.offset(4),
+        };
+        let mut rewritten = w.clone();
+        let word = rewritten.space.read_u32(addr);
+        rewritten.space.write_u32(addr, word ^ 1);
+        for changed in [&moved, &rewritten] {
+            assert!(matches!(
+                sim.resume(changed, None, &bytes),
+                Err(CdpError::Snapshot(
+                    cdp_types::SnapshotError::FingerprintMismatch { .. }
+                ))
+            ));
         }
 
         // Different system config → different fingerprint.

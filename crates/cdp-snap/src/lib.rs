@@ -6,14 +6,20 @@
 //! magic     8 bytes   b"CDPSNAP\0"
 //! version   u32 LE    format version (this build writes and reads only
 //!                     VERSION)
-//! run fp    u64 LE    FNV-1a fingerprint of the run being checkpointed
+//! run fp    u64 LE    fingerprint of the run being checkpointed
 //!                     (config + workload identity + fault plan)
 //! count     u32 LE    number of sections (so truncation at a section
 //!                     boundary is still detected)
 //! sections  repeated  [tag u32][len u64][payload len bytes][checksum u64]
-//!                     checksum = fnv1a(tag ∥ len ∥ payload), so damage to
-//!                     the framing is caught as surely as damage to the data
+//!                     checksum = WordHasher(tag ∥ len ∥ payload), so
+//!                     damage to the framing is caught as surely as damage
+//!                     to the data
 //! ```
+//!
+//! [`WordHasher`] absorbs eight bytes per step, so checksumming a payload
+//! and fingerprinting a trace or memory image cost a fraction of a
+//! byte-serial hash. It is a checksum and an identity stamp, not a
+//! cryptographic hash.
 //!
 //! Everything inside a payload is written with [`Enc`] (little-endian,
 //! fixed-width, length-prefixed collections) and read back with [`Dec`],
@@ -35,65 +41,100 @@ pub const MAGIC: [u8; 8] = *b"CDPSNAP\0";
 /// refused rather than misread. Version 2 appended the core's feed kind
 /// (and, for streaming feeds, the uop window + generation cursor) to the
 /// core section; version 3 stores the Markov STAB in the delta table's
-/// layout.
-pub const VERSION: u32 = 3;
+/// layout; version 4 computes section checksums and run fingerprints
+/// with [`WordHasher`].
+pub const VERSION: u32 = 4;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Initial state of a [`WordHasher`] (the first 64 fractional bits of π).
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+/// Odd multiplier of every absorb step (2^64 / golden ratio).
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Hashes `bytes` with 64-bit FNV-1a (same function the section
-/// checksums use).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
+/// One absorb step: xor in the word, multiply by an odd constant, then
+/// xor-shift. For a fixed state it is a bijection of the word, and for a
+/// fixed word a bijection of the state.
+#[inline]
+fn step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(MUL);
+    x ^ (x >> 29)
 }
 
-/// Streaming 64-bit FNV-1a hasher, for fingerprinting state that is
-/// inconvenient to materialize as one byte slice (frame tables, traces).
+/// Streaming 64-bit hasher that absorbs one 8-byte word per step, for
+/// section checksums and for fingerprinting state that is inconvenient
+/// to materialize as one byte slice (frame tables, traces).
+///
+/// Every word passes through a bijective step of some lane (xor in the
+/// word, multiply by an odd constant, xor-shift), and lanes are folded
+/// into the state by further steps, so two inputs of the same shape that
+/// differ in a single word always leave different states;
+/// [`WordHasher::finish`] is a bijection too.
 #[derive(Clone, Copy, Debug)]
-pub struct Fnv1a {
+pub struct WordHasher {
     state: u64,
 }
 
-impl Fnv1a {
-    /// A fresh hasher at the FNV offset basis.
+impl WordHasher {
+    /// A fresh hasher.
     #[must_use]
     pub fn new() -> Self {
-        Fnv1a { state: FNV_OFFSET }
+        WordHasher { state: SEED }
     }
 
-    /// Absorbs raw bytes.
+    /// Absorbs one word.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        self.state = step(self.state, word);
+    }
+
+    /// Absorbs a `u32` as one word.
+    #[inline]
+    pub fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    /// Absorbs raw bytes as little-endian words: first their length,
+    /// which keeps consecutive writes unambiguous (`"ab", "c"` differs
+    /// from `"a", "bc"`). Whole 32-byte blocks then run through four
+    /// independent lanes (word `i` of each block into lane `i`), so four
+    /// multiplies are in flight at once, and the lanes are folded into
+    /// the state in order. The words after the last block, the final one
+    /// zero-padded, are absorbed one at a time.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+        self.write_u64(bytes.len() as u64);
+        let mut blocks = bytes.chunks_exact(32);
+        if bytes.len() >= 32 {
+            let mut lanes = [self.state; 4];
+            for block in &mut blocks {
+                for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    *lane = step(*lane, word(w));
+                }
+            }
+            for lane in lanes {
+                self.write_u64(lane);
+            }
+        }
+        for w in blocks.remainder().chunks(8) {
+            let mut last = [0u8; 8];
+            last[..w.len()].copy_from_slice(w);
+            self.write_u64(word(&last));
         }
     }
 
-    /// Absorbs a `u64` as 8 little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `u32` as 4 little-endian bytes.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest so far.
+    /// The digest so far: the state through a final avalanche (the
+    /// MurmurHash3 finalizer), so nearby states give unrelated digests.
     #[must_use]
     pub fn finish(&self) -> u64 {
-        self.state
+        let mut z = self.state;
+        z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        z ^ (z >> 33)
     }
 }
 
-impl Default for Fnv1a {
+impl Default for WordHasher {
     fn default() -> Self {
-        Fnv1a::new()
+        WordHasher::new()
     }
 }
 
@@ -332,7 +373,7 @@ impl SnapWriter {
     }
 
     /// Appends one section: the closure fills the payload, the writer
-    /// adds the tag, length prefix, and FNV-1a checksum.
+    /// adds the tag, length prefix, and [`WordHasher`] checksum.
     ///
     /// The payload is encoded in place in the snapshot buffer (the
     /// encoder the closure sees is a view over it, with the length
@@ -348,11 +389,7 @@ impl SnapWriter {
         self.buf = enc.into_bytes();
         let payload_len = (self.buf.len() - payload_at) as u64;
         self.buf[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
-        let mut sum = Fnv1a::new();
-        sum.write_u32(tag);
-        sum.write_u64(payload_len);
-        sum.write(&self.buf[payload_at..]);
-        let digest = sum.finish();
+        let digest = section_checksum(tag, &self.buf[payload_at..]);
         self.buf.extend_from_slice(&digest.to_le_bytes());
         self.count += 1;
     }
@@ -363,6 +400,15 @@ impl SnapWriter {
         self.buf[COUNT_OFFSET..COUNT_OFFSET + 4].copy_from_slice(&self.count.to_le_bytes());
         self.buf
     }
+}
+
+/// The checksum stored after a section: the tag, then the payload (whose
+/// length [`WordHasher::write`] absorbs first).
+fn section_checksum(tag: u32, payload: &[u8]) -> u64 {
+    let mut sum = WordHasher::new();
+    sum.write_u32(tag);
+    sum.write(payload);
+    sum.finish()
 }
 
 /// Parses and validates a snapshot: header checks up front, checksum
@@ -409,11 +455,7 @@ impl<'a> SnapReader<'a> {
             let len = d.usize("section length")?;
             let payload = d.take(len, "section payload")?;
             let stored = d.u64("section checksum")?;
-            let mut sum = Fnv1a::new();
-            sum.write_u32(tag);
-            sum.write_u64(len as u64);
-            sum.write(payload);
-            if sum.finish() != stored {
+            if section_checksum(tag, payload) != stored {
                 return Err(SnapshotError::ChecksumMismatch { tag });
             }
             sections.push((tag, payload));
@@ -577,12 +619,54 @@ mod tests {
         ));
     }
 
+    /// Pinned digests: checksums and fingerprints are stored on disk, so
+    /// the hasher's output may only change together with [`VERSION`].
     #[test]
-    fn fnv_matches_known_vector() {
-        // FNV-1a 64-bit of empty input is the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a::new();
-        h.write(b"ab");
-        assert_eq!(h.finish(), fnv1a(b"ab"));
+    fn word_hasher_matches_pinned_digests() {
+        let digest = |f: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&|_| {}), 0x7acd_bb98_b134_4213);
+        assert_eq!(digest(&|h| h.write(b"")), 0x3bfd_ce42_149f_9aef);
+        assert_eq!(digest(&|h| h.write(b"CDPSNAP")), 0x6f80_129f_b54a_7ec8);
+        // Three four-lane blocks and a padded tail word.
+        let bytes: Vec<u8> = (0..100).collect();
+        assert_eq!(digest(&|h| h.write(&bytes)), 0x7a11_b048_1df7_8ea3);
+        assert_eq!(
+            digest(&|h| h.write_u64(0x0123_4567_89ab_cdef)),
+            0xd0b4_d07e_66e8_644b
+        );
+        // A u32 is absorbed as the same word as its widening.
+        assert_eq!(digest(&|h| h.write_u32(7)), digest(&|h| h.write_u64(7)));
+    }
+
+    #[test]
+    fn word_hasher_separates_single_word_changes_and_split_points() {
+        // Two four-lane blocks and a tail word.
+        let base = [0x5au8; 72];
+        let mut h = WordHasher::new();
+        h.write(&base);
+        let reference = h.finish();
+        for i in 0..base.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut b = base;
+                b[i] ^= bit;
+                let mut h = WordHasher::new();
+                h.write(&b);
+                assert_ne!(h.finish(), reference, "byte {i} bit {bit:#x}");
+            }
+        }
+        // Lengths are absorbed, so where a byte string is split matters
+        // and zero padding cannot alias a shorter input.
+        let pair = |a: &[u8], b: &[u8]| {
+            let mut h = WordHasher::new();
+            h.write(a);
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(pair(b"ab", b"c"), pair(b"a", b"bc"));
+        assert_ne!(pair(b"abc", b""), pair(b"abc\0", b""));
     }
 }

@@ -71,6 +71,15 @@ fn suite_str(s: Suite) -> &'static str {
     }
 }
 
+/// The value of one ASCII hex digit.
+fn nibble(c: u8) -> Option<u8> {
+    char::from(c).to_digit(16).map(|d| d as u8)
+}
+
+/// Shortest uop line (`"A 0 0 0 0 0\n"`): the text length bounds how
+/// many uop lines can follow, whatever the header claims.
+const MIN_UOP_LINE: usize = 12;
+
 fn parse_suite(s: &str) -> Option<Suite> {
     Some(match s {
         "Internet" => Suite::Internet,
@@ -164,7 +173,7 @@ pub fn from_text(text: &str) -> Result<Workload, ParseError> {
         .and_then(|v| v.parse().ok())
         .ok_or(ParseError::BadLine(n + 1))?;
 
-    let mut uops = Vec::with_capacity(uop_count);
+    let mut uops = Vec::with_capacity(uop_count.min(text.len() / MIN_UOP_LINE));
     for _ in 0..uop_count {
         let (n, line) = next()?;
         let lineno = n + 1;
@@ -221,16 +230,19 @@ pub fn from_text(text: &str) -> Result<Workload, ParseError> {
         }
         let frame = u32::from_str_radix(parts.next().ok_or(ParseError::BadLine(lineno))?, 16)
             .map_err(|_| ParseError::BadLine(lineno))?;
-        let hex = parts.next().ok_or(ParseError::BadLine(lineno))?;
+        let hex = parts.next().ok_or(ParseError::BadLine(lineno))?.as_bytes();
         if hex.len() != PAGE_SIZE * 2 {
             return Err(ParseError::BadLine(lineno));
         }
         let mut data = [0u8; PAGE_SIZE];
-        for (i, byte) in data.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-                .map_err(|_| ParseError::BadLine(lineno))?;
+        for (byte, pair) in data.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = nibble(pair[0])
+                .zip(nibble(pair[1]))
+                .map(|(hi, lo)| (hi << 4) | lo)
+                .ok_or(ParseError::BadLine(lineno))?;
         }
-        phys.install_frame(frame, data);
+        phys.install_frame(frame, &data)
+            .map_err(|_| ParseError::BadLine(lineno))?;
     }
 
     Ok(Workload {
@@ -289,6 +301,52 @@ mod tests {
         assert_eq!(from_text(bad).unwrap_err(), ParseError::BadLine(6));
         let trunc = "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 5\nA 0 1 255 255 255\n";
         assert_eq!(from_text(trunc).unwrap_err(), ParseError::Truncated);
+    }
+
+    #[test]
+    fn absurd_uop_counts_are_truncation_not_allocation() {
+        for count in ["18446744073709551615", "4000000000000"] {
+            let text =
+                format!("CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops {count}\n");
+            assert_eq!(
+                from_text(&text).unwrap_err(),
+                ParseError::Truncated,
+                "uops {count}"
+            );
+        }
+    }
+
+    /// A one-frame file whose `P` line carries `frame` and `hex`.
+    fn frame_file(frame: &str, hex: &str) -> String {
+        format!("CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 0\nframes 1\nP {frame} {hex}\n")
+    }
+
+    #[test]
+    fn frame_lines_reject_non_ascii_hex_and_unreachable_frames() {
+        let zeros = "0".repeat(PAGE_SIZE * 2);
+        // 8,192 bytes, with a two-byte character straddling pair 0/1.
+        let straddle = format!("0\u{e9}{}", &zeros[3..]);
+        assert_eq!(straddle.len(), PAGE_SIZE * 2);
+        assert_eq!(
+            from_text(&frame_file("400", &straddle)).unwrap_err(),
+            ParseError::BadLine(7)
+        );
+        let not_hex = format!("0g{}", &zeros[2..]);
+        assert_eq!(
+            from_text(&frame_file("400", &not_hex)).unwrap_err(),
+            ParseError::BadLine(7)
+        );
+        // The last frame a 32-bit physical address reaches parses; the
+        // next one and beyond are refused.
+        let w = from_text(&frame_file("fffff", &zeros)).expect("highest frame");
+        assert_eq!(w.space.phys().resident_frames(), 1);
+        for frame in ["100000", "ffffffff"] {
+            assert_eq!(
+                from_text(&frame_file(frame, &zeros)).unwrap_err(),
+                ParseError::BadLine(7),
+                "frame {frame}"
+            );
+        }
     }
 
     #[test]

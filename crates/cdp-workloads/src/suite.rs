@@ -241,8 +241,14 @@ impl Workload {
     /// in the snapshot header so a resume against a workload that was
     /// built differently (changed generator, changed scale) is rejected
     /// with a typed error instead of silently diverging.
+    ///
+    /// It is recomputed on every call, not cached: the fields are public
+    /// and mutable (fault studies unmap pages of cloned images), so a
+    /// stored value could go stale. [`cdp_snap::WordHasher`] takes each
+    /// uop as two words and each frame eight bytes per step, which keeps
+    /// the recomputation a small part of starting a session.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = cdp_snap::Fnv1a::new();
+        let mut h = cdp_snap::WordHasher::new();
         h.write(self.name.as_bytes());
         if let Some(spec) = &self.stream {
             // The trace is a pure function of (generator, tier, seed), so
@@ -253,30 +259,30 @@ impl Workload {
             h.write_u64(spec.target_uops as u64);
             h.write_u64(spec.footprint_div as u64);
             h.write_u64(spec.seed);
-            let (heap, table, rng) = self.space.cursors();
-            h.write_u32(heap);
-            h.write_u32(table);
-            h.write_u64(rng);
-            h.write_u64(self.space.phys().state_fingerprint());
-            return h.finish();
-        }
-        h.write_u64(self.program.uops.len() as u64);
-        for u in &self.program.uops {
-            h.write_u32(u.pc);
-            let (tag, payload) = match u.kind {
-                UopKind::Alu { latency } => (0u8, u32::from(latency)),
-                UopKind::Fp { latency } => (1, u32::from(latency)),
-                UopKind::Load { vaddr } => (2, vaddr.0),
-                UopKind::Store { vaddr } => (3, vaddr.0),
-                UopKind::Branch { taken } => (4, u32::from(taken)),
-            };
-            h.write(&[
-                tag,
-                u.dst.map_or(0xff, |r| r),
-                u.srcs[0].map_or(0xff, |r| r),
-                u.srcs[1].map_or(0xff, |r| r),
-            ]);
-            h.write_u32(payload);
+        } else {
+            h.write_u64(self.program.uops.len() as u64);
+            // Each uop is two words (pc and payload; kind and registers),
+            // each absorbed by a hasher of its own so that the two
+            // multiply chains overlap.
+            let (mut first, mut second) = (cdp_snap::WordHasher::new(), cdp_snap::WordHasher::new());
+            for u in &self.program.uops {
+                let (tag, payload) = match u.kind {
+                    UopKind::Alu { latency } => (0u8, u32::from(latency)),
+                    UopKind::Fp { latency } => (1, u32::from(latency)),
+                    UopKind::Load { vaddr } => (2, vaddr.0),
+                    UopKind::Store { vaddr } => (3, vaddr.0),
+                    UopKind::Branch { taken } => (4, u32::from(taken)),
+                };
+                first.write_u64(u64::from(u.pc) | (u64::from(payload) << 32));
+                second.write_u32(u32::from_le_bytes([
+                    tag,
+                    u.dst.map_or(0xff, |r| r),
+                    u.srcs[0].map_or(0xff, |r| r),
+                    u.srcs[1].map_or(0xff, |r| r),
+                ]));
+            }
+            h.write_u64(first.finish());
+            h.write_u64(second.finish());
         }
         let (heap, table, rng) = self.space.cursors();
         h.write_u32(heap);

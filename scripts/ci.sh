@@ -16,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --release --workspace
 
+echo "== benchmark build + tests (simbench, its own workspace) =="
+# simbench/ builds the simulator crates as path dependencies outside the
+# workspace, so nothing above compiles it: a crate API change that breaks
+# the benchmark would otherwise surface only at the next benchmark run.
+cargo test -q --release --manifest-path simbench/Cargo.toml
+
 echo "== experiments all --smoke --jobs 2 =="
 ./target/release/experiments all --smoke --jobs 2 > /dev/null
 
