@@ -4,7 +4,7 @@
 //! experiments <id>... [--smoke|--quick|--full|--scale NAME] [--stream]
 //!             [--jobs N] [--csv <dir>]
 //!             [--keep-going] [--fault SPEC]... [--cell-timeout SECS]
-//!             [--retries N] [--emit-manifest <dir>] [--trace]
+//!             [--emit-manifest <dir>] [--trace]
 //!             [--trace-filter SPEC] [--metrics-window UOPS]
 //!             [--profile-hist] [--status-jsonl PATH|-]
 //!             [--verbose-timing] [--no-result-cache] [--no-fast-forward]
@@ -41,7 +41,7 @@
 //! Observability (see EXPERIMENTS.md and DESIGN.md §7):
 //!
 //! * `--emit-manifest <dir>` — write `manifest.json` (config
-//!   fingerprints, per-cell status/attempts/wall-time, aggregates) plus
+//!   fingerprints, per-cell status/wall-time, aggregates) plus
 //!   any captured JSONL series into `<dir>`.
 //! * `--trace` — capture structured trace events (ring-buffered) from
 //!   every sweep cell; `--trace-filter SPEC` restricts the categories
@@ -59,7 +59,7 @@
 //! observability layer.
 //!
 //! `--status-jsonl PATH|-` streams one JSON object per line as sweep
-//! cells move through the pool (`queued` / `running` / `retrying` /
+//! cells move through the pool (`queued` / `running` / `heartbeat` /
 //! `done` with wall time, result provenance, and a sweep ETA) into
 //! `PATH`, or onto stderr with `-`. Stdout is byte-identical with the
 //! stream on or off; it does not require `--emit-manifest`.
@@ -68,8 +68,8 @@
 //!
 //! * `--checkpoint-dir <dir>` — every sweep cell periodically snapshots
 //!   its full simulation state into `<dir>/cell-<key>.snap` (atomic
-//!   tmp-file + rename writes; the file is removed when the cell
-//!   finishes).
+//!   `cell-<key>.<pid>-<seq>.part` + rename writes; the file is removed
+//!   when the cell finishes, and kept when the watchdog abandons it).
 //! * `--checkpoint-every CYCLES` — simulated cycles between snapshot
 //!   writes (default 1000000).
 //! * `--resume` — cells whose checkpoint file exists continue from it
@@ -87,8 +87,10 @@
 //! * `--fault SPEC` (repeatable) — deterministic fault injection:
 //!   `corrupt:<bench>:<seed>[:<words>]`, `unmap:<bench>:<seed>[:<pages>]`,
 //!   or `walk:<bench>:<period>[:demand]` (`<bench>` may be `*`).
-//! * `--cell-timeout SECS` — per-cell wall-clock watchdog.
-//! * `--retries N` — attempts per cell (default 1; timeouts never retry).
+//! * `--cell-timeout SECS` — per-cell wall-clock watchdog. A cell that
+//!   exceeds it fails as `timeout`; it is abandoned, not rerun, and
+//!   publishes nothing. Every cell runs once: a simulation is
+//!   deterministic, so a failed cell would fail again.
 //!
 //! Exit codes: `0` success, `2` usage error, `3` partial failure (some
 //! cells failed under `--keep-going`).
@@ -248,7 +250,7 @@ fn run_one_guarded(
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "experiment panicked".to_string());
-            context::record_failure("(whole experiment)", &msg, 1);
+            context::record_failure("(whole experiment)", &msg);
             Ok(format!("experiment {id} failed: {msg}\n(skipped under --keep-going)\n"))
         }
     }
@@ -302,13 +304,6 @@ fn main() {
                     Ok(n) if n > 0 => policy.timeout = Some(Duration::from_secs(n)),
                     _ => {
                         eprintln!("--cell-timeout requires a positive number of seconds, got {a:?}");
-                        std::process::exit(2);
-                    }
-                },
-                "--retries" => match a.parse::<u32>() {
-                    Ok(n) if n > 0 => policy.max_attempts = n,
-                    _ => {
-                        eprintln!("--retries requires a positive integer, got {a:?}");
                         std::process::exit(2);
                     }
                 },
@@ -371,10 +366,9 @@ fn main() {
             "--no-result-cache" => result_cache = false,
             "--no-fast-forward" => cdp_sim::set_fast_forward(false),
             "--resume" => resume = true,
-            "--csv" | "--jobs" | "--fault" | "--cell-timeout" | "--retries"
-            | "--trace-filter" | "--metrics-window" | "--scale" | "--emit-manifest"
-            | "--status-jsonl" | "--result-store" | "--checkpoint-dir"
-            | "--checkpoint-every" | "--budget" => {
+            "--csv" | "--jobs" | "--fault" | "--cell-timeout" | "--trace-filter"
+            | "--metrics-window" | "--scale" | "--emit-manifest" | "--status-jsonl"
+            | "--result-store" | "--checkpoint-dir" | "--checkpoint-every" | "--budget" => {
                 expecting = Some(a.as_str());
             }
             "all" => ids.extend(ALL.iter().map(|s| s.to_string())),
@@ -390,9 +384,7 @@ fn main() {
             "usage: experiments <id>... [--smoke|--quick|--full|--scale NAME] [--stream] \
              [--jobs N] [--csv <dir>]"
         );
-        eprintln!(
-            "       [--keep-going] [--fault SPEC]... [--cell-timeout SECS] [--retries N]"
-        );
+        eprintln!("       [--keep-going] [--fault SPEC]... [--cell-timeout SECS]");
         eprintln!(
             "       [--emit-manifest <dir>] [--trace] [--trace-filter SPEC] \
              [--metrics-window UOPS] [--profile-hist] [--status-jsonl PATH|-] \
@@ -537,10 +529,7 @@ fn main() {
         eprintln!();
         eprintln!("FAILURE REPORT: {} cell(s) failed", failures.len());
         for f in &failures {
-            eprintln!(
-                "  [{}] {}: {} ({} attempt(s))",
-                f.experiment, f.cell, f.error, f.attempts
-            );
+            eprintln!("  [{}] {}: {}", f.experiment, f.cell, f.error);
         }
         eprintln!("exiting with code {EXIT_PARTIAL} (partial failure)");
         std::process::exit(EXIT_PARTIAL);

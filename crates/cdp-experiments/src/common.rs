@@ -6,7 +6,7 @@ use std::sync::Arc;
 use cdp_sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
 use cdp_sim::{
     CheckpointSpec, CheckpointStatus, Engine, EngineCounters, JobOutcome, JobReport, Pool,
-    RunStats, SimJob, Simulator, WorkloadCache,
+    ResultSource, RunStats, SimJob, Simulator, WorkloadCache,
 };
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale};
@@ -115,8 +115,6 @@ pub struct CellFailure {
     pub label: String,
     /// Why it failed.
     pub error: String,
-    /// Attempts consumed.
-    pub attempts: u32,
 }
 
 /// Submits a labelled `(config, benchmark)` grid to the pool and returns
@@ -124,7 +122,7 @@ pub struct CellFailure {
 ///
 /// Every job gets the §2.2 warm-up convention and a shared workload
 /// image from `ws`; workloads are pre-built serially so job timing never
-/// depends on cache races. Jobs run under the process-wide retry/watchdog
+/// depends on cache races. Jobs run under the process-wide watchdog
 /// policy, and benchmarks targeted by a walk-fault directive get the
 /// injection attached.
 ///
@@ -223,17 +221,16 @@ pub fn run_grid_cells(
             context::obs_record_cell(CellRecord {
                 experiment: experiment.clone(),
                 label: label.clone(),
-                status: match &outcome {
-                    JobOutcome::Ok(_) => "ok",
-                    JobOutcome::Failed { .. } => "failed",
-                    JobOutcome::TimedOut { .. } => "timeout",
-                },
-                attempts: outcome.attempts(),
+                status: outcome.status(),
                 wall_ms: wall.as_millis() as u64,
                 config_fingerprint: fingerprints[index].clone(),
                 checkpoint: checkpoint_statuses[index]
                     .as_ref()
-                    .map_or("off", |s| s.get().as_str()),
+                    .map_or("off", |s| match s.get() {
+                        ResultSource::CheckpointResumed => "resumed",
+                        ResultSource::CorruptFallback => "corrupt-fallback",
+                        _ => "fresh",
+                    }),
                 retired: match &outcome {
                     JobOutcome::Ok(stats) => stats.retired,
                     _ => 0,
@@ -255,19 +252,14 @@ pub fn run_grid_cells(
         match outcome {
             JobOutcome::Ok(stats) => cells.push(Some(stats)),
             other => {
-                let attempts = other.attempts();
                 let error = other
                     .failure()
                     .expect("non-Ok outcomes always describe their failure");
                 if !context::keep_going() {
                     panic!("cell {label}: {error}");
                 }
-                context::record_failure(&label, &error, attempts);
-                failures.push(CellFailure {
-                    label,
-                    error,
-                    attempts,
-                });
+                context::record_failure(&label, &error);
+                failures.push(CellFailure { label, error });
                 cells.push(None);
             }
         }
@@ -321,10 +313,7 @@ pub fn failure_note(failures: &[CellFailure]) -> String {
         failures.len()
     );
     for f in failures {
-        out.push_str(&format!(
-            "  {}: {} [{} attempt(s)]\n",
-            f.label, f.error, f.attempts
-        ));
+        out.push_str(&format!("  {}: {}\n", f.label, f.error));
     }
     out
 }

@@ -1,6 +1,6 @@
 //! Process-wide run context for the experiments binary: keep-going mode,
-//! the active fault-injection plan, the cell retry/watchdog policy, and
-//! the accumulated failure report.
+//! the active fault-injection plan, the cell watchdog policy, and the
+//! accumulated failure report.
 //!
 //! Experiments are invoked through a stable `run(scale, pool)` signature
 //! from many call sites (the binary, unit tests, integration tests), so
@@ -28,8 +28,6 @@ pub struct FailureRecord {
     pub cell: String,
     /// The error that killed the cell.
     pub error: String,
-    /// Attempts consumed.
-    pub attempts: u32,
 }
 
 /// Observability collection state, alive between [`enable_obs`] and
@@ -95,13 +93,13 @@ pub fn fault_plan() -> FaultPlan {
     }
 }
 
-/// Sets the per-cell retry/watchdog policy.
+/// Sets the per-cell watchdog policy.
 pub fn set_policy(policy: RunPolicy) {
     *POLICY.lock().expect("policy lock") = Some(policy);
 }
 
-/// The per-cell policy ([`RunPolicy::default`] when unset: one attempt,
-/// no watchdog).
+/// The per-cell policy ([`RunPolicy::default`] when unset: no
+/// watchdog).
 pub fn policy() -> RunPolicy {
     POLICY.lock().expect("policy lock").unwrap_or_default()
 }
@@ -113,13 +111,12 @@ pub fn set_current_experiment(id: &str) {
 }
 
 /// Records one failed cell under the current experiment id.
-pub fn record_failure(cell: &str, error: &str, attempts: u32) {
+pub fn record_failure(cell: &str, error: &str) {
     let experiment = CURRENT_EXPERIMENT.lock().expect("experiment lock").clone();
     FAILURES.lock().expect("failures lock").push(FailureRecord {
         experiment,
         cell: cell.to_string(),
         error: error.to_string(),
-        attempts,
     });
 }
 
@@ -345,7 +342,6 @@ mod tests {
             experiment: "none".into(),
             label: "dropped".into(),
             status: "ok",
-            attempts: 1,
             wall_ms: 1,
             config_fingerprint: String::new(),
             checkpoint: "off",
@@ -363,7 +359,6 @@ mod tests {
             experiment: "ctx-obs-test".into(),
             label: "ctx-obs-cell".into(),
             status: "ok",
-            attempts: 1,
             wall_ms: 5,
             config_fingerprint: "deadbeefdeadbeef".into(),
             checkpoint: "off",
@@ -383,11 +378,11 @@ mod tests {
     #[test]
     fn failure_records_carry_the_experiment_id() {
         set_current_experiment("ctx-test");
-        record_failure("cell-a", "broke", 2);
+        record_failure("cell-a", "broke");
         let got = take_failures();
         let rec = got.iter().find(|r| r.cell == "cell-a").expect("recorded");
         assert_eq!(rec.experiment, "ctx-test");
-        assert_eq!(rec.attempts, 2);
+        assert_eq!(rec.error, "broke");
         assert!(take_failures().iter().all(|r| r.cell != "cell-a"));
     }
 }

@@ -32,8 +32,6 @@ pub struct CellRecord {
     pub label: String,
     /// `ok`, `failed`, or `timeout`.
     pub status: &'static str,
-    /// Attempts consumed.
-    pub attempts: u32,
     /// Wall-clock milliseconds the cell's job consumed.
     pub wall_ms: u64,
     /// FNV-1a fingerprint of the cell's full `SystemConfig`.
@@ -76,7 +74,8 @@ impl CellRecord {
         o.set("experiment", Json::Str(self.experiment.clone()));
         o.set("label", Json::Str(self.label.clone()));
         o.set("status", Json::Str(self.status.to_string()));
-        o.set("attempts", Json::U64(u64::from(self.attempts)));
+        // Schema v3 requires the key; every cell runs exactly once.
+        o.set("attempts", Json::U64(1));
         o.set("wall_ms", Json::U64(self.wall_ms));
         o.set(
             "config_fingerprint",
@@ -359,7 +358,6 @@ mod tests {
                     experiment: "tlb".into(),
                     label: "64/slsb".into(),
                     status: "ok",
-                    attempts: 1,
                     wall_ms: 12,
                     config_fingerprint: "00baddecafc0ffee".into(),
                     checkpoint: "off",
@@ -372,7 +370,6 @@ mod tests {
                     experiment: "tlb".into(),
                     label: "128/slsb".into(),
                     status: "timeout",
-                    attempts: 1,
                     wall_ms: 900,
                     config_fingerprint: "00baddecafc0ffee".into(),
                     checkpoint: "resumed",

@@ -7,7 +7,7 @@
 use cdp_sim::hierarchy::PollutionConfig;
 use cdp_sim::metrics::mean;
 use cdp_sim::runner::with_warmup;
-use cdp_sim::{speedup, Pool, SimJob};
+use cdp_sim::{speedup, JobOutcome, Pool, RunPolicy, RunStats, SimJob};
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
@@ -81,14 +81,21 @@ pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Pollution 
         dirty.pollution = Some(PollutionConfig { period: 60 });
         jobs.push(dirty);
     }
-    let results = pool.run_sims(jobs);
+    let results: Vec<RunStats> = pool
+        .run_sims_profiled(jobs, RunPolicy::default())
+        .into_iter()
+        .map(|r| match r.outcome {
+            JobOutcome::Ok(stats) => stats,
+            other => panic!("{}: {}", r.label, other.failure().unwrap_or_default()),
+        })
+        .collect();
     let rows = benches
         .iter()
         .zip(results.chunks(2))
         .map(|(&b, pair)| Row {
             name: b.name().to_string(),
-            speedup: speedup(&pair[0].stats, &pair[1].stats),
-            injected: pair[1].stats.mem.injected_pollution,
+            speedup: speedup(&pair[0], &pair[1]),
+            injected: pair[1].mem.injected_pollution,
         })
         .collect::<Vec<_>>();
     let average = mean(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>());

@@ -6,9 +6,11 @@
 //!   documented partial-failure code 3;
 //! * stdout is byte-identical at any `--jobs` count, faulted or not;
 //! * cells untouched by the fault report the same values as a fault-free
-//!   run.
+//!   run;
+//! * `--cell-timeout` abandons a cell that overruns it.
 
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 const EXIT_PARTIAL: i32 = 3;
 
@@ -121,5 +123,54 @@ fn faulted_stdout_is_byte_identical_at_any_job_count() {
         stdout(&one),
         stdout(&four),
         "submission-order results make gaps deterministic"
+    );
+}
+
+#[test]
+fn cell_timeout_abandons_an_overrunning_cell() {
+    // The large-tier cell simulates 100M uops (~16 s on a 2-core x86-64
+    // host in release), far beyond a one-second watchdog.
+    let args = |keep_going: bool| {
+        let mut a = vec![
+            "onecell",
+            "--scale",
+            "large",
+            "--jobs",
+            "1",
+            "--cell-timeout",
+            "1",
+        ];
+        if keep_going {
+            a.push("--keep-going");
+        }
+        a
+    };
+    let start = Instant::now();
+    let o = experiments(&args(true));
+    let took = start.elapsed();
+    assert_eq!(
+        o.status.code(),
+        Some(EXIT_PARTIAL),
+        "stderr: {}",
+        stderr(&o)
+    );
+    assert!(
+        took < Duration::from_secs(8),
+        "the watchdog fired late: {took:?}"
+    );
+    let out = stdout(&o);
+    assert!(
+        out.lines()
+            .any(|l| l.split_whitespace().eq(["--", "--", "--", "--"])),
+        "the cell renders as a gap:\n{out}"
+    );
+    assert!(stderr(&o).contains("timed out"), "stderr: {}", stderr(&o));
+
+    let strict = experiments(&args(false));
+    assert!(!strict.status.success());
+    assert_ne!(
+        strict.status.code(),
+        Some(EXIT_PARTIAL),
+        "strict mode is not partial"
     );
 }

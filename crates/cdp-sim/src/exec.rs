@@ -5,21 +5,30 @@
 //! module provides the std-only plumbing to exploit that:
 //!
 //! * [`Pool`] — a scoped-thread work pool (no external crates) that runs
-//!   a batch of closures across cores and returns results **in
-//!   submission order**, so rendered tables are byte-identical at any
-//!   job count;
-//! * [`SimJob`] / [`Pool::run_sims`] — the labelled
-//!   `(SystemConfig, Arc<Workload>)` batch unit every sweep submits;
+//!   a batch across cores and returns results **in submission order**,
+//!   so rendered tables are byte-identical at any job count. Its two
+//!   entry points share one batch driver: [`Pool::run`] for plain
+//!   closures and [`Pool::run_sims_profiled`] for simulations;
+//! * [`SimJob`] — the labelled `(SystemConfig, Arc<Workload>)` batch unit
+//!   every sweep submits. One windowed loop drives it, with optional
+//!   result-cache, checkpoint and observability attachments;
 //! * [`WorkloadCache`] — a shared `(Benchmark, Scale)`-keyed cache of
 //!   immutable `Arc<Workload>`s, so concurrent jobs reuse one build.
+//!
+//! Every job runs once. A simulation is deterministic, so an error or a
+//! panic would come back on a second attempt, and no filesystem fault
+//! reaches its result: checkpoint and store failures degrade to counted
+//! drops and recomputation. The only policy is an optional wall-clock
+//! watchdog ([`RunPolicy::timeout`]); a job it abandons publishes
+//! nothing.
 //!
 //! The simulator core itself stays single-threaded (see DESIGN.md §5);
 //! parallelism lives entirely above it, one simulation per task.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -32,26 +41,21 @@ use crate::fault::WalkFault;
 use crate::hierarchy::PollutionConfig;
 use crate::observe::{ObsEntry, ObsSink, Observation};
 use crate::runner::build_workload;
-use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot, StatusSink};
+use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot};
 use crate::system::{RunStats, Simulator};
 
-/// How a [`Pool::run_with_status`] job ended.
+/// How a [`Pool::run_sims_profiled`] job ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobOutcome<T> {
     /// The job completed.
     Ok(T),
-    /// The job errored or panicked on every allowed attempt.
+    /// The job returned an error or panicked.
     Failed {
-        /// The last attempt's error (or panic message).
+        /// The error (or panic message).
         error: String,
-        /// How many attempts were made.
-        attempts: u32,
     },
-    /// The job exceeded the wall-clock watchdog. Timeouts are terminal:
-    /// a job that hangs once is not retried.
+    /// The job exceeded the wall-clock watchdog and was abandoned.
     TimedOut {
-        /// How many attempts were made (the last one timed out).
-        attempts: u32,
         /// The watchdog budget it exceeded.
         timeout: Duration,
     },
@@ -71,112 +75,46 @@ impl<T> JobOutcome<T> {
         matches!(self, JobOutcome::Ok(_))
     }
 
+    /// The manifest and status-stream spelling: `ok`, `failed` or
+    /// `timeout`.
+    pub fn status(&self) -> &'static str {
+        match self {
+            JobOutcome::Ok(_) => "ok",
+            JobOutcome::Failed { .. } => "failed",
+            JobOutcome::TimedOut { .. } => "timeout",
+        }
+    }
+
     /// A one-line human-readable failure description (`None` on success).
     pub fn failure(&self) -> Option<String> {
         match self {
             JobOutcome::Ok(_) => None,
-            JobOutcome::Failed { error, attempts } => {
-                Some(format!("failed after {attempts} attempt(s): {error}"))
-            }
-            JobOutcome::TimedOut { attempts, timeout } => Some(format!(
-                "timed out after {attempts} attempt(s) ({timeout:?} watchdog)"
-            )),
-        }
-    }
-
-    /// How many attempts the job consumed (1 for a first-try success).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            JobOutcome::Ok(_) => 1,
-            JobOutcome::Failed { attempts, .. } | JobOutcome::TimedOut { attempts, .. } => {
-                *attempts
-            }
+            JobOutcome::Failed { error } => Some(format!("failed: {error}")),
+            JobOutcome::TimedOut { timeout } => Some(format!("timed out ({timeout:?} watchdog)")),
         }
     }
 }
 
 /// One labelled, timed [`JobOutcome`] from [`Pool::run_sims_profiled`].
-///
-/// `wall` is the job's total wall-clock time across every attempt,
-/// including retry backoff — the per-cell cost a manifest reports.
 #[derive(Clone, Debug)]
 pub struct JobReport {
     /// The job's label, unchanged.
     pub label: String,
     /// How the job ended.
     pub outcome: JobOutcome<RunStats>,
-    /// Wall-clock time the job consumed (all attempts + backoff).
+    /// Wall-clock time the job consumed — the per-cell cost a manifest
+    /// reports.
     pub wall: Duration,
 }
 
-/// Retry / watchdog policy for [`Pool::run_with_status`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Watchdog policy for [`Pool::run_sims_profiled`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunPolicy {
-    /// Per-attempt wall-clock watchdog; `None` disables the watchdog
-    /// (jobs then run on the pool's own workers with no extra thread).
+    /// Per-job wall-clock watchdog; `None` (the default) disables it and
+    /// jobs run on the pool's own workers with no extra thread. A job
+    /// that exceeds it is reported [`JobOutcome::TimedOut`] and never
+    /// rerun.
     pub timeout: Option<Duration>,
-    /// Maximum attempts per job (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `min(backoff_base * 2^(n-1),
-    /// backoff_cap)`.
-    pub backoff_base: Duration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap: Duration,
-    /// Seed for deterministic retry jitter (see
-    /// [`RunPolicy::backoff_jittered`]). The same seed always produces
-    /// the same jitter schedule, so runs stay reproducible.
-    pub jitter_seed: u64,
-}
-
-impl Default for RunPolicy {
-    /// One attempt, no watchdog: identical behavior to [`Pool::run`]
-    /// modulo the [`JobOutcome`] wrapper.
-    fn default() -> RunPolicy {
-        RunPolicy {
-            timeout: None,
-            max_attempts: 1,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RunPolicy {
-    /// The capped exponential backoff before retry attempt `retry`
-    /// (1-based: the wait before the second attempt is `backoff(1)`).
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(20);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
-
-    /// [`RunPolicy::backoff`] with deterministic subtractive jitter.
-    ///
-    /// Tasks that fail together retry together: with the lockstep
-    /// schedule, every colliding retry at high `--jobs` re-lands on the
-    /// same instant, attempt after attempt. Jitter de-synchronizes them
-    /// by shortening each wait by up to 25%, mixed from `(jitter_seed,
-    /// salt, retry)` — no clock, no global RNG — so a given task index
-    /// always waits the same amount and results stay byte-identical
-    /// (backoff timing never affects submission-order output). Jitter
-    /// only ever *subtracts*, so `backoff()` remains the worst case and
-    /// the cap still holds.
-    pub fn backoff_jittered(&self, retry: u32, salt: u64) -> Duration {
-        let base = self.backoff(retry);
-        // splitmix64 finalizer over the three identity inputs.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(retry));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // Shave off [0, 25%) of the wait.
-        let shave = base.mul_f64((z % 1000) as f64 / 1000.0 * 0.25);
-        base - shave
-    }
 }
 
 /// Renders a panic payload as a message string.
@@ -190,74 +128,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One result slot of [`Pool::run_with_status_timed`]'s scoped batch.
-type TimedSlot<T> = Mutex<Option<(JobOutcome<T>, Duration)>>;
-
-/// Drives one task through the retry/watchdog policy. `salt` is the
-/// task's identity (its submission index) for retry-jitter derivation.
-/// `status` (sink, label, index) receives a `retrying` heartbeat before
-/// each backed-off re-attempt.
-fn run_one_with_policy<T, F>(
-    task: Arc<F>,
-    policy: RunPolicy,
-    salt: u64,
-    status: Option<(&StatusSink, &str, usize)>,
-) -> JobOutcome<T>
+/// Runs `task` once and reports how it ended, catching a panic.
+///
+/// With a `timeout` the task runs on a detached thread so a hung job can
+/// be abandoned (a scoped worker could never time out: the scope would
+/// wait for it). When the watchdog fires, `slot` is marked abandoned: a
+/// [`SimJob`] then stops at its next window boundary and publishes
+/// nothing. The abandoned thread owns only its task.
+fn watch<T, F>(task: F, timeout: Option<Duration>, slot: &SourceSlot) -> JobOutcome<T>
 where
     T: Send + 'static,
-    F: Fn() -> Result<T, String> + Send + Sync + 'static,
+    F: FnOnce() -> Result<T, String> + Send + 'static,
 {
-    let started = Instant::now();
-    let max_attempts = policy.max_attempts.max(1);
-    let mut last_error = String::new();
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            if let Some((sink, label, index)) = status {
-                sink.retrying(label, index, attempt, started.elapsed().as_millis() as u64);
-            }
-            thread::sleep(policy.backoff_jittered(attempt - 1, salt));
-        }
-        match policy.timeout {
-            None => match catch_unwind(AssertUnwindSafe(|| task())) {
-                Ok(Ok(v)) => return JobOutcome::Ok(v),
-                Ok(Err(e)) => last_error = e,
-                Err(p) => last_error = panic_message(p),
-            },
-            Some(timeout) => {
-                // The attempt runs on a detached thread so a hung job can
-                // be abandoned (a scoped worker could never time out: the
-                // scope would wait for it). An abandoned attempt may
-                // outlive this call; it holds only its own task Arc.
-                let (tx, rx) = mpsc::channel();
-                let t = Arc::clone(&task);
-                thread::Builder::new()
-                    .name("cdp-pool-attempt".into())
-                    .spawn(move || {
-                        let result = match catch_unwind(AssertUnwindSafe(|| t())) {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => Err(e),
-                            Err(p) => Err(panic_message(p)),
-                        };
-                        let _ = tx.send(result);
-                    })
-                    .expect("spawn watchdog attempt thread");
-                match rx.recv_timeout(timeout) {
-                    Ok(Ok(v)) => return JobOutcome::Ok(v),
-                    Ok(Err(e)) => last_error = e,
-                    Err(_) => {
-                        return JobOutcome::TimedOut {
-                            attempts: attempt,
-                            timeout,
-                        }
-                    }
-                }
-            }
-        }
-    }
-    JobOutcome::Failed {
-        error: last_error,
-        attempts: max_attempts,
-    }
+    let caught = move || match catch_unwind(AssertUnwindSafe(task)) {
+        Ok(Ok(v)) => JobOutcome::Ok(v),
+        Ok(Err(error)) => JobOutcome::Failed { error },
+        Err(p) => JobOutcome::Failed {
+            error: panic_message(p),
+        },
+    };
+    let Some(timeout) = timeout else {
+        return caught();
+    };
+    let (tx, rx) = mpsc::channel();
+    thread::Builder::new()
+        .name("cdp-pool-attempt".into())
+        .spawn(move || {
+            let _ = tx.send(caught());
+        })
+        .expect("spawn watchdog attempt thread");
+    rx.recv_timeout(timeout).unwrap_or_else(|_| {
+        slot.abandon();
+        JobOutcome::TimedOut { timeout }
+    })
 }
 
 /// The number of worker threads to use when the caller does not say:
@@ -305,234 +208,91 @@ impl Pool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let mut out = Vec::with_capacity(tasks.len());
-        for r in self.run_caught(tasks) {
-            match r {
-                Ok(v) => out.push(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    }
-
-    /// Panic-tolerant variant of [`Pool::run`]: a panicking task yields
-    /// `None` in its slot while every other task still completes.
-    pub fn try_run<T, F>(&self, tasks: Vec<F>) -> Vec<Option<T>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.run_caught(tasks).into_iter().map(Result::ok).collect()
-    }
-
-    /// Shared batch driver: scoped workers pull task indices from an
-    /// atomic counter and park each (caught) result in its slot.
-    fn run_caught<T, F>(&self, tasks: Vec<F>) -> Vec<thread::Result<T>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let slots: Vec<Mutex<Option<thread::Result<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(n);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let task = tasks[i]
-                        .lock()
-                        .expect("task cell never poisoned: each index is claimed once")
-                        .take()
-                        .expect("each index is claimed exactly once");
-                    let result = catch_unwind(AssertUnwindSafe(task));
-                    *slots[i].lock().expect("slot never poisoned") = Some(result);
-                });
-            }
-        });
-        slots
+        self.drive(tasks, |_, task| catch_unwind(AssertUnwindSafe(task)))
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot never poisoned")
-                    .expect("every index was claimed and stored")
-            })
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     }
 
-    /// Runs every fallible task under `policy` (watchdog timeout, bounded
-    /// retry with capped backoff) and reports a [`JobOutcome`] per task,
-    /// in submission order.
+    /// Runs a batch of simulations under `policy` and reports a labelled,
+    /// timed [`JobOutcome`] per job, in submission order.
     ///
     /// One failing, panicking, or hanging job never aborts the batch;
-    /// every other job still runs to its own outcome. Workers are scoped
-    /// and always joined; only a *timed-out attempt's* detached thread
-    /// can outlive the call (it owns nothing but its task).
-    pub fn run_with_status<T, F>(&self, tasks: Vec<F>, policy: RunPolicy) -> Vec<JobOutcome<T>>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        self.run_with_status_timed(tasks, policy)
-            .into_iter()
-            .map(|(outcome, _)| outcome)
-            .collect()
-    }
-
-    /// As [`Pool::run_with_status`], additionally reporting each job's
-    /// wall-clock time (all attempts plus retry backoff) for profiling
-    /// and manifest emission.
-    pub fn run_with_status_timed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        policy: RunPolicy,
-    ) -> Vec<(JobOutcome<T>, Duration)>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        self.run_with_status_observed(tasks, policy, None)
-    }
-
-    /// Core of [`Pool::run_with_status_timed`], optionally narrating the
-    /// batch's lifecycle into a [`StatusSink`] (`queued` / `running` /
-    /// `retrying` / `done` JSONL heartbeats). With `meta` `None` the
-    /// path is identical to before the stream existed.
-    fn run_with_status_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        policy: RunPolicy,
-        meta: Option<BatchStatus>,
-    ) -> Vec<(JobOutcome<T>, Duration)>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        let n = tasks.len();
-        let tasks: Vec<Arc<F>> = tasks.into_iter().map(Arc::new).collect();
-        let slots: Vec<TimedSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(n);
-        if let Some(m) = &meta {
-            m.sink.batch(n);
-            for (i, label) in m.labels.iter().enumerate() {
-                m.sink.queued(label, i);
+    /// every other job still runs to its own outcome. Attached
+    /// [`JobObs`] observations go into their sinks. When a process-global
+    /// [`StatusSink`](crate::status::StatusSink) is installed, the batch
+    /// also streams JSONL events (`batch`, `queued`, `running`, in-cell
+    /// `heartbeat`s, `done`) with per-job result provenance.
+    pub fn run_sims_profiled(&self, jobs: Vec<SimJob>, policy: RunPolicy) -> Vec<JobReport> {
+        let sink = status_sink();
+        if let Some(sink) = &sink {
+            sink.batch(jobs.len());
+            for (i, job) in jobs.iter().enumerate() {
+                sink.queued(&job.label, i);
             }
         }
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if let Some(m) = &meta {
-                        m.sink.running(&m.labels[i], i);
-                    }
-                    let start = Instant::now();
-                    let status = meta
-                        .as_ref()
-                        .map(|m| (m.sink.as_ref(), m.labels[i].as_str(), i));
-                    let outcome =
-                        run_one_with_policy(Arc::clone(&tasks[i]), policy, i as u64, status);
-                    let wall = start.elapsed();
-                    if let Some(m) = &meta {
-                        let status = match &outcome {
-                            JobOutcome::Ok(_) => "ok",
-                            JobOutcome::Failed { .. } => "failed",
-                            JobOutcome::TimedOut { .. } => "timeout",
-                        };
-                        m.sink.done(
-                            &m.labels[i],
-                            i,
-                            status,
-                            wall.as_millis() as u64,
-                            m.sources[i].get(),
-                        );
-                    }
-                    *slots[i].lock().expect("slot never poisoned") = Some((outcome, wall));
-                });
+        self.drive(jobs, |i, mut job| {
+            job.status_index = i;
+            let label = job.label.clone();
+            if let Some(sink) = &sink {
+                sink.running(&label, i);
             }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot never poisoned")
-                    .expect("every index was claimed and stored")
-            })
-            .collect()
-    }
-
-    /// Runs a batch of simulations, returning per-job results in
-    /// submission order.
-    pub fn run_sims(&self, jobs: Vec<SimJob>) -> Vec<SimResult> {
-        self.run(jobs.into_iter().map(|j| move || j.execute_labelled()).collect())
-    }
-
-    /// Fault-tolerant variant of [`Pool::run_sims`]: every job reports a
-    /// labelled [`JobOutcome`] under `policy` instead of panicking the
-    /// batch on the first bad cell.
-    pub fn run_sims_with_status(
-        &self,
-        jobs: Vec<SimJob>,
-        policy: RunPolicy,
-    ) -> Vec<(String, JobOutcome<RunStats>)> {
-        self.run_sims_profiled(jobs, policy)
-            .into_iter()
-            .map(|r| (r.label, r.outcome))
-            .collect()
-    }
-
-    /// As [`Pool::run_sims_with_status`], additionally timing each job
-    /// ([`JobReport::wall`]) and routing any attached [`JobObs`]
-    /// observation into its sink. When a process-global
-    /// [`StatusSink`](crate::status::StatusSink) is installed, the batch
-    /// also streams JSONL heartbeats with per-job result provenance.
-    pub fn run_sims_profiled(&self, jobs: Vec<SimJob>, policy: RunPolicy) -> Vec<JobReport> {
-        let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-        let sources: Vec<Arc<SourceSlot>> = jobs.iter().map(|_| SourceSlot::shared()).collect();
-        let tasks: Vec<_> = jobs
-            .into_iter()
-            .zip(sources.iter().map(Arc::clone))
-            .enumerate()
-            .map(|(i, (j, slot))| {
-                let j = j.with_status_index(i);
+            let slot = SourceSlot::shared();
+            let job_slot = Arc::clone(&slot);
+            let start = Instant::now();
+            let outcome = watch(
                 move || {
-                    j.try_execute_sourced(Some(&slot))
-                        .map_err(|e| e.to_string())
-                }
-            })
-            .collect();
-        let meta = status_sink().map(|sink| BatchStatus {
-            sink,
-            labels: labels.clone(),
-            sources,
-        });
-        labels
-            .into_iter()
-            .zip(self.run_with_status_observed(tasks, policy, meta))
-            .map(|(label, (outcome, wall))| JobReport {
+                    job.run(&job_slot)
+                        .map_err(|e| e.to_string())?
+                        .ok_or_else(|| "abandoned by the watchdog".to_string())
+                },
+                policy.timeout,
+                &slot,
+            );
+            let wall = start.elapsed();
+            if let Some(sink) = &sink {
+                let wall_ms = wall.as_millis() as u64;
+                sink.done(&label, i, outcome.status(), wall_ms, slot.get());
+            }
+            JobReport {
                 label,
                 outcome,
                 wall,
+            }
+        })
+    }
+
+    /// The one batch driver: at most `jobs` scoped workers claim tasks
+    /// from a shared queue in submission order and park each
+    /// `body(index, task)` result in the task's slot. `body` must not
+    /// panic; both entry points catch task panics inside it.
+    fn drive<I, T>(&self, tasks: Vec<I>, body: impl Fn(usize, I) -> T + Sync) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+    {
+        let n = tasks.len();
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        thread::scope(|s| {
+            for _ in 0..self.jobs.min(n) {
+                s.spawn(|| loop {
+                    let next = queue.lock().expect("queue never poisoned").next();
+                    let Some((i, task)) = next else { break };
+                    let out = body(i, task);
+                    *slots[i].lock().expect("slot never poisoned") = Some(out);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .expect("slot never poisoned")
+                    .expect("every task was claimed and stored")
             })
             .collect()
     }
-}
-
-/// Per-batch status-stream context for
-/// [`Pool::run_with_status_observed`]: the installed sink plus each
-/// job's label and provenance slot, indexed by submission order.
-struct BatchStatus {
-    sink: Arc<StatusSink>,
-    labels: Vec<String>,
-    sources: Vec<Arc<SourceSlot>>,
 }
 
 /// Observability attachment for a [`SimJob`]: which signals to collect
@@ -671,10 +431,7 @@ impl ResultCache {
     /// the hit ([`ResultSource::ResultCache`] for the in-memory stripes,
     /// [`ResultSource::ResultStore`] for a disk hit) for the status
     /// stream's provenance field.
-    pub fn get_with_source(
-        &self,
-        key: u64,
-    ) -> Option<((RunStats, Option<Observation>), ResultSource)> {
+    fn get_with_source(&self, key: u64) -> Option<((RunStats, Option<Observation>), ResultSource)> {
         if let Some(found) = self
             .stripe(key)
             .lock()
@@ -720,38 +477,16 @@ impl ResultCache {
     }
 }
 
-/// How a checkpointed cell actually started, for run-manifest provenance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointProvenance {
-    /// No usable checkpoint: the cell ran from cycle zero.
-    Fresh,
-    /// The cell resumed from an on-disk snapshot.
-    Resumed,
-    /// A checkpoint existed but failed to decode (truncated, corrupt, or
-    /// from a different configuration); the cell fell back to a fresh
-    /// run instead of resuming from suspect state.
-    CorruptFallback,
-}
-
-impl CheckpointProvenance {
-    /// Stable manifest spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CheckpointProvenance::Fresh => "fresh",
-            CheckpointProvenance::Resumed => "resumed",
-            CheckpointProvenance::CorruptFallback => "corrupt-fallback",
-        }
-    }
-}
-
-/// A thread-safe slot a [`SimJob`] reports its [`CheckpointProvenance`]
-/// into, readable by the submitter after the batch. Also accumulates the
-/// cell's *dropped checkpoint writes* — writes are best-effort, but a
-/// silent drop would hide a dying disk, so every drop is counted (and
-/// warned about once per cell on stderr).
+/// Where a checkpointed [`SimJob`] reports how it started, readable by
+/// the submitter after the batch: [`ResultSource::Fresh`],
+/// [`ResultSource::CheckpointResumed`] or [`ResultSource::CorruptFallback`]
+/// (a job replayed from the result cache never starts and reads `Fresh`).
+/// Also accumulates the cell's *dropped checkpoint writes* — writes are
+/// best-effort, but a silent drop would hide a dying disk, so every drop
+/// is counted (and warned about on stderr).
 #[derive(Debug, Default)]
 pub struct CheckpointStatus {
-    provenance: AtomicU8,
+    source: SourceSlot,
     dropped_writes: AtomicU64,
 }
 
@@ -761,27 +496,9 @@ impl CheckpointStatus {
         Arc::new(CheckpointStatus::default())
     }
 
-    fn set(&self, p: CheckpointProvenance) {
-        let code = match p {
-            CheckpointProvenance::Fresh => 0,
-            CheckpointProvenance::Resumed => 1,
-            CheckpointProvenance::CorruptFallback => 2,
-        };
-        self.provenance.store(code, Ordering::Relaxed);
-    }
-
-    /// The provenance last reported (defaults to `Fresh`).
-    pub fn get(&self) -> CheckpointProvenance {
-        match self.provenance.load(Ordering::Relaxed) {
-            1 => CheckpointProvenance::Resumed,
-            2 => CheckpointProvenance::CorruptFallback,
-            _ => CheckpointProvenance::Fresh,
-        }
-    }
-
-    /// Records one dropped (failed) checkpoint write.
-    pub fn record_dropped_write(&self) {
-        self.dropped_writes.fetch_add(1, Ordering::Relaxed);
+    /// How the cell started (defaults to [`ResultSource::Fresh`]).
+    pub fn get(&self) -> ResultSource {
+        self.source.get()
     }
 
     /// Checkpoint writes that failed and were dropped.
@@ -794,11 +511,13 @@ impl CheckpointStatus {
 ///
 /// The job snapshots its [`SimSession`](crate::system::SimSession) into
 /// `dir/cell-<key>.snap` every `every` simulated cycles (checked at
-/// window boundaries). Writes are atomic (temp file + rename), so a kill
-/// at any moment leaves either the previous or the new checkpoint intact
-/// — never a torn file. On completion the checkpoint is removed: the
-/// cell's result is deterministic, so a later resume of the sweep simply
-/// re-runs it to the identical result.
+/// window boundaries). Writes go through [`cdp_store::publish`] (unique
+/// temp file + rename), so a kill at any moment leaves either the
+/// previous or the new checkpoint intact — never a torn file. On
+/// completion the checkpoint is removed: the cell's result is
+/// deterministic, so a later resume of the sweep simply re-runs it to
+/// the identical result. A job abandoned by the watchdog keeps its last
+/// checkpoint for `--resume`.
 #[derive(Clone, Debug)]
 pub struct CheckpointSpec {
     /// Directory the checkpoint file lives in (must exist).
@@ -833,26 +552,10 @@ impl CheckpointSpec {
     }
 }
 
-/// Writes `bytes` to `path` atomically: a temp file in the same
-/// directory, then rename. An error leaves any previous file under
-/// `path` untouched (the temp is cleaned up best-effort).
-fn write_atomic(io: &dyn cdp_store::StoreIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("part");
-    if let Err(e) = io.write(&tmp, bytes) {
-        let _ = io.remove_file(&tmp);
-        return Err(e);
-    }
-    if let Err(e) = io.rename(&tmp, path) {
-        let _ = io.remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(())
-}
-
 /// One independent simulation: a configuration over a shared workload.
 #[derive(Clone, Debug)]
 pub struct SimJob {
-    /// Caller-chosen identifier carried through to the [`SimResult`]
+    /// Caller-chosen identifier carried through to the [`JobReport`]
     /// (sweep-point labels, benchmark names, ...).
     pub label: String,
     /// Full system configuration (including warm-up budget).
@@ -863,9 +566,8 @@ pub struct SimJob {
     pub pollution: Option<PollutionConfig>,
     /// Optional injected page-walk failures (fault studies).
     pub walk_fault: Option<WalkFault>,
-    /// Optional observability attachment; `None` keeps the run on the
-    /// plain [`Simulator::try_run`] path, byte-identical to a build
-    /// without tracing.
+    /// Optional observability attachment; `None` keeps the run
+    /// byte-identical to a build without tracing.
     pub obs: Option<JobObs>,
     /// Optional result cache plus this job's precomputed key.
     pub result_cache: Option<(Arc<ResultCache>, u64)>,
@@ -892,21 +594,14 @@ impl SimJob {
         }
     }
 
-    /// Sets the batch submission index carried on heartbeat events.
-    pub fn with_status_index(mut self, index: usize) -> SimJob {
-        self.status_index = index;
-        self
-    }
-
     /// Adds injected page-walk failures.
     pub fn with_walk_fault(mut self, f: WalkFault) -> SimJob {
         self.walk_fault = Some(f);
         self
     }
 
-    /// Attaches an observability sink: the run switches to
-    /// [`Simulator::try_run_observed`] and pushes its
-    /// [`Observation`](crate::observe::Observation) into `obs.sink`.
+    /// Attaches an observability sink: the run collects an
+    /// [`Observation`] and pushes it into `obs.sink`.
     pub fn with_obs(mut self, obs: JobObs) -> SimJob {
         self.obs = Some(obs);
         self
@@ -938,19 +633,6 @@ impl SimJob {
         Ok(sim)
     }
 
-    /// Runs the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration or an unrecoverable demand-path
-    /// fault; use [`SimJob::try_execute`] to handle both.
-    pub fn execute(&self) -> RunStats {
-        match self.try_execute() {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Runs the simulation, surfacing configuration and demand-path
     /// faults as typed errors.
     ///
@@ -959,114 +641,139 @@ impl SimJob {
     /// [`CdpError::Config`] for an invalid configuration, otherwise the
     /// first fault latched by the memory hierarchy.
     pub fn try_execute(&self) -> Result<RunStats, CdpError> {
-        self.try_execute_sourced(None)
+        let unwatched = SourceSlot::default();
+        Ok(self
+            .run(&unwatched)?
+            .expect("only the pool's watchdog abandons a job"))
     }
 
-    /// As [`SimJob::try_execute`], additionally reporting *how* the
-    /// result was obtained (fresh run, cache/store replay, checkpoint
-    /// resume) into `source` for the status stream. The slot is a
-    /// shared atomic because a watchdogged attempt may run on a
-    /// detached thread while the pool worker reads the slot.
+    /// The one driving loop behind every job.
     ///
-    /// # Errors
+    /// Replays the result cache when it holds a result this job can use.
+    /// Otherwise it steps a [`SimSession`](crate::system::SimSession)
+    /// window by window — resuming from, and periodically writing, a
+    /// checkpoint when a [`CheckpointSpec`] is attached — and publishes
+    /// the result. Window boundaries change no simulated state, so the
+    /// stats equal [`Simulator::try_run`]'s. How the result was obtained
+    /// goes into `source` for the status stream.
     ///
-    /// As [`SimJob::try_execute`].
-    pub fn try_execute_sourced(&self, source: Option<&SourceSlot>) -> Result<RunStats, CdpError> {
-        let report = |s: ResultSource| {
-            if let Some(slot) = source {
-                slot.set(s);
-            }
-        };
-        // A cached result is usable when it can satisfy this job's full
-        // contract: plain jobs need only the stats; observed jobs also
-        // need a cached observation to replay into their sink.
-        if let Some((cache, key)) = &self.result_cache {
-            if let Some(((stats, cached_obs), tier)) = cache.get_with_source(*key) {
-                match (&self.obs, cached_obs) {
-                    (None, _) => {
-                        cache.hits.fetch_add(1, Ordering::Relaxed);
-                        report(tier);
-                        return Ok(stats);
-                    }
-                    (Some(o), Some(observation)) => {
-                        cache.hits.fetch_add(1, Ordering::Relaxed);
-                        report(tier);
-                        o.sink.push(ObsEntry {
-                            batch: o.batch,
-                            index: o.index,
-                            label: self.label.clone(),
-                            observation,
-                        });
-                        return Ok(stats);
-                    }
-                    // Cached entry lacks the observation this job needs:
-                    // fall through and re-simulate (the fresh entry below
-                    // upgrades the cache).
-                    (Some(_), None) => {}
-                }
-            }
-            cache.misses.fetch_add(1, Ordering::Relaxed);
+    /// Returns `Ok(None)` once `source` is marked abandoned (the pool's
+    /// watchdog fired): the loop stops at that window boundary, publishes
+    /// nothing and leaves its last checkpoint for `--resume`.
+    fn run(&self, source: &SourceSlot) -> Result<Option<RunStats>, CdpError> {
+        if let Some(stats) = self.replay(source) {
+            return Ok(Some(stats));
         }
-        if let Some(spec) = &self.checkpoint {
-            let (stats, observation, provenance) = self.run_checkpointed(spec)?;
-            report(match provenance {
-                CheckpointProvenance::Fresh => ResultSource::Fresh,
-                CheckpointProvenance::Resumed => ResultSource::CheckpointResumed,
-                CheckpointProvenance::CorruptFallback => ResultSource::CorruptFallback,
-            });
-            match (&self.obs, observation) {
-                (Some(o), Some(observation)) => {
-                    if let Some((cache, key)) = &self.result_cache {
-                        cache.put(*key, stats, Some(observation.clone()));
-                    }
-                    o.sink.push(ObsEntry {
-                        batch: o.batch,
-                        index: o.index,
-                        label: self.label.clone(),
-                        observation,
-                    });
-                }
-                _ => {
-                    if let Some((cache, key)) = &self.result_cache {
-                        cache.put(*key, stats, None);
-                    }
-                }
-            }
-            return Ok(stats);
-        }
-        report(ResultSource::Fresh);
-        // The same windowed driving loop `Simulator::try_run` /
-        // `try_run_observed` are built on, surfaced here so the cell can
-        // emit throttled in-cell heartbeats between windows. Window
-        // boundaries change no simulated state, so stats are identical
-        // to the convenience wrappers.
         let sim = self.simulator()?;
         let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
-        let mut session = sim.session(&self.workload, obs_cfg);
+        // Checkpoint I/O, resolved once: the spec, its filesystem, its file.
+        let ckpt = self.checkpoint.as_ref().map(|s| (s, s.io(), s.path()));
+        let mut started = ResultSource::Fresh;
+        let mut resumed = None;
+        if let Some((_, io, path)) = ckpt.as_ref().filter(|(s, ..)| s.resume) {
+            // An unreadable checkpoint file is treated as absent (fresh
+            // start). Bytes that read but fail to decode are never resumed
+            // from: the cell restarts fresh, so the result is still
+            // bit-identical to an uninterrupted run.
+            if let Ok(bytes) = io.read(path) {
+                match sim.resume(&self.workload, obs_cfg, &bytes) {
+                    Ok(s) => {
+                        started = ResultSource::CheckpointResumed;
+                        resumed = Some(s);
+                    }
+                    Err(CdpError::Snapshot(_)) => started = ResultSource::CorruptFallback,
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        source.set(started);
+        if let Some(status) = ckpt.as_ref().and_then(|(s, ..)| s.status.as_ref()) {
+            status.source.set(started);
+        }
+        let mut session = resumed.unwrap_or_else(|| sim.session(&self.workload, obs_cfg));
+        let mut last_checkpoint = session.cycles();
         let mut hb = self.heartbeat();
-        while !session.step()? {
+        // One snapshot arena recycled across every checkpoint write.
+        let mut snap_buf = Vec::new();
+        loop {
+            let done = session.step()?;
+            if source.is_abandoned() {
+                return Ok(None);
+            }
+            if done {
+                break;
+            }
             hb.tick(session.retired());
+            let Some((spec, io, path)) = &ckpt else {
+                continue;
+            };
+            if spec.every > 0 && session.cycles().saturating_sub(last_checkpoint) >= spec.every {
+                last_checkpoint = session.cycles();
+                snap_buf = session.snapshot_into(snap_buf);
+                if let Err(e) = cdp_store::publish(io.as_ref(), path, &snap_buf) {
+                    // Best-effort, but never silent: the previous
+                    // checkpoint stays valid, the drop is counted, and
+                    // the operator hears about the failing disk.
+                    eprintln!(
+                        "warning: checkpoint write dropped for {}: {e}",
+                        path.display()
+                    );
+                    if let Some(status) = &spec.status {
+                        status.dropped_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        if let Some((_, io, path)) = &ckpt {
+            // The cell finished: its checkpoint has served its purpose. A
+            // later sweep resume re-runs the (deterministic) cell instead.
+            let _ = io.remove_file(path);
         }
         let (stats, observation) = session.finish();
-        match &self.obs {
-            None => {
-                if let Some((cache, key)) = &self.result_cache {
-                    cache.put(*key, stats, None);
+        self.publish(stats, self.obs.as_ref().map(|_| observation));
+        Ok(Some(stats))
+    }
+
+    /// Serves the job from its result cache, counting the hit or miss. A
+    /// cached result is usable when it satisfies the job's full contract:
+    /// plain jobs need only the stats; observed jobs also need a cached
+    /// observation to replay into their sink (without one the job
+    /// re-simulates, and its fresh entry upgrades the cache).
+    fn replay(&self, source: &SourceSlot) -> Option<RunStats> {
+        let (cache, key) = self.result_cache.as_ref()?;
+        if let Some(((stats, observation), tier)) = cache.get_with_source(*key) {
+            if self.obs.is_none() || observation.is_some() {
+                cache.hits.fetch_add(1, Ordering::Relaxed);
+                source.set(tier);
+                if let Some(observation) = observation {
+                    self.push_observation(observation);
                 }
-                Ok(stats)
+                return Some(stats);
             }
-            Some(o) => {
-                if let Some((cache, key)) = &self.result_cache {
-                    cache.put(*key, stats, Some(observation.clone()));
-                }
-                o.sink.push(ObsEntry {
-                    batch: o.batch,
-                    index: o.index,
-                    label: self.label.clone(),
-                    observation,
-                });
-                Ok(stats)
-            }
+        }
+        cache.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Publishes a finished run: into the result cache (when attached),
+    /// then its observation into the job's sink (when observed).
+    fn publish(&self, stats: RunStats, observation: Option<Observation>) {
+        if let Some((cache, key)) = &self.result_cache {
+            cache.put(*key, stats, observation.clone());
+        }
+        if let Some(observation) = observation {
+            self.push_observation(observation);
+        }
+    }
+
+    fn push_observation(&self, observation: Observation) {
+        if let Some(o) = &self.obs {
+            o.sink.push(ObsEntry {
+                batch: o.batch,
+                index: o.index,
+                label: self.label.clone(),
+                observation,
+            });
         }
     }
 
@@ -1085,97 +792,6 @@ impl SimJob {
     /// installed status sink).
     fn heartbeat(&self) -> CellHeartbeat {
         CellHeartbeat::new(&self.label, self.status_index, self.measurement_uops())
-    }
-
-    /// Drives the cell through a [`SimSession`](crate::system::SimSession)
-    /// with periodic checkpoint writes, resuming from an existing
-    /// checkpoint when asked. A checkpoint that fails to decode is never
-    /// resumed from: the cell restarts fresh (recording
-    /// [`CheckpointProvenance::CorruptFallback`]) so the result is still
-    /// bit-identical to an uninterrupted run. Checkpoint *writes* are
-    /// best-effort — a failed write leaves the previous checkpoint valid
-    /// and the simulation unaffected.
-    fn run_checkpointed(
-        &self,
-        spec: &CheckpointSpec,
-    ) -> Result<(RunStats, Option<Observation>, CheckpointProvenance), CdpError> {
-        let sim = self.simulator()?;
-        let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
-        let io = spec.io();
-        let path = spec.path();
-        let mut provenance = CheckpointProvenance::Fresh;
-        let mut session = None;
-        if spec.resume {
-            // An unreadable checkpoint file is treated as absent (fresh
-            // start); bytes that *read* but fail to decode are the
-            // corrupt-fallback case below.
-            if let Ok(bytes) = io.read(&path) {
-                match sim.resume(&self.workload, obs_cfg, &bytes) {
-                    Ok(s) => {
-                        provenance = CheckpointProvenance::Resumed;
-                        session = Some(s);
-                    }
-                    Err(CdpError::Snapshot(_)) => {
-                        provenance = CheckpointProvenance::CorruptFallback;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if let Some(status) = &spec.status {
-            status.set(provenance);
-        }
-        let mut session = session.unwrap_or_else(|| sim.session(&self.workload, obs_cfg));
-        let mut last_checkpoint = session.cycles();
-        let mut hb = self.heartbeat();
-        // One snapshot arena recycled across every checkpoint write.
-        let mut snap_buf = Vec::new();
-        loop {
-            if session.step()? {
-                break;
-            }
-            hb.tick(session.retired());
-            if spec.every > 0 && session.cycles().saturating_sub(last_checkpoint) >= spec.every {
-                last_checkpoint = session.cycles();
-                snap_buf = session.snapshot_into(snap_buf);
-                if let Err(e) = write_atomic(io.as_ref(), &path, &snap_buf) {
-                    // Best-effort, but never silent: the previous
-                    // checkpoint stays valid, the drop is counted, and
-                    // the operator hears about the failing disk.
-                    eprintln!(
-                        "warning: checkpoint write dropped for {}: {e}",
-                        path.display()
-                    );
-                    if let Some(status) = &spec.status {
-                        status.record_dropped_write();
-                    }
-                }
-            }
-        }
-        // The cell finished: its checkpoint has served its purpose. A
-        // later sweep resume re-runs the (deterministic) cell instead.
-        let _ = io.remove_file(&path);
-        let (stats, observation) = session.finish();
-        Ok((stats, self.obs.as_ref().map(|_| observation), provenance))
-    }
-}
-
-/// One finished [`SimJob`].
-#[derive(Clone, Debug)]
-pub struct SimResult {
-    /// The job's label, unchanged.
-    pub label: String,
-    /// The simulation statistics.
-    pub stats: RunStats,
-}
-
-impl SimJob {
-    fn execute_labelled(self) -> SimResult {
-        let stats = self.execute();
-        SimResult {
-            label: self.label,
-            stats,
-        }
     }
 }
 
@@ -1293,19 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_survives_a_panicking_job() {
-        let pool = Pool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("job 1 dies")),
-            Box::new(|| 3),
-            Box::new(|| 4),
-        ];
-        let got = pool.try_run(tasks);
-        assert_eq!(got, vec![Some(1), None, Some(3), Some(4)]);
-    }
-
-    #[test]
     #[should_panic(expected = "job 0 dies")]
     fn run_propagates_the_panic() {
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> =
@@ -1333,19 +936,16 @@ mod tests {
     }
 
     #[test]
-    fn run_with_status_mixed_outcomes_preserve_submission_order() {
+    fn mixed_outcomes_preserve_submission_order() {
         use std::sync::atomic::AtomicU32;
-        // Track that every started attempt also finishes (no leaked
-        // worker left running after the batch, modulo the one task we
+        // Track that every started task also finishes (no leaked worker
+        // left running after the batch, modulo the one task we
         // deliberately hang past its watchdog).
         let entered = Arc::new(AtomicU32::new(0));
         let exited = Arc::new(AtomicU32::new(0));
-        type Task = Box<dyn Fn() -> Result<u32, String> + Send + Sync>;
-        let track = |body: Box<dyn Fn() -> Result<u32, String> + Send + Sync>,
-                     entered: &Arc<AtomicU32>,
-                     exited: &Arc<AtomicU32>|
-         -> Task {
-            let (en, ex) = (Arc::clone(entered), Arc::clone(exited));
+        type Task = Box<dyn FnOnce() -> Result<u32, String> + Send>;
+        let track = |body: Task| -> Task {
+            let (en, ex) = (Arc::clone(&entered), Arc::clone(&exited));
             Box::new(move || {
                 en.fetch_add(1, Ordering::SeqCst);
                 let r = body();
@@ -1354,50 +954,34 @@ mod tests {
             })
         };
         let tasks: Vec<Task> = vec![
-            track(Box::new(|| Ok(10)), &entered, &exited),
-            track(Box::new(|| Err("typed failure".into())), &entered, &exited),
-            track(Box::new(|| panic!("panicking job")), &entered, &exited),
-            track(
-                Box::new(|| {
-                    std::thread::sleep(Duration::from_millis(400));
-                    Ok(99)
-                }),
-                &entered,
-                &exited,
-            ),
-            track(Box::new(|| Ok(50)), &entered, &exited),
+            track(Box::new(|| Ok(10))),
+            track(Box::new(|| Err("typed failure".into()))),
+            track(Box::new(|| panic!("panicking job"))),
+            track(Box::new(|| {
+                std::thread::sleep(Duration::from_millis(400));
+                Ok(99)
+            })),
+            track(Box::new(|| Ok(50))),
         ];
-        let policy = RunPolicy {
-            timeout: Some(Duration::from_millis(60)),
-            max_attempts: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..RunPolicy::default()
-        };
-        let got = Pool::new(3).run_with_status(tasks, policy);
+        let slots: Vec<SourceSlot> = (0..tasks.len()).map(|_| SourceSlot::default()).collect();
+        let timeout = Some(Duration::from_millis(60));
+        let got = Pool::new(3).drive(tasks, |i, task| watch(task, timeout, &slots[i]));
         assert_eq!(got.len(), 5, "one outcome per submitted job");
         assert_eq!(got[0], JobOutcome::Ok(10));
         match &got[1] {
-            JobOutcome::Failed { error, attempts } => {
-                assert!(error.contains("typed failure"), "{error}");
-                assert_eq!(*attempts, 2, "errors are retried up to the cap");
-            }
+            JobOutcome::Failed { error } => assert!(error.contains("typed failure"), "{error}"),
             other => panic!("index 1: {other:?}"),
         }
         match &got[2] {
-            JobOutcome::Failed { error, attempts } => {
-                assert!(error.contains("panicking job"), "{error}");
-                assert_eq!(*attempts, 2);
-            }
+            JobOutcome::Failed { error } => assert!(error.contains("panicking job"), "{error}"),
             other => panic!("index 2: {other:?}"),
         }
-        match &got[3] {
-            JobOutcome::TimedOut { attempts, timeout } => {
-                assert_eq!(*attempts, 1, "timeouts are not retried");
-                assert_eq!(*timeout, Duration::from_millis(60));
+        assert_eq!(
+            got[3],
+            JobOutcome::TimedOut {
+                timeout: Duration::from_millis(60)
             }
-            other => panic!("index 3: {other:?}"),
-        }
+        );
         assert_eq!(got[4], JobOutcome::Ok(50));
         // Failure indices are recoverable from the outcome vector alone.
         let failed: Vec<usize> = got
@@ -1407,107 +991,42 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(failed, vec![1, 2, 3]);
-        // No leaked workers: every attempt that started finishes once the
+        // Only the timed-out job is told to stop.
+        let abandoned: Vec<bool> = slots.iter().map(SourceSlot::is_abandoned).collect();
+        assert_eq!(abandoned, vec![false, false, false, true, false]);
+        // No leaked workers: every task that started finishes once the
         // deliberately hung task's sleep elapses. Expected exits: ok(1) +
-        // error-retries(2) + timed-out-but-completing(1) + ok(1) = 5; the
-        // two panicking attempts unwind before their exit marker.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while exited.load(Ordering::SeqCst) < 5 {
-            assert!(std::time::Instant::now() < deadline, "attempt leaked");
+        // error(1) + timed-out-but-completing(1) + ok(1) = 4; the
+        // panicking task unwinds before its exit marker.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while exited.load(Ordering::SeqCst) < 4 {
+            assert!(Instant::now() < deadline, "task leaked");
             std::thread::sleep(Duration::from_millis(10));
         }
-        // entered counts: ok(1) + failed(2) + panic(2) + timeout(1, not
-        // retried) + ok(1) = 7.
-        assert_eq!(entered.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn run_with_status_retry_succeeds_after_transient_failures() {
-        use std::sync::atomic::AtomicU32;
-        let calls = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&calls);
-        let task = move || {
-            if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err("transient".to_string())
-            } else {
-                Ok(7u32)
-            }
-        };
-        let policy = RunPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            ..RunPolicy::default()
-        };
-        let got = Pool::new(1).run_with_status(vec![task], policy);
-        assert_eq!(got, vec![JobOutcome::Ok(7)]);
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "two retries consumed");
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RunPolicy {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(35),
-            ..RunPolicy::default()
-        };
-        assert_eq!(p.backoff(1), Duration::from_millis(10));
-        assert_eq!(p.backoff(2), Duration::from_millis(20));
-        assert_eq!(p.backoff(3), Duration::from_millis(35), "capped");
-        assert_eq!(p.backoff(30), Duration::from_millis(35), "shift clamped");
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_bounded_and_desynchronized() {
-        let p = RunPolicy {
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
-            jitter_seed: 17,
-            ..RunPolicy::default()
-        };
-        for retry in 1..=5u32 {
-            for salt in 0..8u64 {
-                let j = p.backoff_jittered(retry, salt);
-                let full = p.backoff(retry);
-                assert!(j <= full, "jitter only subtracts");
-                assert!(
-                    j >= full.mul_f64(0.75),
-                    "shave bounded at 25%: {j:?} vs {full:?}"
-                );
-                assert_eq!(
-                    j,
-                    p.backoff_jittered(retry, salt),
-                    "same (seed, salt, retry) -> same wait"
-                );
-            }
-        }
-        // Colliding tasks (same retry, different salts) must not all
-        // re-land on the same instant.
-        let waits: std::collections::HashSet<Duration> =
-            (0..16u64).map(|salt| p.backoff_jittered(1, salt)).collect();
-        assert!(waits.len() > 8, "salts de-synchronize: {waits:?}");
+        // Every task ran exactly once: nothing is retried.
+        assert_eq!(entered.load(Ordering::SeqCst), 5);
     }
 
     #[test]
     fn job_outcome_accessors() {
         let ok: JobOutcome<u32> = JobOutcome::Ok(3);
-        assert!(ok.is_ok() && ok.failure().is_none() && ok.attempts() == 1);
+        assert!(ok.is_ok() && ok.failure().is_none() && ok.status() == "ok");
         assert_eq!(ok.ok(), Some(3));
         let failed: JobOutcome<u32> = JobOutcome::Failed {
             error: "boom".into(),
-            attempts: 2,
         };
-        assert_eq!(failed.attempts(), 2);
-        assert!(failed.failure().unwrap().contains("boom"));
+        assert_eq!(failed.failure().as_deref(), Some("failed: boom"));
+        assert_eq!(failed.status(), "failed");
         let timed: JobOutcome<u32> = JobOutcome::TimedOut {
-            attempts: 1,
             timeout: Duration::from_secs(1),
         };
-        assert!(timed.failure().unwrap().contains("timed out"));
+        assert_eq!(timed.failure().as_deref(), Some("timed out (1s watchdog)"));
+        assert_eq!(timed.status(), "timeout");
         assert_eq!(timed.ok(), None);
     }
 
     #[test]
-    fn sims_with_status_surface_bad_configs_without_aborting_the_batch() {
+    fn sims_surface_bad_configs_without_aborting_the_batch() {
         let cache = WorkloadCache::new();
         let w = cache.get(Benchmark::Slsb, Scale::smoke());
         let mut bad_cfg = SystemConfig::asplos2002();
@@ -1516,12 +1035,48 @@ mod tests {
             SimJob::new("good", SystemConfig::asplos2002(), Arc::clone(&w)),
             SimJob::new("bad", bad_cfg, Arc::clone(&w)),
         ];
-        let got = Pool::new(2).run_sims_with_status(jobs, RunPolicy::default());
+        let got = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "good");
-        assert!(got[0].1.is_ok());
-        assert_eq!(got[1].0, "bad");
-        assert!(got[1].1.failure().unwrap().contains("configuration"));
+        assert_eq!(got[0].label, "good");
+        assert!(got[0].outcome.is_ok());
+        assert_eq!(got[1].label, "bad");
+        assert!(got[1].outcome.failure().unwrap().contains("configuration"));
+    }
+
+    #[test]
+    fn abandoned_cell_publishes_nothing() {
+        use cdp_types::TraceConfig;
+        let w = WorkloadCache::new().get(Benchmark::Slsb, Scale::smoke());
+        let obs = |sink: &Arc<ObsSink>| JobObs {
+            cfg: ObsConfig {
+                trace: Some(TraceConfig::default()),
+                metrics_window: Some(16_384),
+                profile_hist: true,
+            },
+            sink: Arc::clone(sink),
+            batch: 0,
+            index: 0,
+        };
+        let job = |sink: &Arc<ObsSink>| {
+            SimJob::new("slsb", SystemConfig::with_content(), Arc::clone(&w)).with_obs(obs(sink))
+        };
+        let start = Instant::now();
+        job(&ObsSink::shared()).try_execute().expect("untimed cell");
+        let untimed = start.elapsed();
+
+        let sink = ObsSink::shared();
+        let cache = Arc::new(ResultCache::new());
+        let timed = job(&sink).with_result_cache(Arc::clone(&cache), 0x5eed);
+        let policy = RunPolicy {
+            timeout: Some(Duration::from_millis(1)),
+        };
+        let reports = Pool::new(1).run_sims_profiled(vec![timed], policy);
+        assert_eq!(reports[0].outcome.status(), "timeout");
+        // Give the abandoned attempt ample time to have finished the cell
+        // had it kept running.
+        std::thread::sleep(untimed * 3);
+        assert!(sink.is_empty(), "abandoned attempt pushed an observation");
+        assert!(cache.is_empty(), "abandoned attempt published its result");
     }
 
     #[test]
@@ -1569,7 +1124,7 @@ mod tests {
     #[test]
     fn pooled_sims_match_serial_sims() {
         let cache = WorkloadCache::new();
-        let jobs = |n: usize| -> Vec<SimJob> {
+        let jobs_for = |n: usize| -> Vec<SimJob> {
             [Benchmark::B2e, Benchmark::Slsb]
                 .iter()
                 .flat_map(|&b| {
@@ -1585,13 +1140,17 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = Pool::new(1).run_sims(jobs(2));
-        let parallel = Pool::new(4).run_sims(jobs(2));
+        let run = |jobs| Pool::new(jobs).run_sims_profiled(jobs_for(2), RunPolicy::default());
+        let (serial, parallel) = (run(1), run(4));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.label, p.label);
-            assert_eq!(s.stats.cycles, p.stats.cycles, "{}", s.label);
-            assert_eq!(s.stats.retired, p.stats.retired, "{}", s.label);
+            let (ss, ps) = (
+                s.outcome.clone().ok().unwrap(),
+                p.outcome.clone().ok().unwrap(),
+            );
+            assert_eq!(ss.cycles, ps.cycles, "{}", s.label);
+            assert_eq!(ss.retired, ps.retired, "{}", s.label);
         }
     }
 }

@@ -17,8 +17,9 @@
 //! * [`exec`] — the parallel experiment engine: a std-only scoped-thread
 //!   [`Pool`] running independent simulations across cores with
 //!   submission-order (deterministic) results, plus the shared
-//!   [`WorkloadCache`]. [`Pool::run_with_status`] adds watchdog
-//!   timeouts, bounded retry, and per-job [`JobOutcome`] reporting.
+//!   [`WorkloadCache`]. [`Pool::run_sims_profiled`] runs each
+//!   [`SimJob`] once under an optional watchdog and reports a per-job
+//!   [`JobOutcome`].
 //! * [`observe`] — windowed metrics time-series ([`MetricsWindow`]) and
 //!   the deterministic [`ObsSink`] that collects per-run
 //!   [`Observation`]s from parallel jobs for manifest emission.
@@ -54,8 +55,8 @@ pub mod status;
 pub mod system;
 
 pub use exec::{
-    default_jobs, CheckpointProvenance, CheckpointSpec, CheckpointStatus, JobObs, JobOutcome,
-    JobReport, Pool, ResultCache, RunPolicy, SimJob, SimResult, WorkloadCache, CACHE_STRIPES,
+    default_jobs, CheckpointSpec, CheckpointStatus, JobObs, JobOutcome, JobReport, Pool,
+    ResultCache, RunPolicy, SimJob, WorkloadCache, CACHE_STRIPES,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};

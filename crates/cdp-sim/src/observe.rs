@@ -248,8 +248,7 @@ pub struct ObsEntry {
 /// Worker threads push in completion order; [`ObsSink::drain_sorted`]
 /// re-establishes `(batch, index)` submission order so emitted artifacts
 /// are byte-identical at any `--jobs` count. Duplicate `(batch, index)`
-/// entries (an abandoned timed-out attempt finishing late) keep only the
-/// first pushed.
+/// entries keep only the first pushed.
 #[derive(Debug, Default)]
 pub struct ObsSink {
     entries: Mutex<Vec<ObsEntry>>,

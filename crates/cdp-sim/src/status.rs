@@ -3,21 +3,22 @@
 //! A [`StatusSink`] wraps any `Write` destination (a sidecar file, or
 //! stderr via `-`) and emits one JSON object per line as jobs move
 //! through the pool: `queued` at submission, `running` when a worker
-//! claims the job, `retrying` before each backed-off re-attempt, and
-//! `done` with the outcome, wall time, result provenance, batch
-//! progress, and a sweep ETA. Events never touch stdout — the sweep's
-//! rendered tables stay byte-identical with the stream on or off — and
-//! the sink is installed process-globally (like
-//! [`crate::system::set_fast_forward`]) so every experiment's pool
-//! picks it up without threading a handle through each call site.
+//! claims the job, throttled in-cell `heartbeat`s, and `done` with the
+//! outcome, wall time, result provenance, batch progress, and a sweep
+//! ETA. Events never touch stdout — the sweep's rendered tables stay
+//! byte-identical with the stream on or off — and the sink is installed
+//! process-globally (like [`crate::system::set_fast_forward`]) so every
+//! experiment's pool picks it up without threading a handle through
+//! each call site.
 //!
-//! Provenance travels through a per-job [`SourceSlot`]: the executing
-//! attempt may run on a detached watchdog thread (see
-//! `run_one_with_policy`), so the worker that emits `done` reads the
-//! slot's atomic rather than anything thread-local.
+//! Provenance travels through a per-job [`SourceSlot`]: under a watchdog
+//! the job runs on a detached thread, so the worker that emits `done`
+//! reads the slot's atomic rather than anything thread-local. The same
+//! slot carries the watchdog's abandon mark the other way, telling a
+//! timed-out job to stop without publishing.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -53,10 +54,15 @@ impl ResultSource {
     }
 }
 
-/// A thread-safe provenance slot one job's executing attempt writes and
-/// the pool worker reads when emitting the job's `done` event.
+/// A thread-safe provenance slot one job's run writes and the pool
+/// worker reads when emitting the job's `done` event. The worker also
+/// marks it abandoned when the job's watchdog fires; the job checks the
+/// mark after every window.
 #[derive(Debug, Default)]
-pub struct SourceSlot(AtomicU8);
+pub struct SourceSlot {
+    source: AtomicU8,
+    abandoned: AtomicBool,
+}
 
 impl SourceSlot {
     /// A fresh slot behind an [`Arc`], ready to capture into a task.
@@ -74,19 +80,30 @@ impl SourceSlot {
             ResultSource::CheckpointResumed => 3,
             ResultSource::CorruptFallback => 4,
         };
-        self.0.store(code, Ordering::Relaxed);
+        self.source.store(code, Ordering::Relaxed);
     }
 
     /// The provenance last recorded (defaults to [`ResultSource::Fresh`]).
     #[must_use]
     pub fn get(&self) -> ResultSource {
-        match self.0.load(Ordering::Relaxed) {
+        match self.source.load(Ordering::Relaxed) {
             1 => ResultSource::ResultCache,
             2 => ResultSource::ResultStore,
             3 => ResultSource::CheckpointResumed,
             4 => ResultSource::CorruptFallback,
             _ => ResultSource::Fresh,
         }
+    }
+
+    /// Tells the job to stop: its watchdog fired and nobody will read
+    /// its result.
+    pub(crate) fn abandon(&self) {
+        self.abandoned.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the watchdog gave up on the job.
+    pub(crate) fn is_abandoned(&self) -> bool {
+        self.abandoned.load(Ordering::Relaxed)
     }
 }
 
@@ -158,15 +175,6 @@ impl StatusSink {
     /// A worker claimed the job.
     pub fn running(&self, label: &str, index: usize) {
         self.emit(self.base("running", label, index));
-    }
-
-    /// The job is about to be re-attempted (attempt `attempt`, 1-based)
-    /// after `wall_ms` of cell wall time so far.
-    pub fn retrying(&self, label: &str, index: usize, attempt: u32, wall_ms: u64) {
-        let mut o = self.base("retrying", label, index);
-        o.set("attempt", Json::U64(u64::from(attempt)));
-        o.set("wall_ms", Json::U64(wall_ms));
-        self.emit(o);
     }
 
     /// Mid-cell progress: `uops_done` of `uops_total` measurement uops
@@ -309,6 +317,14 @@ mod tests {
             assert_eq!(slot.get(), s);
             assert!(!s.as_str().is_empty());
         }
+        assert!(!slot.is_abandoned());
+        slot.abandon();
+        assert!(slot.is_abandoned());
+        assert_eq!(
+            slot.get(),
+            ResultSource::CorruptFallback,
+            "the mark leaves provenance alone"
+        );
     }
 
     #[test]
@@ -344,23 +360,22 @@ mod tests {
         sink.batch(2);
         sink.queued("cell/a", 0);
         sink.running("cell/a", 0);
-        sink.retrying("cell/a", 0, 2, 17);
         sink.done("cell/a", 0, "ok", 42, ResultSource::ResultCache);
         sink.done("cell/b", 1, "timeout", 9000, ResultSource::Fresh);
         let bytes = cap.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 5);
         for line in &lines {
             let j = Json::parse(line).expect("every event line parses");
             assert!(j.get("event").is_some());
         }
-        let done = Json::parse(lines[4]).unwrap();
+        let done = Json::parse(lines[3]).unwrap();
         assert_eq!(done.get("source").unwrap().to_string(), "\"result-cache\"");
         assert_eq!(done.get("done").unwrap().to_string(), "1");
         assert_eq!(done.get("total").unwrap().to_string(), "2");
         assert!(done.get("eta_ms").is_some());
-        let last = Json::parse(lines[5]).unwrap();
+        let last = Json::parse(lines[4]).unwrap();
         assert_eq!(last.get("status").unwrap().to_string(), "\"timeout\"");
         assert_eq!(last.get("done").unwrap().to_string(), "2");
     }

@@ -20,9 +20,10 @@
 //! * [`io`] — the [`StoreIo`] filesystem trait, its real implementation,
 //!   and a seeded deterministic fault injector ([`FaultyIo`]) used by the
 //!   chaos tests to prove the crash-safety story instead of asserting it.
-//! * [`store`] — the [`ResultStore`] itself: atomic publication,
-//!   corruption quarantine, generation-based GC, a maintenance lock, and
-//!   an `fsck` pass exposed through the `store-fsck` binary.
+//! * [`store`] — the [`ResultStore`] itself: atomic publication (the
+//!   [`publish`] step checkpoints share), corruption quarantine,
+//!   generation-based GC, a maintenance lock, and an `fsck` pass exposed
+//!   through the `store-fsck` binary.
 //!
 //! # Examples
 //!
@@ -44,5 +45,6 @@ pub mod store;
 
 pub use io::{FaultConfig, FaultCounts, FaultyIo, RealIo, StoreIo};
 pub use store::{
-    clean_stale_parts, FsckReport, ResultStore, StoreStats, ENTRY_VERSION, TAG_META, TAG_PAYLOAD,
+    clean_stale_parts, publish, FsckReport, ResultStore, StoreStats, ENTRY_VERSION, TAG_META,
+    TAG_PAYLOAD,
 };

@@ -23,12 +23,13 @@
 //!
 //! # Crash safety
 //!
-//! Publication is write-to-unique-temp + fsync + rename. A kill at any
-//! point leaves either the old entry, the new entry, or a stale `.part`
-//! that [`ResultStore::open`] sweeps. Concurrent writers of the same
-//! cell carry identical bytes (the key is a content fingerprint), so
-//! last-rename-wins is safe without locking. The `store.lock` file
-//! guards only maintenance (generation bump, GC, fsck repair).
+//! Publication is [`publish`]: write-to-unique-temp + fsync + rename. A
+//! kill at any point leaves either the old entry, the new entry, or a
+//! stale `.part` that [`ResultStore::open`] sweeps. Concurrent writers of
+//! the same cell carry identical bytes (the key is a content
+//! fingerprint), so last-rename-wins is safe without locking. The
+//! `store.lock` file guards only maintenance (generation bump, GC, fsck
+//! repair).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +46,8 @@ pub const TAG_META: u32 = 1;
 pub const TAG_PAYLOAD: u32 = 2;
 
 /// Version of the *entry envelope* (meta section layout). The payload
-/// carries its own version inside, owned by the payload codec.
+/// carries its own version inside, owned by the payload codec. Entries
+/// are read at exactly this version; any other is refused.
 pub const ENTRY_VERSION: u32 = 1;
 
 /// Extension of published entries.
@@ -122,8 +124,6 @@ pub struct ResultStore {
     io: Arc<dyn StoreIo>,
     /// Generation stamped into entries written through this handle.
     generation: u64,
-    /// Monotonic suffix making concurrent temp names unique per handle.
-    temp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     quarantined: AtomicU64,
@@ -184,7 +184,6 @@ impl ResultStore {
             root,
             io,
             generation,
-            temp_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -222,10 +221,10 @@ impl ResultStore {
     ///
     /// Returns the payload bytes on a clean hit and `None` on a miss. A
     /// damaged entry (bad magic, flipped bit, truncation, wrong
-    /// fingerprint, future version) is *quarantined*: moved into
-    /// `quarantine/`, counted, and reported as a miss so the caller
-    /// recomputes. This method never returns corrupt data and never
-    /// panics on any file contents.
+    /// fingerprint, any entry version but [`ENTRY_VERSION`]) is
+    /// *quarantined*: moved into `quarantine/`, counted, and reported as
+    /// a miss so the caller recomputes. This method never returns
+    /// corrupt data and never panics on any file contents.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let path = self.entry_path(key);
         let bytes = match self.io.read(&path) {
@@ -264,21 +263,8 @@ impl ResultStore {
             e.u64(generation);
         });
         w.section(TAG_PAYLOAD, |e| e.bytes(payload));
-        let bytes = w.finish();
-
-        let seq = self.temp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.root.join(format!(
-            "cell-{key:016x}.{pid}-{seq}.{PART_EXT}",
-            pid = std::process::id()
-        ));
-        if self.io.write(&tmp, &bytes).is_err() {
+        if publish(self.io.as_ref(), &self.entry_path(key), &w.finish()).is_err() {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
-            let _ = self.io.remove_file(&tmp);
-            return;
-        }
-        if self.io.rename(&tmp, &self.entry_path(key)).is_err() {
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
-            let _ = self.io.remove_file(&tmp);
         }
     }
 
@@ -303,11 +289,10 @@ impl ResultStore {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "entry".to_string());
-        let seq = self.temp_seq.fetch_add(1, Ordering::Relaxed);
-        let dest = self.root.join(QUARANTINE_DIR).join(format!(
-            "{name}.{pid}-{seq}.bad",
-            pid = std::process::id()
-        ));
+        let dest = self
+            .root
+            .join(QUARANTINE_DIR)
+            .join(format!("{name}.{}.bad", unique_tag()));
         eprintln!(
             "warning: result store quarantined {}: {err}",
             path.display()
@@ -418,7 +403,7 @@ fn decode_entry(bytes: &[u8], expected_key: u64) -> Result<Vec<u8>, SnapshotErro
     let reader = SnapReader::parse(bytes, Some(expected_key))?;
     let mut meta = reader.section(TAG_META)?;
     let entry_version = meta.u32("store entry version")?;
-    if entry_version > ENTRY_VERSION {
+    if entry_version != ENTRY_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: entry_version,
             supported: ENTRY_VERSION,
@@ -448,10 +433,42 @@ fn key_from_path(path: &Path) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
+/// Publishes `bytes` under `path` atomically: writes them to a temp
+/// file `<stem>.<pid>-<seq>.part` beside `path`, renames that over
+/// `path`, and removes the temp if either step fails. A kill at any
+/// instant leaves the previous file or the new one under `path`, never a
+/// torn file, plus at most a `.part` that [`clean_stale_parts`] sweeps.
+/// Temp names are unique per process and call, so concurrent publishers
+/// of one path never share a temp file; the last rename wins.
+///
+/// Store entries and `cdp-sim` checkpoints both publish through here.
+///
+/// # Errors
+///
+/// The failing write or rename; `path` is then untouched.
+pub fn publish(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{PART_EXT}", unique_tag()));
+    let tmp = path.with_file_name(name);
+    let published = io.write(&tmp, bytes).and_then(|()| io.rename(&tmp, path));
+    if published.is_err() {
+        let _ = io.remove_file(&tmp);
+    }
+    published
+}
+
+/// `<pid>-<seq>`: a suffix no other temp or quarantine name of this
+/// process carries.
+fn unique_tag() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    format!("{}-{seq}", std::process::id())
+}
+
 /// Removes `.part` litter (files whose final extension is `part`) left
 /// in `dir` by writers killed between write and rename. Returns how
 /// many were removed. Shared by the store and the checkpoint dirs in
-/// `cdp-sim` (satellite 2); never touches published files.
+/// `cdp-sim`; never touches published files.
 pub fn clean_stale_parts(io: &dyn StoreIo, dir: &Path) -> u64 {
     let mut removed = 0;
     let Ok(listing) = io.read_dir(dir) else {
@@ -649,6 +666,32 @@ mod tests {
         }
         drop(guard);
         assert!(store.gc(0).is_ok(), "lock released on drop");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_replaces_atomically_and_cleans_its_temp_on_failure() {
+        let dir = scratch("publish");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cell-00000000000000aa.snap");
+        publish(&RealIo, &path, b"first").unwrap();
+        publish(&RealIo, &path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let failing = crate::io::FaultyIo::new(
+            RealIo,
+            crate::io::FaultConfig {
+                rename_error_period: 1,
+                ..crate::io::FaultConfig::none(1)
+            },
+        );
+        assert!(publish(&failing, &path, b"lost").is_err());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"second",
+            "a failed publish leaves the old file"
+        );
+        let names: Vec<_> = RealIo.read_dir(&dir).unwrap();
+        assert_eq!(names, vec![path], "no temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -162,10 +162,16 @@ for jobs in 1 4; do
         exit 1
     }
 done
-# Completed cells delete their checkpoints: the dir must be empty.
+# Completed cells delete their checkpoints and publish leaves no temp
+# files: the dir must be empty.
 leftover=$(find /tmp/cdp-ckpt-ci -name '*.snap' | wc -l)
 if [ "$leftover" -ne 0 ]; then
     echo "checkpoint smoke: $leftover checkpoint(s) left after completion" >&2
+    exit 1
+fi
+litter=$(find /tmp/cdp-ckpt-ci -name '*.part' | wc -l)
+if [ "$litter" -ne 0 ]; then
+    echo "checkpoint smoke: $litter temp file(s) left after completion" >&2
     exit 1
 fi
 
@@ -208,6 +214,11 @@ grep -Eq '"label":"markov_[^"]*","status":"ok",[^}]*"checkpoint":"resumed"' \
 leftover=$(find /tmp/cdp-ckpt-stab -name '*.snap' | wc -l)
 if [ "$leftover" -ne 0 ]; then
     echo "STAB checkpoint smoke: $leftover checkpoint(s) left after completion" >&2
+    exit 1
+fi
+litter=$(find /tmp/cdp-ckpt-stab -name '*.part' | wc -l)
+if [ "$litter" -ne 0 ]; then
+    echo "STAB checkpoint smoke: $litter temp file(s) left after completion" >&2
     exit 1
 fi
 
@@ -274,6 +285,11 @@ grep -q '"result_store_misses":0' /tmp/cdp-store-ci-manifest/manifest.json || {
     echo "store smoke: store dirty after warm replay" >&2
     exit 1
 }
+litter=$(find /tmp/cdp-store-ci -name '*.part' | wc -l)
+if [ "$litter" -ne 0 ]; then
+    echo "store smoke: $litter temp file(s) left after warm replay" >&2
+    exit 1
+fi
 
 echo "== tournament smoke (equal-silicon zoo, gating win, budget refusal) =="
 # The prefetcher tournament must run every engine plus both perceptron

@@ -171,7 +171,6 @@ fn manifest_from_real_runs_validates_and_round_trips() {
                 experiment: "obs-it".into(),
                 label: r.label.clone(),
                 status: if r.outcome.is_ok() { "ok" } else { "failed" },
-                attempts: r.outcome.attempts(),
                 wall_ms: r.wall.as_millis() as u64,
                 config_fingerprint: cdp::obs::fingerprint_hex(r.label.as_bytes()),
                 checkpoint: "off",

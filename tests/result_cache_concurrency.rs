@@ -9,10 +9,20 @@
 
 use std::sync::Arc;
 
-use cdp::sim::{JobObs, ObsSink, Pool, ResultCache, SimJob, WorkloadCache, CACHE_STRIPES};
+use cdp::sim::{
+    JobObs, ObsSink, Pool, ResultCache, RunPolicy, RunStats, SimJob, WorkloadCache, CACHE_STRIPES,
+};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
 use cdp_testutil::{default_workload, tiny_workload};
+
+/// Runs `jobs` on `pool`, returning each job's stats in submission order.
+fn run_all(pool: &Pool, jobs: Vec<SimJob>) -> Vec<RunStats> {
+    pool.run_sims_profiled(jobs, RunPolicy::default())
+        .into_iter()
+        .map(|r| r.outcome.ok().expect("job succeeds"))
+        .collect()
+}
 
 /// Eight threads hammer raw get/put with keys deliberately congruent
 /// modulo the stripe count (maximal lock collisions) plus spread keys.
@@ -76,7 +86,7 @@ fn racing_jobs_on_one_key_count_exactly_and_replay_identically() {
             .collect()
     };
     let pool = Pool::new(8);
-    let first = pool.run_sims(build_jobs());
+    let first = run_all(&pool, build_jobs());
     assert_eq!(
         cache.hits() + cache.misses(),
         8,
@@ -85,14 +95,14 @@ fn racing_jobs_on_one_key_count_exactly_and_replay_identically() {
     assert!(cache.misses() >= 1, "someone simulated");
     assert_eq!(cache.len(), 1, "one distinct cell");
     for r in &first {
-        assert_eq!(r.stats.cycles, first[0].stats.cycles, "replayed stats identical");
-        assert_eq!(r.stats.retired, first[0].stats.retired);
+        assert_eq!(r.cycles, first[0].cycles, "replayed stats identical");
+        assert_eq!(r.retired, first[0].retired);
     }
     let (h0, m0) = (cache.hits(), cache.misses());
-    let second = pool.run_sims(build_jobs());
+    let second = run_all(&pool, build_jobs());
     assert_eq!(cache.hits(), h0 + 8, "second wave is all hits");
     assert_eq!(cache.misses(), m0, "second wave simulated nothing");
-    assert_eq!(second[0].stats.cycles, first[0].stats.cycles);
+    assert_eq!(second[0].cycles, first[0].cycles);
 }
 
 /// Observed jobs racing on one key: whoever misses records the
@@ -120,7 +130,7 @@ fn observed_hits_replay_identical_observations() {
                 })
         })
         .collect();
-    Pool::new(8).run_sims(jobs);
+    run_all(&Pool::new(8), jobs);
     let entries = sink.drain_sorted();
     assert_eq!(entries.len(), 8, "every observed job delivered");
     let reference = &entries[0].observation;

@@ -140,25 +140,33 @@ fn wrong_fingerprint_is_typed_and_quarantined() {
 fn future_entry_version_is_typed_and_quarantined() {
     let dir = scratch("version-skew");
     let store = ResultStore::open(&dir).expect("open store");
-    let key = 0x3333_3333_3333_3333;
-    // Hand-craft an entry from one format version ahead: valid envelope,
-    // valid checksums, unreadable meaning.
-    let mut w = SnapWriter::new(key);
-    w.section(TAG_META, |e| {
-        e.u32(ENTRY_VERSION + 1);
-        e.u64(1);
-    });
-    w.section(TAG_PAYLOAD, |e| e.bytes(b"from the future"));
-    std::fs::write(entry_path(&dir, key), w.finish()).unwrap();
-    match store.check(key) {
-        Err(StoreError::Entry(SnapshotError::UnsupportedVersion { found, supported })) => {
-            assert_eq!(found, ENTRY_VERSION + 1);
-            assert_eq!(supported, ENTRY_VERSION);
+    // Hand-craft entries from one format version ahead, and from version
+    // 0, which no build ever wrote: valid envelope, valid checksums,
+    // unreadable meaning.
+    for (n, (key, version)) in [
+        (0x3333_3333_3333_3333, ENTRY_VERSION + 1),
+        (0x4444_4444_4444_4444, 0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut w = SnapWriter::new(key);
+        w.section(TAG_META, |e| {
+            e.u32(version);
+            e.u64(1);
+        });
+        w.section(TAG_PAYLOAD, |e| e.bytes(b"from another format"));
+        std::fs::write(entry_path(&dir, key), w.finish()).unwrap();
+        match store.check(key) {
+            Err(StoreError::Entry(SnapshotError::UnsupportedVersion { found, supported })) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, ENTRY_VERSION);
+            }
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+        assert_eq!(store.get(key), None, "version {version} must not replay");
+        assert_eq!(quarantine_count(&dir), n + 1);
     }
-    assert_eq!(store.get(key), None);
-    assert_eq!(quarantine_count(&dir), 1);
 }
 
 #[test]

@@ -15,8 +15,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cdp::sim::{
-    CheckpointProvenance, CheckpointSpec, CheckpointStatus, SimJob, SimSession, Simulator,
-    WalkFault,
+    CheckpointSpec, CheckpointStatus, ResultSource, SimJob, SimSession, Simulator, WalkFault,
 };
 use cdp::types::{
     CdpError, DeltaConfig, JumpConfig, ObsConfig, PerceptronConfig, SnapshotError, SystemConfig,
@@ -321,7 +320,7 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .with_checkpoint(spec(true, &status))
         .try_execute()
         .expect("fresh cell");
-    assert_eq!(status.get(), CheckpointProvenance::Fresh);
+    assert_eq!(status.get(), ResultSource::Fresh);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
 
     let path = dir.join(format!("cell-{:016x}.snap", 0xc0ffeeu64));
@@ -340,7 +339,7 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .with_checkpoint(spec(true, &status))
         .try_execute()
         .expect("resumed cell");
-    assert_eq!(status.get(), CheckpointProvenance::Resumed);
+    assert_eq!(status.get(), ResultSource::CheckpointResumed);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
     assert!(!path.exists());
 
@@ -351,7 +350,7 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .with_checkpoint(spec(true, &status))
         .try_execute()
         .expect("corrupt-fallback cell");
-    assert_eq!(status.get(), CheckpointProvenance::CorruptFallback);
+    assert_eq!(status.get(), ResultSource::CorruptFallback);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
 
     // resume=false ignores a present checkpoint entirely.
@@ -363,7 +362,7 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .with_checkpoint(spec(false, &status))
         .try_execute()
         .expect("no-resume cell");
-    assert_eq!(status.get(), CheckpointProvenance::Fresh);
+    assert_eq!(status.get(), ResultSource::Fresh);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cdp::sim::{CheckpointSpec, CheckpointStatus, JobObs, ObsSink, Pool, ResultCache, SimJob};
+use cdp::sim::{
+    CheckpointSpec, CheckpointStatus, JobObs, ObsSink, Pool, ResultCache, RunPolicy, SimJob,
+};
 use cdp::store::{FaultConfig, FaultyIo, RealIo, ResultStore, StoreIo};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
@@ -58,9 +60,9 @@ fn jobs_for(cfg: &SystemConfig, cache: Option<&Arc<ResultCache>>) -> Vec<SimJob>
 }
 
 fn run_grid(pool: &Pool, cfg: &SystemConfig, cache: Option<&Arc<ResultCache>>) -> Vec<String> {
-    pool.run_sims(jobs_for(cfg, cache))
+    pool.run_sims_profiled(jobs_for(cfg, cache), RunPolicy::default())
         .into_iter()
-        .map(|r| format!("{}: {:?}", r.label, r.stats))
+        .map(|r| format!("{}: {:?}", r.label, r.outcome.ok().expect("cell succeeds")))
         .collect()
 }
 
