@@ -21,6 +21,14 @@
 //! The model skips idle cycles (jumping to the next completion event), so
 //! long memory stalls cost simulation time proportional to work, not to
 //! stalled cycles.
+//!
+//! The issue stage has two selectors that pick the same uops in the same
+//! order. The default one wakes entries up on bitmasks: per register, the
+//! set of unissued ROB entries that read it, so a cycle's ready set is
+//! one mask expression and only ready entries are visited. The reference
+//! one scans the whole ROB every cycle. It runs when fast-forward is off
+//! (the cycle-by-cycle reference schedule that judges the fast path) and
+//! for ROBs deeper than the 128-bit masks (DESIGN.md §13.1).
 
 use cdp_types::{AccessKind, CoreConfig};
 
@@ -90,13 +98,19 @@ const CLASS_LOAD: u8 = 2;
 const CLASS_STORE: u8 = 3;
 const CLASS_BRANCH: u8 = 4;
 
+/// Width of the issue stage's bitmasks. A uop's mask bit ("slot") is its
+/// program index mod `SLOTS`; ROB entries hold consecutive indices, so
+/// while `rob_size <= SLOTS` no two in-flight uops share a slot.
+const SLOTS: usize = 128;
+const _: () = assert!(NUM_REGS <= 64, "`Core::has_cons` is a u64");
+
 #[derive(Clone, Copy, Debug)]
 struct RobEntry {
     /// Index into the program.
     idx: u32,
     /// Source registers, copied from the uop at dispatch ([`NO_REG`] =
-    /// slot unused). The issue stage scans the ROB every cycle; keeping
-    /// the readiness inputs inline makes that scan touch one flat array.
+    /// slot unused). The reference scan reads them for every entry every
+    /// cycle; keeping them inline makes it touch one flat array.
     srcs: [u8; 2],
     /// [`CLASS_ALU`] .. [`CLASS_BRANCH`].
     class: u8,
@@ -104,6 +118,46 @@ struct RobEntry {
     complete_at: u64,
     /// For stores: cycle the store-queue entry frees (memory completion).
     sq_free_at: u64,
+}
+
+/// One cycle's issue budget: the issue width and the three unit pools.
+struct IssueBudget {
+    width: usize,
+    int: usize,
+    fp: usize,
+    mem: usize,
+}
+
+impl IssueBudget {
+    fn new(cfg: &CoreConfig) -> Self {
+        IssueBudget {
+            width: cfg.issue_width,
+            int: cfg.int_units,
+            fp: cfg.fp_units,
+            mem: cfg.mem_units,
+        }
+    }
+
+    /// Whether no further uop can issue this cycle.
+    fn exhausted(&self) -> bool {
+        self.width == 0 || (self.int == 0 && self.fp == 0 && self.mem == 0)
+    }
+
+    /// Spends one issue of the width and a functional unit on a uop of
+    /// `class`; false (and nothing spent) when that unit pool is used up.
+    fn take(&mut self, class: u8) -> bool {
+        let pool = match class {
+            CLASS_ALU | CLASS_BRANCH => &mut self.int,
+            CLASS_FP => &mut self.fp,
+            _ => &mut self.mem,
+        };
+        if *pool == 0 {
+            return false;
+        }
+        *pool -= 1;
+        self.width -= 1;
+        true
+    }
 }
 
 /// A resumable instance of the out-of-order core executing one program.
@@ -150,38 +204,49 @@ pub struct Core<'p> {
     /// Recent store addresses eligible for store-to-load forwarding:
     /// (word address, cycle the data is forwardable).
     forward_window: std::collections::VecDeque<(u32, u64)>,
+    // Issue-stage bookkeeping below is derived from the ROB: it is not
+    // serialized, and `restore_state` rebuilds it (`rebuild_issue_state`).
     /// Loads in the ROB that have not issued (incremental mirror of a
     /// full ROB scan — LQ admission check runs per fetched uop).
     rob_loads_unissued: usize,
     /// Stores resident in the ROB (incremental, same reason).
     rob_stores: usize,
-    /// ROB entries that have not issued yet (bounds the issue scan).
+    /// ROB entries that have not issued yet (bounds the reference scan).
     rob_unissued: usize,
-    /// Bit `p` set ⇔ the ROB entry at position `p` (0 = head) has not
-    /// issued. Issued entries are invisible to the issue scan (skipping
-    /// them has no side effects), so the scan walks set bits only —
-    /// ascending bit order is exactly oldest-first program order.
-    /// Maintained only while `rob_size` fits the mask width (128);
-    /// larger ROBs take the plain linear scan.
-    unissued_mask: u128,
-    /// Cycle before which the issue scan is provably barren: the last
-    /// full scan issued nothing, so every unissued entry's sources become
-    /// ready no earlier than this. Issue scans while `now` is below it
-    /// are skipped outright. `reg_ready` only changes when something
-    /// issues (which resets this to 0), and newly fetched entries merge
-    /// their ready cycle in, so the bound stays exact. 0 = no bound.
+    /// Bit `idx % SLOTS` set ⇔ the ROB entry for uop `idx` has not
+    /// issued. Keyed by absolute slot so retirement never shifts a mask;
+    /// rotating right by the head's slot gives age order (bit 0 = head).
+    /// This and the two fields below are maintained only while `rob_size`
+    /// fits the mask width ([`SLOTS`]).
+    unissued: u128,
+    /// Consumer masks: bit `idx % SLOTS` of `cons[r]` set ⇔ the unissued
+    /// ROB entry for uop `idx` reads register `r`.
+    cons: [u128; NUM_REGS],
+    /// Bit `r` set ⇔ `cons[r]` is non-zero.
+    has_cons: u64,
+    /// Cycle before which the issue stage is provably barren: every
+    /// unissued entry's sources become ready no earlier than this. Issue
+    /// is skipped outright while `now` is below it. Each selector
+    /// recomputes it after a scan (0 = no bound), and newly fetched
+    /// entries merge their ready cycle in. The two selectors may compute
+    /// different bounds; both are lower bounds, so neither changes what
+    /// issues when.
     issue_idle_until: u64,
     /// Uops retired since construction (never reset).
     total_retired: u64,
     /// Cycle at which statistics were last reset (warm-up boundary).
     stats_base_cycle: u64,
     /// When false, barren steps advance one cycle at a time instead of
-    /// jumping to [`Self::next_event_cycle`]. The observable trajectory
-    /// (stats, memory traffic, retirement order) is identical either way
-    /// — the skipped cycles are provably barren — so this is a validation
-    /// switch, not a semantic one. Deliberately excluded from
-    /// [`Self::save_state`]: snapshots taken at the same retirement
-    /// boundaries are byte-identical regardless of the setting.
+    /// jumping to [`Self::next_event_cycle`], and issue takes the
+    /// reference scan instead of the wake-up selector. The observable
+    /// trajectory (stats, memory traffic, retirement order) is identical
+    /// either way — the skipped cycles are provably barren and both
+    /// selectors issue the same uops — so this is a validation switch,
+    /// not a semantic one. Deliberately excluded from
+    /// [`Self::save_state`] (as is the idle bound, the one piece of state
+    /// the two schedules compute differently): snapshots taken at the
+    /// same retirement boundaries are byte-identical regardless of the
+    /// setting.
     fast_forward: bool,
     /// ROB stall run-length histogram (`--profile-hist`); `None` keeps
     /// the step loop on its unobserved path (one branch, no work).
@@ -227,7 +292,9 @@ impl<'p> Core<'p> {
             rob_loads_unissued: 0,
             rob_stores: 0,
             rob_unissued: 0,
-            unissued_mask: 0,
+            unissued: 0,
+            cons: [0; NUM_REGS],
+            has_cons: 0,
             issue_idle_until: 0,
             total_retired: 0,
             stats_base_cycle: 0,
@@ -238,8 +305,10 @@ impl<'p> Core<'p> {
     }
 
     /// Enables or disables idle-cycle fast-forwarding (on by default).
-    /// Disabling it forces the cycle-by-cycle reference schedule; the run
-    /// produces bit-identical statistics either way, only slower.
+    /// Disabling it forces the reference schedule: step every cycle and
+    /// select issue candidates by scanning the whole ROB instead of by
+    /// the wake-up masks. The run produces bit-identical statistics,
+    /// memory traffic and snapshots either way, only slower.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
     }
@@ -438,11 +507,6 @@ impl<'p> Core<'p> {
             match self.rob.front() {
                 Some(e) if e.complete_at != NOT_ISSUED && e.complete_at <= self.now => {
                     let e = self.rob.pop_front().expect("front exists");
-                    if self.cfg.rob_size <= 128 {
-                        // The popped head had issued, so bit 0 is clear.
-                        debug_assert_eq!(self.unissued_mask & 1, 0);
-                        self.unissued_mask >>= 1;
-                    }
                     if e.class == CLASS_STORE {
                         self.rob_stores -= 1;
                     }
@@ -471,17 +535,107 @@ impl<'p> Core<'p> {
             self.lq_busy.pop();
         }
 
-        // A prior barren scan proved no source becomes ready before
-        // `issue_idle_until`; until then the scan below would examine
-        // every unissued entry and issue nothing.
+        // A prior scan proved no source becomes ready before
+        // `issue_idle_until`; until then a scan would issue nothing.
         if now < self.issue_idle_until {
             return false;
         }
+        if self.fast_forward && self.cfg.rob_size <= SLOTS {
+            self.issue_wakeup(mem)
+        } else {
+            self.issue_scan(mem)
+        }
+    }
 
-        let mut issued = 0;
-        let mut int_used = 0;
-        let mut mem_used = 0;
-        let mut fp_used = 0;
+    /// Wake-up selector. The candidates are the unissued entries that no
+    /// pending register blocks, read off the consumer masks in one pass
+    /// over the registers that have consumers; only candidates are
+    /// visited, oldest first, under the reference's width and unit rules.
+    /// Issues exactly what [`Self::issue_scan`] would, in the same order.
+    fn issue_wakeup<M: MemoryModel>(&mut self, mem: &mut M) -> bool {
+        let now = self.now;
+        let head = self.rob.front().map_or(0, |e| e.idx as usize % SLOTS) as u32;
+        let mut blocked = 0u128;
+        // Earliest ready cycle of a pending register with consumers.
+        let mut min_pending = u64::MAX;
+        let mut regs = self.has_cons;
+        while regs != 0 {
+            let r = regs.trailing_zeros() as usize;
+            regs &= regs - 1;
+            let ready = self.reg_ready[r];
+            if ready > now {
+                blocked |= self.cons[r];
+                min_pending = min_pending.min(ready);
+            }
+        }
+        // Bit `p` = ROB position `p`; ascending order is oldest first.
+        let mut cand = (self.unissued & !blocked).rotate_right(head);
+        let mut budget = IssueBudget::new(&self.cfg);
+        let mut any = false;
+        // Completion of every register write made in this scan.
+        let mut min_complete = u64::MAX;
+        let mut bound_valid = true;
+        while cand != 0 {
+            if budget.exhausted() {
+                // A candidate is left unvisited: it may be ready now.
+                bound_valid = false;
+                break;
+            }
+            let p = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            if !budget.take(self.rob[p].class) {
+                // Ready but unit-blocked: ready again next cycle.
+                bound_valid = false;
+                continue;
+            }
+            any = true;
+            let (dst, complete_at) = self.issue_one(mem, p);
+            let Some(dst) = dst else { continue };
+            min_complete = min_complete.min(complete_at);
+            // Only candidates younger than `p` remain in `cand`.
+            let consumers = self.cons[dst as usize].rotate_right(head);
+            if complete_at > now {
+                // `dst` is pending now: its consumers wait.
+                cand &= !consumers;
+            } else {
+                // A completion at or before `now` (zero latency) can make
+                // a younger consumer ready in this very cycle.
+                let mut younger = consumers & (u128::MAX << p << 1);
+                while younger != 0 {
+                    let q = younger.trailing_zeros() as usize;
+                    younger &= younger - 1;
+                    let srcs = self.rob[q].srcs;
+                    let ready_at =
+                        self.reg_ready[srcs[0] as usize].max(self.reg_ready[srcs[1] as usize]);
+                    if ready_at <= now {
+                        cand |= 1 << q;
+                    } else {
+                        cand &= !(1 << q);
+                    }
+                }
+            }
+        }
+        // With every candidate visited and none unit-blocked, each
+        // unissued entry waits on a pending register: one pending when the
+        // scan began (`min_pending`), or one written in this scan. A write
+        // can also lower a register's ready time (zero latency, or a
+        // younger writer finishing before an older one) and so wake an
+        // older entry already visited; `min_complete` covers both.
+        self.issue_idle_until = if bound_valid {
+            min_pending.min(min_complete)
+        } else {
+            0
+        };
+        any
+    }
+
+    /// Reference selector: visits every unissued ROB entry oldest first,
+    /// checks its sources, and issues the ready ones under the width and
+    /// unit rules. Runs when fast-forward is off and for ROBs too deep
+    /// for the wake-up masks.
+    fn issue_scan<M: MemoryModel>(&mut self, mem: &mut M) -> bool {
+        let now = self.now;
+        let mut budget = IssueBudget::new(&self.cfg);
         let mut any = false;
         let mut unissued_left = self.rob_unissued;
         // Idle bound computed over this pass: the earliest cycle any
@@ -495,185 +649,37 @@ impl<'p> Core<'p> {
         let mut min_complete = u64::MAX;
         let mut scanned_all = true;
         let mut blocked_ready = false;
-        let use_mask = self.cfg.rob_size <= 128;
-
-        // Split borrows so the scan can index the deque's contiguous
-        // slices directly (per-slot `VecDeque` indexing re-pays the wrap
-        // and bounds checks on every entry).
-        let Core {
-            cfg,
-            feed,
-            rob,
-            reg_ready,
-            sq_busy: _,
-            lq_busy,
-            now,
-            stats,
-            pending_redirect,
-            forward_window,
-            rob_loads_unissued,
-            rob_unissued,
-            unissued_mask,
-            fetch_resume_at,
-            ..
-        } = self;
-        let now = *now;
-        let (front, back) = rob.as_mut_slices();
-        let front_len = front.len();
-        let rob_len = front_len + back.len();
-
-        // Positions to examine: set bits of the unissued mask (ascending
-        // = oldest-first), or every position when the mask is not
-        // maintained. Both orders match the original full scan with its
-        // no-op visits to issued entries removed.
-        let mut mask_iter = *unissued_mask;
-        let mut lin = 0usize;
-        loop {
-            let p = if use_mask {
-                if mask_iter == 0 {
-                    break;
-                }
-                let p = mask_iter.trailing_zeros() as usize;
-                mask_iter &= mask_iter - 1;
-                p
-            } else {
-                if lin >= rob_len {
-                    break;
-                }
-                let p = lin;
-                lin += 1;
-                p
-            };
+        for p in 0..self.rob.len() {
             if unissued_left == 0 {
                 break;
             }
-            if issued >= cfg.issue_width
-                || (int_used >= cfg.int_units
-                    && fp_used >= cfg.fp_units
-                    && mem_used >= cfg.mem_units)
-            {
+            if budget.exhausted() {
                 // Unissued entries remain unexamined; any of them could
                 // be ready right now, so no idle bound can be claimed.
                 scanned_all = false;
                 break;
             }
-            let entry = if p < front_len {
-                &mut front[p]
-            } else {
-                &mut back[p - front_len]
-            };
+            let entry = self.rob[p];
             if entry.complete_at != NOT_ISSUED {
-                debug_assert!(!use_mask, "mask bit set for an issued entry");
                 continue;
             }
             unissued_left -= 1;
-            // Source readiness, from the inline copies (absent
-            // sources hit the zero pad slot).
+            // Source readiness, from the inline copies (absent sources
+            // hit the zero pad slot).
             let ready_at =
-                reg_ready[entry.srcs[0] as usize].max(reg_ready[entry.srcs[1] as usize]);
+                self.reg_ready[entry.srcs[0] as usize].max(self.reg_ready[entry.srcs[1] as usize]);
             if ready_at > now {
-                if ready_at < min_ready {
-                    min_ready = ready_at;
-                }
+                min_ready = min_ready.min(ready_at);
                 continue;
             }
-            // Functional unit availability.
-            let (unit_ok, unit): (bool, u8) = match entry.class {
-                CLASS_ALU | CLASS_BRANCH => (int_used < cfg.int_units, 0),
-                CLASS_FP => (fp_used < cfg.fp_units, 1),
-                _ => (mem_used < cfg.mem_units, 2),
-            };
-            if !unit_ok {
+            if !budget.take(entry.class) {
                 blocked_ready = true;
                 continue;
             }
-            let uop = match &*feed {
-                Feed::Whole(p) => p.uops[entry.idx as usize],
-                // ROB indices are never pruned from the window (the prune
-                // floor is the oldest in-flight index), so this read is
-                // always in range.
-                Feed::Stream(s) => s.window[entry.idx as usize - s.base],
-            };
-            match unit {
-                0 => int_used += 1,
-                1 => fp_used += 1,
-                _ => mem_used += 1,
-            }
-            issued += 1;
             any = true;
-
-            let (complete_at, sq_free_at) = match uop.kind {
-                UopKind::Alu { latency } | UopKind::Fp { latency } => {
-                    (now + latency as u64, None)
-                }
-                UopKind::Branch { taken } => {
-                    stats.branches += 1;
-                    // Prediction was recorded at fetch via `mispredicted`
-                    // bookkeeping below; resolution happens here.
-                    let _ = taken;
-                    (now + 1, None)
-                }
-                UopKind::Load { vaddr } => {
-                    stats.loads += 1;
-                    // Store-to-load forwarding: a pending store to the same
-                    // word supplies the data without a cache access. A
-                    // counting-filter fast path over this scan was measured
-                    // suite-unchanged under interleaved A/B (the window is
-                    // small or empty in the common case, so the walk is
-                    // already cheap; see PERF.md) and reverted.
-                    let forwarded = forward_window
-                        .iter()
-                        .rev()
-                        .find(|&&(a, _)| a == vaddr.0)
-                        .map(|&(_, ready)| ready);
-                    match forwarded {
-                        Some(ready) => {
-                            stats.forwarded_loads += 1;
-                            let done = ready.max(now) + 1;
-                            lq_busy.push(std::cmp::Reverse(done));
-                            (done, None)
-                        }
-                        None => {
-                            let done = mem.access(uop.pc, vaddr, AccessKind::Load, now);
-                            lq_busy.push(std::cmp::Reverse(done));
-                            (done, None)
-                        }
-                    }
-                }
-                UopKind::Store { vaddr } => {
-                    stats.stores += 1;
-                    let done = mem.access(uop.pc, vaddr, AccessKind::Store, now);
-                    // Forwardable as soon as the store has its data (next
-                    // cycle); the window is bounded by the SQ capacity.
-                    forward_window.push_back((vaddr.0, now + 1));
-                    while forward_window.len() > cfg.store_buffer {
-                        forward_window.pop_front();
-                    }
-                    // Store releases the pipeline next cycle; its SQ entry
-                    // is busy until the memory system completes.
-                    (now + 1, Some(done))
-                }
-            };
-            entry.complete_at = complete_at;
-            entry.sq_free_at = sq_free_at.unwrap_or(NO_SQ);
-            if use_mask {
-                *unissued_mask &= !(1u128 << p);
-            }
-            *rob_unissued -= 1;
-            if entry.class == CLASS_LOAD {
-                *rob_loads_unissued -= 1;
-            }
-            if let Some(dst) = uop.dst {
-                reg_ready[dst as usize] = complete_at;
+            let (dst, complete_at) = self.issue_one(mem, p);
+            if dst.is_some() {
                 min_complete = min_complete.min(complete_at);
-            }
-            // Branch redirect: if this branch was fetched mispredicted,
-            // fetch resumes after it resolves plus the penalty.
-            if *pending_redirect == Some(entry.idx as usize) {
-                *pending_redirect = None;
-                let resume_at = complete_at + cfg.mispredict_penalty;
-                stats.redirect_stall_cycles += resume_at.saturating_sub(now);
-                *fetch_resume_at = resume_at;
             }
         }
         // Complete scan: every unissued entry was examined, so the
@@ -688,6 +694,105 @@ impl<'p> Core<'p> {
             min_ready.min(min_complete)
         };
         any
+    }
+
+    /// Issues the ready ROB entry at position `p` (0 = head), whose
+    /// functional unit the selector has already taken: computes its
+    /// completion (through the memory model or store-to-load forwarding
+    /// for loads and stores), books its LQ/SQ occupancy, writes its
+    /// destination's ready cycle, clears its issue bookkeeping, and
+    /// resolves a pending branch redirect. Returns the register it
+    /// writes, if any, and its completion cycle.
+    fn issue_one<M: MemoryModel>(&mut self, mem: &mut M, p: usize) -> (Option<u8>, u64) {
+        let now = self.now;
+        let entry = self.rob[p];
+        debug_assert_eq!(entry.complete_at, NOT_ISSUED);
+        let uop = match &self.feed {
+            Feed::Whole(prog) => prog.uops[entry.idx as usize],
+            // ROB indices are never pruned from the window (the prune
+            // floor is the oldest in-flight index), so this read is
+            // always in range.
+            Feed::Stream(s) => s.window[entry.idx as usize - s.base],
+        };
+        let (complete_at, sq_free_at) = match uop.kind {
+            UopKind::Alu { latency } | UopKind::Fp { latency } => (now + latency as u64, NO_SQ),
+            UopKind::Branch { .. } => {
+                // The prediction was made at fetch (`pending_redirect`);
+                // the branch resolves here.
+                self.stats.branches += 1;
+                (now + 1, NO_SQ)
+            }
+            UopKind::Load { vaddr } => {
+                self.stats.loads += 1;
+                // Store-to-load forwarding: a pending store to the same
+                // word supplies the data without a cache access. A
+                // counting-filter fast path over this scan was measured
+                // suite-unchanged under interleaved A/B (the window is
+                // small or empty in the common case, so the walk is
+                // already cheap; see PERF.md) and reverted.
+                let forwarded = self
+                    .forward_window
+                    .iter()
+                    .rev()
+                    .find(|&&(a, _)| a == vaddr.0)
+                    .map(|&(_, ready)| ready);
+                let done = match forwarded {
+                    Some(ready) => {
+                        self.stats.forwarded_loads += 1;
+                        ready.max(now) + 1
+                    }
+                    None => mem.access(uop.pc, vaddr, AccessKind::Load, now),
+                };
+                self.lq_busy.push(std::cmp::Reverse(done));
+                (done, NO_SQ)
+            }
+            UopKind::Store { vaddr } => {
+                self.stats.stores += 1;
+                let done = mem.access(uop.pc, vaddr, AccessKind::Store, now);
+                // Forwardable as soon as the store has its data (next
+                // cycle); the window is bounded by the SQ capacity.
+                self.forward_window.push_back((vaddr.0, now + 1));
+                while self.forward_window.len() > self.cfg.store_buffer {
+                    self.forward_window.pop_front();
+                }
+                // Store releases the pipeline next cycle; its SQ entry is
+                // busy until the memory system completes.
+                (now + 1, done)
+            }
+        };
+        let e = &mut self.rob[p];
+        e.complete_at = complete_at;
+        e.sq_free_at = sq_free_at;
+        self.rob_unissued -= 1;
+        if entry.class == CLASS_LOAD {
+            self.rob_loads_unissued -= 1;
+        }
+        if self.cfg.rob_size <= SLOTS {
+            let bit = 1u128 << (entry.idx as usize % SLOTS);
+            self.unissued &= !bit;
+            for s in entry.srcs {
+                if s != NO_REG {
+                    self.cons[s as usize] &= !bit;
+                    if self.cons[s as usize] == 0 {
+                        self.has_cons &= !(1 << s);
+                    }
+                }
+            }
+        }
+        if let Some(dst) = uop.dst {
+            // Never the pad slot: a uop naming register `NUM_REGS` or
+            // above panics here on either selector.
+            self.reg_ready[..NUM_REGS][dst as usize] = complete_at;
+        }
+        // Branch redirect: if this branch was fetched mispredicted, fetch
+        // resumes after it resolves plus the penalty.
+        if self.pending_redirect == Some(entry.idx as usize) {
+            self.pending_redirect = None;
+            let resume_at = complete_at + self.cfg.mispredict_penalty;
+            self.stats.redirect_stall_cycles += resume_at.saturating_sub(now);
+            self.fetch_resume_at = resume_at;
+        }
+        (uop.dst, complete_at)
     }
 
     /// The uop at `fetch_idx`, or `None` at program end. On the streaming
@@ -732,11 +837,8 @@ impl<'p> Core<'p> {
                     if self.sq_busy.len() + self.rob_stores >= self.cfg.store_buffer => {
                         break;
                     }
-                UopKind::Load { .. } => self.rob_loads_unissued += 1,
-                UopKind::Store { .. } => self.rob_stores += 1,
                 _ => {}
             }
-            self.rob_unissued += 1;
             let entry = RobEntry {
                 idx: self.fetch_idx as u32,
                 srcs: [
@@ -768,26 +870,22 @@ impl<'p> Core<'p> {
                 };
             }
             // Branch prediction at fetch.
+            let mut mispredicted = false;
             if let UopKind::Branch { taken } = uop.kind {
                 let predicted = self.bp.predict(uop.pc);
                 self.bp.update(uop.pc, predicted, taken);
-                if predicted != taken {
-                    self.stats.mispredicts += 1;
-                    self.pending_redirect = Some(self.fetch_idx);
-                    self.rob.push_back(entry);
-                    if self.cfg.rob_size <= 128 {
-                        self.unissued_mask |= 1u128 << (self.rob.len() - 1);
-                    }
-                    self.fetch_idx += 1;
-                    // Stop fetching: the front end is on the wrong path
-                    // until this branch resolves.
-                    self.fetch_resume_at = u64::MAX;
-                    return true;
-                }
+                mispredicted = predicted != taken;
             }
             self.rob.push_back(entry);
-            if self.cfg.rob_size <= 128 {
-                self.unissued_mask |= 1u128 << (self.rob.len() - 1);
+            self.book(&entry);
+            if mispredicted {
+                self.stats.mispredicts += 1;
+                self.pending_redirect = Some(self.fetch_idx);
+                self.fetch_idx += 1;
+                // Stop fetching: the front end is on the wrong path until
+                // this branch resolves.
+                self.fetch_resume_at = u64::MAX;
+                return true;
             }
             self.fetch_idx += 1;
             any = true;
@@ -795,21 +893,62 @@ impl<'p> Core<'p> {
         any
     }
 
+    /// Books a ROB entry into the issue bookkeeping: the resident-store
+    /// count and, while the entry has not issued, the unissued counts and
+    /// (when the ROB fits them) the wake-up masks. Dispatch books each
+    /// new entry; [`Self::rebuild_issue_state`] books a restored ROB.
+    fn book(&mut self, e: &RobEntry) {
+        if e.class == CLASS_STORE {
+            self.rob_stores += 1;
+        }
+        if e.complete_at != NOT_ISSUED {
+            return;
+        }
+        self.rob_unissued += 1;
+        if e.class == CLASS_LOAD {
+            self.rob_loads_unissued += 1;
+        }
+        if self.cfg.rob_size <= SLOTS {
+            let bit = 1u128 << (e.idx as usize % SLOTS);
+            self.unissued |= bit;
+            for s in e.srcs {
+                if s != NO_REG {
+                    self.cons[s as usize] |= bit;
+                    self.has_cons |= 1 << s;
+                }
+            }
+        }
+    }
+
+    /// Recomputes the issue stage's derived state from the ROB: the
+    /// counts and masks [`Self::book`] maintains, and no idle bound.
+    fn rebuild_issue_state(&mut self) {
+        self.rob_stores = 0;
+        self.rob_unissued = 0;
+        self.rob_loads_unissued = 0;
+        self.unissued = 0;
+        self.cons = [0; NUM_REGS];
+        self.has_cons = 0;
+        self.issue_idle_until = 0;
+        for i in 0..self.rob.len() {
+            let e = self.rob[i];
+            self.book(&e);
+        }
+    }
+
     /// Serializes the complete pipeline state: ROB (in order), register
     /// scoreboard, queue-occupancy heaps (sorted — heap entries are plain
     /// cycle numbers, so sorted reinsertion is observationally identical),
-    /// branch predictor, forwarding window, and all counters.
+    /// branch predictor, forwarding window, and all counters. The issue
+    /// stage's derived bookkeeping (unissued counts, wake-up masks, idle
+    /// bound) is left out: it follows from the ROB, and the idle bound
+    /// depends on which selector ran, which must not reach a snapshot.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.usize(self.fetch_idx);
         enc.u64(self.fetch_resume_at);
         enc.u64(self.now);
-        enc.u64(self.issue_idle_until);
         enc.u64(self.total_retired);
         enc.u64(self.stats_base_cycle);
-        enc.u128(self.unissued_mask);
-        enc.usize(self.rob_loads_unissued);
-        enc.usize(self.rob_stores);
-        enc.usize(self.rob_unissued);
         match self.pending_redirect {
             Some(idx) => {
                 enc.bool(true);
@@ -818,7 +957,8 @@ impl<'p> Core<'p> {
             None => enc.bool(false),
         }
         self.stats.save_state(enc);
-        for r in &self.reg_ready {
+        // The pad slot is always zero and is not state.
+        for r in &self.reg_ready[..NUM_REGS] {
             enc.u64(*r);
         }
         enc.seq_len(self.rob.len());
@@ -867,8 +1007,10 @@ impl<'p> Core<'p> {
     /// # Errors
     ///
     /// Returns a typed [`cdp_types::SnapshotError`] on truncation or on
-    /// structurally impossible state (ROB deeper than `rob_size`, a uop
-    /// index past the program end, an unknown uop class).
+    /// structurally impossible state (ROB deeper than `rob_size`, ROB
+    /// indices other than the last `rob_len` fetched, an unknown uop
+    /// class, a fetch stall with no unissued mispredicted branch to end
+    /// it). The issue stage's derived state is rebuilt from the ROB.
     pub fn restore_state(
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
@@ -887,37 +1029,39 @@ impl<'p> Core<'p> {
         self.fetch_idx = fetch_idx;
         self.fetch_resume_at = dec.u64("core fetch_resume_at")?;
         self.now = dec.u64("core now")?;
-        self.issue_idle_until = dec.u64("core issue_idle_until")?;
         self.total_retired = dec.u64("core total_retired")?;
         self.stats_base_cycle = dec.u64("core stats_base_cycle")?;
-        self.unissued_mask = dec.u128("core unissued_mask")?;
-        self.rob_loads_unissued = dec.usize("core rob_loads_unissued")?;
-        self.rob_stores = dec.usize("core rob_stores")?;
-        self.rob_unissued = dec.usize("core rob_unissued")?;
         self.pending_redirect = if dec.bool("core pending_redirect flag")? {
             Some(dec.usize("core pending_redirect")?)
         } else {
             None
         };
         self.stats.restore_state(dec)?;
-        for r in self.reg_ready.iter_mut() {
+        for r in self.reg_ready[..NUM_REGS].iter_mut() {
             *r = dec.u64("core reg_ready")?;
         }
+        self.reg_ready[NUM_REGS] = 0;
         let rob_len = dec.seq_len(4 + 3 + 8 + 8, "core rob length")?;
         if rob_len > self.cfg.rob_size {
             return Err(SnapshotError::Corrupt {
                 context: "core rob length",
             });
         }
+        // The ROB holds the most recently fetched uops, in order: indices
+        // `fetch_idx - rob_len .. fetch_idx`. The wake-up masks key
+        // entries by index, so anything else would alias two entries.
+        let first = fetch_idx
+            .checked_sub(rob_len)
+            .ok_or(SnapshotError::Corrupt {
+                context: "core rob idx",
+            })?;
         self.rob.clear();
-        for _ in 0..rob_len {
+        for i in 0..rob_len {
             let idx = dec.u32("core rob idx")?;
-            if let Feed::Whole(p) = &self.feed {
-                if idx as usize >= p.len() {
-                    return Err(SnapshotError::Corrupt {
-                        context: "core rob idx",
-                    });
-                }
+            if idx as usize != first + i {
+                return Err(SnapshotError::Corrupt {
+                    context: "core rob idx",
+                });
             }
             let srcs = [dec.u8("core rob src0")?, dec.u8("core rob src1")?];
             if srcs.iter().any(|&s| s > NO_REG) {
@@ -939,6 +1083,24 @@ impl<'p> Core<'p> {
                 sq_free_at: dec.u64("core rob sq_free_at")?,
             });
         }
+        // Fetch stalls at `u64::MAX` exactly while a mispredicted branch
+        // waits in the ROB to issue (set together at fetch, cleared
+        // together at issue). Any other combination never resumes fetch
+        // or never clears the stall.
+        let redirect_ok = match self.pending_redirect {
+            Some(i) => i.checked_sub(first).is_some_and(|p| {
+                self.rob
+                    .get(p)
+                    .is_some_and(|e| e.class == CLASS_BRANCH && e.complete_at == NOT_ISSUED)
+            }),
+            None => true,
+        };
+        if !redirect_ok || self.pending_redirect.is_some() != (self.fetch_resume_at == u64::MAX) {
+            return Err(SnapshotError::Corrupt {
+                context: "core pending_redirect",
+            });
+        }
+        self.rebuild_issue_state();
         self.sq_busy.clear();
         let n = dec.seq_len(8, "core sq_busy length")?;
         for _ in 0..n {
@@ -1417,6 +1579,171 @@ mod tests {
             assert_eq!(a.stats(), b.stats(), "trial {trial} diverged");
             assert_eq!(a.now(), b.now(), "trial {trial} cycle drift");
         }
+    }
+
+    /// Saves a clone of `core` after `tamper` edits it: a well-formed
+    /// snapshot of a state the core can never reach.
+    fn tampered(core: &Core<'_>, tamper: impl FnOnce(&mut Core<'_>)) -> Vec<u8> {
+        let mut c = core.clone();
+        tamper(&mut c);
+        let mut enc = cdp_snap::Enc::new();
+        c.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Restores `bytes` into a fresh core and expects `Corrupt`. Should a
+    /// regression accept them, the restored core runs for a bounded
+    /// number of steps, so the test fails instead of hanging.
+    fn assert_rejected(p: &Program, bytes: &[u8], what: &str) {
+        let mut core = Core::new(CoreConfig::default(), p);
+        match core.restore_state(&mut cdp_snap::Dec::new(bytes)) {
+            Err(cdp_types::SnapshotError::Corrupt { .. }) => {}
+            Ok(()) => {
+                let mut mem = FixedLatencyMemory { latency: 20 };
+                let mut steps = 0;
+                while !core.done() && steps < 1_000_000 {
+                    core.step(&mut mem);
+                    steps += 1;
+                }
+                panic!(
+                    "{what}: restored (done after {steps} steps: {})",
+                    core.done()
+                );
+            }
+            Err(e) => panic!("{what}: expected Corrupt, got {e:?}"),
+        }
+    }
+
+    /// 400 loads, each addressed by the one before it.
+    fn dependent_loads() -> Program {
+        (0..400)
+            .map(|i| Uop::load(i * 4, VirtAddr(0x1000 + i * 64), 1, Some(1)))
+            .collect()
+    }
+
+    /// A fetch stall at `u64::MAX` ends only when a mispredicted branch
+    /// issues; with no pending redirect, fetch would never resume.
+    #[test]
+    fn restore_rejects_a_fetch_stall_with_no_pending_redirect() {
+        let p = dependent_loads();
+        let mut mem = FixedLatencyMemory { latency: 20 };
+        let mut core = Core::new(CoreConfig::default(), &p);
+        core.run_until_retired(&mut mem, 150);
+        assert!(core.pending_redirect.is_none());
+        assert_rejected(
+            &p,
+            &tampered(&core, |c| c.fetch_resume_at = u64::MAX),
+            "fetch stall, no redirect",
+        );
+        // The untampered state restores and runs to completion.
+        let mut resumed = Core::new(CoreConfig::default(), &p);
+        resumed
+            .restore_state(&mut cdp_snap::Dec::new(&tampered(&core, |_| {})))
+            .unwrap();
+        resumed.run_to_completion(&mut mem);
+        assert_eq!(resumed.stats().loads, 400);
+    }
+
+    /// A pending redirect must name an unissued branch in the ROB;
+    /// anything else leaves fetch stalled forever.
+    #[test]
+    fn restore_rejects_a_redirect_no_branch_will_clear() {
+        let mut x = 0x9e3779b9u64;
+        let p: Program = (0..600u32)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                match i % 4 {
+                    0 => Uop::branch(i * 4, (x >> 63) == 1, Some(1)),
+                    _ => Uop::load(i * 4, VirtAddr(0x1000 + i * 64), 1, Some(1)),
+                }
+            })
+            .collect();
+        let mut mem = FixedLatencyMemory { latency: 30 };
+        let mut core = Core::new(CoreConfig::default(), &p);
+        while core.pending_redirect.is_none() || core.rob.len() < 3 {
+            assert!(!core.done(), "no mispredicted branch in flight");
+            core.step(&mut mem);
+        }
+        let branch = core.pending_redirect.unwrap();
+        let head = core.rob[0].idx as usize;
+        let non_branch = core
+            .rob
+            .iter()
+            .find(|e| e.class != CLASS_BRANCH)
+            .expect("a load in the ROB")
+            .idx as usize;
+        for (what, idx) in [
+            ("redirect past the ROB", core.fetch_idx + 3),
+            ("redirect before the ROB", head.wrapping_sub(1)),
+            ("redirect naming a load", non_branch),
+        ] {
+            assert_rejected(
+                &p,
+                &tampered(&core, |c| c.pending_redirect = Some(idx)),
+                what,
+            );
+        }
+        assert_rejected(
+            &p,
+            &tampered(&core, |c| {
+                let pos = branch - head;
+                c.rob[pos].complete_at = c.now + 1;
+            }),
+            "redirect naming an issued branch",
+        );
+        assert_rejected(
+            &p,
+            &tampered(&core, |c| c.fetch_resume_at = c.now + 5),
+            "redirect without a fetch stall",
+        );
+    }
+
+    /// ROB entries are the last `rob_len` uops fetched, in order; the
+    /// wake-up masks key entries by index, so a gap would alias two.
+    #[test]
+    fn restore_rejects_rob_indices_out_of_fetch_order() {
+        let p = dependent_loads();
+        let mut mem = FixedLatencyMemory { latency: 20 };
+        let mut core = Core::new(CoreConfig::default(), &p);
+        core.run_until_retired(&mut mem, 50);
+        assert!(core.rob.len() > 4);
+        assert_rejected(&p, &tampered(&core, |c| c.rob[3].idx += 1), "ROB gap");
+        assert_rejected(
+            &p,
+            &tampered(&core, |c| c.fetch_idx += 1),
+            "fetch past the ROB",
+        );
+    }
+
+    /// Restore rebuilds the derived issue bookkeeping from the ROB: equal
+    /// to the live core's, with no idle bound.
+    #[test]
+    fn restore_rebuilds_issue_bookkeeping() {
+        let mut live = 0;
+        for seed in [1u64, 2, 3] {
+            let p = mixed_program(2000, seed);
+            let mut mem = FixedLatencyMemory { latency: 25 };
+            let mut core = Core::new(CoreConfig::default(), &p);
+            core.run_until_retired(&mut mem, 700);
+            let mut enc = cdp_snap::Enc::new();
+            core.save_state(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut resumed = Core::new(CoreConfig::default(), &p);
+            resumed
+                .restore_state(&mut cdp_snap::Dec::new(&bytes))
+                .unwrap();
+            assert_eq!(resumed.rob_unissued, core.rob_unissued);
+            assert_eq!(resumed.rob_loads_unissued, core.rob_loads_unissued);
+            assert_eq!(resumed.rob_stores, core.rob_stores);
+            assert_eq!(resumed.unissued, core.unissued);
+            assert_eq!(resumed.cons, core.cons);
+            assert_eq!(resumed.has_cons, core.has_cons);
+            assert_eq!(resumed.issue_idle_until, 0);
+            if core.unissued != 0 && core.has_cons != 0 {
+                live += 1;
+            }
+        }
+        assert!(live > 0, "no snapshot caught a consumer waiting");
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //! `store-fsck` binary validates/repairs a store directory. Requires the
 //! result cache (conflicts with `--no-result-cache`).
 //!
-//! `--no-fast-forward` disables the core's idle-cycle event skip and
-//! steps every cycle (DESIGN.md §"Event fast-forward"). Skipped cycles
-//! are provably barren, so output is byte-identical either way — the
-//! flag exists so CI can diff the fast path against the cycle-by-cycle
-//! reference schedule.
+//! `--no-fast-forward` selects the reference schedule: the core steps
+//! every cycle instead of skipping idle ones, and its issue stage scans
+//! the whole ROB instead of selecting on its wake-up masks (DESIGN.md
+//! §13 and §13.1). Skipped cycles are provably barren and both issue
+//! paths issue the same uops, so output is byte-identical either way —
+//! the flag exists so CI can diff the fast path against the reference.
 //!
 //! Observability (see EXPERIMENTS.md and DESIGN.md §7):
 //!

@@ -42,8 +42,10 @@ pub const MAGIC: [u8; 8] = *b"CDPSNAP\0";
 /// (and, for streaming feeds, the uop window + generation cursor) to the
 /// core section; version 3 stores the Markov STAB in the delta table's
 /// layout; version 4 computes section checksums and run fingerprints
-/// with [`WordHasher`].
-pub const VERSION: u32 = 4;
+/// with [`WordHasher`]; version 5 drops the core's issue bookkeeping
+/// (idle bound, unissued mask and counts, register pad slot), which
+/// restore rebuilds from the ROB.
+pub const VERSION: u32 = 5;
 
 /// Initial state of a [`WordHasher`] (the first 64 fractional bits of π).
 const SEED: u64 = 0x243f_6a88_85a3_08d3;

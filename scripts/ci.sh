@@ -88,11 +88,14 @@ cmp /tmp/cdp-rc-on.out /tmp/cdp-rc-off.out || {
 }
 
 echo "== fast-forward smoke (byte-identity fast path vs reference schedule) =="
-# Idle-cycle fast-forwarding must be behavior-neutral: the event-driven
-# fast path and the cycle-by-cycle reference schedule forced by
-# --no-fast-forward must render byte-identical stdout (DESIGN.md §13).
-./target/release/experiments tlb fig2 --smoke --jobs 2 > /tmp/cdp-ff-on.out
-./target/release/experiments tlb fig2 --smoke --jobs 2 --no-fast-forward \
+# The core's fast path must be behavior-neutral. Its idle-cycle jumps
+# and wake-up issue selection, and the reference schedule forced by
+# --no-fast-forward (every cycle stepped, the whole ROB scanned at
+# issue), must render byte-identical stdout (DESIGN.md §13, §13.1).
+# Every experiment plus the tournament runs every benchmark and every
+# engine (STAB, delta, jump, perceptron) through both issue paths.
+./target/release/experiments all tournament --smoke --jobs 2 > /tmp/cdp-ff-on.out
+./target/release/experiments all tournament --smoke --jobs 2 --no-fast-forward \
     > /tmp/cdp-ff-off.out
 cmp /tmp/cdp-ff-on.out /tmp/cdp-ff-off.out || {
     echo "fast-forward smoke: stdout differs with --no-fast-forward" >&2
