@@ -228,8 +228,8 @@ fn run_one(
 }
 
 /// Runs one experiment, catching panics when keep-going is active so a
-/// failure in a non-grid experiment (or a grid bug) skips that id
-/// instead of killing the whole run.
+/// panic outside any cell (failed cells already gap out one by one)
+/// skips that id instead of killing the whole run.
 fn run_one_guarded(
     id: &str,
     scale: ExpScale,

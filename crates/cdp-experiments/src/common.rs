@@ -6,7 +6,7 @@ use std::sync::Arc;
 use cdp_sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
 use cdp_sim::{
     CheckpointSpec, CheckpointStatus, Engine, EngineCounters, JobOutcome, JobReport, Pool,
-    ResultSource, RunStats, SimJob, Simulator, WorkloadCache,
+    ResultSource, RunStats, SimJob, WorkloadCache,
 };
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale};
@@ -95,20 +95,13 @@ impl WorkloadSet {
     }
 }
 
-/// Runs `cfg` (with the §2.2 warm-up convention) on a cached workload.
-pub fn run_cfg(ws: &WorkloadSet, cfg: &SystemConfig, bench: Benchmark, scale: Scale) -> RunStats {
-    let cfg = with_warmup(cfg.clone(), scale);
-    let w = ws.get(bench, scale);
-    Simulator::new(cfg).run(&w)
-}
-
 /// Every prefetch engine's counters in one run, for the manifest's
 /// cross-engine coverage/accuracy/wasted accounting.
 fn engines(stats: &RunStats) -> impl Iterator<Item = &EngineCounters> {
     Engine::ALL.into_iter().filter_map(|e| stats.mem.engine(e))
 }
 
-/// One failed sweep cell of a [`run_grid_cells`] grid.
+/// One failed sweep cell (see [`cell_or_gap`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's grid label.
@@ -249,20 +242,7 @@ pub fn run_grid_cells(
                 },
             });
         }
-        match outcome {
-            JobOutcome::Ok(stats) => cells.push(Some(stats)),
-            other => {
-                let error = other
-                    .failure()
-                    .expect("non-Ok outcomes always describe their failure");
-                if !context::keep_going() {
-                    panic!("cell {label}: {error}");
-                }
-                context::record_failure(&label, &error);
-                failures.push(CellFailure { label, error });
-                cells.push(None);
-            }
-        }
+        cells.push(cell_or_gap(label, outcome, &mut failures));
     }
     // Fold each cell's dropped checkpoint writes into the run-wide
     // total: best-effort writes, but the manifest must not hide them.
@@ -275,6 +255,33 @@ pub fn run_grid_cells(
         context::add_checkpoint_dropped_writes(dropped);
     }
     (cells, failures)
+}
+
+/// Unwraps one finished cell. In strict mode a failure panics with its
+/// error; in keep-going mode it joins the global failure report and
+/// `failures`, and the cell comes back as `None` (an annotated gap for
+/// the caller to render).
+///
+/// # Panics
+///
+/// Panics on a failed cell unless keep-going mode is active.
+pub fn cell_or_gap<T>(
+    label: String,
+    outcome: JobOutcome<T>,
+    failures: &mut Vec<CellFailure>,
+) -> Option<T> {
+    let error = match outcome {
+        JobOutcome::Ok(value) => return Some(value),
+        other => other
+            .failure()
+            .expect("non-Ok outcomes always describe their failure"),
+    };
+    if !context::keep_going() {
+        panic!("cell {label}: {error}");
+    }
+    context::record_failure(&label, &error);
+    failures.push(CellFailure { label, error });
+    None
 }
 
 /// The gap marker rendered for a failed sweep cell.

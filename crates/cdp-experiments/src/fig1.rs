@@ -5,19 +5,20 @@
 //! L2 miss rate in retired-uop windows, and picks the statistics-start
 //! point where the cold-start transient has died out.
 
-use cdp_sim::Simulator;
-use cdp_types::SystemConfig;
+use cdp_sim::{JobOutcome, Simulator};
+use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{ExpScale, WorkloadSet};
+use crate::common::{cell_or_gap, failure_note, CellFailure, ExpScale, WorkloadSet, GAP};
+use crate::context;
 
 /// One benchmark's MPTU-over-time series.
 #[derive(Clone, Debug)]
 pub struct Series {
     /// Benchmark name.
     pub name: String,
-    /// Non-cumulative MPTU per window.
-    pub samples: Vec<f64>,
+    /// Non-cumulative MPTU per window; `None` if the run failed.
+    pub samples: Option<Vec<f64>>,
 }
 
 /// The Figure 1 traces plus the derived warm-up recommendation.
@@ -30,28 +31,36 @@ pub struct Figure1 {
     /// First window index at which every series is within 2x of its
     /// steady-state mean (the "statistics may start here" point).
     pub steady_window: usize,
+    /// Series that failed (empty on a healthy run).
+    pub failures: Vec<CellFailure>,
 }
 
 impl Figure1 {
+    /// The longest series' window count (the rendered row count).
+    pub fn window_count(&self) -> usize {
+        let lens = self.series.iter().filter_map(|s| s.samples.as_ref().map(Vec::len));
+        lens.max().unwrap_or(0)
+    }
+
     /// Renders the series as columns.
     pub fn render(&self) -> String {
         let mut out = format!(
             "Figure 1: non-cumulative MPTU trace, 4-MB UL2 (window = {} uops)\n\n",
             self.window_uops
         );
-        let max_len = self.series.iter().map(|s| s.samples.len()).max().unwrap_or(0);
         out.push_str("window");
         for s in &self.series {
             out.push_str(&format!("  {:>13}", s.name));
         }
         out.push('\n');
-        for w in 0..max_len {
+        for w in 0..self.window_count() {
             out.push_str(&format!("{w:>6}"));
             for s in &self.series {
-                match s.samples.get(w) {
-                    Some(v) => out.push_str(&format!("  {v:>13.2}")),
-                    None => out.push_str(&format!("  {:>13}", "-")),
-                }
+                let cell = match &s.samples {
+                    Some(samples) => samples.get(w).map_or("-".into(), |v| format!("{v:.2}")),
+                    None => GAP.to_string(),
+                };
+                out.push_str(&format!("  {cell:>13}"));
             }
             out.push('\n');
         }
@@ -60,49 +69,74 @@ impl Figure1 {
             self.steady_window,
             self.steady_window as u64 * self.window_uops
         ));
+        out.push_str(&failure_note(&self.failures));
         out
     }
 }
 
 /// Runs the six suite representatives on a 4 MB UL2 and samples windowed
-/// MPTU.
+/// MPTU from each run's metrics windows. Runs see the process-wide fault
+/// plan; a failed run renders as a gap column (see [`cell_or_gap`]).
 pub fn run(scale: ExpScale) -> Figure1 {
     let s = scale.scale();
     let window = (s.target_uops as u64 / 24).max(500);
     let mut cfg = SystemConfig::asplos2002();
     cfg.ul2.size_bytes = 4 * 1024 * 1024; // the paper's Figure 1 uses 4 MB
+    let obs = ObsConfig {
+        metrics_window: Some(window),
+        ..ObsConfig::default()
+    };
     let mut series = Vec::new();
+    let mut failures = Vec::new();
     let ws = WorkloadSet::default();
+    let plan = context::fault_plan();
     for b in Benchmark::figure1_set() {
         let w = ws.get(b, s);
-        let samples = Simulator::new(cfg.clone()).run_mptu_trace(&w, window);
+        let mut sim = Simulator::new(cfg.clone());
+        if let Some(wf) = plan.walk_fault(b.name()) {
+            sim = sim.with_walk_fault(wf);
+        }
+        // Misses per 1000 uops of window width (the last window may be
+        // shorter), as the paper plots them.
+        let outcome = match sim.try_run_observed(&w, &obs) {
+            Ok((_, o)) => JobOutcome::Ok(
+                o.windows
+                    .iter()
+                    .map(|m| m.l2_demand_misses as f64 * 1000.0 / window as f64)
+                    .collect(),
+            ),
+            Err(e) => JobOutcome::Failed {
+                error: e.to_string(),
+            },
+        };
         series.push(Series {
             name: b.name().to_string(),
-            samples,
+            samples: cell_or_gap(b.name().to_string(), outcome, &mut failures),
         });
     }
     // Steady point: first window from which every series stays within 2x
     // of the mean of its second half.
     let mut steady = 0usize;
-    for s in &series {
-        if s.samples.len() < 4 {
+    for samples in series.iter().filter_map(|s| s.samples.as_ref()) {
+        if samples.len() < 4 {
             continue;
         }
-        let tail = &s.samples[s.samples.len() / 2..];
+        let tail = &samples[samples.len() / 2..];
         let mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
         let bound = (2.0 * mean).max(mean + 1.0);
         let mut first_ok = 0;
-        for (i, &v) in s.samples.iter().enumerate() {
+        for (i, &v) in samples.iter().enumerate() {
             if v > bound {
                 first_ok = i + 1;
             }
         }
-        steady = steady.max(first_ok.min(s.samples.len().saturating_sub(1)));
+        steady = steady.max(first_ok.min(samples.len().saturating_sub(1)));
     }
     Figure1 {
         window_uops: window,
         series,
         steady_window: steady,
+        failures,
     }
 }
 
@@ -114,12 +148,14 @@ mod tests {
     fn six_series_with_cold_start_transient() {
         let f = run(ExpScale::Smoke);
         assert_eq!(f.series.len(), 6);
+        assert!(f.failures.is_empty(), "fault-free run has no gaps");
         // At least one pointer-heavy series must show a cold-start spike:
         // first window above its tail mean.
         let spiky = f.series.iter().filter(|s| {
-            let tail = &s.samples[s.samples.len() / 2..];
+            let samples = s.samples.as_ref().expect("healthy");
+            let tail = &samples[samples.len() / 2..];
             let mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
-            s.samples.first().copied().unwrap_or(0.0) > mean
+            samples.first().copied().unwrap_or(0.0) > mean
         });
         assert!(spiky.count() >= 3, "cold caches must show higher MPTU");
         assert!(f.render().contains("Figure 1"));

@@ -5,23 +5,27 @@
 //! accuracy prefetcher can lead to an average 3% performance reduction."
 
 use cdp_sim::hierarchy::PollutionConfig;
-use cdp_sim::metrics::mean;
 use cdp_sim::runner::with_warmup;
-use cdp_sim::{speedup, JobOutcome, Pool, RunPolicy, RunStats, SimJob};
+use cdp_sim::{speedup, Pool, SimJob};
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{render_table, ExpScale, WorkloadSet};
+use crate::common::{
+    cell_or_gap, failure_note, mean_if_complete, opt_cell, render_table, CellFailure, ExpScale,
+    WorkloadSet,
+};
+use crate::context;
 
 /// One benchmark's pollution sensitivity.
 #[derive(Clone, Debug)]
 pub struct Row {
     /// Benchmark name.
     pub name: String,
-    /// Cycles with pollution / cycles without (values < 1 are slowdowns).
-    pub speedup: f64,
-    /// Junk lines injected.
-    pub injected: u64,
+    /// Cycles with pollution / cycles without (values < 1 are slowdowns);
+    /// `None` if either run failed.
+    pub speedup: Option<f64>,
+    /// Junk lines injected; `None` if the polluted run failed.
+    pub injected: Option<u64>,
 }
 
 /// The study result.
@@ -29,8 +33,11 @@ pub struct Row {
 pub struct Pollution {
     /// Per-benchmark rows.
     pub rows: Vec<Row>,
-    /// Average performance change (paper: ≈ −3%).
-    pub average: f64,
+    /// Average performance change (paper: ≈ −3%); `None` when any
+    /// benchmark gapped out.
+    pub average: Option<f64>,
+    /// Cells that failed (empty on a healthy run).
+    pub failures: Vec<CellFailure>,
 }
 
 impl Pollution {
@@ -45,16 +52,17 @@ impl Pollution {
             .map(|r| {
                 vec![
                     r.name.clone(),
-                    format!("{:+.1}%", (r.speedup - 1.0) * 100.0),
-                    r.injected.to_string(),
+                    opt_cell(r.speedup, |s| format!("{:+.1}%", (s - 1.0) * 100.0)),
+                    opt_cell(r.injected, |i| i.to_string()),
                 ]
             })
             .collect();
         out.push_str(&render_table(&["Benchmark", "perf change", "injected"], &rows));
         out.push_str(&format!(
-            "\naverage performance change: {:+.1}% (paper: about -3%)\n",
-            (self.average - 1.0) * 100.0
+            "\naverage performance change: {} (paper: about -3%)\n",
+            opt_cell(self.average, |a| format!("{:+.1}%", (a - 1.0) * 100.0))
         ));
+        out.push_str(&failure_note(&self.failures));
         out
     }
 }
@@ -66,40 +74,51 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Pollution {
 }
 
 /// Runs the study on a subset: the clean and polluted runs of every
-/// benchmark are independent pool jobs sharing one workload image.
+/// benchmark are independent pool jobs sharing one workload image, under
+/// the process-wide watchdog policy and fault plan. A failed run gaps
+/// out its row (see [`cell_or_gap`]).
 pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Pollution {
     let s = scale.scale();
     let cfg = with_warmup(SystemConfig::asplos2002(), s);
     let ws = WorkloadSet::default();
+    let plan = context::fault_plan();
     let mut jobs = Vec::new();
     for &b in benches {
         let w = ws.get(b, s);
-        jobs.push(SimJob::new(format!("clean/{}", b.name()), cfg.clone(), w.clone()));
+        let mut clean = SimJob::new(format!("clean/{}", b.name()), cfg.clone(), w.clone());
+        clean.walk_fault = plan.walk_fault(b.name());
         let mut dirty = SimJob::new(format!("dirty/{}", b.name()), cfg.clone(), w);
+        dirty.walk_fault = clean.walk_fault;
         // One injection per line-occupancy of idle bus: "every idle
         // bus cycle" at line granularity.
         dirty.pollution = Some(PollutionConfig { period: 60 });
+        jobs.push(clean);
         jobs.push(dirty);
     }
-    let results: Vec<RunStats> = pool
-        .run_sims_profiled(jobs, RunPolicy::default())
+    let mut failures = Vec::new();
+    let results: Vec<_> = pool
+        .run_sims_profiled(jobs, context::policy())
         .into_iter()
-        .map(|r| match r.outcome {
-            JobOutcome::Ok(stats) => stats,
-            other => panic!("{}: {}", r.label, other.failure().unwrap_or_default()),
-        })
+        .map(|r| cell_or_gap(r.label, r.outcome, &mut failures))
         .collect();
     let rows = benches
         .iter()
         .zip(results.chunks(2))
         .map(|(&b, pair)| Row {
             name: b.name().to_string(),
-            speedup: speedup(&pair[0], &pair[1]),
-            injected: pair[1].mem.injected_pollution,
+            speedup: match pair {
+                [Some(clean), Some(dirty)] => Some(speedup(clean, dirty)),
+                _ => None,
+            },
+            injected: pair[1].as_ref().map(|dirty| dirty.mem.injected_pollution),
         })
         .collect::<Vec<_>>();
-    let average = mean(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>());
-    Pollution { rows, average }
+    let average = mean_if_complete(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>());
+    Pollution {
+        rows,
+        average,
+        failures,
+    }
 }
 
 #[cfg(test)]
@@ -110,13 +129,15 @@ mod tests {
     fn pollution_never_helps() {
         let p = run_on(ExpScale::Smoke, &[Benchmark::B2e, Benchmark::Tpcc2], &Pool::new(2));
         assert_eq!(p.rows.len(), 2);
+        assert!(p.failures.is_empty(), "fault-free run has no gaps");
         for r in &p.rows {
-            assert!(r.injected > 0, "{} injected nothing", r.name);
+            let (speedup, injected) = (r.speedup.expect("healthy"), r.injected.expect("healthy"));
+            assert!(injected > 0, "{} injected nothing", r.name);
             assert!(
-                r.speedup <= 1.02,
+                speedup <= 1.02,
                 "{}: pollution must not speed things up ({:.3})",
                 r.name,
-                r.speedup
+                speedup
             );
         }
         assert!(p.render().contains("limit study"));

@@ -116,15 +116,11 @@ impl ToDataset for crate::fig1::Figure1 {
     fn dataset(&self) -> Dataset {
         let mut headers = vec!["window".to_string()];
         headers.extend(self.series.iter().map(|s| s.name.clone()));
-        let max_len = self.series.iter().map(|s| s.samples.len()).max().unwrap_or(0);
-        let rows = (0..max_len)
+        let rows = (0..self.window_count())
             .map(|w| {
                 let mut row = vec![w.to_string()];
                 row.extend(self.series.iter().map(|s| {
-                    s.samples
-                        .get(w)
-                        .map(|v| format!("{v:.4}"))
-                        .unwrap_or_default()
+                    opt(s.samples.as_ref().and_then(|v| v.get(w)), |v| format!("{v:.4}"))
                 }));
                 row
             })
@@ -259,8 +255,8 @@ impl ToDataset for crate::pollution::Pollution {
                 .map(|r| {
                     vec![
                         r.name.clone(),
-                        format!("{:.4}", r.speedup),
-                        r.injected.to_string(),
+                        opt(r.speedup, |s| format!("{s:.4}")),
+                        opt(r.injected, |i| i.to_string()),
                     ]
                 })
                 .collect(),

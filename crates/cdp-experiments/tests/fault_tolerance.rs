@@ -6,7 +6,7 @@
 //!   documented partial-failure code 3;
 //! * stdout is byte-identical at any `--jobs` count, faulted or not;
 //! * cells untouched by the fault report the same values as a fault-free
-//!   run;
+//!   run, in the non-grid studies (fig1, pollution) too;
 //! * `--cell-timeout` abandons a cell that overruns it.
 
 use std::process::{Command, Output};
@@ -124,6 +124,59 @@ fn faulted_stdout_is_byte_identical_at_any_job_count() {
         stdout(&four),
         "submission-order results make gaps deterministic"
     );
+}
+
+#[test]
+fn fig1_and_pollution_gap_per_cell() {
+    // Neither study is a `run_grid_cells` grid, but a fault in one
+    // benchmark must still gap only that benchmark's cells, whether it
+    // unmaps trace pages or fails demand page walks.
+    let faulted = experiments(&[
+        "fig1", "pollution", "--smoke", "--jobs", "2", "--keep-going", "--fault",
+        "unmap:b2e:7:2", "--fault", "walk:tpcc-2:50:demand",
+    ]);
+    assert_eq!(
+        faulted.status.code(),
+        Some(EXIT_PARTIAL),
+        "stderr: {}",
+        stderr(&faulted)
+    );
+    let (out, err) = (stdout(&faulted), stderr(&faulted));
+    assert!(!err.contains("(whole experiment)"), "stderr: {err}");
+    // Each faulted benchmark has its own report entries and a gapped
+    // pollution row...
+    for bench in ["b2e", "tpcc-2"] {
+        for cell in [
+            format!("[fig1] {bench}:"),
+            format!("[pollution] clean/{bench}:"),
+            format!("[pollution] dirty/{bench}:"),
+        ] {
+            assert!(err.contains(&cell), "{cell} in report: {err}");
+        }
+        assert_eq!(bench_rows(&out, bench), [[bench, "--", "--"]]);
+    }
+
+    // ...and a gapped fig1 column (b2e is the first series, tpcc-2 the
+    // fourth) in every window...
+    let windows: Vec<Vec<&str>> = out
+        .lines()
+        .skip_while(|l| !l.starts_with("window"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert!(!windows.is_empty(), "fig1 rows present:\n{out}");
+    assert!(
+        windows.iter().all(|t| t[1] == "--" && t[4] == "--"),
+        "b2e and tpcc-2 columns gap out:\n{out}"
+    );
+    // ...while the healthy rows keep their fault-free values.
+    let clean = stdout(&experiments(&["pollution", "--smoke", "--jobs", "2"]));
+    for bench in ["quake", "tpcc-1", "slsb"] {
+        assert!(!bench_rows(&clean, bench).is_empty(), "{bench} present");
+        assert_eq!(bench_rows(&clean, bench), bench_rows(&out, bench), "{bench}");
+    }
+    assert!(out.contains("cell(s) failed"), "footnotes:\n{out}");
 }
 
 #[test]

@@ -30,6 +30,32 @@ pub struct BusStats {
     pub queue_waits: u64,
 }
 
+impl BusStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.transfers);
+        enc.u64(self.demand_transfers);
+        enc.u64(self.busy_cycles);
+        enc.u64(self.queue_waits);
+    }
+
+    /// Restores counters written by [`BusStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.transfers = dec.u64("bus transfers")?;
+        self.demand_transfers = dec.u64("bus demand transfers")?;
+        self.busy_cycles = dec.u64("bus busy cycles")?;
+        self.queue_waits = dec.u64("bus queue waits")?;
+        Ok(())
+    }
+}
+
 /// The bus + DRAM model.
 ///
 /// # Examples
@@ -235,10 +261,7 @@ impl Bus {
                 enc.u64(t);
             }
         }
-        enc.u64(self.stats.transfers);
-        enc.u64(self.stats.demand_transfers);
-        enc.u64(self.stats.busy_cycles);
-        enc.u64(self.stats.queue_waits);
+        self.stats.save_state(enc);
     }
 
     /// Restores state written by [`Bus::save_state`].
@@ -264,13 +287,7 @@ impl Bus {
                 q.push_back(dec.u64("bus queue entry")?);
             }
         }
-        self.stats = BusStats {
-            transfers: dec.u64("bus transfers")?,
-            demand_transfers: dec.u64("bus demand transfers")?,
-            busy_cycles: dec.u64("bus busy cycles")?,
-            queue_waits: dec.u64("bus queue waits")?,
-        };
-        Ok(())
+        self.stats.restore_state(dec)
     }
 }
 

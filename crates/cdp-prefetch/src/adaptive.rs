@@ -45,6 +45,30 @@ pub struct AdaptiveStats {
     pub loosened: u64,
 }
 
+impl AdaptiveStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.windows);
+        enc.u64(self.tightened);
+        enc.u64(self.loosened);
+    }
+
+    /// Restores counters written by [`AdaptiveStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.windows = dec.u64("adaptive stats windows")?;
+        self.tightened = dec.u64("adaptive stats tightened")?;
+        self.loosened = dec.u64("adaptive stats loosened")?;
+        Ok(())
+    }
+}
+
 /// The run-time controller.
 ///
 /// # Examples
@@ -145,9 +169,7 @@ impl AdaptiveVam {
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.last_issued);
         enc.u64(self.last_useful);
-        enc.u64(self.stats.windows);
-        enc.u64(self.stats.tightened);
-        enc.u64(self.stats.loosened);
+        self.stats.save_state(enc);
     }
 
     /// Restores state written by [`AdaptiveVam::save_state`].
@@ -161,10 +183,7 @@ impl AdaptiveVam {
     ) -> Result<(), cdp_types::SnapshotError> {
         self.last_issued = dec.u64("adaptive last_issued")?;
         self.last_useful = dec.u64("adaptive last_useful")?;
-        self.stats.windows = dec.u64("adaptive stats windows")?;
-        self.stats.tightened = dec.u64("adaptive stats tightened")?;
-        self.stats.loosened = dec.u64("adaptive stats loosened")?;
-        Ok(())
+        self.stats.restore_state(dec)
     }
 }
 

@@ -36,6 +36,70 @@ pub struct ContentStats {
     pub depth_terminations: u64,
 }
 
+impl ContentStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.fills_scanned);
+        enc.u64(self.rescans);
+        enc.u64(self.candidates);
+        enc.u64(self.emitted);
+        enc.u64(self.depth_terminations);
+    }
+
+    /// Restores counters written by [`ContentStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.fills_scanned = dec.u64("content stats fills_scanned")?;
+        self.rescans = dec.u64("content stats rescans")?;
+        self.candidates = dec.u64("content stats candidates")?;
+        self.emitted = dec.u64("content stats emitted")?;
+        self.depth_terminations = dec.u64("content stats depth_terminations")?;
+        Ok(())
+    }
+}
+
+/// Serializes a [`ContentConfig`] (declaration order). The codec lives
+/// here rather than on the type because `cdp-types` does not depend on
+/// `cdp-snap`.
+pub fn save_config(cfg: &ContentConfig, enc: &mut cdp_snap::Enc) {
+    enc.u32(cfg.vam.compare_bits);
+    enc.u32(cfg.vam.filter_bits);
+    enc.u32(cfg.vam.align_bits);
+    enc.usize(cfg.vam.scan_step);
+    enc.u8(cfg.depth_threshold);
+    enc.bool(cfg.reinforcement);
+    enc.u8(cfg.reinforcement_margin);
+    enc.u32(cfg.prev_lines);
+    enc.u32(cfg.next_lines);
+}
+
+/// Restores a configuration written by [`save_config`].
+///
+/// # Errors
+///
+/// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+pub fn restore_config(
+    cfg: &mut ContentConfig,
+    dec: &mut cdp_snap::Dec<'_>,
+) -> Result<(), cdp_types::SnapshotError> {
+    cfg.vam.compare_bits = dec.u32("content vam compare_bits")?;
+    cfg.vam.filter_bits = dec.u32("content vam filter_bits")?;
+    cfg.vam.align_bits = dec.u32("content vam align_bits")?;
+    cfg.vam.scan_step = dec.usize("content vam scan_step")?;
+    cfg.depth_threshold = dec.u8("content depth_threshold")?;
+    cfg.reinforcement = dec.bool("content reinforcement")?;
+    cfg.reinforcement_margin = dec.u8("content reinforcement_margin")?;
+    cfg.prev_lines = dec.u32("content prev_lines")?;
+    cfg.next_lines = dec.u32("content next_lines")?;
+    Ok(())
+}
+
 /// The content-directed prefetcher.
 ///
 /// # Examples
@@ -180,20 +244,8 @@ impl ContentPrefetcher {
     /// run must pick up the knobs exactly where the controller left them,
     /// not at the construction-time values.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u32(self.cfg.vam.compare_bits);
-        enc.u32(self.cfg.vam.filter_bits);
-        enc.u32(self.cfg.vam.align_bits);
-        enc.usize(self.cfg.vam.scan_step);
-        enc.u8(self.cfg.depth_threshold);
-        enc.bool(self.cfg.reinforcement);
-        enc.u8(self.cfg.reinforcement_margin);
-        enc.u32(self.cfg.prev_lines);
-        enc.u32(self.cfg.next_lines);
-        enc.u64(self.stats.fills_scanned);
-        enc.u64(self.stats.rescans);
-        enc.u64(self.stats.candidates);
-        enc.u64(self.stats.emitted);
-        enc.u64(self.stats.depth_terminations);
+        save_config(&self.cfg, enc);
+        self.stats.save_state(enc);
     }
 
     /// Restores state written by [`ContentPrefetcher::save_state`].
@@ -205,21 +257,8 @@ impl ContentPrefetcher {
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
-        self.cfg.vam.compare_bits = dec.u32("content vam compare_bits")?;
-        self.cfg.vam.filter_bits = dec.u32("content vam filter_bits")?;
-        self.cfg.vam.align_bits = dec.u32("content vam align_bits")?;
-        self.cfg.vam.scan_step = dec.usize("content vam scan_step")?;
-        self.cfg.depth_threshold = dec.u8("content depth_threshold")?;
-        self.cfg.reinforcement = dec.bool("content reinforcement")?;
-        self.cfg.reinforcement_margin = dec.u8("content reinforcement_margin")?;
-        self.cfg.prev_lines = dec.u32("content prev_lines")?;
-        self.cfg.next_lines = dec.u32("content next_lines")?;
-        self.stats.fills_scanned = dec.u64("content stats fills_scanned")?;
-        self.stats.rescans = dec.u64("content stats rescans")?;
-        self.stats.candidates = dec.u64("content stats candidates")?;
-        self.stats.emitted = dec.u64("content stats emitted")?;
-        self.stats.depth_terminations = dec.u64("content stats depth_terminations")?;
-        Ok(())
+        restore_config(&mut self.cfg, dec)?;
+        self.stats.restore_state(dec)
     }
 
     /// Performs a reinforcement rescan of a resident line (counted

@@ -69,6 +69,34 @@ pub struct DeltaStats {
     pub evictions: u64,
 }
 
+impl DeltaStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.observed);
+        enc.u64(self.table_hits);
+        enc.u64(self.emitted);
+        enc.u64(self.trained);
+        enc.u64(self.evictions);
+    }
+
+    /// Restores counters written by [`DeltaStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.observed = dec.u64("delta stats observed")?;
+        self.table_hits = dec.u64("delta stats table_hits")?;
+        self.emitted = dec.u64("delta stats emitted")?;
+        self.trained = dec.u64("delta stats trained")?;
+        self.evictions = dec.u64("delta stats evictions")?;
+        Ok(())
+    }
+}
+
 /// The delta-space Markov prefetcher (and, built with
 /// [`DeltaPrefetcher::stab`], the §5 Markov STAB).
 ///
@@ -358,11 +386,7 @@ impl DeltaPrefetcher {
         for &d in &self.hist {
             enc.i64(i64::from(d));
         }
-        enc.u64(self.stats.observed);
-        enc.u64(self.stats.table_hits);
-        enc.u64(self.stats.emitted);
-        enc.u64(self.stats.trained);
-        enc.u64(self.stats.evictions);
+        self.stats.save_state(enc);
         enc.seq_len(self.sets.len());
         for set in &self.sets {
             enc.seq_len(set.len());
@@ -411,11 +435,7 @@ impl DeltaPrefetcher {
             })?;
             self.hist.push(d);
         }
-        self.stats.observed = dec.u64("delta stats observed")?;
-        self.stats.table_hits = dec.u64("delta stats table_hits")?;
-        self.stats.emitted = dec.u64("delta stats emitted")?;
-        self.stats.trained = dec.u64("delta stats trained")?;
-        self.stats.evictions = dec.u64("delta stats evictions")?;
+        self.stats.restore_state(dec)?;
         let sets = dec.seq_len(8, "delta set count")?;
         if sets != self.sets.len() {
             return Err(SnapshotError::Corrupt {

@@ -43,6 +43,34 @@ pub struct JumpStats {
     pub evictions: u64,
 }
 
+impl JumpStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.observed);
+        enc.u64(self.trained);
+        enc.u64(self.table_hits);
+        enc.u64(self.emitted);
+        enc.u64(self.evictions);
+    }
+
+    /// Restores counters written by [`JumpStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.observed = dec.u64("jump stats observed")?;
+        self.trained = dec.u64("jump stats trained")?;
+        self.table_hits = dec.u64("jump stats table_hits")?;
+        self.emitted = dec.u64("jump stats emitted")?;
+        self.evictions = dec.u64("jump stats evictions")?;
+        Ok(())
+    }
+}
+
 /// The jump-pointer prefetcher.
 ///
 /// # Examples
@@ -146,11 +174,7 @@ impl JumpPrefetcher {
     /// preserved, so LRU victim selection resumes bit-identically).
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.clock);
-        enc.u64(self.stats.observed);
-        enc.u64(self.stats.trained);
-        enc.u64(self.stats.table_hits);
-        enc.u64(self.stats.emitted);
-        enc.u64(self.stats.evictions);
+        self.stats.save_state(enc);
         enc.seq_len(self.sets.len());
         for set in &self.sets {
             enc.seq_len(set.len());
@@ -175,11 +199,7 @@ impl JumpPrefetcher {
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
         self.clock = dec.u64("jump clock")?;
-        self.stats.observed = dec.u64("jump stats observed")?;
-        self.stats.trained = dec.u64("jump stats trained")?;
-        self.stats.table_hits = dec.u64("jump stats table_hits")?;
-        self.stats.emitted = dec.u64("jump stats emitted")?;
-        self.stats.evictions = dec.u64("jump stats evictions")?;
+        self.stats.restore_state(dec)?;
         let sets = dec.seq_len(8, "jump set count")?;
         if sets != self.sets.len() {
             return Err(SnapshotError::Corrupt {

@@ -41,6 +41,36 @@ pub struct PerceptronStats {
     pub false_negatives: u64,
 }
 
+impl PerceptronStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.considered);
+        enc.u64(self.accepted);
+        enc.u64(self.rejected);
+        enc.u64(self.trained_useful);
+        enc.u64(self.trained_wasted);
+        enc.u64(self.false_negatives);
+    }
+
+    /// Restores counters written by [`PerceptronStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.considered = dec.u64("perceptron stats considered")?;
+        self.accepted = dec.u64("perceptron stats accepted")?;
+        self.rejected = dec.u64("perceptron stats rejected")?;
+        self.trained_useful = dec.u64("perceptron stats trained_useful")?;
+        self.trained_wasted = dec.u64("perceptron stats trained_wasted")?;
+        self.false_negatives = dec.u64("perceptron stats false_negatives")?;
+        Ok(())
+    }
+}
+
 /// The perceptron confidence filter.
 ///
 /// # Examples
@@ -181,12 +211,7 @@ impl PerceptronFilter {
 
     /// Serializes the complete filter state.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.stats.considered);
-        enc.u64(self.stats.accepted);
-        enc.u64(self.stats.rejected);
-        enc.u64(self.stats.trained_useful);
-        enc.u64(self.stats.trained_wasted);
-        enc.u64(self.stats.false_negatives);
+        self.stats.save_state(enc);
         enc.seq_len(self.weights.len());
         for &w in &self.weights {
             enc.u8(w as u8);
@@ -209,12 +234,7 @@ impl PerceptronFilter {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        self.stats.considered = dec.u64("perceptron stats considered")?;
-        self.stats.accepted = dec.u64("perceptron stats accepted")?;
-        self.stats.rejected = dec.u64("perceptron stats rejected")?;
-        self.stats.trained_useful = dec.u64("perceptron stats trained_useful")?;
-        self.stats.trained_wasted = dec.u64("perceptron stats trained_wasted")?;
-        self.stats.false_negatives = dec.u64("perceptron stats false_negatives")?;
+        self.stats.restore_state(dec)?;
         let n = dec.seq_len(1, "perceptron weight count")?;
         if n != self.weights.len() {
             return Err(SnapshotError::Corrupt {

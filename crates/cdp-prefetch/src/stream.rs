@@ -37,6 +37,32 @@ pub struct StreamStats {
     pub emitted: u64,
 }
 
+impl StreamStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.observed);
+        enc.u64(self.confirmed);
+        enc.u64(self.allocated);
+        enc.u64(self.emitted);
+    }
+
+    /// Restores counters written by [`StreamStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.observed = dec.u64("stream stats observed")?;
+        self.confirmed = dec.u64("stream stats confirmed")?;
+        self.allocated = dec.u64("stream stats allocated")?;
+        self.emitted = dec.u64("stream stats emitted")?;
+        Ok(())
+    }
+}
+
 /// The stream-buffer prefetcher.
 ///
 /// # Examples
@@ -153,10 +179,7 @@ impl StreamPrefetcher {
     /// depends on position for ties, so order is preserved verbatim).
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.clock);
-        enc.u64(self.stats.observed);
-        enc.u64(self.stats.confirmed);
-        enc.u64(self.stats.allocated);
-        enc.u64(self.stats.emitted);
+        self.stats.save_state(enc);
         enc.seq_len(self.streams.len());
         for s in &self.streams {
             enc.u32(s.next_line);
@@ -177,10 +200,7 @@ impl StreamPrefetcher {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         self.clock = dec.u64("stream clock")?;
-        self.stats.observed = dec.u64("stream stats observed")?;
-        self.stats.confirmed = dec.u64("stream stats confirmed")?;
-        self.stats.allocated = dec.u64("stream stats allocated")?;
-        self.stats.emitted = dec.u64("stream stats emitted")?;
+        self.stats.restore_state(dec)?;
         let n = dec.seq_len(4 + 4 + 8 + 1, "stream count")?;
         if n > self.max_streams {
             return Err(cdp_types::SnapshotError::Corrupt {

@@ -44,6 +44,30 @@ pub struct StrideStats {
     pub conflicts: u64,
 }
 
+impl StrideStats {
+    /// Serializes every counter (declaration order).
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.observed);
+        enc.u64(self.emitted);
+        enc.u64(self.conflicts);
+    }
+
+    /// Restores counters written by [`StrideStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
+    pub fn restore_state(
+        &mut self,
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<(), cdp_types::SnapshotError> {
+        self.observed = dec.u64("stride stats observed")?;
+        self.emitted = dec.u64("stride stats emitted")?;
+        self.conflicts = dec.u64("stride stats conflicts")?;
+        Ok(())
+    }
+}
+
 /// The stride prefetcher.
 ///
 /// # Examples
@@ -154,9 +178,7 @@ impl StridePrefetcher {
 
     /// Serializes the complete RPT state.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.stats.observed);
-        enc.u64(self.stats.emitted);
-        enc.u64(self.stats.conflicts);
+        self.stats.save_state(enc);
         enc.seq_len(self.table.len());
         for slot in &self.table {
             match slot {
@@ -189,9 +211,7 @@ impl StridePrefetcher {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        self.stats.observed = dec.u64("stride stats observed")?;
-        self.stats.emitted = dec.u64("stride stats emitted")?;
-        self.stats.conflicts = dec.u64("stride stats conflicts")?;
+        self.stats.restore_state(dec)?;
         let n = dec.seq_len(1, "stride table size")?;
         if n != self.table.len() {
             return Err(SnapshotError::Corrupt {

@@ -6,14 +6,16 @@
 //!   the stride, content, and Markov prefetchers plugged into their hook
 //!   points.
 //! * [`system`] — [`Simulator`]: core + hierarchy, warm-up handling,
-//!   MPTU tracing, and [`system::speedup`]. [`SimSession`] exposes the
-//!   stepping loop incrementally and can [`SimSession::snapshot`] the
-//!   full simulation state between steps; [`Simulator::resume`] restores
-//!   a session that continues bit-identically.
+//!   and [`system::speedup`]. [`SimSession`] is the one loop that drives
+//!   a core over a hierarchy: it steps window by window, records the
+//!   per-window [`MetricsWindow`]s (the Figure 1 MPTU trace) when asked,
+//!   and can [`SimSession::snapshot`] the full simulation state between
+//!   steps; [`Simulator::resume`] restores a session that continues
+//!   bit-identically.
 //! * [`stats`] / [`metrics`] — counters and the paper's coverage/accuracy
 //!   and Figure 10 timeliness metrics.
-//! * [`runner`] — suite-level comparison drivers used by the experiment
-//!   harness.
+//! * [`runner`] — the experiment conventions: seed, workload builder,
+//!   §2.2 warm-up budget, and the pointer-heavy tuning subset.
 //! * [`exec`] — the parallel experiment engine: a std-only scoped-thread
 //!   [`Pool`] running independent simulations across cores with
 //!   submission-order (deterministic) results, plus the shared
@@ -60,12 +62,10 @@ pub use exec::{
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};
-pub use metrics::{accuracy, coverage, geomean, mean};
+pub use metrics::{accuracy, coverage, mean};
 pub use observe::{MetricsWindow, Observation, ObsEntry, ObsSink};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
-pub use runner::{build_workload, compare_suite, run_benchmark, Comparison};
+pub use runner::build_workload;
 pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};
 pub use status::{install_status_sink, status_sink, ResultSource, SourceSlot, StatusSink};
-pub use system::{
-    set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator, WindowSample,
-};
+pub use system::{set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator};

@@ -41,16 +41,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean (provided for robustness studies; the paper's headline
-/// numbers use the arithmetic mean).
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,8 +106,6 @@ mod tests {
     #[test]
     fn means() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
     }
 }

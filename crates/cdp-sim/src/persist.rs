@@ -7,6 +7,8 @@
 //! rides inside a checksummed `cdp-snap` section, so this layer only
 //! needs structural validation (version gate, length guards); bit-level
 //! damage is caught by the envelope before these bytes are ever decoded.
+//! Every stats type is written by its own `save_state`, the codec its
+//! component's snapshot also uses, so each counter has one encoding.
 //!
 //! The payload carries its own version, independent of the store's
 //! envelope version: the envelope describes *how entries are framed*,
@@ -14,15 +16,14 @@
 //! files safely (typed [`SnapshotError::UnsupportedVersion`]), and a
 //! refused entry is just a cache miss — the cell recomputes.
 
-use cdp_core::CoreStats;
-use cdp_mem::BusStats;
 use cdp_obs::trace::{load_trace_data, save_trace_data, TraceEvent};
 use cdp_prefetch::adaptive::AdaptiveStats;
+use cdp_prefetch::content;
 use cdp_prefetch::{
     ContentStats, DeltaStats, JumpStats, PerceptronStats, StreamStats, StrideStats,
 };
 use cdp_snap::{Dec, Enc};
-use cdp_types::{ContentConfig, SnapshotError, VamConfig};
+use cdp_types::SnapshotError;
 
 use crate::observe::{MetricsWindow, Observation};
 use crate::system::RunStats;
@@ -85,65 +86,50 @@ pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), Sn
 fn save_run_stats(s: &RunStats, e: &mut Enc) {
     e.u64(s.cycles);
     e.u64(s.retired);
-    save_core_stats(&s.core, e);
+    s.core.save_state(e);
     s.mem.save_state(e);
-    opt(e, s.content.as_ref(), save_content_stats);
-    opt(e, s.stride.as_ref(), save_stride_stats);
-    opt(e, s.markov.as_ref(), save_delta_stats);
-    opt(e, s.stream.as_ref(), save_stream_stats);
-    match &s.adaptive {
-        Some((a, cfg)) => {
-            e.bool(true);
-            e.u64(a.windows);
-            e.u64(a.tightened);
-            e.u64(a.loosened);
-            save_content_config(cfg, e);
-        }
-        None => e.bool(false),
-    }
-    opt(e, s.delta.as_ref(), save_delta_stats);
-    opt(e, s.jump.as_ref(), save_jump_stats);
-    opt(e, s.perceptron.as_ref(), save_perceptron_stats);
-    e.u64(s.bus.transfers);
-    e.u64(s.bus.demand_transfers);
-    e.u64(s.bus.busy_cycles);
-    e.u64(s.bus.queue_waits);
+    opt(e, s.content.as_ref(), ContentStats::save_state);
+    opt(e, s.stride.as_ref(), StrideStats::save_state);
+    opt(e, s.markov.as_ref(), DeltaStats::save_state);
+    opt(e, s.stream.as_ref(), StreamStats::save_state);
+    opt(e, s.adaptive.as_ref(), |(a, cfg), e| {
+        a.save_state(e);
+        content::save_config(cfg, e);
+    });
+    opt(e, s.delta.as_ref(), DeltaStats::save_state);
+    opt(e, s.jump.as_ref(), JumpStats::save_state);
+    opt(e, s.perceptron.as_ref(), PerceptronStats::save_state);
+    s.bus.save_state(e);
 }
 
 fn load_run_stats(d: &mut Dec<'_>) -> Result<RunStats, SnapshotError> {
     let mut s = RunStats {
         cycles: d.u64("result cycles")?,
         retired: d.u64("result retired")?,
-        core: load_core_stats(d)?,
         ..RunStats::default()
     };
+    s.core.restore_state(d)?;
     s.mem.restore_state(d)?;
-    s.content = opt_load(d, "result content stats", load_content_stats)?;
-    s.stride = opt_load(d, "result stride stats", load_stride_stats)?;
-    s.markov = opt_load(d, "result markov stats", load_delta_stats)?;
-    s.stream = opt_load(d, "result stream stats", load_stream_stats)?;
-    s.adaptive = if d.bool("result has adaptive")? {
-        let a = AdaptiveStats {
-            windows: d.u64("adaptive windows")?,
-            tightened: d.u64("adaptive tightened")?,
-            loosened: d.u64("adaptive loosened")?,
-        };
-        Some((a, load_content_config(d)?))
-    } else {
-        None
-    };
-    s.delta = opt_load(d, "result delta stats", load_delta_stats)?;
-    s.jump = opt_load(d, "result jump stats", load_jump_stats)?;
-    s.perceptron = opt_load(d, "result perceptron stats", load_perceptron_stats)?;
-    s.bus = BusStats {
-        transfers: d.u64("bus transfers")?,
-        demand_transfers: d.u64("bus demand_transfers")?,
-        busy_cycles: d.u64("bus busy_cycles")?,
-        queue_waits: d.u64("bus queue_waits")?,
-    };
+    s.content = opt_load(d, "result content stats", ContentStats::restore_state)?;
+    s.stride = opt_load(d, "result stride stats", StrideStats::restore_state)?;
+    s.markov = opt_load(d, "result markov stats", DeltaStats::restore_state)?;
+    s.stream = opt_load(d, "result stream stats", StreamStats::restore_state)?;
+    s.adaptive = opt_load(
+        d,
+        "result has adaptive",
+        |(a, cfg): &mut (AdaptiveStats, _), d| {
+            a.restore_state(d)?;
+            content::restore_config(cfg, d)
+        },
+    )?;
+    s.delta = opt_load(d, "result delta stats", DeltaStats::restore_state)?;
+    s.jump = opt_load(d, "result jump stats", JumpStats::restore_state)?;
+    s.perceptron = opt_load(d, "result perceptron stats", PerceptronStats::restore_state)?;
+    s.bus.restore_state(d)?;
     Ok(s)
 }
 
+/// Writes a presence flag, then `v` through its codec.
 fn opt<T>(e: &mut Enc, v: Option<&T>, save: impl Fn(&T, &mut Enc)) {
     match v {
         Some(v) => {
@@ -154,174 +140,18 @@ fn opt<T>(e: &mut Enc, v: Option<&T>, save: impl Fn(&T, &mut Enc)) {
     }
 }
 
-fn opt_load<T>(
+/// Reads what [`opt`] wrote, restoring into a default value.
+fn opt_load<T: Default>(
     d: &mut Dec<'_>,
     context: &'static str,
-    load: impl Fn(&mut Dec<'_>) -> Result<T, SnapshotError>,
+    restore: impl Fn(&mut T, &mut Dec<'_>) -> Result<(), SnapshotError>,
 ) -> Result<Option<T>, SnapshotError> {
-    if d.bool(context)? {
-        Ok(Some(load(d)?))
-    } else {
-        Ok(None)
+    if !d.bool(context)? {
+        return Ok(None);
     }
-}
-
-fn save_core_stats(c: &CoreStats, e: &mut Enc) {
-    e.u64(c.cycles);
-    e.u64(c.retired);
-    e.u64(c.loads);
-    e.u64(c.stores);
-    e.u64(c.branches);
-    e.u64(c.mispredicts);
-    e.u64(c.redirect_stall_cycles);
-    e.u64(c.forwarded_loads);
-    e.u64(c.rob_occupancy_cycles);
-}
-
-fn load_core_stats(d: &mut Dec<'_>) -> Result<CoreStats, SnapshotError> {
-    Ok(CoreStats {
-        cycles: d.u64("core cycles")?,
-        retired: d.u64("core retired")?,
-        loads: d.u64("core loads")?,
-        stores: d.u64("core stores")?,
-        branches: d.u64("core branches")?,
-        mispredicts: d.u64("core mispredicts")?,
-        redirect_stall_cycles: d.u64("core redirect_stall_cycles")?,
-        forwarded_loads: d.u64("core forwarded_loads")?,
-        rob_occupancy_cycles: d.u64("core rob_occupancy_cycles")?,
-    })
-}
-
-fn save_content_stats(c: &ContentStats, e: &mut Enc) {
-    e.u64(c.fills_scanned);
-    e.u64(c.rescans);
-    e.u64(c.candidates);
-    e.u64(c.emitted);
-    e.u64(c.depth_terminations);
-}
-
-fn load_content_stats(d: &mut Dec<'_>) -> Result<ContentStats, SnapshotError> {
-    Ok(ContentStats {
-        fills_scanned: d.u64("content fills_scanned")?,
-        rescans: d.u64("content rescans")?,
-        candidates: d.u64("content candidates")?,
-        emitted: d.u64("content emitted")?,
-        depth_terminations: d.u64("content depth_terminations")?,
-    })
-}
-
-fn save_stride_stats(s: &StrideStats, e: &mut Enc) {
-    e.u64(s.observed);
-    e.u64(s.emitted);
-    e.u64(s.conflicts);
-}
-
-fn load_stride_stats(d: &mut Dec<'_>) -> Result<StrideStats, SnapshotError> {
-    Ok(StrideStats {
-        observed: d.u64("stride observed")?,
-        emitted: d.u64("stride emitted")?,
-        conflicts: d.u64("stride conflicts")?,
-    })
-}
-
-fn save_delta_stats(s: &DeltaStats, e: &mut Enc) {
-    e.u64(s.observed);
-    e.u64(s.table_hits);
-    e.u64(s.emitted);
-    e.u64(s.trained);
-    e.u64(s.evictions);
-}
-
-fn load_delta_stats(d: &mut Dec<'_>) -> Result<DeltaStats, SnapshotError> {
-    Ok(DeltaStats {
-        observed: d.u64("delta observed")?,
-        table_hits: d.u64("delta table_hits")?,
-        emitted: d.u64("delta emitted")?,
-        trained: d.u64("delta trained")?,
-        evictions: d.u64("delta evictions")?,
-    })
-}
-
-fn save_jump_stats(s: &JumpStats, e: &mut Enc) {
-    e.u64(s.observed);
-    e.u64(s.trained);
-    e.u64(s.table_hits);
-    e.u64(s.emitted);
-    e.u64(s.evictions);
-}
-
-fn load_jump_stats(d: &mut Dec<'_>) -> Result<JumpStats, SnapshotError> {
-    Ok(JumpStats {
-        observed: d.u64("jump observed")?,
-        trained: d.u64("jump trained")?,
-        table_hits: d.u64("jump table_hits")?,
-        emitted: d.u64("jump emitted")?,
-        evictions: d.u64("jump evictions")?,
-    })
-}
-
-fn save_perceptron_stats(s: &PerceptronStats, e: &mut Enc) {
-    e.u64(s.considered);
-    e.u64(s.accepted);
-    e.u64(s.rejected);
-    e.u64(s.trained_useful);
-    e.u64(s.trained_wasted);
-    e.u64(s.false_negatives);
-}
-
-fn load_perceptron_stats(d: &mut Dec<'_>) -> Result<PerceptronStats, SnapshotError> {
-    Ok(PerceptronStats {
-        considered: d.u64("perceptron considered")?,
-        accepted: d.u64("perceptron accepted")?,
-        rejected: d.u64("perceptron rejected")?,
-        trained_useful: d.u64("perceptron trained_useful")?,
-        trained_wasted: d.u64("perceptron trained_wasted")?,
-        false_negatives: d.u64("perceptron false_negatives")?,
-    })
-}
-
-fn save_stream_stats(s: &StreamStats, e: &mut Enc) {
-    e.u64(s.observed);
-    e.u64(s.confirmed);
-    e.u64(s.allocated);
-    e.u64(s.emitted);
-}
-
-fn load_stream_stats(d: &mut Dec<'_>) -> Result<StreamStats, SnapshotError> {
-    Ok(StreamStats {
-        observed: d.u64("stream observed")?,
-        confirmed: d.u64("stream confirmed")?,
-        allocated: d.u64("stream allocated")?,
-        emitted: d.u64("stream emitted")?,
-    })
-}
-
-fn save_content_config(c: &ContentConfig, e: &mut Enc) {
-    e.u32(c.vam.compare_bits);
-    e.u32(c.vam.filter_bits);
-    e.u32(c.vam.align_bits);
-    e.usize(c.vam.scan_step);
-    e.u8(c.depth_threshold);
-    e.bool(c.reinforcement);
-    e.u8(c.reinforcement_margin);
-    e.u32(c.prev_lines);
-    e.u32(c.next_lines);
-}
-
-fn load_content_config(d: &mut Dec<'_>) -> Result<ContentConfig, SnapshotError> {
-    Ok(ContentConfig {
-        vam: VamConfig {
-            compare_bits: d.u32("vam compare_bits")?,
-            filter_bits: d.u32("vam filter_bits")?,
-            align_bits: d.u32("vam align_bits")?,
-            scan_step: d.usize("vam scan_step")?,
-        },
-        depth_threshold: d.u8("content depth_threshold")?,
-        reinforcement: d.bool("content reinforcement")?,
-        reinforcement_margin: d.u8("content reinforcement_margin")?,
-        prev_lines: d.u32("content prev_lines")?,
-        next_lines: d.u32("content next_lines")?,
-    })
+    let mut v = T::default();
+    restore(&mut v, d)?;
+    Ok(Some(v))
 }
 
 fn save_observation(o: &Observation, e: &mut Enc) {
@@ -388,6 +218,7 @@ fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
 mod tests {
     use super::*;
     use cdp_obs::trace::TraceData;
+    use cdp_types::ContentConfig;
 
     fn sample_stats() -> RunStats {
         let mut s = RunStats {
@@ -484,6 +315,17 @@ mod tests {
                 p
             }),
         }
+    }
+
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // Every store entry written by an earlier build of this version
+        // must keep replaying: the sample's encoding hashes to the value
+        // the field-by-field encoder of `RESULT_VERSION` 3 produced.
+        let bytes = encode_result(&sample_stats(), Some(&sample_observation()));
+        let mut h = cdp_snap::WordHasher::new();
+        h.write(&bytes);
+        assert_eq!((bytes.len(), h.finish()), (1342, 0x6a9d_f4a7_4e23_7c40));
     }
 
     #[test]

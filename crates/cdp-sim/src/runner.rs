@@ -1,16 +1,10 @@
-//! Suite-level experiment runners.
-//!
-//! These helpers implement the paper's measurement conventions: every
-//! speedup is the ratio of the stride-prefetcher baseline's cycles to the
-//! variant's cycles on the *same* workload (same structures, same trace,
-//! same seed), averaged arithmetically across the suite.
+//! The experiments' measurement conventions: one seed for every workload
+//! build (so a baseline and its variant run the *same* structures and
+//! trace), the §2.2 warm-up budget, and the pointer-heavy tuning subset.
 
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale};
 use cdp_workloads::Workload;
-
-use crate::metrics::mean;
-use crate::system::{speedup, RunStats, Simulator};
 
 /// Default seed for experiment workload generation.
 pub const DEFAULT_SEED: u64 = 0x5eed_2002;
@@ -18,50 +12,6 @@ pub const DEFAULT_SEED: u64 = 0x5eed_2002;
 /// Builds a benchmark workload at `scale` with the experiment seed.
 pub fn build_workload(bench: Benchmark, scale: Scale) -> Workload {
     bench.build(scale, DEFAULT_SEED)
-}
-
-/// Runs one benchmark under one configuration (fresh workload).
-pub fn run_benchmark(cfg: &SystemConfig, bench: Benchmark, scale: Scale) -> RunStats {
-    let w = build_workload(bench, scale);
-    Simulator::new(cfg.clone()).run(&w)
-}
-
-/// Per-benchmark result of a baseline/variant comparison.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Benchmark name.
-    pub name: String,
-    /// Stride-only baseline.
-    pub baseline: RunStats,
-    /// Variant under test.
-    pub variant: RunStats,
-    /// baseline.cycles / variant.cycles.
-    pub speedup: f64,
-}
-
-/// Runs `benches` under both configurations on identical workloads and
-/// reports per-benchmark speedups plus their arithmetic mean.
-pub fn compare_suite(
-    baseline_cfg: &SystemConfig,
-    variant_cfg: &SystemConfig,
-    benches: &[Benchmark],
-    scale: Scale,
-) -> (Vec<Comparison>, f64) {
-    let mut rows = Vec::with_capacity(benches.len());
-    for &b in benches {
-        let w = build_workload(b, scale);
-        let baseline = Simulator::new(baseline_cfg.clone()).run(&w);
-        let variant = Simulator::new(variant_cfg.clone()).run(&w);
-        let s = speedup(&baseline, &variant);
-        rows.push(Comparison {
-            name: b.name().to_string(),
-            baseline,
-            variant,
-            speedup: s,
-        });
-    }
-    let avg = mean(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>());
-    (rows, avg)
 }
 
 /// The pointer-intensive subset used for heuristic tuning sweeps (the
@@ -85,23 +35,6 @@ pub fn with_warmup(mut cfg: SystemConfig, scale: Scale) -> SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compare_suite_produces_one_row_per_benchmark() {
-        let base = SystemConfig::asplos2002();
-        let variant = SystemConfig::with_content();
-        let benches = [Benchmark::B2e, Benchmark::Slsb];
-        let (rows, avg) = compare_suite(&base, &variant, &benches, Scale::smoke());
-        assert_eq!(rows.len(), 2);
-        assert!(avg > 0.8 && avg < 5.0, "sane speedup {avg}");
-        for r in &rows {
-            assert_eq!(r.baseline.retired, r.variant.retired, "{}", r.name);
-            assert!((r.speedup
-                - r.baseline.cycles as f64 / r.variant.cycles as f64)
-                .abs()
-                < 1e-12);
-        }
-    }
 
     #[test]
     fn warmup_helper_sets_budget() {

@@ -137,46 +137,6 @@ impl RunStats {
     }
 }
 
-/// One window of a [`Simulator::run_timeline`] trace (all counters are
-/// per-window, not cumulative).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowSample {
-    /// Window index.
-    pub window: usize,
-    /// Uops retired in this window.
-    pub retired: u64,
-    /// Cycles elapsed in this window.
-    pub cycles: u64,
-    /// L2 demand misses in this window.
-    pub l2_misses: u64,
-    /// L1 misses in this window.
-    pub l1_misses: u64,
-    /// Content prefetches issued in this window.
-    pub content_issued: u64,
-    /// Content prefetches that became useful in this window.
-    pub content_useful: u64,
-}
-
-impl WindowSample {
-    /// The window's MPTU.
-    pub fn mptu(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 * 1000.0 / self.retired as f64
-        }
-    }
-
-    /// The window's IPC.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.retired as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Speedup of `variant` over `baseline` on the same workload
 /// (`baseline_cycles / variant_cycles`, the paper's convention: 1.126 =
 /// "12.6% speedup").
@@ -398,77 +358,6 @@ impl Simulator {
         let mut session = self.session(workload, obs);
         session.restore(bytes).map_err(CdpError::Snapshot)?;
         Ok(session)
-    }
-
-    /// Runs `workload` in windows of `window_uops` retired uops, sampling
-    /// the full per-window statistics timeline (non-cumulative). The last
-    /// window may be shorter than `window_uops`.
-    /// # Panics
-    ///
-    /// Panics on an unrecoverable demand-path fault (see
-    /// [`Simulator::try_run`]).
-    pub fn run_timeline(&self, workload: &Workload, window_uops: u64) -> Vec<WindowSample> {
-        let mut hierarchy = self.build_hierarchy(workload);
-        let mut core = build_core(&self.cfg, workload);
-        let mut samples = Vec::new();
-        let mut target = window_uops;
-        let mut prev_retired = 0u64;
-        let mut prev_cycles = 0u64;
-        let mut prev_mem = MemStats::default();
-        loop {
-            let done = core.run_until_retired(&mut hierarchy, target);
-            if let Some(e) = hierarchy.take_fault() {
-                panic!("{e}");
-            }
-            let cs = core.stats();
-            let mem = *hierarchy.stats();
-            let retired = cs.retired - prev_retired;
-            let cycles = cs.cycles - prev_cycles;
-            samples.push(WindowSample {
-                window: samples.len(),
-                retired,
-                cycles,
-                l2_misses: mem.l2_demand_misses - prev_mem.l2_demand_misses,
-                l1_misses: mem.l1_misses - prev_mem.l1_misses,
-                content_issued: mem.content.issued - prev_mem.content.issued,
-                content_useful: mem.content.useful() - prev_mem.content.useful(),
-            });
-            prev_retired = cs.retired;
-            prev_cycles = cs.cycles;
-            prev_mem = mem;
-            if done {
-                return samples;
-            }
-            target += window_uops;
-        }
-    }
-
-    /// Runs `workload` in windows of `window_uops` retired uops, sampling
-    /// the **non-cumulative** L2 MPTU of each window (the Figure 1
-    /// methodology). Returns one MPTU value per completed window.
-    /// # Panics
-    ///
-    /// Panics on an unrecoverable demand-path fault (see
-    /// [`Simulator::try_run`]).
-    pub fn run_mptu_trace(&self, workload: &Workload, window_uops: u64) -> Vec<f64> {
-        let mut hierarchy = self.build_hierarchy(workload);
-        let mut core = build_core(&self.cfg, workload);
-        let mut samples = Vec::new();
-        let mut target = window_uops;
-        let mut prev_misses = 0u64;
-        loop {
-            let done = core.run_until_retired(&mut hierarchy, target);
-            if let Some(e) = hierarchy.take_fault() {
-                panic!("{e}");
-            }
-            let misses = hierarchy.stats().l2_demand_misses;
-            samples.push((misses - prev_misses) as f64 * 1000.0 / window_uops as f64);
-            prev_misses = misses;
-            if done {
-                return samples;
-            }
-            target += window_uops;
-        }
     }
 }
 
@@ -737,15 +626,24 @@ mod tests {
         assert!(cdp.mem.content.issued > 0, "CDP actually ran");
     }
 
+    /// The per-window deltas of an observed run with `uops`-wide windows.
+    fn windows(sim: &Simulator, w: &Workload, uops: u64) -> Vec<MetricsWindow> {
+        let obs = ObsConfig {
+            metrics_window: Some(uops),
+            ..ObsConfig::default()
+        };
+        sim.try_run_observed(w, &obs).unwrap().1.windows
+    }
+
     #[test]
     fn timeline_windows_sum_to_totals() {
         let w = Benchmark::Tpcc1.build(Scale::smoke(), 6);
         let sim = Simulator::new(SystemConfig::with_content());
-        let timeline = sim.run_timeline(&w, 4_000);
+        let timeline = windows(&sim, &w, 4_000);
         let full = sim.run(&w);
         assert!(timeline.len() >= 2);
         let retired: u64 = timeline.iter().map(|s| s.retired).sum();
-        let misses: u64 = timeline.iter().map(|s| s.l2_misses).sum();
+        let misses: u64 = timeline.iter().map(|s| s.l2_demand_misses).sum();
         let issued: u64 = timeline.iter().map(|s| s.content_issued).sum();
         assert_eq!(retired, full.retired);
         assert_eq!(misses, full.mem.l2_demand_misses);
@@ -762,8 +660,12 @@ mod tests {
     #[test]
     fn mptu_trace_has_warmup_transient() {
         let w = Benchmark::Tpcc2.build(Scale::smoke(), 9);
-        let trace =
-            Simulator::new(SystemConfig::asplos2002()).run_mptu_trace(&w, 2_000);
+        let sim = Simulator::new(SystemConfig::asplos2002());
+        // Misses per 1000 uops of window width, as Figure 1 plots them.
+        let trace: Vec<f64> = windows(&sim, &w, 2_000)
+            .iter()
+            .map(|s| s.l2_demand_misses as f64 * 1000.0 / 2_000.0)
+            .collect();
         assert!(trace.len() >= 5);
         // First window (cold caches) has more misses than the average of
         // the later half (steady state).
@@ -857,13 +759,9 @@ mod tests {
         let eager = Benchmark::Tpcc1.build_with_engine(Scale::smoke(), 6, false);
         let streamed = Benchmark::Tpcc1.build_with_engine(Scale::smoke(), 6, true);
         let sim = Simulator::new(SystemConfig::with_content());
-        assert_eq!(
-            sim.run_timeline(&eager, 4_000),
-            sim.run_timeline(&streamed, 4_000)
-        );
-        let a = sim.run_mptu_trace(&eager, 2_000);
-        let b = sim.run_mptu_trace(&streamed, 2_000);
-        assert_eq!(a, b);
+        for uops in [4_000, 2_000] {
+            assert_eq!(windows(&sim, &eager, uops), windows(&sim, &streamed, uops));
+        }
     }
 
     fn observed_cfg() -> ObsConfig {

@@ -166,6 +166,7 @@ impl SystemConfig {
             ("store_buffer", self.core.store_buffer),
             ("int_units", self.core.int_units),
             ("mem_units", self.core.mem_units),
+            ("fp_units", self.core.fp_units),
         ] {
             if v == 0 {
                 return Err(ConfigError::ZeroCoreResource { what });
@@ -279,6 +280,17 @@ mod tests {
             Err(ConfigError::ZeroCoreResource {
                 what: "issue_width"
             })
+        ));
+    }
+
+    #[test]
+    fn zero_fp_units() {
+        // With no FP unit the first FP uop of Quake or ProE never issues.
+        let mut cfg = SystemConfig::asplos2002();
+        cfg.core.fp_units = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::ZeroCoreResource { what: "fp_units" })
         ));
     }
 

@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 
-use cdp_core::{Program, Uop, UopKind};
+use cdp_core::{Program, Uop, UopKind, NUM_REGS};
 use cdp_mem::{AddressSpace, PhysMem};
 use cdp_types::{VirtAddr, PAGE_SIZE};
 
@@ -55,9 +55,14 @@ fn reg_str(r: Option<u8>) -> String {
     r.map(|v| v.to_string()).unwrap_or_else(|| "255".into())
 }
 
+/// A register field: 255 is "none", anything else must name one of the
+/// core's [`NUM_REGS`] architectural registers.
 fn parse_reg(s: &str) -> Option<Option<u8>> {
-    let v: u16 = s.parse().ok()?;
-    Some(if v == 255 { None } else { Some(v as u8) })
+    match s.parse::<u8>().ok()? {
+        255 => Some(None),
+        r if usize::from(r) < NUM_REGS => Some(Some(r)),
+        _ => None,
+    }
 }
 
 fn suite_str(s: Suite) -> &'static str {
@@ -301,6 +306,22 @@ mod tests {
         assert_eq!(from_text(bad).unwrap_err(), ParseError::BadLine(6));
         let trunc = "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 5\nA 0 1 255 255 255\n";
         assert_eq!(from_text(trunc).unwrap_err(), ParseError::Truncated);
+    }
+
+    #[test]
+    fn registers_beyond_the_core_are_bad_lines() {
+        let one_uop = |reg: u32| {
+            format!("CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 1\nA 0 1 {reg} 255 255\nframes 0\n")
+        };
+        let w = from_text(&one_uop(63)).expect("the last register parses");
+        assert_eq!(w.program.uops[0].dst, Some(63));
+        for reg in [64, 100, 256] {
+            assert_eq!(
+                from_text(&one_uop(reg)).unwrap_err(),
+                ParseError::BadLine(6),
+                "register {reg}"
+            );
+        }
     }
 
     #[test]

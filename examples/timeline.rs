@@ -6,17 +6,27 @@
 //! cargo run --release --example timeline
 //! ```
 
-use cdp::sim::{RunLength, Simulator};
-use cdp::types::SystemConfig;
+use cdp::sim::{MetricsWindow, RunLength, Simulator};
+use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
 
 fn main() {
     let workload = Benchmark::Tpcc3.build(RunLength::Quick.scale(), 17);
     println!("{}\n", workload.summary());
 
-    let window = 50_000u64;
-    let base = Simulator::new(SystemConfig::asplos2002()).run_timeline(&workload, window);
-    let cdp = Simulator::new(SystemConfig::with_content()).run_timeline(&workload, window);
+    // An observed run records one metrics window per 50k retired uops.
+    let obs = ObsConfig {
+        metrics_window: Some(50_000),
+        ..ObsConfig::default()
+    };
+    let timeline = |cfg| -> Vec<MetricsWindow> {
+        let (_, observation) = Simulator::new(cfg)
+            .try_run_observed(&workload, &obs)
+            .expect("a generated workload never faults");
+        observation.windows
+    };
+    let base = timeline(SystemConfig::asplos2002());
+    let cdp = timeline(SystemConfig::with_content());
 
     println!(
         "{:>6}  {:>10} {:>8} {:>8}   {:>10} {:>8} {:>8}  {:>8}",

@@ -243,6 +243,29 @@ grep -q "FAILURE REPORT" /tmp/cdp-fault-smoke.err || {
     echo "fault smoke: missing failure report on stderr" >&2
     exit 1
 }
+# fig1 and pollution are not grids but must gap per cell too: a b2e
+# fault leaves one report entry per b2e cell and skips no experiment.
+set +e
+./target/release/experiments fig1 pollution table2 --smoke --jobs 2 --keep-going \
+    --fault unmap:b2e:7:2 > /dev/null 2> /tmp/cdp-fault-cells.err
+code=$?
+set -e
+if [ "$code" -ne 3 ]; then
+    echo "fault smoke: fig1 pollution table2 expected exit 3, got $code" >&2
+    cat /tmp/cdp-fault-cells.err >&2
+    exit 1
+fi
+for cell in '[fig1] b2e:' '[pollution] clean/b2e:' '[pollution] dirty/b2e:' \
+    '[table2] 1mb/b2e:' '[table2] 4mb/b2e:'; do
+    sed -n '/FAILURE REPORT/,$p' /tmp/cdp-fault-cells.err | grep -qF "$cell" || {
+        echo "fault smoke: no '$cell' entry in the failure report" >&2
+        exit 1
+    }
+done
+if grep -qF '(whole experiment)' /tmp/cdp-fault-cells.err; then
+    echo "fault smoke: an experiment failed whole instead of per cell" >&2
+    exit 1
+fi
 
 echo "== store chaos smoke (SIGKILL mid-sweep, fsck, warm replay, zero misses) =="
 # Persistent result store (DESIGN.md §14): repeatedly SIGKILL a
