@@ -157,7 +157,7 @@ fn run_one(
     match id {
         "table1" => Ok(table1::run()),
         "fig1" => {
-            let r = fig1::run(scale);
+            let r = fig1::run(scale, pool);
             save(r.dataset())?;
             Ok(r.render())
         }

@@ -5,7 +5,9 @@
 //! L2 miss rate in retired-uop windows, and picks the statistics-start
 //! point where the cold-start transient has died out.
 
-use cdp_sim::{JobOutcome, Simulator};
+use std::sync::Arc;
+
+use cdp_sim::{JobObs, ObsSink, Pool, SimJob};
 use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
@@ -75,43 +77,58 @@ impl Figure1 {
 }
 
 /// Runs the six suite representatives on a 4 MB UL2 and samples windowed
-/// MPTU from each run's metrics windows. Runs see the process-wide fault
-/// plan; a failed run renders as a gap column (see [`cell_or_gap`]).
-pub fn run(scale: ExpScale) -> Figure1 {
+/// MPTU from each run's metrics windows. The runs are pool jobs under the
+/// run policy's watchdog and see the process-wide fault plan; a failed or
+/// timed-out run renders as a gap column (see [`cell_or_gap`]).
+pub fn run(scale: ExpScale, pool: &Pool) -> Figure1 {
     let s = scale.scale();
     let window = (s.target_uops as u64 / 24).max(500);
     let mut cfg = SystemConfig::asplos2002();
     cfg.ul2.size_bytes = 4 * 1024 * 1024; // the paper's Figure 1 uses 4 MB
-    let obs = ObsConfig {
-        metrics_window: Some(window),
-        ..ObsConfig::default()
-    };
-    let mut series = Vec::new();
-    let mut failures = Vec::new();
+    let sink = ObsSink::shared();
     let ws = WorkloadSet::default();
     let plan = context::fault_plan();
-    for b in Benchmark::figure1_set() {
-        let w = ws.get(b, s);
-        let mut sim = Simulator::new(cfg.clone());
-        if let Some(wf) = plan.walk_fault(b.name()) {
-            sim = sim.with_walk_fault(wf);
-        }
-        // Misses per 1000 uops of window width (the last window may be
-        // shorter), as the paper plots them.
-        let outcome = match sim.try_run_observed(&w, &obs) {
-            Ok((_, o)) => JobOutcome::Ok(
-                o.windows
-                    .iter()
-                    .map(|m| m.l2_demand_misses as f64 * 1000.0 / window as f64)
-                    .collect(),
-            ),
-            Err(e) => JobOutcome::Failed {
-                error: e.to_string(),
-            },
-        };
+    let benches = Benchmark::figure1_set();
+    let jobs = benches
+        .iter()
+        .enumerate()
+        .map(|(index, b)| {
+            let mut job = SimJob::new(b.name(), cfg.clone(), ws.get(*b, s)).with_obs(JobObs {
+                cfg: ObsConfig {
+                    metrics_window: Some(window),
+                    ..ObsConfig::default()
+                },
+                sink: Arc::clone(&sink),
+                batch: 0,
+                index,
+            });
+            job.walk_fault = plan.walk_fault(b.name());
+            job
+        })
+        .collect();
+    let reports = pool.run_sims_profiled(jobs, context::policy());
+    // Only finished runs push an observation.
+    let mut observed = sink.drain_sorted().into_iter().peekable();
+    let mut failures = Vec::new();
+    let mut series = Vec::new();
+    for (index, report) in reports.into_iter().enumerate() {
+        let observation = observed
+            .next_if(|e| e.index == index)
+            .map(|e| e.observation);
+        let samples = cell_or_gap(report.label.clone(), report.outcome, &mut failures).map(|_| {
+            // Misses per 1000 uops of window width (the last window may
+            // be shorter), as the paper plots them.
+            let windows = observation
+                .expect("a finished run pushes its observation")
+                .windows;
+            windows
+                .iter()
+                .map(|m| m.l2_demand_misses as f64 * 1000.0 / window as f64)
+                .collect()
+        });
         series.push(Series {
-            name: b.name().to_string(),
-            samples: cell_or_gap(b.name().to_string(), outcome, &mut failures),
+            name: report.label,
+            samples,
         });
     }
     // Steady point: first window from which every series stays within 2x
@@ -146,7 +163,7 @@ mod tests {
 
     #[test]
     fn six_series_with_cold_start_transient() {
-        let f = run(ExpScale::Smoke);
+        let f = run(ExpScale::Smoke, &Pool::new(2));
         assert_eq!(f.series.len(), 6);
         assert!(f.failures.is_empty(), "fault-free run has no gaps");
         // At least one pointer-heavy series must show a cold-start spike:

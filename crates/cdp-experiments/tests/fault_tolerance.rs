@@ -7,7 +7,8 @@
 //! * stdout is byte-identical at any `--jobs` count, faulted or not;
 //! * cells untouched by the fault report the same values as a fault-free
 //!   run, in the non-grid studies (fig1, pollution) too;
-//! * `--cell-timeout` abandons a cell that overruns it.
+//! * `--cell-timeout` abandons a cell that overruns it, a fig1 series
+//!   included.
 
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
@@ -226,4 +227,57 @@ fn cell_timeout_abandons_an_overrunning_cell() {
         Some(EXIT_PARTIAL),
         "strict mode is not partial"
     );
+}
+
+#[test]
+fn fig1_series_over_the_cell_timeout_gap_out() {
+    // A large-tier fig1 series simulates 100M uops, far beyond a
+    // one-second watchdog, so every series is abandoned: each gets a
+    // `timed out` report entry and an empty (gap) column, and the run
+    // exits partial instead of simulating for minutes.
+    let start = Instant::now();
+    let o = experiments(&[
+        "fig1",
+        "--scale",
+        "large",
+        "--jobs",
+        "2",
+        "--keep-going",
+        "--cell-timeout",
+        "1",
+    ]);
+    let took = start.elapsed();
+    let (out, err) = (stdout(&o), stderr(&o));
+    assert_eq!(o.status.code(), Some(EXIT_PARTIAL), "stderr: {err}");
+    assert!(
+        took < Duration::from_secs(20),
+        "the watchdog fired late: {took:?}"
+    );
+    let benches = [
+        "b2e",
+        "quake",
+        "rc3",
+        "tpcc-2",
+        "verilog-func",
+        "specjbb-vsnet",
+    ];
+    for bench in benches {
+        assert!(
+            err.contains(&format!("[fig1] {bench}: timed out")),
+            "{bench} in report: {err}"
+        );
+    }
+    let mut table = out.lines().skip_while(|l| !l.starts_with("window"));
+    let header: Vec<&str> = table
+        .next()
+        .expect("column header")
+        .split_whitespace()
+        .collect();
+    assert_eq!(header[1..], benches, "one column per series:\n{out}");
+    assert_eq!(
+        table.next(),
+        Some(""),
+        "no series has a window to show:\n{out}"
+    );
+    assert!(out.contains("6 cell(s) failed"), "footnote:\n{out}");
 }

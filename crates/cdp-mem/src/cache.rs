@@ -8,12 +8,16 @@
 //! paper's L1 is virtually indexed and the L2 physically indexed, so the
 //! hierarchy layer decides which address space each cache sees.
 //!
-//! Storage is one contiguous set-major array: way `w` of set `s` lives at
-//! slot `s * associativity + w`, and the occupied ways of a set are packed
-//! at the front of its slot range (`0..len[s]`). A probe therefore walks
-//! one short contiguous stretch of memory instead of chasing a per-set
-//! `Vec` pointer, which matters because every simulated access — L1, L2,
-//! and both TLBs — lands here.
+//! Storage is three parallel set-major arrays — line tags, LRU stamps and
+//! metadata — with way `w` of set `s` at index `s * associativity + w` and
+//! the occupied ways of a set packed at the front of its range
+//! (`0..len[s]`). A probe compares tags only (the 8-way L2's set is 32
+//! bytes of `u32`s), and a victim search reads only stamps and eviction
+//! classes. The set index is a remainder computed by two multiplications
+//! from a constant derived once from the set count ([`SetIndex`]), exact
+//! for every 32-bit line number and every set count, so no geometry pays
+//! for a division. Every simulated access — L1, L2, and both TLBs — lands
+//! here.
 
 use std::fmt;
 
@@ -36,16 +40,6 @@ impl EvictClass for u8 {}
 impl EvictClass for u32 {}
 impl EvictClass for cdp_types::PhysAddr {}
 
-/// One resident cache line.
-#[derive(Clone, Debug)]
-pub struct Entry<M> {
-    /// The line-aligned address held by this way.
-    pub line: u32,
-    /// Per-line metadata (e.g. CDP request depth, prefetcher ownership).
-    pub meta: M,
-    stamp: u64,
-}
-
 /// A line pushed out by a fill.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EvictedLine<M> {
@@ -64,6 +58,33 @@ pub enum AccessResult {
     Miss,
 }
 
+/// `n % d` for every 32-bit `n` without a division (Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation", 2019): with
+/// `m = ⌈2^64 / d⌉`, the remainder is the high half of
+/// `(m · n mod 2^64) · d`. Exact whenever `n` and `d` fit in 32 bits.
+#[derive(Clone, Copy, Debug)]
+struct SetIndex {
+    m: u64,
+    d: u64,
+}
+
+impl SetIndex {
+    fn new(num_sets: usize) -> Self {
+        let d = u32::try_from(num_sets).expect("set count must fit in 32 bits");
+        SetIndex {
+            // ⌈2^64 / d⌉; wraps to 0 for d = 1, where every remainder is 0.
+            m: (u64::MAX / u64::from(d)).wrapping_add(1),
+            d: u64::from(d),
+        }
+    }
+
+    #[inline]
+    fn of(self, n: u32) -> usize {
+        let low = self.m.wrapping_mul(u64::from(n));
+        ((u128::from(low) * u128::from(self.d)) >> 64) as usize
+    }
+}
+
 /// A set-associative, true-LRU cache.
 ///
 /// # Examples
@@ -79,14 +100,21 @@ pub enum AccessResult {
 /// ```
 #[derive(Clone)]
 pub struct Cache<M> {
-    /// Set-major flat storage: `slots[set * associativity + way]`. The
-    /// occupied ways of a set are packed at `0..lens[set]`; vacancy is
-    /// `None`. Within a set, slot order reproduces the historical
-    /// push/swap-remove order of the per-set `Vec` this replaced, so the
-    /// Random policy's candidate indexing is bit-for-bit unchanged.
-    slots: Vec<Option<Entry<M>>>,
+    /// Set-major line tags: `tags[set * associativity + way]`. The occupied
+    /// ways of a set are packed at `0..lens[set]` in push/swap-remove order
+    /// (a per-set `Vec`'s, which `tests/cache_reference.rs` models): the
+    /// Random policy's candidate indexing, [`Cache::iter`] order and
+    /// [`Cache::save_state`] bytes depend on it. Tags past `lens[set]` are
+    /// stale and never compared.
+    tags: Vec<u32>,
+    /// LRU (FIFO: insertion) stamps, parallel to `tags`.
+    stamps: Vec<u64>,
+    /// Per-line metadata, parallel to `tags`; `None` exactly past
+    /// `lens[set]`.
+    metas: Vec<Option<M>>,
     /// Occupied way count per set.
     lens: Vec<u32>,
+    index: SetIndex,
     num_sets: usize,
     associativity: usize,
     line_size: usize,
@@ -110,13 +138,20 @@ impl<M: fmt::Debug> fmt::Debug for Cache<M> {
     }
 }
 
+/// Eviction class of an occupied metadata slot.
+#[inline]
+fn class_of<M: EvictClass>(meta: &Option<M>) -> u8 {
+    meta.as_ref().map_or(0, EvictClass::evict_class)
+}
+
 impl<M: EvictClass> Cache<M> {
     /// Creates a cache with `num_sets` sets of `associativity` ways of
     /// `line_size`-byte lines.
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is zero or `line_size` is not a power of two.
+    /// Panics if `num_sets` is zero or above `u32::MAX`, or `line_size` is
+    /// not a power of two.
     pub fn new(num_sets: usize, associativity: usize, line_size: usize) -> Self {
         assert!(num_sets > 0, "cache must have at least one set");
         assert!(associativity > 0, "cache must have at least one way");
@@ -124,11 +159,15 @@ impl<M: EvictClass> Cache<M> {
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        let mut slots = Vec::new();
-        slots.resize_with(num_sets * associativity, || None);
+        let slots = num_sets * associativity;
+        let mut metas = Vec::new();
+        metas.resize_with(slots, || None);
         Cache {
-            slots,
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
+            metas,
             lens: vec![0; num_sets],
+            index: SetIndex::new(num_sets),
             num_sets,
             associativity,
             line_size,
@@ -181,7 +220,7 @@ impl<M: EvictClass> Cache<M> {
 
     #[inline]
     fn set_index(&self, line: u32) -> usize {
-        ((line >> self.line_shift) as usize) % self.num_sets
+        self.index.of(line >> self.line_shift)
     }
 
     #[inline]
@@ -189,20 +228,13 @@ impl<M: EvictClass> Cache<M> {
         addr & !(self.line_size as u32 - 1)
     }
 
-    /// Occupied slice of a set.
-    #[inline]
-    fn set(&self, set: usize) -> &[Option<Entry<M>>] {
-        let base = set * self.associativity;
-        &self.slots[base..base + self.lens[set] as usize]
-    }
-
-    /// Index into `slots` of `line` within `set`, if resident.
+    /// Index of `line` within `set`'s tags, if resident.
     #[inline]
     fn find(&self, set: usize, line: u32) -> Option<usize> {
         let base = set * self.associativity;
-        self.set(set)
+        self.tags[base..base + self.lens[set] as usize]
             .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.line == line))
+            .position(|&t| t == line)
             .map(|w| base + w)
     }
 
@@ -219,16 +251,13 @@ impl<M: EvictClass> Cache<M> {
         let line = self.align(addr);
         let set = self.set_index(line);
         self.clock += 1;
-        let clock = self.clock;
-        let refresh = !matches!(self.policy, cdp_types::ReplacementPolicy::Fifo);
         match self.find(set, line) {
             Some(slot) => {
                 self.hits += 1;
-                let entry = self.slots[slot].as_mut().expect("occupied slot");
-                if refresh {
-                    entry.stamp = clock;
+                if !matches!(self.policy, cdp_types::ReplacementPolicy::Fifo) {
+                    self.stamps[slot] = self.clock;
                 }
-                Some(&mut entry.meta)
+                self.metas[slot].as_mut()
             }
             None => {
                 self.misses += 1;
@@ -243,14 +272,14 @@ impl<M: EvictClass> Cache<M> {
     pub fn peek(&self, addr: u32) -> Option<&M> {
         let line = self.align(addr);
         let slot = self.find(self.set_index(line), line)?;
-        self.slots[slot].as_ref().map(|e| &e.meta)
+        self.metas[slot].as_ref()
     }
 
     /// Mutable [`Cache::peek`].
     pub fn peek_mut(&mut self, addr: u32) -> Option<&mut M> {
         let line = self.align(addr);
         let slot = self.find(self.set_index(line), line)?;
-        self.slots[slot].as_mut().map(|e| &mut e.meta)
+        self.metas[slot].as_mut()
     }
 
     /// Inserts the line containing `addr`, evicting the LRU way if the set
@@ -260,86 +289,93 @@ impl<M: EvictClass> Cache<M> {
         let line = self.align(addr);
         let set = self.set_index(line);
         self.clock += 1;
-        let clock = self.clock;
         if let Some(slot) = self.find(set, line) {
-            let entry = self.slots[slot].as_mut().expect("occupied slot");
-            entry.meta = meta;
-            entry.stamp = clock;
+            self.metas[slot] = Some(meta);
+            self.stamps[slot] = self.clock;
             return None;
         }
+        let base = set * self.associativity;
         let evicted = if self.lens[set] as usize >= self.associativity {
             let way = match self.policy {
                 // LRU and FIFO both evict the minimum stamp — they differ
                 // in whether access() refreshed it.
-                cdp_types::ReplacementPolicy::Lru | cdp_types::ReplacementPolicy::Fifo => self
-                    .set(set)
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(w, e)| e.as_ref().map(|e| (w, e)))
-                    .min_by_key(|(_, e)| (std::cmp::Reverse(e.meta.evict_class()), e.stamp))
-                    .map(|(w, _)| w)
-                    .expect("set is non-empty"),
-                cdp_types::ReplacementPolicy::Random => {
-                    // Deterministic xorshift; eviction-class preference
-                    // still applies (random within the worst class). The
-                    // k-th worst-class way in slot order is selected —
-                    // identical to indexing the old candidate Vec, without
-                    // materializing it.
-                    self.rng ^= self.rng << 13;
-                    self.rng ^= self.rng >> 7;
-                    self.rng ^= self.rng << 17;
-                    let ways = self.set(set);
-                    let worst = ways
-                        .iter()
-                        .filter_map(|e| e.as_ref().map(|e| e.meta.evict_class()))
-                        .max()
-                        .expect("set is non-empty");
-                    let count = ways
-                        .iter()
-                        .filter(|e| e.as_ref().is_some_and(|e| e.meta.evict_class() == worst))
-                        .count();
-                    let pick = (self.rng as usize) % count;
-                    ways.iter()
-                        .enumerate()
-                        .filter(|(_, e)| {
-                            e.as_ref().is_some_and(|e| e.meta.evict_class() == worst)
-                        })
-                        .nth(pick)
-                        .map(|(w, _)| w)
-                        .expect("candidate index in range")
+                cdp_types::ReplacementPolicy::Lru | cdp_types::ReplacementPolicy::Fifo => {
+                    self.oldest_of_worst_class(base)
                 }
+                cdp_types::ReplacementPolicy::Random => self.random_of_worst_class(base),
             };
-            let e = self.swap_remove(set, way);
-            Some(EvictedLine {
-                line: e.line,
-                meta: e.meta,
-            })
+            Some(self.swap_remove(set, way))
         } else {
             None
         };
-        // Emulated push: append at the packed end of the set's slot range.
-        let base = set * self.associativity;
-        let len = self.lens[set] as usize;
-        debug_assert!(self.slots[base + len].is_none());
-        self.slots[base + len] = Some(Entry {
-            line,
-            meta,
-            stamp: clock,
-        });
+        // Emulated push: append at the packed end of the set's range.
+        let slot = base + self.lens[set] as usize;
+        debug_assert!(self.metas[slot].is_none());
+        self.tags[slot] = line;
+        self.stamps[slot] = self.clock;
+        self.metas[slot] = Some(meta);
         self.lens[set] += 1;
         evicted
     }
 
+    /// Way of the full set at `base` to evict under LRU/FIFO: the highest
+    /// eviction class, the oldest stamp within it, and the first such way
+    /// on a tie. One pass over a `(Reverse(class), stamp)` key packed into
+    /// a `u128`, selecting with a strict `<` so a tie keeps the first way,
+    /// as `Iterator::min_by_key` (the reference model's rule) does.
+    #[inline]
+    fn oldest_of_worst_class(&self, base: usize) -> usize {
+        let end = base + self.associativity;
+        let key = |slot: usize| {
+            (u128::from(u8::MAX - class_of(&self.metas[slot])) << 64)
+                | u128::from(self.stamps[slot])
+        };
+        let (mut way, mut best) = (0, key(base));
+        for slot in base + 1..end {
+            let k = key(slot);
+            if k < best {
+                way = slot - base;
+                best = k;
+            }
+        }
+        way
+    }
+
+    /// Way of the full set at `base` to evict under Random: a deterministic
+    /// xorshift step, then the k-th worst-class way in slot order —
+    /// identical to indexing a materialized candidate list.
+    fn random_of_worst_class(&mut self, base: usize) -> usize {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let metas = &self.metas[base..base + self.associativity];
+        let worst = metas.iter().map(class_of).max().expect("set is non-empty");
+        let count = metas.iter().filter(|m| class_of(m) == worst).count();
+        let pick = (self.rng as usize) % count;
+        metas
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| class_of(m) == worst)
+            .nth(pick)
+            .map(|(w, _)| w)
+            .expect("candidate index in range")
+    }
+
     /// Removes way `way` of `set`, moving the last occupied way into the
-    /// hole — the same reordering `Vec::swap_remove` performed when each
-    /// set was its own `Vec`.
-    fn swap_remove(&mut self, set: usize, way: usize) -> Entry<M> {
+    /// hole — the reordering `Vec::swap_remove` performs on a per-set
+    /// `Vec`.
+    fn swap_remove(&mut self, set: usize, way: usize) -> EvictedLine<M> {
         let base = set * self.associativity;
-        let last = self.lens[set] as usize - 1;
-        debug_assert!(way <= last);
-        self.slots.swap(base + way, base + last);
+        let last = base + self.lens[set] as usize - 1;
+        debug_assert!(base + way <= last);
+        self.tags.swap(base + way, last);
+        self.stamps.swap(base + way, last);
+        self.metas.swap(base + way, last);
         self.lens[set] -= 1;
-        self.slots[base + last].take().expect("occupied slot")
+        EvictedLine {
+            line: self.tags[last],
+            meta: self.metas[last].take().expect("occupied slot"),
+        }
     }
 
     /// Removes the line containing `addr`, returning its metadata.
@@ -352,19 +388,16 @@ impl<M: EvictClass> Cache<M> {
 
     /// Empties the cache (statistics are preserved).
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        for len in &mut self.lens {
-            *len = 0;
-        }
+        self.metas.iter_mut().for_each(|m| *m = None);
+        self.lens.iter_mut().for_each(|l| *l = 0);
     }
 
     /// Iterates over resident lines (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (&u32, &M)> {
-        self.slots
+        self.tags
             .iter()
-            .filter_map(|e| e.as_ref().map(|e| (&e.line, &e.meta)))
+            .zip(&self.metas)
+            .filter_map(|(line, m)| m.as_ref().map(|m| (line, m)))
     }
 
     /// Serializes the cache's complete state — slot layout (way order
@@ -381,15 +414,13 @@ impl<M: EvictClass> Cache<M> {
         enc.u64(self.hits);
         enc.u64(self.misses);
         enc.seq_len(self.num_sets);
-        for set in 0..self.num_sets {
-            let len = self.lens[set] as usize;
-            enc.u32(self.lens[set]);
+        for (set, &len) in self.lens.iter().enumerate() {
+            enc.u32(len);
             let base = set * self.associativity;
-            for e in &self.slots[base..base + len] {
-                let e = e.as_ref().expect("packed slot");
-                enc.u32(e.line);
-                enc.u64(e.stamp);
-                meta(&e.meta, enc);
+            for slot in base..base + len as usize {
+                enc.u32(self.tags[slot]);
+                enc.u64(self.stamps[slot]);
+                meta(self.metas[slot].as_ref().expect("packed slot"), enc);
             }
         }
     }
@@ -426,17 +457,12 @@ impl<M: EvictClass> Cache<M> {
                 });
             }
             let base = set * self.associativity;
-            for w in 0..len {
-                let line = dec.u32("cache line")?;
-                let stamp = dec.u64("cache stamp")?;
-                let m = meta(dec)?;
-                self.slots[base + w] = Some(Entry {
-                    line,
-                    meta: m,
-                    stamp,
-                });
+            for slot in base..base + len {
+                self.tags[slot] = dec.u32("cache line")?;
+                self.stamps[slot] = dec.u64("cache stamp")?;
+                self.metas[slot] = Some(meta(dec)?);
+                self.lens[set] += 1;
             }
-            self.lens[set] = len as u32;
         }
         Ok(())
     }
@@ -449,6 +475,45 @@ mod tests {
 
     fn small() -> Cache<u8> {
         Cache::new(2, 2, 64)
+    }
+
+    /// The multiply-shift remainder equals `%` at the edges of the line
+    /// number range and around every multiple of the set count it meets,
+    /// for power-of-two and other set counts up to `u32::MAX`.
+    #[test]
+    fn set_index_matches_remainder() {
+        let mut rng = Rng::seed_from_u64(0xcac4_0005);
+        let counts = [
+            1u32,
+            2,
+            3,
+            5,
+            6,
+            7,
+            64,
+            100,
+            128,
+            1000,
+            2048,
+            4095,
+            1 << 31,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for &d in &counts {
+            let index = SetIndex::new(d as usize);
+            let mut lines = vec![0, 1, u32::MAX, u32::MAX - 1, d - 1, d, d.wrapping_add(1)];
+            let top = u32::MAX - u32::MAX % d;
+            lines.extend([top, top.wrapping_sub(1), top.wrapping_sub(d)]);
+            for _ in 0..200 {
+                let k = rng.next_u32() / d.max(2);
+                lines.extend([k.wrapping_mul(d), k.wrapping_mul(d).wrapping_sub(1)]);
+                lines.push(rng.next_u32());
+            }
+            for n in lines {
+                assert_eq!(index.of(n), (n % d) as usize, "{n} % {d}");
+            }
+        }
     }
 
     #[test]
@@ -663,7 +728,7 @@ mod tests {
                 let base = set * c.associativity;
                 let len = c.lens[set] as usize;
                 for w in 0..c.associativity {
-                    assert_eq!(c.slots[base + w].is_some(), w < len);
+                    assert_eq!(c.metas[base + w].is_some(), w < len);
                 }
             }
         }

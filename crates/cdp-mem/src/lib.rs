@@ -31,7 +31,7 @@ pub mod vmem;
 
 pub use arbiter::{Arbiter, EnqueueOutcome};
 pub use bus::{Bus, BusStats};
-pub use cache::{AccessResult, Cache, Entry, EvictClass, EvictedLine};
+pub use cache::{AccessResult, Cache, EvictClass, EvictedLine};
 pub use mshr::{InFlight, MshrFile, MshrStats};
 pub use phys::{PhysMem, FRAME_LIMIT};
 pub use tlb::Tlb;

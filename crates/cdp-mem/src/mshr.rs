@@ -19,6 +19,18 @@
 //! in cache order beats a `HashMap` that hashes and chases buckets on
 //! every lookup. Removal uses backward-shift deletion, keeping probing
 //! tombstone-free.
+//!
+//! Beside the table sits a completion queue: a min-heap of
+//! `(complete_at, line)` holding an entry for every outstanding fill. A
+//! drain pops only the fills that are due, already in the `(complete_at,
+//! line)` order it returns them, instead of walking every slot and sorting.
+//! An expedited fill gets a fresh entry; the stale one is recognized when
+//! it is popped (no fill for its line completes at its time) and skipped.
+//! The heap is allocated with the table and rebuilt from the slots before
+//! stale entries could make it outgrow that allocation.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cdp_types::{LineAddr, RequestKind, VirtAddr};
 
@@ -84,12 +96,12 @@ pub struct MshrFile {
     /// Power-of-two linear-probe array; `None` is vacancy.
     slots: Vec<Option<InFlight>>,
     len: usize,
-    /// Lower bound on the earliest outstanding completion ([`u64::MAX`]
-    /// when none). Drains are called once per demand access; this lets
-    /// them return without touching the slot array while every fill is
-    /// still in flight. Removals may leave it stale-low, which only
-    /// costs a wasted scan, never a missed completion.
-    earliest: u64,
+    /// Min-heap of `(complete_at, line)`: one live entry per outstanding
+    /// fill, plus stale entries left by [`MshrFile::expedite`]. Its
+    /// capacity is at least `slots.len()`, twice the most fills the table
+    /// holds, and a push into a full heap first rebuilds it from the slots,
+    /// so it never reallocates outside [`MshrFile::grow`].
+    queue: BinaryHeap<Reverse<(u64, u32)>>,
     stats: MshrStats,
 }
 
@@ -113,7 +125,7 @@ impl MshrFile {
         MshrFile {
             slots: vec![None; slots],
             len: 0,
-            earliest: u64::MAX,
+            queue: BinaryHeap::with_capacity(slots),
             stats: MshrStats::default(),
         }
     }
@@ -167,6 +179,29 @@ impl MshrFile {
             }
             self.slots[i] = Some(f);
         }
+        self.queue
+            .reserve(self.slots.len().saturating_sub(self.queue.len()));
+    }
+
+    /// Queues `line`'s completion at `complete_at`, which its slot already
+    /// holds. A full heap is instead rebuilt from the slots, which drops
+    /// every stale entry and queues this one: the table is at most half
+    /// full, so the rebuilt heap has room to spare.
+    fn enqueue(&mut self, complete_at: u64, line: u32) {
+        if self.queue.len() == self.queue.capacity() {
+            self.rebuild_queue();
+        } else {
+            self.queue.push(Reverse((complete_at, line)));
+        }
+    }
+
+    /// Replaces the queue's contents with one entry per outstanding fill.
+    fn rebuild_queue(&mut self) {
+        self.queue.clear();
+        self.queue.reserve(self.slots.len());
+        for f in self.slots.iter().flatten() {
+            self.queue.push(Reverse((f.complete_at, f.line.0)));
+        }
     }
 
     /// Registers an outstanding fill.
@@ -218,7 +253,7 @@ impl MshrFile {
             issued_at,
         });
         self.len += 1;
-        self.earliest = self.earliest.min(complete_at);
+        self.enqueue(complete_at, line.0);
         self.stats.inserts += 1;
     }
 
@@ -262,8 +297,8 @@ impl MshrFile {
                 let f = self.slots[i].as_mut().expect("occupied slot");
                 if new_complete_at < f.complete_at {
                     f.complete_at = new_complete_at;
-                    self.earliest = self.earliest.min(new_complete_at);
                     self.stats.expedites += 1;
+                    self.enqueue(new_complete_at, line.0);
                 }
                 true
             }
@@ -293,26 +328,25 @@ impl MshrFile {
 
     /// Removes every fill complete by cycle `now` into `out` (which is
     /// cleared first), ordered by completion time (ties broken by line
-    /// address for determinism). The caller owns the buffer, so steady-state
-    /// draining performs no allocation.
+    /// address for determinism), removing them from the table in that
+    /// order. The caller owns the buffer, so steady-state draining performs
+    /// no allocation.
     pub fn drain_complete_into(&mut self, now: u64, out: &mut Vec<InFlight>) {
         out.clear();
-        if self.len == 0 || now < self.earliest {
-            return;
-        }
-        let mut remaining_min = u64::MAX;
-        for f in self.slots.iter().flatten() {
-            if f.complete_at <= now {
-                out.push(*f);
-            } else if f.complete_at < remaining_min {
-                remaining_min = f.complete_at;
+        while let Some(&Reverse((complete_at, line))) = self.queue.peek() {
+            if complete_at > now {
+                break;
             }
-        }
-        self.earliest = remaining_min;
-        out.sort_by_key(|f| (f.complete_at, f.line.0));
-        for f in out.iter() {
-            let slot = self.slot_of(f.line.0).expect("drained fill is resident");
-            self.remove_slot(slot);
+            self.queue.pop();
+            // Stale entries (the fill was expedited, or has drained) match
+            // no outstanding fill at their time.
+            if let Some(i) = self.slot_of(line) {
+                let f = self.slots[i].expect("occupied slot");
+                if f.complete_at == complete_at {
+                    out.push(f);
+                    self.remove_slot(i);
+                }
+            }
         }
     }
 
@@ -335,10 +369,14 @@ impl MshrFile {
 
     /// Serializes the complete table state. The slot array is written
     /// verbatim (layout included) so restored probe chains — and
-    /// therefore every later insert — behave bit-identically.
+    /// therefore every later insert — behave bit-identically. The
+    /// completion queue is derived state and is not written. The format
+    /// still carries the earliest outstanding completion ([`u64::MAX`]
+    /// when none), which [`MshrFile::restore_state`] checks against the
+    /// table.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.usize(self.slots.len());
-        enc.u64(self.earliest);
+        enc.u64(self.next_completion().unwrap_or(u64::MAX));
         enc.u64(self.stats.inserts);
         enc.u64(self.stats.merges);
         enc.u64(self.stats.priority_raises);
@@ -359,12 +397,14 @@ impl MshrFile {
         }
     }
 
-    /// Restores state written by [`MshrFile::save_state`].
+    /// Restores state written by [`MshrFile::save_state`] and rebuilds the
+    /// completion queue from the restored slots.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation or a
-    /// structurally impossible table.
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation, a
+    /// structurally impossible table, or a recorded earliest completion
+    /// that is not the table's.
     pub fn restore_state(
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
@@ -378,7 +418,7 @@ impl MshrFile {
                 context: "mshr slot count",
             });
         }
-        self.earliest = dec.u64("mshr earliest")?;
+        let earliest = dec.u64("mshr earliest")?;
         self.stats = MshrStats {
             inserts: dec.u64("mshr inserts")?,
             merges: dec.u64("mshr merges")?,
@@ -405,6 +445,12 @@ impl MshrFile {
                 });
                 self.len += 1;
             }
+        }
+        self.rebuild_queue();
+        if self.next_completion().unwrap_or(u64::MAX) != earliest {
+            return Err(SnapshotError::Corrupt {
+                context: "mshr earliest",
+            });
         }
         Ok(())
     }
@@ -581,6 +627,27 @@ mod tests {
         // Missing line: not a merge.
         assert!(!m.promote(LineAddr(0xc0), RequestKind::Demand));
         assert_eq!(m.stats().merges, 3);
+    }
+
+    #[test]
+    fn restore_refuses_an_earliest_the_table_does_not_have() {
+        let mut enc = cdp_snap::Enc::new();
+        enc.usize(4);
+        enc.u64(5); // the empty table below completes nothing at 5
+        for _ in 0..4 {
+            enc.u64(0);
+        }
+        for _ in 0..4 {
+            enc.bool(false);
+        }
+        let bytes = enc.into_bytes();
+        let mut m = MshrFile::with_capacity(2);
+        assert_eq!(
+            m.restore_state(&mut cdp_snap::Dec::new(&bytes)),
+            Err(cdp_types::SnapshotError::Corrupt {
+                context: "mshr earliest"
+            })
+        );
     }
 
     #[test]

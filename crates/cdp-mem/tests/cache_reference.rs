@@ -2,14 +2,19 @@
 //! to the nested-`Vec` reference model it replaced.
 //!
 //! The reference reimplements the historical per-set `Vec<Entry>` cache —
-//! push on fill, `swap_remove` on eviction/invalidate, the same xorshift
-//! stream for Random replacement — and the test drives both with the same
-//! random operation mix across every replacement policy and a spread of
-//! eviction classes, comparing each return value and the full resident
-//! state as it goes. Any divergence in slot ordering, stamp handling, or
-//! rng consumption shows up as a mismatched eviction.
+//! `%` set index, push on fill, `swap_remove` on eviction/invalidate, a
+//! `min_by_key` victim search, the same xorshift stream for Random
+//! replacement — and the test drives both with the same random operation
+//! mix across every replacement policy, a spread of eviction classes, and
+//! power-of-two, other and single-set geometries. Metadata is changed
+//! through the `&mut` that `access` and `peek_mut` return, so a line's
+//! eviction class can change between fills. Each return value, the full
+//! resident state and the `save_state` bytes are compared as it goes. Any
+//! divergence in set indexing, slot ordering, stamp handling, or rng
+//! consumption shows up as a mismatched eviction or a byte difference.
 
 use cdp_mem::{Cache, EvictClass, EvictedLine};
+use cdp_snap::Enc;
 use cdp_types::rng::Rng;
 use cdp_types::ReplacementPolicy;
 
@@ -75,7 +80,7 @@ impl RefCache {
         self.sets[self.set_index(line)].iter().any(|e| e.line == line)
     }
 
-    fn access(&mut self, addr: u32) -> Option<Meta> {
+    fn access(&mut self, addr: u32) -> Option<&mut Meta> {
         let line = self.align(addr);
         let set = self.set_index(line);
         self.clock += 1;
@@ -87,7 +92,7 @@ impl RefCache {
                 if refresh {
                     e.stamp = clock;
                 }
-                Some(e.meta)
+                Some(&mut e.meta)
             }
             None => {
                 self.misses += 1;
@@ -102,6 +107,15 @@ impl RefCache {
             .iter()
             .find(|e| e.line == line)
             .map(|e| e.meta)
+    }
+
+    fn peek_mut(&mut self, addr: u32) -> Option<&mut Meta> {
+        let line = self.align(addr);
+        let set = self.set_index(line);
+        self.sets[set]
+            .iter_mut()
+            .find(|e| e.line == line)
+            .map(|e| &mut e.meta)
     }
 
     fn fill(&mut self, addr: u32, meta: Meta) -> Option<EvictedLine<Meta>> {
@@ -160,6 +174,25 @@ impl RefCache {
         Some(self.sets[set].swap_remove(way).meta)
     }
 
+    /// The `Cache::save_state` layout of this model's sets.
+    fn save(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.u64(self.rng);
+        enc.u64(self.clock);
+        enc.u64(self.hits);
+        enc.u64(self.misses);
+        enc.seq_len(self.sets.len());
+        for set in &self.sets {
+            enc.u32(set.len() as u32);
+            for e in set {
+                enc.u32(e.line);
+                enc.u64(e.stamp);
+                save_meta(&e.meta, &mut enc);
+            }
+        }
+        enc.into_bytes()
+    }
+
     fn resident(&self) -> Vec<(u32, Meta)> {
         let mut v: Vec<(u32, Meta)> = self
             .sets
@@ -171,28 +204,63 @@ impl RefCache {
     }
 }
 
+fn save_meta(meta: &Meta, enc: &mut Enc) {
+    enc.u32(meta.id);
+    enc.u8(meta.class);
+}
+
+fn save_flat(cache: &Cache<Meta>) -> Vec<u8> {
+    let mut enc = Enc::new();
+    cache.save_state(&mut enc, save_meta);
+    enc.into_bytes()
+}
+
 fn resident_flat(cache: &Cache<Meta>) -> Vec<(u32, Meta)> {
     let mut v: Vec<(u32, Meta)> = cache.iter().map(|(&l, &m)| (l, m)).collect();
     v.sort_by_key(|&(line, _)| line);
     v
 }
 
-/// Drives both models through the same random op mix and compares every
-/// observable result plus full resident state.
-fn check_policy(policy: ReplacementPolicy, seed: u64) {
-    const NUM_SETS: usize = 4;
-    const ASSOC: usize = 4;
-    const LINE: u32 = 64;
-    // Small address pool so sets fill, conflict, and churn.
-    const LINES: u32 = 48;
+/// Geometry of one randomized run.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    sets: usize,
+    ways: usize,
+    line: u32,
+    /// Distinct lines in the address pool.
+    lines: u32,
+    /// Odd multiplier from a pool index to its line number, so the pool
+    /// can spread over the whole line-number range.
+    spread: u32,
+}
 
+/// 4 sets × 4 ways of 64-byte lines over 48 lines: sets fill, conflict
+/// and churn.
+const SMALL: Shape = Shape {
+    sets: 4,
+    ways: 4,
+    line: 64,
+    lines: 48,
+    spread: 1,
+};
+
+/// Drives both models through the same random op mix and compares every
+/// observable result, the full resident state and the snapshot bytes.
+fn check_policy(policy: ReplacementPolicy, seed: u64) {
+    check_shape(SMALL, policy, seed);
+}
+
+fn check_shape(shape: Shape, policy: ReplacementPolicy, seed: u64) {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut flat: Cache<Meta> = Cache::new(NUM_SETS, ASSOC, LINE as usize).with_policy(policy);
-    let mut reference = RefCache::new(NUM_SETS, ASSOC, LINE, policy);
+    let mut flat: Cache<Meta> =
+        Cache::new(shape.sets, shape.ways, shape.line as usize).with_policy(policy);
+    let mut reference = RefCache::new(shape.sets, shape.ways, shape.line, policy);
+    let at = |step| format!("step {step} ({policy:?}, {shape:?})");
 
     for step in 0..6000u32 {
-        let addr = (rng.next_u32() % LINES) * LINE + rng.next_u32() % LINE;
-        match rng.next_u32() % 10 {
+        let number = (rng.next_u32() % shape.lines).wrapping_mul(shape.spread);
+        let addr = number.wrapping_mul(shape.line) + rng.next_u32() % shape.line;
+        match rng.next_u32() % 12 {
             // Fill dominates so evictions are constantly exercised.
             0..=4 => {
                 let meta = Meta {
@@ -201,40 +269,78 @@ fn check_policy(policy: ReplacementPolicy, seed: u64) {
                 };
                 let got = flat.fill(addr, meta);
                 let want = reference.fill(addr, meta);
-                assert_eq!(got, want, "fill divergence at step {step} ({policy:?})");
+                assert_eq!(got, want, "fill divergence at {}", at(step));
             }
             5..=7 => {
-                let got = flat.access(addr).map(|m| *m);
+                let class = (rng.next_u32() % 3) as u8;
+                let got = flat.access(addr);
                 let want = reference.access(addr);
-                assert_eq!(got, want, "access divergence at step {step} ({policy:?})");
+                assert_eq!(
+                    got.as_deref(),
+                    want.as_deref(),
+                    "access divergence at {}",
+                    at(step)
+                );
+                // Half the hits move the line to another eviction class,
+                // as a demand touch does to a prefetched L2 line.
+                if step % 2 == 0 {
+                    if let (Some(got), Some(want)) = (got, want) {
+                        got.class = class;
+                        want.class = class;
+                    }
+                }
             }
             8 => {
                 let got = flat.invalidate(addr);
                 let want = reference.invalidate(addr);
-                assert_eq!(got, want, "invalidate divergence at step {step} ({policy:?})");
+                assert_eq!(got, want, "invalidate divergence at {}", at(step));
+            }
+            9 => {
+                let class = (rng.next_u32() % 3) as u8;
+                let got = flat.peek_mut(addr);
+                let want = reference.peek_mut(addr);
+                assert_eq!(
+                    got.as_deref(),
+                    want.as_deref(),
+                    "peek_mut divergence at {}",
+                    at(step)
+                );
+                if let (Some(got), Some(want)) = (got, want) {
+                    got.class = class;
+                    want.class = class;
+                }
             }
             _ => {
                 assert_eq!(
                     flat.probe(addr),
                     reference.probe(addr),
-                    "probe divergence at step {step} ({policy:?})"
+                    "probe divergence at {}",
+                    at(step)
                 );
                 let got = flat.peek(addr).copied();
-                assert_eq!(got, reference.peek(addr), "peek divergence at step {step}");
+                assert_eq!(got, reference.peek(addr), "peek divergence at {}", at(step));
             }
         }
         if step % 64 == 0 {
             assert_eq!(
                 resident_flat(&flat),
                 reference.resident(),
-                "resident-state divergence at step {step} ({policy:?})"
+                "resident-state divergence at {}",
+                at(step)
             );
             assert_eq!(flat.stats(), (reference.hits, reference.misses));
             assert_eq!(flat.resident_lines(), reference.resident().len());
+            assert_eq!(
+                save_flat(&flat),
+                reference.save(),
+                "snapshot bytes at {}",
+                at(step)
+            );
         }
     }
     assert_eq!(resident_flat(&flat), reference.resident());
     assert_eq!(flat.stats(), (reference.hits, reference.misses));
+    assert_eq!(save_flat(&flat), reference.save());
 }
 
 #[test]
@@ -275,5 +381,62 @@ fn flat_cache_matches_reference_direct_mapped() {
             assert_eq!(flat.fill(addr, meta), reference.fill(addr, meta));
         }
         assert_eq!(resident_flat(&flat), reference.resident());
+    }
+}
+
+/// Set counts that are not powers of two: 6 sets × 7 ways (the index is a
+/// multiply-shift remainder, not a mask), and 3 sets of 1-byte "lines" as
+/// the TLBs use, whose line numbers cover the whole 32-bit range.
+#[test]
+fn flat_cache_matches_reference_other_set_counts() {
+    let shapes = [
+        Shape {
+            sets: 6,
+            ways: 7,
+            line: 64,
+            lines: 96,
+            spread: 0x0003_2a9f,
+        },
+        Shape {
+            sets: 3,
+            ways: 2,
+            line: 1,
+            lines: 20,
+            spread: 0x9e37_79b1,
+        },
+    ];
+    for (i, shape) in shapes.into_iter().enumerate() {
+        for (j, policy) in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            check_shape(shape, policy, 0xcafe_0100 + (i * 3 + j) as u64);
+        }
+    }
+}
+
+/// The ITLB's shape: one fully associative set of 128 ways, 1-byte lines.
+#[test]
+fn flat_cache_matches_reference_fully_associative() {
+    let shape = Shape {
+        sets: 1,
+        ways: 128,
+        line: 1,
+        lines: 160,
+        spread: 0x9e37_79b1,
+    };
+    for (j, policy) in [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        check_shape(shape, policy, 0xcafe_0200 + j as u64);
     }
 }

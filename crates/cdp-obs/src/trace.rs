@@ -191,6 +191,31 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
+    /// Encodes the event: `seq`, `at`, then the payload's variant tag byte
+    /// and fields. Trace-ring snapshots and stored result payloads both
+    /// write events this way.
+    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
+        enc.u64(self.seq);
+        enc.u64(self.at);
+        save_trace_data(&self.data, enc);
+    }
+
+    /// Decodes an event written by [`TraceEvent::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`cdp_types::SnapshotError`] on truncation or an
+    /// unknown variant/enum tag.
+    pub fn restore_state(
+        dec: &mut cdp_snap::Dec<'_>,
+    ) -> Result<TraceEvent, cdp_types::SnapshotError> {
+        Ok(TraceEvent {
+            seq: dec.u64("trace event seq")?,
+            at: dec.u64("trace event at")?,
+            data: load_trace_data(dec)?,
+        })
+    }
+
     /// Renders the event as a flat JSON object (one JSONL line's payload).
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -369,9 +394,7 @@ impl TraceRing {
         enc.u64(self.sampled_out);
         enc.seq_len(self.buf.len());
         for e in &self.buf {
-            enc.u64(e.seq);
-            enc.u64(e.at);
-            save_trace_data(&e.data, enc);
+            e.save_state(enc);
         }
     }
 
@@ -399,10 +422,7 @@ impl TraceRing {
         }
         self.buf.clear();
         for _ in 0..n {
-            let seq = dec.u64("trace event seq")?;
-            let at = dec.u64("trace event at")?;
-            let data = load_trace_data(dec)?;
-            self.buf.push_back(TraceEvent { seq, at, data });
+            self.buf.push_back(TraceEvent::restore_state(dec)?);
         }
         Ok(())
     }
@@ -415,7 +435,7 @@ fn engine_from(code: u8) -> Result<Engine, cdp_types::SnapshotError> {
 }
 
 /// Encodes one [`TraceData`] payload (variant tag byte + fields).
-pub fn save_trace_data(data: &TraceData, enc: &mut cdp_snap::Enc) {
+fn save_trace_data(data: &TraceData, enc: &mut cdp_snap::Enc) {
     match *data {
         TraceData::VamAccept { word } => {
             enc.u8(0);
@@ -484,14 +504,7 @@ pub fn save_trace_data(data: &TraceData, enc: &mut cdp_snap::Enc) {
 }
 
 /// Decodes one payload written by [`save_trace_data`].
-///
-/// # Errors
-///
-/// Returns a typed [`cdp_types::SnapshotError`] on truncation or an
-/// unknown variant/enum tag.
-pub fn load_trace_data(
-    dec: &mut cdp_snap::Dec<'_>,
-) -> Result<TraceData, cdp_types::SnapshotError> {
+fn load_trace_data(dec: &mut cdp_snap::Dec<'_>) -> Result<TraceData, cdp_types::SnapshotError> {
     use cdp_types::SnapshotError;
     Ok(match dec.u8("trace data tag")? {
         0 => TraceData::VamAccept {

@@ -16,7 +16,7 @@
 //! files safely (typed [`SnapshotError::UnsupportedVersion`]), and a
 //! refused entry is just a cache miss — the cell recomputes.
 
-use cdp_obs::trace::{load_trace_data, save_trace_data, TraceEvent};
+use cdp_obs::trace::TraceEvent;
 use cdp_prefetch::adaptive::AdaptiveStats;
 use cdp_prefetch::content;
 use cdp_prefetch::{
@@ -161,9 +161,7 @@ fn save_observation(o: &Observation, e: &mut Enc) {
     }
     e.seq_len(o.events.len());
     for ev in &o.events {
-        e.u64(ev.seq);
-        e.u64(ev.at);
-        save_trace_data(&ev.data, e);
+        ev.save_state(e);
     }
     e.u64(o.trace_recorded);
     e.u64(o.trace_overwritten);
@@ -190,11 +188,7 @@ fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
     let n_events = d.seq_len(17, "observation event count")?;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
-        events.push(TraceEvent {
-            seq: d.u64("event seq")?,
-            at: d.u64("event at")?,
-            data: load_trace_data(d)?,
-        });
+        events.push(TraceEvent::restore_state(d)?);
     }
     let trace_recorded = d.u64("observation trace_recorded")?;
     let trace_overwritten = d.u64("observation trace_overwritten")?;

@@ -143,25 +143,38 @@ grep -q '"muops":' /tmp/cdp-stream-large/manifest.json || {
 echo "== checkpoint smoke (kill mid-flight, resume, byte-identity) =="
 # Snapshot/resume (DESIGN.md §12): a sweep killed mid-flight and resumed
 # from its checkpoints must produce byte-identical stdout to an
-# uninterrupted run, at any --jobs count. A tight --checkpoint-every
-# forces many snapshot writes; SIGKILL guarantees no graceful teardown.
-rm -rf /tmp/cdp-ckpt-ci
+# uninterrupted run, at any --jobs count, and must really resume. A smoke
+# cell retires its whole run in one window and never writes a checkpoint,
+# so the sweep runs at quick scale, where a tight --checkpoint-every keeps
+# a checkpoint on disk for most of each cell's life. The run is killed as
+# soon as one exists (SIGKILL: no graceful teardown), and the resumed
+# run's manifest must show at least one cell resumed from disk.
+rm -rf /tmp/cdp-ckpt-ci /tmp/cdp-ckpt-manifest
 mkdir -p /tmp/cdp-ckpt-ci
-./target/release/experiments tlb table2 --smoke --jobs 2 > /tmp/cdp-ckpt-ref.out
+./target/release/experiments tlb table2 --quick --jobs 2 > /tmp/cdp-ckpt-ref.out
 for jobs in 1 4; do
-    rm -f /tmp/cdp-ckpt-ci/*.snap /tmp/cdp-ckpt-ci/*.part
-    ./target/release/experiments tlb table2 --smoke --jobs "$jobs" \
+    rm -rf /tmp/cdp-ckpt-ci/*.snap /tmp/cdp-ckpt-ci/*.part /tmp/cdp-ckpt-manifest
+    ./target/release/experiments tlb table2 --quick --jobs "$jobs" \
         --checkpoint-dir /tmp/cdp-ckpt-ci --checkpoint-every 50000 \
-        > /tmp/cdp-ckpt-killed.out 2> /dev/null &
+        > /dev/null 2> /dev/null &
     pid=$!
-    sleep 2
+    for _ in $(seq 600); do
+        if [ "$(find /tmp/cdp-ckpt-ci -name '*.snap' | wc -l)" -ge 1 ]; then
+            break
+        fi
+        sleep 0.05
+    done
     kill -9 "$pid" 2> /dev/null || true
     wait "$pid" 2> /dev/null || true
-    ./target/release/experiments tlb table2 --smoke --jobs "$jobs" \
+    ./target/release/experiments tlb table2 --quick --jobs "$jobs" \
         --checkpoint-dir /tmp/cdp-ckpt-ci --checkpoint-every 50000 --resume \
-        > /tmp/cdp-ckpt-resumed.out
+        --emit-manifest /tmp/cdp-ckpt-manifest > /tmp/cdp-ckpt-resumed.out
     cmp /tmp/cdp-ckpt-ref.out /tmp/cdp-ckpt-resumed.out || {
         echo "checkpoint smoke: resumed stdout differs at --jobs $jobs" >&2
+        exit 1
+    }
+    grep -q '"checkpoint":"resumed"' /tmp/cdp-ckpt-manifest/manifest.json || {
+        echo "checkpoint smoke: no cell resumed from a checkpoint at --jobs $jobs" >&2
         exit 1
     }
 done
