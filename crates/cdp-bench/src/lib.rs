@@ -1,33 +1,20 @@
 //! Std-only microbenchmark support for the CDP reproduction.
 //!
-//! The crate ships three binaries — no registry dependencies, so all of
-//! them build inside the offline tier-1 gate:
-//!
-//! * `microbench` — times the simulator's hot kernels (flat cache
-//!   access, physical line reads, VAM scans, MSHR insert/drain,
-//!   snapshot encode, streaming uop synthesis, result-cache
-//!   contention) with plain
-//!   [`std::time::Instant`] loops; `--samples N` repeats each kernel
-//!   and attaches [`stats::SampleStats`] objects.
-//! * `bench-compare` — diffs two `BENCH_*.json` snapshots and
-//!   classifies each shared metric by confidence-interval overlap
-//!   (see [`compare`]); exits non-zero on a regression.
-//! * `bench-stats` — folds repeated suite-sweep wall times into a
-//!   `suite_wall_stats` object inside a snapshot (how
-//!   `scripts/bench.sh` upgrades its copies to BENCH schema v2).
+//! The crate ships one binary, `microbench`, which times the simulator's
+//! hot kernels (flat cache access, physical line reads, VAM scans, MSHR
+//! insert/drain, snapshot encode, streaming uop synthesis, result-cache
+//! contention) with plain [`std::time::Instant`] loops. It has no
+//! registry dependencies, so it builds inside the offline tier-1 gate;
+//! `simbench/run.sh` builds it and a traced simbench run reads its
+//! kernels.
 //!
 //! This module holds the shared pieces: workload helpers and the
 //! measurement harness.
 
 #![warn(missing_docs)]
 
-pub mod compare;
-pub mod stats;
-
 use std::time::Instant;
 
-use cdp_sim::{RunStats, Simulator};
-use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale, Workload};
 
 /// The benchmark seed (distinct from the experiment seed so bench results
@@ -37,12 +24,6 @@ pub const BENCH_SEED: u64 = 0xbe7c_2002;
 /// Builds a smoke-scale workload for benching.
 pub fn bench_workload(bench: Benchmark) -> Workload {
     bench.build(Scale::smoke(), BENCH_SEED)
-}
-
-/// Runs a configuration over a prebuilt workload (the unit of work most
-/// figure benches measure).
-pub fn run(cfg: &SystemConfig, w: &Workload) -> RunStats {
-    Simulator::new(cfg.clone()).run(w)
 }
 
 /// Times `op` and reports nanoseconds per iteration.
@@ -72,11 +53,13 @@ pub fn time_ns_per_iter<F: FnMut(usize)>(iters: usize, takes: usize, mut op: F) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Simulator;
+    use cdp_types::SystemConfig;
 
     #[test]
     fn helpers_run() {
         let w = bench_workload(Benchmark::B2e);
-        let r = run(&SystemConfig::asplos2002(), &w);
+        let r = Simulator::new(SystemConfig::asplos2002()).run(&w);
         assert!(r.retired > 0);
     }
 

@@ -13,15 +13,12 @@
 //!   parameterized over per-line metadata so the L2 can carry the content
 //!   prefetcher's 2-bit request-depth tag (§3.4.2 of the paper).
 //! * [`tlb`] — set-associative translation look-aside buffers.
-//! * [`arbiter`] — the strict priority arbiters of §3.5 (demand > stride >
-//!   content-by-depth) with the paper's drop/evict semantics.
 //! * [`bus`] — the 460-cycle, occupancy-limited front-side bus and DRAM.
 //! * [`mshr`] — in-flight miss tracking with the paper's priority promotion
 //!   of prefetches hit by demands.
 
 #![warn(missing_docs)]
 
-pub mod arbiter;
 pub mod bus;
 pub mod cache;
 pub mod mshr;
@@ -29,7 +26,6 @@ pub mod phys;
 pub mod tlb;
 pub mod vmem;
 
-pub use arbiter::{Arbiter, EnqueueOutcome};
 pub use bus::{Bus, BusStats};
 pub use cache::{AccessResult, Cache, EvictClass, EvictedLine};
 pub use mshr::{InFlight, MshrFile, MshrStats};

@@ -30,7 +30,7 @@ pub mod trace;
 pub use hist::{Hist, Profile, HIST_BUCKETS};
 pub use json::Json;
 pub use manifest::{
-    fingerprint, fingerprint_hex, validate, validate_bench, BENCH_SCHEMA_VERSION,
-    MIN_SCHEMA_VERSION, PROFILE_HIST_KEYS, PROFILE_STAT_KEYS, REQUIRED_KEYS, SCHEMA_VERSION,
+    fingerprint, fingerprint_hex, validate, MIN_SCHEMA_VERSION, PROFILE_HIST_KEYS,
+    PROFILE_STAT_KEYS, REQUIRED_KEYS, SCHEMA_VERSION,
 };
 pub use trace::{DropReason, FaultTag, TraceData, TraceEvent, TraceRing, VamCause};

@@ -1,12 +1,14 @@
-//! Memory-request descriptors and the priority lattice used by the L2 and
-//! bus arbiters.
+//! Memory-request descriptors and the §3.5 priority lattice.
 //!
 //! The paper's arbiters "maintain a strict, priority-based ordering of
 //! requests. Demand requests are given the highest priority, while stride
 //! prefetcher requests are favored over content prefetcher requests because
 //! of their higher accuracy" (§3.5). Content prefetches are further ordered
 //! by their *request depth*: a depth-1 prefetch (triggered directly by a
-//! demand fill) outranks a depth-3 chained prefetch.
+//! demand fill) outranks a depth-3 chained prefetch. The hierarchy models
+//! the arbiters analytically (MSHR occupancy, the bus's demand and
+//! prefetch tracks); the lattice decides when a request promotes an
+//! in-flight fill (`cdp_mem::MshrFile::promote`).
 
 use core::fmt;
 
@@ -165,11 +167,11 @@ impl RequestKind {
         !matches!(self, RequestKind::Demand | RequestKind::PageWalk)
     }
 
-    /// Arbiter priority for this request. Higher compares greater.
+    /// The §3.5 priority of this request; higher compares greater.
     #[inline]
     pub fn priority(self) -> Priority {
         match self {
-            RequestKind::Demand | RequestKind::PageWalk => Priority(u8::MAX),
+            RequestKind::Demand | RequestKind::PageWalk => Priority::DEMAND,
             RequestKind::Stride => Priority(200),
             RequestKind::Markov => Priority(190),
             // Tournament comparators slot between Markov and content:
@@ -196,7 +198,7 @@ impl fmt::Display for RequestKind {
     }
 }
 
-/// An arbiter priority. Bigger is more important. Demand traffic is always
+/// A §3.5 request priority. Bigger is more important. Demand traffic is always
 /// `Priority::DEMAND`, which outranks every prefetch priority.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Priority(pub u8);
@@ -204,8 +206,6 @@ pub struct Priority(pub u8);
 impl Priority {
     /// The priority of demand (non-speculative) traffic.
     pub const DEMAND: Priority = Priority(u8::MAX);
-    /// The lowest possible priority.
-    pub const MIN: Priority = Priority(0);
 }
 
 impl fmt::Display for Priority {

@@ -8,7 +8,7 @@
 //!
 //! * [`types`] — address newtypes, request kinds, and [`types::SystemConfig`]
 //!   (Table 1 of the paper).
-//! * [`mem`] — set-associative caches, TLBs, page walker, arbiters, bus,
+//! * [`mem`] — set-associative caches, TLBs, page walker, MSHRs, bus,
 //!   and the byte-level virtual memory image.
 //! * [`core`] — the 3-wide out-of-order core model (gshare, ROB, LSQ).
 //! * [`prefetch`] — the stride, **content-directed**, and Markov prefetchers,
