@@ -415,8 +415,7 @@ impl<'p> Core<'p> {
 
     fn advance_to(&mut self, cycle: u64) {
         debug_assert!(cycle > self.now || (self.done() && cycle >= self.now));
-        self.stats.rob_occupancy_cycles +=
-            self.rob.len() as u64 * cycle.saturating_sub(self.now);
+        self.stats.rob_occupancy_cycles += self.rob.len() as u64 * cycle.saturating_sub(self.now);
         self.now = cycle;
         self.stats.cycles = self.now - self.stats_base_cycle;
     }
@@ -806,10 +805,7 @@ impl<'p> Core<'p> {
         match &mut self.feed {
             Feed::Whole(p) => p.uops.get(idx).copied(),
             Feed::Stream(s) => {
-                let keep_from = self
-                    .rob
-                    .front()
-                    .map_or(idx, |e| (e.idx as usize).min(idx));
+                let keep_from = self.rob.front().map_or(idx, |e| (e.idx as usize).min(idx));
                 s.uop_at(idx, keep_from)
             }
         }
@@ -830,21 +826,20 @@ impl<'p> Core<'p> {
             };
             match uop.kind {
                 UopKind::Load { .. }
-                    if self.lq_busy.len() + self.rob_loads_unissued >= self.cfg.load_buffer => {
-                        break;
-                    }
+                    if self.lq_busy.len() + self.rob_loads_unissued >= self.cfg.load_buffer =>
+                {
+                    break;
+                }
                 UopKind::Store { .. }
-                    if self.sq_busy.len() + self.rob_stores >= self.cfg.store_buffer => {
-                        break;
-                    }
+                    if self.sq_busy.len() + self.rob_stores >= self.cfg.store_buffer =>
+                {
+                    break;
+                }
                 _ => {}
             }
             let entry = RobEntry {
                 idx: self.fetch_idx as u32,
-                srcs: [
-                    uop.srcs[0].unwrap_or(NO_REG),
-                    uop.srcs[1].unwrap_or(NO_REG),
-                ],
+                srcs: [uop.srcs[0].unwrap_or(NO_REG), uop.srcs[1].unwrap_or(NO_REG)],
                 class: match uop.kind {
                     UopKind::Alu { .. } => CLASS_ALU,
                     UopKind::Fp { .. } => CLASS_FP,
@@ -1306,7 +1301,11 @@ mod tests {
         let s = run(&p, 1000);
         assert_eq!(s.stores, 200);
         // 200 stores / 32 SQ entries ≈ 7 waves of ~1000 cycles.
-        assert!(s.cycles >= 5000, "SQ pressure expected: {} cycles", s.cycles);
+        assert!(
+            s.cycles >= 5000,
+            "SQ pressure expected: {} cycles",
+            s.cycles
+        );
     }
 
     #[test]
@@ -1320,7 +1319,11 @@ mod tests {
         let s = run(&Program::new(uops), 10_000);
         assert_eq!(s.retired, 1000);
         assert!(s.cycles >= 10_000);
-        assert!(s.cycles < 11_500, "post-miss uops drain quickly: {}", s.cycles);
+        assert!(
+            s.cycles < 11_500,
+            "post-miss uops drain quickly: {}",
+            s.cycles
+        );
     }
 
     #[test]
@@ -1376,7 +1379,14 @@ mod tests {
         // 300 independent L1-hit-speed loads: at 2 ports, at least 150
         // cycles; integer work of the same length is 3-wide.
         let p: Program = (0..300)
-            .map(|i| Uop::load(i * 4, VirtAddr(0x1000 + (i % 8) * 64), (i % 8) as u8 + 8, None))
+            .map(|i| {
+                Uop::load(
+                    i * 4,
+                    VirtAddr(0x1000 + (i % 8) * 64),
+                    (i % 8) as u8 + 8,
+                    None,
+                )
+            })
             .collect();
         let s = run(&p, 1);
         assert!(s.cycles >= 150, "mem ports must bound issue: {}", s.cycles);
@@ -1409,7 +1419,14 @@ mod tests {
         // Independent long-latency loads: 48 LQ entries cap the overlap,
         // so 96 loads need at least two full latency windows.
         let p: Program = (0..96)
-            .map(|i| Uop::load(i * 4, VirtAddr(0x10_0000 + i * 64), (i % 32) as u8 + 8, None))
+            .map(|i| {
+                Uop::load(
+                    i * 4,
+                    VirtAddr(0x10_0000 + i * 64),
+                    (i % 32) as u8 + 8,
+                    None,
+                )
+            })
             .collect();
         let s = run(&p, 5_000);
         assert!(
@@ -1803,7 +1820,12 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let pc = i * 4;
             uops.push(match x % 5 {
-                0 => Uop::load(pc, VirtAddr(0x1000 + (x as u32 % 512) * 64), (i % 32) as u8 + 8, Some(1)),
+                0 => Uop::load(
+                    pc,
+                    VirtAddr(0x1000 + (x as u32 % 512) * 64),
+                    (i % 32) as u8 + 8,
+                    Some(1),
+                ),
                 1 => Uop::store(pc, VirtAddr(0x9000 + (x as u32 % 64) * 4), None, Some(2)),
                 2 => Uop::branch(pc, (x >> 63) == 1, None),
                 3 => Uop::alu_dep(pc, 1, [Some(1), None], 2),

@@ -160,7 +160,9 @@ mod tests {
         let mut wrong = 0;
         let n = 2000;
         for _ in 0..n {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let outcome = (x >> 63) == 1;
             let p = bp.predict(0x100);
             if p != outcome {

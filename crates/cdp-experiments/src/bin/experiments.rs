@@ -116,17 +116,33 @@
 
 use std::time::{Duration, Instant};
 
+use cdp_experiments::obs;
 use cdp_experiments::{
     context, extensions, fig1, fig10, fig11, fig2, fig34, fig7, fig8, fig9, onecell, pollution,
     sensitivity, suite_summary, table1, table2, tlb, tournament, ExpScale,
 };
-use cdp_experiments::obs;
 use cdp_sim::{FaultPlan, FaultSpec, Pool, RunPolicy};
 use cdp_types::{ObsConfig, TraceConfig, TraceFilter, VamConfig};
 
 const ALL: [&str; 19] = [
-    "table1", "fig1", "table2", "fig2", "fig34", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "tlb", "pollution", "suite", "margin", "adaptive", "streams", "latency", "l2size",
+    "table1",
+    "fig1",
+    "table2",
+    "fig2",
+    "fig34",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "tlb",
+    "pollution",
+    "suite",
+    "margin",
+    "adaptive",
+    "streams",
+    "latency",
+    "l2size",
     "backward",
 ];
 
@@ -149,7 +165,9 @@ fn run_one(
     use cdp_experiments::report::ToDataset;
     let save = |d: cdp_experiments::report::Dataset| -> Result<(), String> {
         if let Some(dir) = csv_dir {
-            let path = d.write_to(dir).map_err(|e| format!("csv write failed: {e}"))?;
+            let path = d
+                .write_to(dir)
+                .map_err(|e| format!("csv write failed: {e}"))?;
             eprintln!("wrote {}", path.display());
         }
         Ok(())
@@ -252,7 +270,9 @@ fn run_one_guarded(
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "experiment panicked".to_string());
             context::record_failure("(whole experiment)", &msg);
-            Ok(format!("experiment {id} failed: {msg}\n(skipped under --keep-going)\n"))
+            Ok(format!(
+                "experiment {id} failed: {msg}\n(skipped under --keep-going)\n"
+            ))
         }
     }
 }
@@ -304,7 +324,9 @@ fn main() {
                 "--cell-timeout" => match a.parse::<u64>() {
                     Ok(n) if n > 0 => policy.timeout = Some(Duration::from_secs(n)),
                     _ => {
-                        eprintln!("--cell-timeout requires a positive number of seconds, got {a:?}");
+                        eprintln!(
+                            "--cell-timeout requires a positive number of seconds, got {a:?}"
+                        );
                         std::process::exit(2);
                     }
                 },
@@ -344,13 +366,15 @@ fn main() {
                 "--status-jsonl" => status_jsonl = Some(a.clone()),
                 "--result-store" => result_store_dir = Some(std::path::PathBuf::from(a)),
                 "--checkpoint-dir" => checkpoint_dir = Some(std::path::PathBuf::from(a)),
-                "--checkpoint-every" => match a.parse::<u64>() {
-                    Ok(n) if n > 0 => checkpoint_every = n,
-                    _ => {
-                        eprintln!("--checkpoint-every requires a positive number of cycles, got {a:?}");
-                        std::process::exit(2);
+                "--checkpoint-every" => {
+                    match a.parse::<u64>() {
+                        Ok(n) if n > 0 => checkpoint_every = n,
+                        _ => {
+                            eprintln!("--checkpoint-every requires a positive number of cycles, got {a:?}");
+                            std::process::exit(2);
+                        }
                     }
-                },
+                }
                 _ => unreachable!("expecting only set for value-taking flags"),
             }
             continue;
@@ -392,9 +416,7 @@ fn main() {
              [--verbose-timing] [--no-result-cache]"
         );
         eprintln!("       [--no-fast-forward] [--result-store <dir>]");
-        eprintln!(
-            "       [--checkpoint-dir <dir>] [--checkpoint-every CYCLES] [--resume]"
-        );
+        eprintln!("       [--checkpoint-dir <dir>] [--checkpoint-every CYCLES] [--resume]");
         eprintln!("       [--budget BYTES]...  (tournament only; default 16KiB and 64KiB)");
         eprintln!(
             "ids: {} onecell tournament  (or: all, which excludes onecell and tournament)",

@@ -416,7 +416,10 @@ mod tests {
         assert_eq!(ExpScale::parse("large"), Some(ExpScale::Large));
         assert_eq!(ExpScale::parse("huge"), Some(ExpScale::Huge));
         assert_eq!(ExpScale::parse("bogus"), None);
-        assert_eq!(ExpScale::parse(ExpScale::Large.name()), Some(ExpScale::Large));
+        assert_eq!(
+            ExpScale::parse(ExpScale::Large.name()),
+            Some(ExpScale::Large)
+        );
         assert!(ExpScale::Large.scale().target_uops > ExpScale::Full.scale().target_uops);
         assert!(ExpScale::Huge.scale().target_uops > ExpScale::Large.scale().target_uops);
     }

@@ -41,9 +41,8 @@ pub struct MarginAblation {
 impl MarginAblation {
     /// Renders the ablation.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Extension: reinforcement rescan-margin ablation (Figure 4(b)/(c))\n\n",
-        );
+        let mut out =
+            String::from("Extension: reinforcement rescan-margin ablation (Figure 4(b)/(c))\n\n");
         let rows: Vec<Vec<String>> = self
             .points
             .iter()

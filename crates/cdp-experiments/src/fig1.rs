@@ -40,7 +40,10 @@ pub struct Figure1 {
 impl Figure1 {
     /// The longest series' window count (the rendered row count).
     pub fn window_count(&self) -> usize {
-        let lens = self.series.iter().filter_map(|s| s.samples.as_ref().map(Vec::len));
+        let lens = self
+            .series
+            .iter()
+            .filter_map(|s| s.samples.as_ref().map(Vec::len));
         lens.max().unwrap_or(0)
     }
 

@@ -12,8 +12,8 @@ use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    failure_note, mean_if_complete, render_table, run_grid_cells, CellFailure, ExpScale, GAP,
-    WorkloadSet,
+    failure_note, mean_if_complete, render_table, run_grid_cells, CellFailure, ExpScale,
+    WorkloadSet, GAP,
 };
 
 /// One benchmark's measured classification (present only when both its
@@ -84,7 +84,12 @@ impl Figure10 {
             .collect();
         out.push_str(&render_table(
             &[
-                "Benchmark", "str-full", "str-part", "cpf-full", "cpf-part", "ul2-miss",
+                "Benchmark",
+                "str-full",
+                "str-part",
+                "cpf-full",
+                "cpf-part",
+                "ul2-miss",
                 "speedup",
             ],
             &rows,

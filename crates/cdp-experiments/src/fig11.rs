@@ -18,8 +18,8 @@ use cdp_types::{MarkovConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells,
-    CellFailure, ExpScale, GAP, WorkloadSet,
+    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure,
+    ExpScale, WorkloadSet, GAP,
 };
 
 /// One configuration's result.
@@ -70,7 +70,10 @@ impl Figure11 {
                 ]
             })
             .collect();
-        out.push_str(&render_table(&["configuration", "speedup", "gain", ""], &rows));
+        out.push_str(&render_table(
+            &["configuration", "speedup", "gain", ""],
+            &rows,
+        ));
         let find = |name: &str| {
             self.configs
                 .iter()

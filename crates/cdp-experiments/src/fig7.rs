@@ -57,14 +57,15 @@ impl Figure7 {
                     p.label.clone(),
                     opt_cell(p.coverage, |c| format!("{:.1}%", c * 100.0)),
                     opt_cell(p.accuracy, |a| format!("{:.1}%", a * 100.0)),
-                    if Some(i) == self.best { "<= best trade-off".into() } else { String::new() },
+                    if Some(i) == self.best {
+                        "<= best trade-off".into()
+                    } else {
+                        String::new()
+                    },
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &["N.M", "coverage", "accuracy", ""],
-            &rows,
-        ));
+        out.push_str(&render_table(&["N.M", "coverage", "accuracy", ""], &rows));
         out.push_str(&failure_note(&self.failures));
         out
     }
@@ -225,7 +226,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure7 {
             .map(|p| (p.coverage, p.accuracy))
             .collect::<Vec<_>>(),
     );
-    Figure7 { points, best, failures }
+    Figure7 {
+        points,
+        best,
+        failures,
+    }
 }
 
 #[cfg(test)]

@@ -54,11 +54,18 @@ impl Figure8 {
                     p.label.clone(),
                     opt_cell(p.coverage, |c| format!("{:.1}%", c * 100.0)),
                     opt_cell(p.accuracy, |a| format!("{:.1}%", a * 100.0)),
-                    if Some(i) == self.best { "<= best trade-off".into() } else { String::new() },
+                    if Some(i) == self.best {
+                        "<= best trade-off".into()
+                    } else {
+                        String::new()
+                    },
                 ]
             })
             .collect();
-        out.push_str(&render_table(&["N.M.A.S", "coverage", "accuracy", ""], &rows));
+        out.push_str(&render_table(
+            &["N.M.A.S", "coverage", "accuracy", ""],
+            &rows,
+        ));
         out.push_str(&failure_note(&self.failures));
         out
     }
@@ -93,7 +100,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure8 {
     let mut grid = Vec::new();
     for (&(align, step), vam) in sweep.iter().zip(&vams) {
         for (b, _) in &base {
-            grid.push((format!("8.4.{align}.{step}/{}", b.name()), vam_cfg(*vam), *b));
+            grid.push((
+                format!("8.4.{align}.{step}/{}", b.name()),
+                vam_cfg(*vam),
+                *b,
+            ));
         }
     }
     let (runs, sweep_failures) = run_grid_cells(pool, &ws, scale.scale(), grid);
@@ -115,7 +126,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure8 {
             .map(|p| (p.coverage, p.accuracy))
             .collect::<Vec<_>>(),
     );
-    Figure8 { points, best, failures }
+    Figure8 {
+        points,
+        best,
+        failures,
+    }
 }
 
 #[cfg(test)]

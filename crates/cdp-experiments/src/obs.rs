@@ -235,7 +235,13 @@ pub fn build_manifest(scale: &str, jobs: usize, taken: &ObsTaken) -> Json {
     );
     doc.set(
         "experiments",
-        Json::Arr(taken.experiments.iter().map(ExperimentRecord::to_json).collect()),
+        Json::Arr(
+            taken
+                .experiments
+                .iter()
+                .map(ExperimentRecord::to_json)
+                .collect(),
+        ),
     );
     let mut profiles = taken.profile_queues();
     doc.set(
@@ -417,7 +423,10 @@ mod tests {
         assert_eq!(agg.get("cells_ok").unwrap().as_u64(), Some(1));
         assert_eq!(agg.get("cells_timeout").unwrap().as_u64(), Some(1));
         assert_eq!(agg.get("metrics_windows_total").unwrap().as_u64(), Some(1));
-        assert_eq!(agg.get("uops_retired_total").unwrap().as_u64(), Some(24_000));
+        assert_eq!(
+            agg.get("uops_retired_total").unwrap().as_u64(),
+            Some(24_000)
+        );
         // 24_000 uops over 912 ms of summed cell wall time.
         let muops = agg.get("muops").unwrap().as_f64().unwrap();
         assert!((muops - 24_000.0 / 912_000.0).abs() < 1e-12, "got {muops}");

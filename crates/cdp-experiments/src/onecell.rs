@@ -13,7 +13,9 @@ use cdp_sim::{Pool, RunStats};
 use cdp_types::SystemConfig;
 use cdp_workloads::Benchmark;
 
-use crate::common::{failure_note, render_table, run_grid_cells, CellFailure, ExpScale, WorkloadSet};
+use crate::common::{
+    failure_note, render_table, run_grid_cells, CellFailure, ExpScale, WorkloadSet,
+};
 
 /// The single-cell run's result.
 #[derive(Clone, Debug)]

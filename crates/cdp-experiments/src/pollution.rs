@@ -43,9 +43,8 @@ pub struct Pollution {
 impl Pollution {
     /// Renders the study.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Section 3.5 limit study: bad prefetches injected on idle bus cycles\n\n",
-        );
+        let mut out =
+            String::from("Section 3.5 limit study: bad prefetches injected on idle bus cycles\n\n");
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -57,7 +56,10 @@ impl Pollution {
                 ]
             })
             .collect();
-        out.push_str(&render_table(&["Benchmark", "perf change", "injected"], &rows));
+        out.push_str(&render_table(
+            &["Benchmark", "perf change", "injected"],
+            &rows,
+        ));
         out.push_str(&format!(
             "\naverage performance change: {} (paper: about -3%)\n",
             opt_cell(self.average, |a| format!("{:+.1}%", (a - 1.0) * 100.0))
@@ -127,7 +129,11 @@ mod tests {
 
     #[test]
     fn pollution_never_helps() {
-        let p = run_on(ExpScale::Smoke, &[Benchmark::B2e, Benchmark::Tpcc2], &Pool::new(2));
+        let p = run_on(
+            ExpScale::Smoke,
+            &[Benchmark::B2e, Benchmark::Tpcc2],
+            &Pool::new(2),
+        );
         assert_eq!(p.rows.len(), 2);
         assert!(p.failures.is_empty(), "fault-free run has no gaps");
         for r in &p.rows {

@@ -20,11 +20,7 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds a dataset.
-    pub fn new(
-        filename: impl Into<String>,
-        headers: Vec<String>,
-        rows: Vec<Vec<String>>,
-    ) -> Self {
+    pub fn new(filename: impl Into<String>, headers: Vec<String>, rows: Vec<Vec<String>>) -> Self {
         Dataset {
             filename: filename.into(),
             headers,
@@ -120,7 +116,9 @@ impl ToDataset for crate::fig1::Figure1 {
             .map(|w| {
                 let mut row = vec![w.to_string()];
                 row.extend(self.series.iter().map(|s| {
-                    opt(s.samples.as_ref().and_then(|v| v.get(w)), |v| format!("{v:.4}"))
+                    opt(s.samples.as_ref().and_then(|v| v.get(w)), |v| {
+                        format!("{v:.4}")
+                    })
                 }));
                 row
             })

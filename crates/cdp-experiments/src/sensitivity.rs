@@ -91,8 +91,16 @@ where
         let mut cdp_cfg = SystemConfig::with_content();
         apply(&mut cdp_cfg, v);
         for &b in &benches {
-            grid.push((format!("{parameter}={v}-base/{}", b.name()), base_cfg.clone(), b));
-            grid.push((format!("{parameter}={v}-cdp/{}", b.name()), cdp_cfg.clone(), b));
+            grid.push((
+                format!("{parameter}={v}-base/{}", b.name()),
+                base_cfg.clone(),
+                b,
+            ));
+            grid.push((
+                format!("{parameter}={v}-cdp/{}", b.name()),
+                cdp_cfg.clone(),
+                b,
+            ));
         }
     }
     let (runs, failures) = run_grid_cells(pool, &ws, s, grid);

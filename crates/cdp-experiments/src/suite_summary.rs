@@ -11,8 +11,8 @@ use cdp_types::{ContentConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells,
-    CellFailure, ExpScale, GAP, WorkloadSet,
+    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure,
+    ExpScale, WorkloadSet, GAP,
 };
 
 /// One benchmark's summary row.
@@ -50,9 +50,8 @@ pub struct SuiteSummary {
 impl SuiteSummary {
     /// Renders the table.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Suite summary: content-prefetcher speedups over the stride baseline\n\n",
-        );
+        let mut out =
+            String::from("Suite summary: content-prefetcher speedups over the stride baseline\n\n");
         let max = self
             .rows
             .iter()
@@ -78,7 +77,14 @@ impl SuiteSummary {
             })
             .collect();
         out.push_str(&render_table(
-            &["Benchmark", "MPTU", "IPC", "stateless", "reinforced", "gain"],
+            &[
+                "Benchmark",
+                "MPTU",
+                "IPC",
+                "stateless",
+                "reinforced",
+                "gain",
+            ],
             &rows,
         ));
         match (self.average_stateless, self.average_reinf) {
@@ -133,9 +139,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> SuiteSummary {
         });
     }
     SuiteSummary {
-        average_reinf: mean_if_complete(
-            &rows.iter().map(|r| r.speedup_reinf).collect::<Vec<_>>(),
-        ),
+        average_reinf: mean_if_complete(&rows.iter().map(|r| r.speedup_reinf).collect::<Vec<_>>()),
         average_stateless: mean_if_complete(
             &rows.iter().map(|r| r.speedup_stateless).collect::<Vec<_>>(),
         ),

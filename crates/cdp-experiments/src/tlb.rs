@@ -51,9 +51,8 @@ impl TlbSweep {
 
     /// Renders the sweep.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Section 4.2.2: content-prefetcher speedup vs data-TLB size\n\n",
-        );
+        let mut out =
+            String::from("Section 4.2.2: content-prefetcher speedup vs data-TLB size\n\n");
         let rows: Vec<Vec<String>> = self
             .points
             .iter()
@@ -89,7 +88,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> TlbSweep {
         let mut cdp_cfg = SystemConfig::with_content();
         cdp_cfg.dtlb.entries = entries;
         for &b in &benches {
-            grid.push((format!("tlb{entries}-base/{}", b.name()), base_cfg.clone(), b));
+            grid.push((
+                format!("tlb{entries}-base/{}", b.name()),
+                base_cfg.clone(),
+                b,
+            ));
             grid.push((format!("tlb{entries}-cdp/{}", b.name()), cdp_cfg.clone(), b));
         }
     }

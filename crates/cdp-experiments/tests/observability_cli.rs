@@ -12,10 +12,7 @@ fn bin() -> Command {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cdp-obs-cli-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("cdp-obs-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -49,7 +46,10 @@ fn manifest_run_keeps_stdout_identical_and_emits_valid_artifacts() {
         .arg("--verbose-timing")
         .output()
         .expect("run experiments with observability");
-    assert!(observed.status.success(), "observed run failed: {observed:?}");
+    assert!(
+        observed.status.success(),
+        "observed run failed: {observed:?}"
+    );
     assert_eq!(
         plain.stdout, observed.stdout,
         "stdout must be byte-identical with observability on, at a different --jobs count"

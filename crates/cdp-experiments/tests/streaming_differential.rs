@@ -64,7 +64,10 @@ fn onecell_manifest_reports_throughput_accounting() {
     let cells = manifest.get("cells").unwrap().as_arr().unwrap();
     assert!(!cells.is_empty(), "onecell produced a cell record");
     for c in cells {
-        let retired = c.get("retired").and_then(Json::as_f64).expect("retired key");
+        let retired = c
+            .get("retired")
+            .and_then(Json::as_f64)
+            .expect("retired key");
         assert!(retired > 0.0, "a healthy cell retires uops");
         assert!(c.get("muops").and_then(Json::as_f64).is_some(), "muops key");
     }
@@ -75,7 +78,10 @@ fn onecell_manifest_reports_throughput_accounting() {
             .is_some_and(|v| v > 0.0),
         "aggregate uop count"
     );
-    assert!(agg.get("muops").and_then(Json::as_f64).is_some(), "aggregate muops");
+    assert!(
+        agg.get("muops").and_then(Json::as_f64).is_some(),
+        "aggregate muops"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -101,7 +107,11 @@ fn result_cache_never_replays_across_scale_tiers() {
     // Different tier: the key must differ, so no replay.
     let quick = onecell::run(ExpScale::Quick, &pool);
     let (h2, m2) = context::result_cache_stats();
-    assert_eq!((h2, m2), (1, 2), "a quick cell must never replay a smoke result");
+    assert_eq!(
+        (h2, m2),
+        (1, 2),
+        "a quick cell must never replay a smoke result"
+    );
     assert_ne!(
         smoke1.stats.as_ref().map(|s| s.retired),
         quick.stats.as_ref().map(|s| s.retired),

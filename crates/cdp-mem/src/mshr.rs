@@ -360,11 +360,7 @@ impl MshrFile {
 
     /// The earliest outstanding completion time, if any.
     pub fn next_completion(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|f| f.complete_at)
-            .min()
+        self.slots.iter().flatten().map(|f| f.complete_at).min()
     }
 
     /// Serializes the complete table state. The slot array is written

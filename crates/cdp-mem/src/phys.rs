@@ -361,11 +361,12 @@ impl PhysMem {
         for _ in 0..n {
             let number = dec.u32("phys frame number")?;
             let bytes = dec.bytes("phys frame data")?;
-            let page: &[u8; PAGE_SIZE] = bytes
-                .try_into()
-                .map_err(|_| cdp_types::SnapshotError::Corrupt {
-                    context: "phys frame size",
-                })?;
+            let page: &[u8; PAGE_SIZE] =
+                bytes
+                    .try_into()
+                    .map_err(|_| cdp_types::SnapshotError::Corrupt {
+                        context: "phys frame size",
+                    })?;
             self.install_frame(number, page)?;
         }
         Ok(())

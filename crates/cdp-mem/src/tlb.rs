@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn capacity_eviction_within_set() {
         let mut tlb = dtlb(); // 16 sets x 4 ways
-        // Pages mapping to set 0: page % 16 == 0.
+                              // Pages mapping to set 0: page % 16 == 0.
         for i in 0..5u32 {
             tlb.insert(PageNum(i * 16), PhysAddr(i * 0x1000));
         }

@@ -255,7 +255,11 @@ impl AddressSpace {
     /// Serialization support: the allocator cursors
     /// `(next_user_frame, next_table_frame, mapped_pages)`.
     pub fn cursors(&self) -> (u32, u32, u64) {
-        (self.next_user_frame, self.next_table_frame, self.mapped_pages)
+        (
+            self.next_user_frame,
+            self.next_table_frame,
+            self.mapped_pages,
+        )
     }
 
     /// Serialization support: reconstructs an address space from a
@@ -340,8 +344,8 @@ pub fn is_page_table_phys(addr: PhysAddr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_types::PAGE_SIZE;
     use cdp_types::rng::Rng;
+    use cdp_types::PAGE_SIZE;
 
     #[test]
     fn unmapped_translates_to_none() {
@@ -447,7 +451,10 @@ mod tests {
         let rebuilt = AddressSpace::from_parts(space.phys().clone(), cursors);
         assert_eq!(rebuilt.read_u32(VirtAddr(0x1234_5678 & !3)), 99);
         assert_eq!(rebuilt.read_u32(VirtAddr(0x2000_0000)), 7);
-        assert_eq!(rebuilt.translate(VirtAddr(0x2000_0000)), space.translate(VirtAddr(0x2000_0000)));
+        assert_eq!(
+            rebuilt.translate(VirtAddr(0x2000_0000)),
+            space.translate(VirtAddr(0x2000_0000))
+        );
         assert_eq!(rebuilt.mapped_pages(), space.mapped_pages());
         // The rebuilt space can keep allocating without clobbering.
         let mut rebuilt = rebuilt;
@@ -505,7 +512,10 @@ mod tests {
             vec![PageNum(0x10000), PageNum(0x10007), PageNum(0x30001)]
         );
         space.unmap(PageNum(0x10007));
-        assert_eq!(space.mapped_page_numbers().len(), space.mapped_pages() as usize);
+        assert_eq!(
+            space.mapped_page_numbers().len(),
+            space.mapped_pages() as usize
+        );
     }
 
     #[test]

@@ -53,7 +53,12 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn new(num_sets: usize, associativity: usize, line_size: u32, policy: ReplacementPolicy) -> Self {
+    fn new(
+        num_sets: usize,
+        associativity: usize,
+        line_size: u32,
+        policy: ReplacementPolicy,
+    ) -> Self {
         RefCache {
             sets: vec![Vec::new(); num_sets],
             associativity,
@@ -77,7 +82,9 @@ impl RefCache {
 
     fn probe(&self, addr: u32) -> bool {
         let line = self.align(addr);
-        self.sets[self.set_index(line)].iter().any(|e| e.line == line)
+        self.sets[self.set_index(line)]
+            .iter()
+            .any(|e| e.line == line)
     }
 
     fn access(&mut self, addr: u32) -> Option<&mut Meta> {
@@ -163,7 +170,11 @@ impl RefCache {
         } else {
             None
         };
-        self.sets[set].push(RefEntry { line, meta, stamp: clock });
+        self.sets[set].push(RefEntry {
+            line,
+            meta,
+            stamp: clock,
+        });
         evicted
     }
 

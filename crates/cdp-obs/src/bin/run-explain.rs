@@ -155,10 +155,20 @@ fn diff_cell(report: &mut Report, ctx: &str, a: &Json, b: &Json) {
     let sa = a.get("status").and_then(Json::as_str).unwrap_or("");
     let sb = b.get("status").and_then(Json::as_str).unwrap_or("");
     if sa != sb {
-        report.push("cell outcome", format!("{ctx}: status {sa:?} vs {sb:?}"), 0.0);
+        report.push(
+            "cell outcome",
+            format!("{ctx}: status {sa:?} vs {sb:?}"),
+            0.0,
+        );
     }
-    let fa = a.get("config_fingerprint").and_then(Json::as_str).unwrap_or("");
-    let fb = b.get("config_fingerprint").and_then(Json::as_str).unwrap_or("");
+    let fa = a
+        .get("config_fingerprint")
+        .and_then(Json::as_str)
+        .unwrap_or("");
+    let fb = b
+        .get("config_fingerprint")
+        .and_then(Json::as_str)
+        .unwrap_or("");
     if fa != fb {
         report.push(
             "configuration",
@@ -196,8 +206,16 @@ fn metrics_records(text: &str) -> BTreeMap<(String, String, u64), Json> {
             continue;
         }
         let Ok(j) = Json::parse(line) else { continue };
-        let exp = j.get("experiment").and_then(Json::as_str).unwrap_or("").to_string();
-        let label = j.get("label").and_then(Json::as_str).unwrap_or("").to_string();
+        let exp = j
+            .get("experiment")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string();
+        let label = j
+            .get("label")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string();
         let window = j.get("window").and_then(Json::as_u64).unwrap_or(0);
         records.entry((exp, label, window)).or_insert(j);
     }
@@ -228,7 +246,11 @@ fn explain(a: &Json, b: &Json, metrics_a: Option<&str>, metrics_b: Option<&str>)
                 if cells_a.len() != cells_b.len() {
                     report.push(
                         "cell set",
-                        format!("{ctx}: {} occurrence(s) vs {}", cells_a.len(), cells_b.len()),
+                        format!(
+                            "{ctx}: {} occurrence(s) vs {}",
+                            cells_a.len(),
+                            cells_b.len()
+                        ),
                         0.0,
                     );
                 }
@@ -239,7 +261,11 @@ fn explain(a: &Json, b: &Json, metrics_a: Option<&str>, metrics_b: Option<&str>)
         }
     }
     for key in gb.keys().filter(|k| !ga.contains_key(*k)) {
-        report.push("cell set", format!("cell {}/{}: only in B", key.0, key.1), 0.0);
+        report.push(
+            "cell set",
+            format!("cell {}/{}: only in B", key.0, key.1),
+            0.0,
+        );
     }
     let (ma, mb) = (
         metrics_records(metrics_a.unwrap_or("")),
@@ -296,8 +322,12 @@ fn load_run(arg: &str) -> (Json, Option<String>) {
     };
     let text = std::fs::read_to_string(&manifest_path)
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", manifest_path.display())));
-    let doc = Json::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("{}: JSON parse error: {e}", manifest_path.display())));
+    let doc = Json::parse(&text).unwrap_or_else(|e| {
+        fail(&format!(
+            "{}: JSON parse error: {e}",
+            manifest_path.display()
+        ))
+    });
     if let Err(e) = cdp_obs::validate(&doc) {
         fail(&format!("{}: {e}", manifest_path.display()));
     }
@@ -405,9 +435,10 @@ mod tests {
         let mut b = manifest("aaaa", "ok", 90);
         b.set("jobs", Json::U64(1));
         b.set("suite_wall_ms", Json::U64(999));
-        let Json::Obj(ref mut pairs) = b else { unreachable!() };
-        let Json::Arr(cells) = &mut pairs.iter_mut().find(|(k, _)| k == "cells").unwrap().1
-        else {
+        let Json::Obj(ref mut pairs) = b else {
+            unreachable!()
+        };
+        let Json::Arr(cells) = &mut pairs.iter_mut().find(|(k, _)| k == "cells").unwrap().1 else {
             unreachable!()
         };
         cells[0].set("wall_ms", Json::U64(9999));
@@ -438,12 +469,15 @@ mod tests {
     fn profile_presence_mismatch_is_not_divergence() {
         let a = manifest("aaaa", "ok", 90);
         let mut b = manifest("aaaa", "ok", 90);
-        let Json::Obj(ref mut pairs) = b else { unreachable!() };
-        let Json::Arr(cells) = &mut pairs.iter_mut().find(|(k, _)| k == "cells").unwrap().1
-        else {
+        let Json::Obj(ref mut pairs) = b else {
             unreachable!()
         };
-        let Json::Obj(cell) = &mut cells[0] else { unreachable!() };
+        let Json::Arr(cells) = &mut pairs.iter_mut().find(|(k, _)| k == "cells").unwrap().1 else {
+            unreachable!()
+        };
+        let Json::Obj(cell) = &mut cells[0] else {
+            unreachable!()
+        };
         cell.retain(|(k, _)| k != "profile");
         let report = explain(&a, &b, None, None);
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
@@ -453,7 +487,9 @@ mod tests {
     fn missing_cells_and_windows_are_reported() {
         let a = manifest("aaaa", "ok", 90);
         let mut b = manifest("aaaa", "ok", 90);
-        let Json::Obj(ref mut pairs) = b else { unreachable!() };
+        let Json::Obj(ref mut pairs) = b else {
+            unreachable!()
+        };
         pairs.iter_mut().find(|(k, _)| k == "cells").unwrap().1 = Json::Arr(vec![]);
         let ma = metrics_line(0, 5);
         let report = explain(&a, &b, Some(&ma), None);

@@ -524,9 +524,22 @@ mod tests {
         let back = Profile::restore_state(&mut Dec::new(&bytes)).expect("profile");
         assert_eq!(back, p);
         let j = p.to_json();
-        assert_eq!(j.get("load_to_use").unwrap().get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(j.get("rob_stall").unwrap().get("p50").unwrap().as_u64(), Some(28));
-        assert_eq!(j.get("prefetch_to_use").unwrap().get("count").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            j.get("load_to_use").unwrap().get("count").unwrap().as_u64(),
+            Some(2)
+        );
+        assert_eq!(
+            j.get("rob_stall").unwrap().get("p50").unwrap().as_u64(),
+            Some(28)
+        );
+        assert_eq!(
+            j.get("prefetch_to_use")
+                .unwrap()
+                .get("count")
+                .unwrap()
+                .as_u64(),
+            Some(0)
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use cdp_types::{ContentConfig, VirtAddr, LINE_SIZE};
 
 use crate::vam::scan_line;
-use crate::{Prefetcher, PrefetchRequest};
+use crate::{PrefetchRequest, Prefetcher};
 
 /// Cumulative content-prefetcher statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -435,7 +435,10 @@ mod tests {
         // D's fill (depth 3) is not scanned.
         let d_data = line_with_pointers(&[(0, 0x1000_4000)]);
         let mut step = Vec::new();
-        assert_eq!(cdp.scan_fill(VirtAddr(lines[3]), &d_data, depth, &mut step), 0);
+        assert_eq!(
+            cdp.scan_fill(VirtAddr(lines[3]), &d_data, depth, &mut step),
+            0
+        );
         assert!(step.is_empty());
     }
 

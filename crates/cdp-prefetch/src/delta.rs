@@ -30,7 +30,7 @@
 
 use cdp_types::{DeltaConfig, DeltaKeySpace, MarkovConfig, RequestKind, VirtAddr};
 
-use crate::{Prefetcher, PrefetchRequest};
+use crate::{PrefetchRequest, Prefetcher};
 
 /// Line deltas must fit in the 2-byte slot the budget accounting charges
 /// for them; larger jumps break the pattern context instead of training.

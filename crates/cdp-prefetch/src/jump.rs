@@ -17,7 +17,7 @@
 
 use cdp_types::{JumpConfig, RequestKind, VamConfig, VirtAddr, LINE_SIZE};
 
-use crate::{vam, Prefetcher, PrefetchRequest};
+use crate::{vam, PrefetchRequest, Prefetcher};
 
 #[derive(Clone, Copy, Debug)]
 struct JumpEntry {
@@ -269,7 +269,11 @@ impl Prefetcher for JumpPrefetcher {
     ) {
         let hits = vam::scan_line(data, vline, &self.vam);
         let node = vline.line().0;
-        if let Some(hit) = hits.as_slice().iter().find(|h| h.candidate.line().0 != node) {
+        if let Some(hit) = hits
+            .as_slice()
+            .iter()
+            .find(|h| h.candidate.line().0 != node)
+        {
             self.record(node, hit.candidate.line().0);
         }
     }

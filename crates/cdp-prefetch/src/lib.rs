@@ -162,8 +162,14 @@ mod tests {
     fn request_constructors() {
         let r = PrefetchRequest::content(VirtAddr(0x40), 2);
         assert_eq!(r.kind, RequestKind::Content { depth: 2 });
-        assert_eq!(PrefetchRequest::stride(VirtAddr(0)).kind, RequestKind::Stride);
-        assert_eq!(PrefetchRequest::markov(VirtAddr(0)).kind, RequestKind::Markov);
+        assert_eq!(
+            PrefetchRequest::stride(VirtAddr(0)).kind,
+            RequestKind::Stride
+        );
+        assert_eq!(
+            PrefetchRequest::markov(VirtAddr(0)).kind,
+            RequestKind::Markov
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 pub use cdp_types::StreamConfig;
 use cdp_types::{VirtAddr, LINE_SIZE};
 
-use crate::{Prefetcher, PrefetchRequest};
+use crate::{PrefetchRequest, Prefetcher};
 
 #[derive(Clone, Copy, Debug)]
 struct Stream {
@@ -314,10 +314,7 @@ mod tests {
             streams: 4,
             depth: 2,
         });
-        let reqs = misses(
-            &mut sb,
-            &[0x0, 0x10000, 0x40, 0x10040, 0x80, 0x10080],
-        );
+        let reqs = misses(&mut sb, &[0x0, 0x10000, 0x40, 0x10040, 0x80, 0x10080]);
         let low: Vec<u32> = reqs.iter().copied().filter(|&a| a < 0x10000).collect();
         let high: Vec<u32> = reqs.iter().copied().filter(|&a| a >= 0x10000).collect();
         assert!(!low.is_empty() && !high.is_empty(), "{reqs:?}");

@@ -10,7 +10,7 @@
 
 use cdp_types::{StrideConfig, VirtAddr};
 
-use crate::{Prefetcher, PrefetchRequest};
+use crate::{PrefetchRequest, Prefetcher};
 
 /// Confidence automaton states of one RPT entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,9 +147,8 @@ impl StridePrefetcher {
                 e.last_addr = vaddr.0;
                 if e.state == State::Steady {
                     for k in 1..=self.degree {
-                        let target = VirtAddr(
-                            vaddr.0.wrapping_add((e.stride as i64 * k as i64) as u32),
-                        );
+                        let target =
+                            VirtAddr(vaddr.0.wrapping_add((e.stride as i64 * k as i64) as u32));
                         out.push(PrefetchRequest::stride(target));
                         self.stats.emitted += 1;
                     }
@@ -316,7 +315,11 @@ mod tests {
     #[test]
     fn irregular_pattern_stays_silent() {
         let mut s = sp();
-        let out = drive(&mut s, 0x40, &[0x1000, 0x1040, 0x3000, 0x9000, 0x100, 0x7777]);
+        let out = drive(
+            &mut s,
+            0x40,
+            &[0x1000, 0x1040, 0x3000, 0x9000, 0x100, 0x7777],
+        );
         assert!(out.is_empty(), "no steady stride, no prediction");
     }
 
@@ -324,7 +327,7 @@ mod tests {
     fn stride_change_retrains() {
         let mut s = sp();
         drive(&mut s, 0x40, &[0x1000, 0x1040, 0x1080]); // steady +0x40
-        // Switch to +0x80: one mismatch drops to Initial, then re-locks.
+                                                        // Switch to +0x80: one mismatch drops to Initial, then re-locks.
         let out = drive(&mut s, 0x40, &[0x1100, 0x1180, 0x1200, 0x1280]);
         assert_eq!(out.last().unwrap().vaddr, VirtAddr(0x1300));
     }

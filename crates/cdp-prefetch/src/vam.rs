@@ -311,11 +311,7 @@ pub fn scan_line(data: &[u8; LINE_SIZE], trigger_ea: VirtAddr, cfg: &VamConfig) 
 /// call per word, exactly as §3.3 describes the hardware. Kept as the
 /// differential oracle for the optimized scanner (and for readers who
 /// want the heuristic without the bit tricks).
-pub fn scan_line_scalar(
-    data: &[u8; LINE_SIZE],
-    trigger_ea: VirtAddr,
-    cfg: &VamConfig,
-) -> ScanHits {
+pub fn scan_line_scalar(data: &[u8; LINE_SIZE], trigger_ea: VirtAddr, cfg: &VamConfig) -> ScanHits {
     let step = cfg.scan_step.max(1);
     let mut found = ScanHits::new();
     let mut offset = 0;
@@ -366,14 +362,23 @@ mod tests {
         // Odd word: align test fires before anything else.
         assert_eq!(classify(0x10ab_cde1, trigger, &c), VamVerdict::RejectAlign);
         // Upper byte differs from the trigger.
-        assert_eq!(classify(0x20ab_cde0, trigger, &c), VamVerdict::RejectCompare);
+        assert_eq!(
+            classify(0x20ab_cde0, trigger, &c),
+            VamVerdict::RejectCompare
+        );
         // All-zeros region trigger + small integer: filter test fires.
         let low_trigger = VirtAddr(0x0000_2000);
-        assert_eq!(classify(0x0000_0004, low_trigger, &c), VamVerdict::RejectFilter);
+        assert_eq!(
+            classify(0x0000_0004, low_trigger, &c),
+            VamVerdict::RejectFilter
+        );
         // Degenerate n >= 32: exact match required.
         let exact = cfg(32, 0, 0, 2);
         assert_eq!(classify(trigger.0, trigger, &exact), VamVerdict::Accept);
-        assert_eq!(classify(trigger.0 + 4, trigger, &exact), VamVerdict::RejectCompare);
+        assert_eq!(
+            classify(trigger.0 + 4, trigger, &exact),
+            VamVerdict::RejectCompare
+        );
         // Extreme region with no filter bits: no prediction at all.
         let nofilter = cfg(8, 0, 0, 2);
         assert_eq!(
@@ -385,7 +390,12 @@ mod tests {
     #[test]
     fn classify_agrees_with_is_candidate_everywhere() {
         let mut rng = Rng::seed_from_u64(0x0b5e_7ab1e);
-        let configs = [cfg(8, 4, 1, 2), cfg(0, 0, 0, 4), cfg(32, 4, 2, 2), cfg(30, 8, 0, 1)];
+        let configs = [
+            cfg(8, 4, 1, 2),
+            cfg(0, 0, 0, 4),
+            cfg(32, 4, 2, 2),
+            cfg(30, 8, 0, 1),
+        ];
         for c in &configs {
             for _ in 0..2000 {
                 let word = rng.next_u32();
@@ -423,7 +433,10 @@ mod tests {
         assert!(!is_candidate(0x1040_2469, TRIGGER, &c1), "odd word");
         assert!(is_candidate(0x1040_246a, TRIGGER, &c1), "2-byte aligned");
         let c2 = cfg(8, 4, 2, 2);
-        assert!(!is_candidate(0x1040_246a, TRIGGER, &c2), "not 4-byte aligned");
+        assert!(
+            !is_candidate(0x1040_246a, TRIGGER, &c2),
+            "not 4-byte aligned"
+        );
         assert!(is_candidate(0x1040_246c, TRIGGER, &c2));
         let c0 = cfg(8, 4, 0, 2);
         assert!(is_candidate(0x1040_2469, TRIGGER, &c0), "align disabled");
@@ -528,7 +541,10 @@ mod tests {
         // first address outside it never consults the filter bits.
         let c = cfg(8, 0, 0, 2); // zero filter bits: no extreme-region predictions
         let trig_low = VirtAddr(0x00f0_0000);
-        assert!(!is_candidate(0x00f0_0000, trig_low, &c), "inside zero region");
+        assert!(
+            !is_candidate(0x00f0_0000, trig_low, &c),
+            "inside zero region"
+        );
         let trig_out = VirtAddr(0x0100_0000);
         assert!(is_candidate(0x0100_0000, trig_out, &c), "just outside");
     }
@@ -537,7 +553,10 @@ mod tests {
     fn boundary_of_the_ones_region() {
         let c = cfg(8, 0, 0, 2);
         let trig_hi = VirtAddr(0xff00_0000);
-        assert!(!is_candidate(0xff00_0000, trig_hi, &c), "inside ones region");
+        assert!(
+            !is_candidate(0xff00_0000, trig_hi, &c),
+            "inside ones region"
+        );
         let trig_out = VirtAddr(0xfe00_0000);
         assert!(is_candidate(0xfeff_fffe, trig_out, &c), "just below");
     }
@@ -548,9 +567,18 @@ mod tests {
         // bit is bit 19 (below the filter window) stays rejected.
         let c = cfg(8, 4, 0, 2);
         let low = VirtAddr(0x00ab_0000);
-        assert!(!is_candidate(0x0008_0000, low, &c), "bit 19 is below the window");
-        assert!(is_candidate(0x0010_0000, low, &c), "bit 20 is in the window");
-        assert!(is_candidate(0x0080_0000, low, &c), "bit 23 is in the window");
+        assert!(
+            !is_candidate(0x0008_0000, low, &c),
+            "bit 19 is below the window"
+        );
+        assert!(
+            is_candidate(0x0010_0000, low, &c),
+            "bit 20 is in the window"
+        );
+        assert!(
+            is_candidate(0x0080_0000, low, &c),
+            "bit 23 is in the window"
+        );
     }
 
     #[test]
@@ -601,7 +629,11 @@ mod tests {
             let n = rng.gen_range_u32(1..16);
             let c = cfg(n, 4, 0, 2);
             if is_candidate(word, VirtAddr(ea), &c) {
-                assert_eq!(word >> (32 - n), ea >> (32 - n), "word {word:#x} ea {ea:#x} n {n}");
+                assert_eq!(
+                    word >> (32 - n),
+                    ea >> (32 - n),
+                    "word {word:#x} ea {ea:#x} n {n}"
+                );
             }
         }
     }

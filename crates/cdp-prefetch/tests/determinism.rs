@@ -9,8 +9,8 @@
 //! RNGs, or anything else outside its inputs.
 
 use cdp_prefetch::{
-    ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, PerceptronFilter,
-    Prefetcher, PrefetchRequest, StridePrefetcher,
+    ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, PerceptronFilter, PrefetchRequest,
+    Prefetcher, StridePrefetcher,
 };
 use cdp_types::rng::Rng;
 use cdp_types::{
@@ -21,9 +21,19 @@ use cdp_types::{
 /// One hierarchy event, pre-generated so both replays see byte-identical
 /// inputs (including the fill payloads the content and jump engines scan).
 enum Ev {
-    L1Miss { pc: u32, vaddr: u32 },
-    L2Miss { vaddr: u32 },
-    Fill { trigger: u32, vline: u32, data: Box<[u8; LINE_SIZE]>, kind: RequestKind },
+    L1Miss {
+        pc: u32,
+        vaddr: u32,
+    },
+    L2Miss {
+        vaddr: u32,
+    },
+    Fill {
+        trigger: u32,
+        vline: u32,
+        data: Box<[u8; LINE_SIZE]>,
+        kind: RequestKind,
+    },
 }
 
 /// A randomized event stream with enough structure that every engine
@@ -52,7 +62,10 @@ fn random_events(seed: u64, len: usize) -> Vec<Ev> {
             0..=2 => {
                 let (pc, cursor, stride) = &mut pcs[rng.gen_range_usize(0..4)];
                 *cursor = cursor.wrapping_add(*stride);
-                events.push(Ev::L1Miss { pc: *pc, vaddr: *cursor });
+                events.push(Ev::L1Miss {
+                    pc: *pc,
+                    vaddr: *cursor,
+                });
             }
             3..=5 => {
                 let vaddr = hot[rng.gen_range_usize(0..hot.len())]
@@ -75,11 +88,18 @@ fn random_events(seed: u64, len: usize) -> Vec<Ev> {
                     data[w * 4..w * 4 + 4].copy_from_slice(&word.to_le_bytes());
                 }
                 let kind = if rng.gen_range_u32(0..3) == 0 {
-                    RequestKind::Content { depth: rng.gen_range_u32(0..3) as u8 }
+                    RequestKind::Content {
+                        depth: rng.gen_range_u32(0..3) as u8,
+                    }
                 } else {
                     RequestKind::Demand
                 };
-                events.push(Ev::Fill { trigger, vline, data, kind });
+                events.push(Ev::Fill {
+                    trigger,
+                    vline,
+                    data,
+                    kind,
+                });
             }
         }
     }
@@ -96,7 +116,12 @@ fn drive(engine: &mut dyn Prefetcher, events: &[Ev]) -> Vec<PrefetchRequest> {
         match ev {
             Ev::L1Miss { pc, vaddr } => engine.on_l1_miss(*pc, VirtAddr(*vaddr), &mut out),
             Ev::L2Miss { vaddr } => engine.on_l2_miss(VirtAddr(*vaddr), &mut out),
-            Ev::Fill { trigger, vline, data, kind } => {
+            Ev::Fill {
+                trigger,
+                vline,
+                data,
+                kind,
+            } => {
                 engine.on_l2_fill(VirtAddr(*trigger), VirtAddr(*vline), data, *kind, &mut out);
             }
         }
@@ -121,9 +146,16 @@ fn check_pair<E: Prefetcher>(
     let sb = drive(&mut b, events);
     assert_eq!(sa, sb, "{name}: prediction streams diverge");
     assert_eq!(stats(&a), stats(&b), "{name}: stats diverge");
-    assert_eq!(a.budget_bytes(), b.budget_bytes(), "{name}: budgets diverge");
+    assert_eq!(
+        a.budget_bytes(),
+        b.budget_bytes(),
+        "{name}: budgets diverge"
+    );
     if expect_issue {
-        assert!(!sa.is_empty(), "{name}: event stream never fired the engine");
+        assert!(
+            !sa.is_empty(),
+            "{name}: event stream never fired the engine"
+        );
     }
 }
 
@@ -133,7 +165,11 @@ fn every_engine_replays_identically() {
         let events = random_events(seed, 4000);
         for budget in [4 * 1024usize, 16 * 1024] {
             let ctx = format!("seed {seed:#x} budget {budget}");
-            let mk = MarkovConfig { stab_bytes: budget, associativity: 16, fanout: 4 };
+            let mk = MarkovConfig {
+                stab_bytes: budget,
+                associativity: 16,
+                fanout: 4,
+            };
             check_pair(
                 &format!("markov {ctx}"),
                 &events,
@@ -178,7 +214,10 @@ fn every_engine_replays_identically() {
             ContentPrefetcher::new(ContentConfig::default()),
             |e| format!("{:?}", e.stats()),
         );
-        let sc = SystemConfig::asplos2002().prefetchers.stride.expect("baseline stride");
+        let sc = SystemConfig::asplos2002()
+            .prefetchers
+            .stride
+            .expect("baseline stride");
         check_pair(
             &format!("stride seed {seed:#x}"),
             &events,
@@ -208,11 +247,17 @@ fn perceptron_filter_replays_identically() {
                     0 => RequestKind::Stride,
                     1 => RequestKind::Markov,
                     2 => RequestKind::Delta,
-                    _ => RequestKind::Content { depth: rng.gen_range_u32(0..3) as u8 },
+                    _ => RequestKind::Content {
+                        depth: rng.gen_range_u32(0..3) as u8,
+                    },
                 };
                 match rng.gen_range_u32(0..4) {
                     0 => {
-                        let req = PrefetchRequest { vaddr, kind, width: false };
+                        let req = PrefetchRequest {
+                            vaddr,
+                            kind,
+                            width: false,
+                        };
                         decisions.0.push(a.accept(&req));
                         decisions.1.push(b.accept(&req));
                     }

@@ -28,7 +28,10 @@ fn check(data: &[u8; LINE_SIZE], trigger: VirtAddr, cfg: &VamConfig) {
     assert_hits_identical(
         &fast,
         &slow,
-        &format!("trigger={trigger:?} cfg={cfg:?} data[0..8]={:?}", &data[..8]),
+        &format!(
+            "trigger={trigger:?} cfg={cfg:?} data[0..8]={:?}",
+            &data[..8]
+        ),
     );
 }
 
@@ -45,7 +48,13 @@ const SCAN_STEPS: &[usize] = &[1, 2, 3, 4, 5, 8, 61, 64, 100];
 
 /// Triggers chosen so every compare width sees a mid-range, an
 /// all-zeros-region, and an all-ones-region upper field.
-const TRIGGERS: &[u32] = &[0x1040_2468, 0x0000_0123, 0xffff_fde8, 0x8000_0000, 0x0000_0000];
+const TRIGGERS: &[u32] = &[
+    0x1040_2468,
+    0x0000_0123,
+    0xffff_fde8,
+    0x8000_0000,
+    0x0000_0000,
+];
 
 fn line_variants(rng: &mut Rng) -> Vec<[u8; LINE_SIZE]> {
     let mut lines = Vec::new();

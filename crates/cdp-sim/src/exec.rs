@@ -468,7 +468,10 @@ impl ResultCache {
     /// the store and never surface here.
     pub fn put(&self, key: u64, stats: RunStats, observation: Option<Observation>) {
         if let Some(store) = &self.store {
-            store.put(key, &crate::persist::encode_result(&stats, observation.as_ref()));
+            store.put(
+                key,
+                &crate::persist::encode_result(&stats, observation.as_ref()),
+            );
         }
         self.stripe(key)
             .lock()
@@ -1087,17 +1090,21 @@ mod tests {
         let sink = ObsSink::shared();
         let jobs: Vec<SimJob> = (0..2)
             .map(|i| {
-                SimJob::new(format!("cell/{i}"), SystemConfig::with_content(), Arc::clone(&w))
-                    .with_obs(JobObs {
-                        cfg: ObsConfig {
-                            trace: Some(TraceConfig::default()),
-                            metrics_window: Some(16_384),
-                            profile_hist: true,
-                        },
-                        sink: Arc::clone(&sink),
-                        batch: 7,
-                        index: i,
-                    })
+                SimJob::new(
+                    format!("cell/{i}"),
+                    SystemConfig::with_content(),
+                    Arc::clone(&w),
+                )
+                .with_obs(JobObs {
+                    cfg: ObsConfig {
+                        trace: Some(TraceConfig::default()),
+                        metrics_window: Some(16_384),
+                        profile_hist: true,
+                    },
+                    sink: Arc::clone(&sink),
+                    batch: 7,
+                    index: i,
+                })
             })
             .collect();
         let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());

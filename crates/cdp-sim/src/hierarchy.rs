@@ -152,11 +152,7 @@ impl<'w> Hierarchy<'w> {
     /// Builds the hierarchy described by `cfg` over the (read-only) memory
     /// image `space`.
     pub fn new(cfg: SystemConfig, space: &'w AddressSpace) -> Self {
-        let stride = cfg
-            .prefetchers
-            .stride
-            .as_ref()
-            .map(StridePrefetcher::new);
+        let stride = cfg.prefetchers.stride.as_ref().map(StridePrefetcher::new);
         let content = cfg.prefetchers.content.map(ContentPrefetcher::new);
         let markov = cfg.prefetchers.markov.as_ref().map(DeltaPrefetcher::stab);
         let stream = cfg.prefetchers.stream.as_ref().map(StreamPrefetcher::new);
@@ -309,7 +305,12 @@ impl<'w> Hierarchy<'w> {
 
     /// Adaptive-controller internals (and the content configuration it has
     /// steered to, for inspection).
-    pub fn adaptive_state(&self) -> Option<(cdp_prefetch::adaptive::AdaptiveStats, cdp_types::ContentConfig)> {
+    pub fn adaptive_state(
+        &self,
+    ) -> Option<(
+        cdp_prefetch::adaptive::AdaptiveStats,
+        cdp_types::ContentConfig,
+    )> {
         match (&self.adaptive, &self.content) {
             (Some(a), Some(c)) => Some((a.stats(), *c.config())),
             _ => None,
@@ -450,20 +451,23 @@ impl<'w> Hierarchy<'w> {
         fill_depth: u8,
         at: u64,
     ) {
-        let Some(c) = self.content.as_ref() else { return };
+        let Some(c) = self.content.as_ref() else {
+            return;
+        };
         if !c.may_scan(fill_depth) {
             return;
         }
         let vam = c.config().vam;
-        let Some(t) = self.tracer.as_deref_mut() else { return };
+        let Some(t) = self.tracer.as_deref_mut() else {
+            return;
+        };
         if !t.wants(TraceFilter::VAM) {
             return;
         }
         let step = vam.scan_step.max(1);
         let mut off = 0;
         while off + WORD_SIZE <= LINE_SIZE {
-            let word =
-                u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
+            let word = u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
             let event = match cdp_prefetch::classify(word, trigger_ea, &vam) {
                 VamVerdict::Accept => TraceData::VamAccept { word },
                 VamVerdict::RejectAlign => TraceData::VamReject {
@@ -528,7 +532,8 @@ impl<'w> Hierarchy<'w> {
                 CdpError::UnmappedAccess { pc, addr: vaddr }
             });
         };
-        self.dtlb.insert(vaddr.page(), PhysAddr(paddr.0 - vaddr.page_offset()));
+        self.dtlb
+            .insert(vaddr.page(), PhysAddr(paddr.0 - vaddr.page_offset()));
         Ok((paddr, penalty))
     }
 
@@ -704,7 +709,9 @@ impl<'w> Hierarchy<'w> {
             return;
         }
 
-        let fill_at = self.bus.schedule(now + walk_penalty + self.cfg.ul2.latency, false);
+        let fill_at = self
+            .bus
+            .schedule(now + walk_penalty + self.cfg.ul2.latency, false);
         self.mshrs
             .insert_width(pline, req.vaddr, req.kind, now, fill_at, req.width);
         if let Some(p) = self.profile.as_deref_mut() {
@@ -1043,7 +1050,8 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                         if let Some(p) = self.profile.as_deref_mut() {
                             // Partial mask: the demand arrived while the
                             // prefetch was still in flight.
-                            p.prefetch_to_use.record(now.saturating_sub(inflight.issued_at));
+                            p.prefetch_to_use
+                                .record(now.saturating_sub(inflight.issued_at));
                         }
                         let engine = inflight.kind.engine();
                         self.stats.record_useful_partial(engine);
@@ -1085,7 +1093,8 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                         reqs.truncate(before);
                     }
                     let fill_at = self.bus.schedule(base + self.cfg.ul2.latency, true);
-                    self.mshrs.insert(pline, vaddr, RequestKind::Demand, now, fill_at);
+                    self.mshrs
+                        .insert(pline, vaddr, RequestKind::Demand, now, fill_at);
                     if let Some(p) = self.profile.as_deref_mut() {
                         self.mshrs.record_occupancy(&mut p.mshr_occupancy);
                     }
@@ -1104,7 +1113,11 @@ impl<'w> MemoryModel for Hierarchy<'w> {
         if let (Some(ctl), Some(content)) = (self.adaptive.as_mut(), self.content.as_mut()) {
             if ctl.window_ready(self.stats.content.issued) {
                 let mut cfg = *content.config();
-                ctl.adjust(&mut cfg, self.stats.content.issued, self.stats.content.useful());
+                ctl.adjust(
+                    &mut cfg,
+                    self.stats.content.issued,
+                    self.stats.content.useful(),
+                );
                 content.set_config(cfg);
             }
         }
@@ -1122,7 +1135,7 @@ mod tests {
     use cdp_types::{ContentConfig, PrefetchersConfig, StrideConfig};
     use cdp_workloads::structures::{build_list, NEXT_OFFSET};
     use cdp_workloads::Heap;
-        
+
     fn space_with_list(n: usize, shuffle: bool) -> (AddressSpace, Vec<VirtAddr>) {
         let mut space = AddressSpace::new();
         let mut heap = Heap::new(Heap::DEFAULT_BASE, 1 << 24);
@@ -1177,7 +1190,12 @@ mod tests {
             0,
         );
         // Drain by accessing far in the future.
-        let _ = h.access(0x44, VirtAddr(nodes[0].0 + NEXT_OFFSET), AccessKind::Load, t + 5000);
+        let _ = h.access(
+            0x44,
+            VirtAddr(nodes[0].0 + NEXT_OFFSET),
+            AccessKind::Load,
+            t + 5000,
+        );
         let s = h.stats();
         assert!(
             s.content.issued >= 3,
@@ -1291,10 +1309,20 @@ mod tests {
         let (space, nodes) = space_with_list(8, true);
         let mut h = Hierarchy::new(cfg_with_content(), &space);
         // Trigger the chain.
-        let t0 = h.access(0x40, VirtAddr(nodes[0].0 + NEXT_OFFSET), AccessKind::Load, 0);
+        let t0 = h.access(
+            0x40,
+            VirtAddr(nodes[0].0 + NEXT_OFFSET),
+            AccessKind::Load,
+            0,
+        );
         // Demand node1 shortly after the fill returns: its prefetch is
         // likely still in flight.
-        let _ = h.access(0x40, VirtAddr(nodes[1].0 + NEXT_OFFSET), AccessKind::Load, t0 + 10);
+        let _ = h.access(
+            0x40,
+            VirtAddr(nodes[1].0 + NEXT_OFFSET),
+            AccessKind::Load,
+            t0 + 10,
+        );
         let s = h.stats();
         assert!(
             s.content.useful_partial + s.content.useful_full >= 1,
@@ -1306,8 +1334,8 @@ mod tests {
     #[test]
     fn pollution_injects_and_hurts_nothing_structurally() {
         let (space, nodes) = space_with_list(8, false);
-        let mut h =
-            Hierarchy::new(cfg_stride_only(), &space).with_pollution(PollutionConfig { period: 64 });
+        let mut h = Hierarchy::new(cfg_stride_only(), &space)
+            .with_pollution(PollutionConfig { period: 64 });
         let mut now = 0;
         for &n in &nodes {
             now = h.access(0x40, n, AccessKind::Load, now) + 500;

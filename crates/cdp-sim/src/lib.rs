@@ -63,7 +63,7 @@ pub use exec::{
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};
 pub use metrics::{accuracy, coverage, mean};
-pub use observe::{MetricsWindow, Observation, ObsEntry, ObsSink};
+pub use observe::{MetricsWindow, ObsEntry, ObsSink, Observation};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
 pub use runner::build_workload;
 pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};

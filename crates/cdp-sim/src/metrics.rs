@@ -29,7 +29,10 @@ pub fn coverage(variant: &RunStats, baseline: &RunStats, engine: Engine) -> f64 
 /// Accuracy (Equation 2): useful prefetches / prefetches issued.
 /// Demand traffic has no prefetch counters and reports 0.
 pub fn accuracy(variant: &RunStats, engine: Engine) -> f64 {
-    variant.mem.engine(engine).map_or(0.0, EngineCounters::accuracy)
+    variant
+        .mem
+        .engine(engine)
+        .map_or(0.0, EngineCounters::accuracy)
 }
 
 /// Arithmetic mean (the paper reports average speedups across the suite).

@@ -136,9 +136,7 @@ impl MetricsWindow {
     /// # Errors
     ///
     /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<Self, cdp_types::SnapshotError> {
+    pub fn restore_state(dec: &mut cdp_snap::Dec<'_>) -> Result<Self, cdp_types::SnapshotError> {
         Ok(MetricsWindow {
             window: dec.usize("window index")?,
             retired: dec.u64("window retired")?,
@@ -335,7 +333,15 @@ mod tests {
             ..MetricsWindow::default()
         };
         let j = w.to_json();
-        for key in ["window", "retired", "cycles", "ipc", "mptu", "l2_miss_rate", "drops"] {
+        for key in [
+            "window",
+            "retired",
+            "cycles",
+            "ipc",
+            "mptu",
+            "l2_miss_rate",
+            "drops",
+        ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }
         assert!(Json::parse(&j.to_string()).is_ok());

@@ -185,14 +185,24 @@ impl StatusSink {
         let mut o = self.base("heartbeat", label, index);
         o.set("uops_done", Json::U64(uops_done));
         o.set("uops_total", Json::U64(uops_total));
-        o.set("uops_remaining", Json::U64(uops_total.saturating_sub(uops_done)));
+        o.set(
+            "uops_remaining",
+            Json::U64(uops_total.saturating_sub(uops_done)),
+        );
         self.emit(o);
     }
 
     /// The job finished with `status` (`ok` / `failed` / `timeout`),
     /// provenance `source`, after `wall_ms`. Also reports sweep progress
     /// and a naive ETA extrapolated from throughput so far.
-    pub fn done(&self, label: &str, index: usize, status: &str, wall_ms: u64, source: ResultSource) {
+    pub fn done(
+        &self,
+        label: &str,
+        index: usize,
+        status: &str,
+        wall_ms: u64,
+        source: ResultSource,
+    ) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let total = self.total.load(Ordering::Relaxed).max(done);
         let mut o = self.base("done", label, index);
@@ -348,8 +358,8 @@ mod tests {
         assert_eq!(j.get("uops_total").unwrap().to_string(), "1000");
         assert_eq!(j.get("uops_remaining").unwrap().to_string(), "400");
         // No sink installed: tick is a no-op, not a panic.
-        let mut silent = CellHeartbeat::with_sink(None, "x", 0, 1)
-            .with_period(std::time::Duration::ZERO);
+        let mut silent =
+            CellHeartbeat::with_sink(None, "x", 0, 1).with_period(std::time::Duration::ZERO);
         silent.tick(1);
     }
 

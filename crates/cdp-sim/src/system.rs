@@ -415,7 +415,8 @@ impl<'w> SimSession<'w> {
             self.warmed = true;
             if self.warmup_uops > 0 {
                 self.target = self.warmup_uops;
-                self.core.run_until_retired(&mut self.hierarchy, self.target);
+                self.core
+                    .run_until_retired(&mut self.hierarchy, self.target);
                 if let Some(e) = self.hierarchy.take_fault() {
                     return Err(e);
                 }
@@ -429,7 +430,9 @@ impl<'w> SimSession<'w> {
             }
         }
         self.target += self.window;
-        let done = self.core.run_until_retired(&mut self.hierarchy, self.target);
+        let done = self
+            .core
+            .run_until_retired(&mut self.hierarchy, self.target);
         if let Some(e) = self.hierarchy.take_fault() {
             return Err(e);
         }
@@ -833,9 +836,10 @@ mod tests {
         assert_eq!(ref_obs.trace_overwritten, observation.trace_overwritten);
         assert_eq!(ref_obs.trace_sampled_out, observation.trace_sampled_out);
         assert!(
-            ref_obs.profile.as_ref().is_some_and(|p| {
-                !p.load_to_use.is_empty() && !p.rob_stall.is_empty()
-            }),
+            ref_obs
+                .profile
+                .as_ref()
+                .is_some_and(|p| { !p.load_to_use.is_empty() && !p.rob_stall.is_empty() }),
             "profile histograms collected samples"
         );
         assert_eq!(ref_obs.profile, observation.profile);
@@ -852,9 +856,7 @@ mod tests {
         // Different workload seed → different fingerprint.
         let other = Benchmark::Slsb.build(Scale::smoke(), 32);
         match sim.resume(&other, None, &bytes) {
-            Err(CdpError::Snapshot(cdp_types::SnapshotError::FingerprintMismatch {
-                ..
-            })) => {}
+            Err(CdpError::Snapshot(cdp_types::SnapshotError::FingerprintMismatch { .. })) => {}
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
 

@@ -39,7 +39,11 @@ fn completion_respects_minimum_latency() {
             let gap = rng.next_u64() % 500;
             let store = rng.gen_bool(0.5);
             now += gap;
-            let kind = if store { AccessKind::Store } else { AccessKind::Load };
+            let kind = if store {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
             let done = h.access(0x40, nodes[i], kind, now);
             assert!(done >= now + 3, "completion {done} before {now}+3");
             now = now.max(done.saturating_sub(400));

@@ -491,12 +491,7 @@ fn acquire_lock<'a>(io: &'a dyn StoreIo, root: &Path) -> Result<LockGuard<'a>, S
     let body = format!("pid {}", std::process::id());
     for _ in 0..2 {
         match io.create_new(&path, body.as_bytes()) {
-            Ok(true) => {
-                return Ok(LockGuard {
-                    io,
-                    path,
-                })
-            }
+            Ok(true) => return Ok(LockGuard { io, path }),
             Ok(false) => {
                 // Held. Break it only if abandoned (stale mtime).
                 let stale = std::fs::metadata(&path)
@@ -534,10 +529,7 @@ mod tests {
     use crate::io::RealIo;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cdp-store-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("cdp-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -550,7 +542,10 @@ mod tests {
         store.put(0xABCD, b"result bytes");
         assert_eq!(store.get(0xABCD).as_deref(), Some(&b"result bytes"[..]));
         let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.quarantined, s.write_failures), (1, 1, 0, 0));
+        assert_eq!(
+            (s.hits, s.misses, s.quarantined, s.write_failures),
+            (1, 1, 0, 0)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -223,7 +223,10 @@ impl fmt::Display for CdpError {
                 uop,
                 addr,
             } => {
-                write!(f, "corrupt workload {benchmark}: uop {uop} targets unmapped {addr}")
+                write!(
+                    f,
+                    "corrupt workload {benchmark}: uop {uop} targets unmapped {addr}"
+                )
             }
             CdpError::Snapshot(e) => write!(f, "checkpoint snapshot rejected: {e}"),
             CdpError::Store(e) => write!(f, "result store failed: {e}"),

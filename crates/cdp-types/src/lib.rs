@@ -32,13 +32,13 @@ pub mod rng;
 pub mod validate;
 
 pub use addr::{LineAddr, PageNum, PhysAddr, VirtAddr};
-pub use error::{CdpError, SnapshotError, StoreError};
 pub use config::{
     AdaptiveConfig, ArbiterConfig, BusConfig, CacheConfig, ContentConfig, CoreConfig, DeltaConfig,
     DeltaKeySpace, JumpConfig, MarkovConfig, ObsConfig, PerceptronConfig, PrefetchersConfig,
     ReplacementPolicy, StreamConfig, StrideConfig, SystemConfig, TlbConfig, TraceConfig,
     TraceFilter, VamConfig, PERCEPTRON_FEATURES,
 };
+pub use error::{CdpError, SnapshotError, StoreError};
 pub use request::{AccessKind, Engine, Priority, RequestKind, MAX_REQUEST_DEPTH};
 pub use validate::ConfigError;
 

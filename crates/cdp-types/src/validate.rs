@@ -123,7 +123,10 @@ fn check_cache(cache: &'static str, cfg: &CacheConfig) -> Result<(), ConfigError
         });
     }
     let way_bytes = cfg.associativity * cfg.line_size;
-    if cfg.associativity == 0 || way_bytes == 0 || !cfg.size_bytes.is_multiple_of(way_bytes) || cfg.size_bytes == 0
+    if cfg.associativity == 0
+        || way_bytes == 0
+        || !cfg.size_bytes.is_multiple_of(way_bytes)
+        || cfg.size_bytes == 0
     {
         return Err(ConfigError::CacheGeometry {
             cache,
@@ -151,7 +154,9 @@ impl SystemConfig {
                 l2: self.ul2.line_size,
             });
         }
-        if self.dtlb.associativity == 0 || !self.dtlb.entries.is_multiple_of(self.dtlb.associativity) {
+        if self.dtlb.associativity == 0
+            || !self.dtlb.entries.is_multiple_of(self.dtlb.associativity)
+        {
             return Err(ConfigError::TlbGeometry {
                 entries: self.dtlb.entries,
                 associativity: self.dtlb.associativity,
@@ -333,7 +338,11 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = SystemConfig::with_content().gated(crate::PerceptronConfig::default());
         assert!(cfg.validate().is_ok());
-        cfg.prefetchers.perceptron.as_mut().unwrap().entries_per_feature = 0;
+        cfg.prefetchers
+            .perceptron
+            .as_mut()
+            .unwrap()
+            .entries_per_feature = 0;
         assert!(cfg.validate().is_err());
     }
 

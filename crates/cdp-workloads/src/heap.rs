@@ -11,8 +11,8 @@
 //! heap aging.
 
 use cdp_mem::AddressSpace;
-use cdp_types::VirtAddr;
 use cdp_types::rng::Rng;
+use cdp_types::VirtAddr;
 
 /// Default heap base: shares the `0x10` upper byte across a 256 MB region.
 pub const DEFAULT_HEAP_BASE: u32 = 0x1000_0000;
@@ -129,7 +129,12 @@ impl Heap {
     }
 
     /// Allocates with random padding before the object (if configured).
-    pub fn alloc_padded(&mut self, space: &mut AddressSpace, size: usize, rng: &mut Rng) -> VirtAddr {
+    pub fn alloc_padded(
+        &mut self,
+        space: &mut AddressSpace,
+        size: usize,
+        rng: &mut Rng,
+    ) -> VirtAddr {
         if self.max_pad > 0 {
             let pad = rng.gen_range_u32_incl(0..=self.max_pad);
             self.next = (self.next + pad).min(self.end);
@@ -141,7 +146,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+
     #[test]
     fn bump_allocation_is_monotone_and_aligned() {
         let mut space = AddressSpace::new();

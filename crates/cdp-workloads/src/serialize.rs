@@ -302,9 +302,11 @@ mod tests {
     fn header_and_line_errors() {
         assert_eq!(from_text("nope").unwrap_err(), ParseError::BadHeader);
         assert_eq!(from_text("").unwrap_err(), ParseError::Truncated);
-        let bad = "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 1\nQ 0 0 0 0 0\nframes 0\n";
+        let bad =
+            "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 1\nQ 0 0 0 0 0\nframes 0\n";
         assert_eq!(from_text(bad).unwrap_err(), ParseError::BadLine(6));
-        let trunc = "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 5\nA 0 1 255 255 255\n";
+        let trunc =
+            "CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 5\nA 0 1 255 255 255\n";
         assert_eq!(from_text(trunc).unwrap_err(), ParseError::Truncated);
     }
 

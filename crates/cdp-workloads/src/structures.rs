@@ -7,8 +7,8 @@
 //! directly controls what the VAM heuristic can find.
 
 use cdp_mem::AddressSpace;
-use cdp_types::VirtAddr;
 use cdp_types::rng::Rng;
+use cdp_types::VirtAddr;
 
 use crate::heap::Heap;
 
@@ -23,10 +23,10 @@ fn fill_payload(space: &mut AddressSpace, node: VirtAddr, size: usize, rng: &mut
     let mut off = 8; // skip header + next pointer
     while off + 4 <= size {
         let value: u32 = match rng.gen_range_u8(0..4) {
-            0 => rng.gen_range_u32(0..4096),            // small int
-            1 => rng.next_u32() & 0x0000_ffff,    // 16-bit quantity
-            2 => 0,                                 // zeroed field
-            _ => rng.next_u32() | 0x8000_0001,    // odd/negative junk
+            0 => rng.gen_range_u32(0..4096),   // small int
+            1 => rng.next_u32() & 0x0000_ffff, // 16-bit quantity
+            2 => 0,                            // zeroed field
+            _ => rng.next_u32() | 0x8000_0001, // odd/negative junk
         };
         space.write_u32(VirtAddr(node.0 + off as u32), value);
         off += 4;
@@ -202,7 +202,7 @@ pub fn build_hash_table(
         let b = rng.gen_range_usize(0..bucket_count);
         let node = heap.alloc_padded(space, node_size, rng);
         space.write_u32(node, rng.next_u32() & 0xffff); // key fragment
-        // Push-front: node.next = current head; head = node.
+                                                        // Push-front: node.next = current head; head = node.
         let head_addr = VirtAddr(buckets.0 + (b as u32) * 4);
         let old_head = space.read_u32(head_addr);
         space.write_u32(VirtAddr(node.0 + NEXT_OFFSET), old_head);
@@ -404,7 +404,9 @@ pub fn build_graph(
     let mut adjacency = Vec::with_capacity(count);
     let mut adj_arrays = Vec::with_capacity(count);
     for (i, &node) in nodes.iter().enumerate() {
-        let adj: Vec<u32> = (0..degree).map(|_| rng.gen_range_u32(0..count as u32)).collect();
+        let adj: Vec<u32> = (0..degree)
+            .map(|_| rng.gen_range_u32(0..count as u32))
+            .collect();
         let adj_array = heap.alloc(space, degree.max(1) * 4);
         adj_arrays.push(adj_array);
         for (k, &succ) in adj.iter().enumerate() {
@@ -505,7 +507,7 @@ pub fn build_array_lazy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+
     fn setup() -> (AddressSpace, Heap, Rng) {
         (
             AddressSpace::new(),
@@ -540,7 +542,10 @@ mod tests {
         let (mut space, mut heap, mut rng) = setup();
         let list = build_list(&mut space, &mut heap, &mut rng, 100, 32, true);
         let ordered = list.nodes.windows(2).filter(|w| w[1].0 > w[0].0).count();
-        assert!(ordered < 80, "shuffle should break order: {ordered}/99 ascending");
+        assert!(
+            ordered < 80,
+            "shuffle should break order: {ordered}/99 ascending"
+        );
     }
 
     #[test]

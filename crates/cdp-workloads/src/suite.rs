@@ -264,7 +264,8 @@ impl Workload {
             // Each uop is two words (pc and payload; kind and registers),
             // each absorbed by a hasher of its own so that the two
             // multiply chains overlap.
-            let (mut first, mut second) = (cdp_snap::WordHasher::new(), cdp_snap::WordHasher::new());
+            let (mut first, mut second) =
+                (cdp_snap::WordHasher::new(), cdp_snap::WordHasher::new());
             for u in &self.program.uops {
                 let (tag, payload) = match u.kind {
                     UopKind::Alu { latency } => (0u8, u32::from(latency)),
@@ -613,8 +614,21 @@ impl Benchmark {
     pub fn all() -> [Benchmark; 15] {
         use Benchmark::*;
         [
-            B2b, B2e, Quake, Speech, Rc3, Creation, Tpcc1, Tpcc2, Tpcc3, Tpcc4, VerilogFunc,
-            VerilogGate, ProE, Slsb, SpecjbbVsnet,
+            B2b,
+            B2e,
+            Quake,
+            Speech,
+            Rc3,
+            Creation,
+            Tpcc1,
+            Tpcc2,
+            Tpcc3,
+            Tpcc4,
+            VerilogFunc,
+            VerilogGate,
+            ProE,
+            Slsb,
+            SpecjbbVsnet,
         ]
     }
 
@@ -918,9 +932,12 @@ impl Benchmark {
             + p.hash_buckets * 4
             + p.array_bytes / scale.footprint_div
             + (1 << 20);
-        let mut heap = Heap::new(Heap::DEFAULT_BASE, (cap_estimate as u32).next_power_of_two())
-            .with_align(p.node_align)
-            .with_padding(if p.shuffled { 16 } else { 0 });
+        let mut heap = Heap::new(
+            Heap::DEFAULT_BASE,
+            (cap_estimate as u32).next_power_of_two(),
+        )
+        .with_align(p.node_align)
+        .with_padding(if p.shuffled { 16 } else { 0 });
         let mut rng = Rng::seed_from_u64(seed ^ 0xc0c0_0000 ^ (*self as u64) << 32);
 
         let list: Option<LinkedList> = (p.list_nodes > 0).then(|| {
@@ -951,7 +968,11 @@ impl Benchmark {
             } else {
                 Heap::new(0, 0)
             };
-            let h = if p.hash_arena != 0 { &mut arena } else { &mut heap };
+            let h = if p.hash_arena != 0 {
+                &mut arena
+            } else {
+                &mut heap
+            };
             build_hash_table(
                 &mut space,
                 h,
@@ -975,7 +996,13 @@ impl Benchmark {
             }
         });
         let index: Option<IndexArray> = (p.index_elems > 0).then(|| {
-            build_index_array(&mut space, &mut heap, &mut rng, scale.div(p.index_elems), 32)
+            build_index_array(
+                &mut space,
+                &mut heap,
+                &mut rng,
+                scale.div(p.index_elems),
+                32,
+            )
         });
         // A scratch buffer for store bursts.
         let store_buf = heap.alloc(&mut space, 64 << 10);
@@ -1096,9 +1123,12 @@ mod tests {
     #[test]
     fn validate_reports_unmapped_accesses() {
         let mut w = Benchmark::B2e.build(Scale::smoke(), 5);
-        w.program
-            .uops
-            .push(cdp_core::Uop::load(0, cdp_types::VirtAddr(0x7777_0000), 1, None));
+        w.program.uops.push(cdp_core::Uop::load(
+            0,
+            cdp_types::VirtAddr(0x7777_0000),
+            1,
+            None,
+        ));
         let (idx, addr) = w.validate().unwrap_err();
         assert_eq!(idx, w.program.len() - 1);
         assert_eq!(addr, cdp_types::VirtAddr(0x7777_0000));
@@ -1108,9 +1138,12 @@ mod tests {
     fn check_wraps_the_fault_in_a_typed_error() {
         let mut w = Benchmark::Slsb.build(Scale::smoke(), 5);
         assert!(w.check().is_ok());
-        w.program
-            .uops
-            .push(cdp_core::Uop::load(0, cdp_types::VirtAddr(0x7777_0000), 1, None));
+        w.program.uops.push(cdp_core::Uop::load(
+            0,
+            cdp_types::VirtAddr(0x7777_0000),
+            1,
+            None,
+        ));
         let err = w.check().unwrap_err();
         match err {
             cdp_types::CdpError::CorruptWorkload {
@@ -1138,10 +1171,8 @@ mod tests {
 
     #[test]
     fn figure1_set_covers_six_suites() {
-        let suites: std::collections::HashSet<_> = Benchmark::figure1_set()
-            .iter()
-            .map(|b| b.suite())
-            .collect();
+        let suites: std::collections::HashSet<_> =
+            Benchmark::figure1_set().iter().map(|b| b.suite()).collect();
         assert_eq!(suites.len(), 6);
     }
 
@@ -1152,19 +1183,30 @@ mod tests {
         for b in [Benchmark::Quake, Benchmark::ProE] {
             let w = b.build(Scale::smoke(), 2);
             assert!(
-                w.program.uops.iter().any(|u| matches!(u.kind, UopKind::Fp { .. })),
+                w.program
+                    .uops
+                    .iter()
+                    .any(|u| matches!(u.kind, UopKind::Fp { .. })),
                 "{b} must contain FP work"
             );
         }
         for b in [Benchmark::VerilogGate, Benchmark::Tpcc1] {
             let w = b.build(Scale::smoke(), 2);
             assert!(
-                !w.program.uops.iter().any(|u| matches!(u.kind, UopKind::Fp { .. })),
+                !w.program
+                    .uops
+                    .iter()
+                    .any(|u| matches!(u.kind, UopKind::Fp { .. })),
                 "{b} is integer-only"
             );
         }
         // Stores appear exactly in the OLTP benchmarks.
-        for b in [Benchmark::Tpcc1, Benchmark::Tpcc2, Benchmark::Tpcc3, Benchmark::Tpcc4] {
+        for b in [
+            Benchmark::Tpcc1,
+            Benchmark::Tpcc2,
+            Benchmark::Tpcc3,
+            Benchmark::Tpcc4,
+        ] {
             assert!(b.build(Scale::smoke(), 2).program.num_stores() > 0, "{b}");
         }
         for b in [Benchmark::VerilogGate, Benchmark::Quake, Benchmark::B2e] {

@@ -12,8 +12,8 @@
 //! cursor, `r5` stride index, `r8..r15` scratch destinations.
 
 use cdp_core::{Program, Uop};
-use cdp_types::VirtAddr;
 use cdp_types::rng::Rng;
+use cdp_types::VirtAddr;
 
 use crate::structures::{
     BinaryTree, DoublyLinkedList, Graph, HashTable, ADJ_PTR_OFFSET, LEFT_OFFSET, NEXT_OFFSET,
@@ -318,8 +318,7 @@ impl TraceBuilder {
         p_hot: f64,
         hot_frac: f64,
     ) {
-        let hot = ((table.bucket_count as f64 * hot_frac) as usize)
-            .clamp(1, table.bucket_count);
+        let hot = ((table.bucket_count as f64 * hot_frac) as usize).clamp(1, table.bucket_count);
         for _ in 0..probes {
             let b = if p_hot > 0.0 && rng.gen_bool(p_hot.clamp(0.0, 1.0)) {
                 rng.gen_range_usize(0..hot)
@@ -327,10 +326,18 @@ impl TraceBuilder {
                 rng.gen_range_usize(0..table.bucket_count)
             };
             // Hash computation: 2 dependent ALU ops into the key register.
-            self.uops
-                .push(Uop::alu_dep(Self::pc(site, 0), R_KEY, [Some(R_KEY), None], 1));
-            self.uops
-                .push(Uop::alu_dep(Self::pc(site, 1), R_KEY, [Some(R_KEY), None], 1));
+            self.uops.push(Uop::alu_dep(
+                Self::pc(site, 0),
+                R_KEY,
+                [Some(R_KEY), None],
+                1,
+            ));
+            self.uops.push(Uop::alu_dep(
+                Self::pc(site, 1),
+                R_KEY,
+                [Some(R_KEY), None],
+                1,
+            ));
             // Bucket head load (indexed by the hash).
             let head_addr = VirtAddr(table.buckets.0 + b as u32 * 4);
             self.uops
@@ -422,7 +429,8 @@ impl TraceBuilder {
             let idx = arr.order[(start + k) % n];
             let addr = arr.elem_addr(idx);
             // r6 = load [elem]; address depends on r6 (prior index).
-            self.uops.push(Uop::load(Self::pc(site, 0), addr, 6, Some(6)));
+            self.uops
+                .push(Uop::load(Self::pc(site, 0), addr, 6, Some(6)));
             // Address computation: next = base + idx * size.
             self.uops
                 .push(Uop::alu_dep(Self::pc(site, 1), 6, [Some(6), None], 1));
@@ -536,7 +544,7 @@ mod tests {
     use crate::structures::{build_binary_tree, build_hash_table, build_list};
     use cdp_core::UopKind;
     use cdp_mem::AddressSpace;
-    
+
     fn setup() -> (AddressSpace, Heap, Rng) {
         (
             AddressSpace::new(),

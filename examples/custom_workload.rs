@@ -10,8 +10,8 @@
 use cdp::core::Program;
 use cdp::mem::AddressSpace;
 use cdp::sim::{speedup, Simulator};
-use cdp::types::{AdaptiveConfig, StreamConfig, SystemConfig};
 use cdp::types::rng::Rng;
+use cdp::types::{AdaptiveConfig, StreamConfig, SystemConfig};
 use cdp::workloads::structures::build_graph;
 use cdp::workloads::suite::{Suite, Workload};
 use cdp::workloads::{Heap, TraceBuilder};

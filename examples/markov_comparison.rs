@@ -39,7 +39,10 @@ fn main() {
             "markov_big (1MB UL2 + unbounded STAB)",
             SystemConfig::with_markov(MarkovConfig::unbounded(), 1024 * 1024, 8),
         ),
-        ("content    (1MB UL2 + CDP, ~0 state)", SystemConfig::with_content()),
+        (
+            "content    (1MB UL2 + CDP, ~0 state)",
+            SystemConfig::with_content(),
+        ),
     ];
 
     println!(
@@ -62,5 +65,7 @@ fn main() {
             state
         );
     }
-    println!("\npaper: markov_big gains only ~4.5%; the content prefetcher ~3x more, at almost no cost");
+    println!(
+        "\npaper: markov_big gains only ~4.5%; the content prefetcher ~3x more, at almost no cost"
+    );
 }

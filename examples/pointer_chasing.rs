@@ -13,11 +13,11 @@
 use cdp::core::Program;
 use cdp::mem::AddressSpace;
 use cdp::sim::{speedup, Simulator};
-use cdp::types::SystemConfig;
 use cdp::types::rng::Rng;
+use cdp::types::SystemConfig;
 use cdp::workloads::structures::build_list;
-use cdp::workloads::{Heap, TraceBuilder};
 use cdp::workloads::suite::{Suite, Workload};
+use cdp::workloads::{Heap, TraceBuilder};
 
 /// Builds a workload that does nothing but walk a linked list end to end,
 /// with `alu_per_node` dependent work uops per node.

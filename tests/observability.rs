@@ -100,7 +100,10 @@ fn trace_ring_honors_filter_capacity_and_sampling() {
         filter: TraceFilter::parse("vam").unwrap(),
         ..TraceConfig::default()
     });
-    assert!(!vam_only.events.is_empty(), "content runs produce VAM scans");
+    assert!(
+        !vam_only.events.is_empty(),
+        "content runs produce VAM scans"
+    );
     for e in &vam_only.events {
         assert!(
             matches!(
@@ -151,18 +154,21 @@ fn manifest_from_real_runs_validates_and_round_trips() {
         metrics_window: Some(16_384),
         profile_hist: true,
     };
-    let jobs: Vec<SimJob> = [("base", SystemConfig::asplos2002()), ("cdp", SystemConfig::with_content())]
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, cfg))| {
-            SimJob::new(label, cfg, Arc::clone(&w)).with_obs(JobObs {
-                cfg: obs_cfg.clone(),
-                sink: Arc::clone(&sink),
-                batch: 0,
-                index: i,
-            })
+    let jobs: Vec<SimJob> = [
+        ("base", SystemConfig::asplos2002()),
+        ("cdp", SystemConfig::with_content()),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (label, cfg))| {
+        SimJob::new(label, cfg, Arc::clone(&w)).with_obs(JobObs {
+            cfg: obs_cfg.clone(),
+            sink: Arc::clone(&sink),
+            batch: 0,
+            index: i,
         })
-        .collect();
+    })
+    .collect();
     let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
     let taken = ObsTaken {
         cells: reports

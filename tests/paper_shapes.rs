@@ -56,8 +56,12 @@ fn content_masks_compulsory_misses_markov_cannot() {
     // No warm-up: everything is a compulsory miss.
     let base = Simulator::new(SystemConfig::asplos2002()).run(&w);
     let cdp = Simulator::new(SystemConfig::with_content()).run(&w);
-    let markov =
-        Simulator::new(SystemConfig::with_markov(MarkovConfig::unbounded(), 1 << 20, 8)).run(&w);
+    let markov = Simulator::new(SystemConfig::with_markov(
+        MarkovConfig::unbounded(),
+        1 << 20,
+        8,
+    ))
+    .run(&w);
     assert!(
         cdp.mem.content.useful() > 50,
         "CDP masks cold misses: {}",
@@ -119,8 +123,12 @@ fn page_tables_never_reach_the_scanner() {
 fn markov_repartitioning_loses_cache_capacity_value() {
     let w = Benchmark::Tpcc2.build(RunLength::Smoke.scale(), 31);
     let base = Simulator::new(SystemConfig::asplos2002()).run(&w);
-    let half =
-        Simulator::new(SystemConfig::with_markov(MarkovConfig::half(), 512 * 1024, 8)).run(&w);
+    let half = Simulator::new(SystemConfig::with_markov(
+        MarkovConfig::half(),
+        512 * 1024,
+        8,
+    ))
+    .run(&w);
     let content = Simulator::new(SystemConfig::with_content()).run(&w);
     assert!(
         speedup(&base, &content) > speedup(&base, &half),

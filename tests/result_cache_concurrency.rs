@@ -61,7 +61,11 @@ fn colliding_fingerprints_never_lose_or_cross_wire_entries() {
             });
         }
     });
-    assert_eq!(cache.len(), (THREADS * PER_THREAD) as usize, "no entry lost");
+    assert_eq!(
+        cache.len(),
+        (THREADS * PER_THREAD) as usize,
+        "no entry lost"
+    );
 }
 
 /// 8 identical jobs race on one fingerprint through a real pool: the
@@ -120,14 +124,18 @@ fn observed_hits_replay_identical_observations() {
     };
     let jobs: Vec<SimJob> = (0..8)
         .map(|i| {
-            SimJob::new(format!("obs-{i}"), SystemConfig::with_content(), Arc::clone(&w))
-                .with_result_cache(Arc::clone(&cache), key)
-                .with_obs(JobObs {
-                    cfg: obs_cfg.clone(),
-                    sink: Arc::clone(&sink),
-                    batch: 0,
-                    index: i,
-                })
+            SimJob::new(
+                format!("obs-{i}"),
+                SystemConfig::with_content(),
+                Arc::clone(&w),
+            )
+            .with_result_cache(Arc::clone(&cache), key)
+            .with_obs(JobObs {
+                cfg: obs_cfg.clone(),
+                sink: Arc::clone(&sink),
+                batch: 0,
+                index: i,
+            })
         })
         .collect();
     run_all(&Pool::new(8), jobs);

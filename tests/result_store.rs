@@ -187,7 +187,10 @@ fn stale_parts_are_swept_on_open_and_by_fsck() {
     std::fs::write(side.join("ckpt-1.part"), b"torn").unwrap();
     std::fs::write(side.join("ckpt-1.snap"), b"published").unwrap();
     assert_eq!(clean_stale_parts(&RealIo, &side), 1);
-    assert!(side.join("ckpt-1.snap").exists(), "published file untouched");
+    assert!(
+        side.join("ckpt-1.snap").exists(),
+        "published file untouched"
+    );
     drop(store);
 }
 
@@ -286,5 +289,9 @@ fn real_cell_roundtrips_through_store_backed_cache() {
     let payload = store.get(key).expect("payload present");
     let (decoded, obs) = decode_result(&payload).expect("payload decodes");
     assert_eq!(format!("{reference:?}"), format!("{decoded:?}"));
-    assert_eq!(payload, encode_result(&decoded, obs.as_ref()), "re-encode is stable");
+    assert_eq!(
+        payload,
+        encode_result(&decoded, obs.as_ref()),
+        "re-encode is stable"
+    );
 }

@@ -39,10 +39,8 @@ fn obs_cfg() -> ObsConfig {
 /// A fresh per-test scratch directory under the target-adjacent temp
 /// root (std-only; no tempfile crate in this workspace).
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cdp-snapshot-resume-{}-{tag}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cdp-snapshot-resume-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
@@ -86,7 +84,10 @@ fn assert_roundtrip_at(
     let sim = build(cfg);
     let mut session = sim.session(w, obs);
     for s in 0..cut {
-        assert!(!session.step().expect("pre-cut step"), "run ended at step {s}, cut {cut} too late");
+        assert!(
+            !session.step().expect("pre-cut step"),
+            "run ended at step {s}, cut {cut} too late"
+        );
     }
     let bytes = session.snapshot();
     drop(session);
@@ -101,14 +102,20 @@ fn assert_roundtrip_at(
         format!("{stats:?}"),
         "RunStats diverged after resume at step {cut}"
     );
-    assert_eq!(ref_obs.windows, observation.windows, "metrics windows diverged");
+    assert_eq!(
+        ref_obs.windows, observation.windows,
+        "metrics windows diverged"
+    );
     assert_eq!(ref_obs.events, observation.events, "trace events diverged");
     assert_eq!(ref_obs.trace_recorded, observation.trace_recorded);
     assert_eq!(ref_obs.trace_overwritten, observation.trace_overwritten);
     assert_eq!(ref_obs.trace_sampled_out, observation.trace_sampled_out);
     // Histogram state (bucket counts, min/max, totals) must round-trip
     // through the snapshot bit-identically, not just the percentiles.
-    assert_eq!(ref_obs.profile, observation.profile, "latency profile diverged");
+    assert_eq!(
+        ref_obs.profile, observation.profile,
+        "latency profile diverged"
+    );
     if obs.is_some_and(|o| o.profile_hist) {
         let p = ref_obs.profile.as_ref().expect("profile collected");
         assert!(!p.load_to_use.is_empty(), "profile recorded load samples");
@@ -162,7 +169,10 @@ fn zoo_engines_roundtrip_at_randomized_cuts() {
             "delta",
             SystemConfig::with_delta(DeltaConfig::pangloss(16 * 1024)),
         ),
-        ("jump", SystemConfig::with_jump(JumpConfig::sized(16 * 1024))),
+        (
+            "jump",
+            SystemConfig::with_jump(JumpConfig::sized(16 * 1024)),
+        ),
         (
             "cdp+perceptron",
             SystemConfig::with_content()
@@ -199,7 +209,9 @@ fn zoo_engines_roundtrip_at_randomized_cuts() {
         assert!(
             matches!(
                 other.resume(&w, Some(&obs), &bytes),
-                Err(CdpError::Snapshot(SnapshotError::FingerprintMismatch { .. }))
+                Err(CdpError::Snapshot(
+                    SnapshotError::FingerprintMismatch { .. }
+                ))
             ),
             "{name}: snapshot must be pinned to its engine config"
         );
@@ -273,7 +285,9 @@ fn disk_roundtrip_and_every_corruption_is_a_typed_error() {
     let other = Simulator::new(SystemConfig::asplos2002());
     assert!(matches!(
         other.resume(&w, Some(&obs), &bytes),
-        Err(CdpError::Snapshot(SnapshotError::FingerprintMismatch { .. }))
+        Err(CdpError::Snapshot(
+            SnapshotError::FingerprintMismatch { .. }
+        ))
     ));
 
     // Future format version (bytes 8..12, after the 8-byte magic).
@@ -281,7 +295,10 @@ fn disk_roundtrip_and_every_corruption_is_a_typed_error() {
     future[8..12].copy_from_slice(&99u32.to_le_bytes());
     assert!(matches!(
         sim.resume(&w, Some(&obs), &future),
-        Err(CdpError::Snapshot(SnapshotError::UnsupportedVersion { found: 99, .. }))
+        Err(CdpError::Snapshot(SnapshotError::UnsupportedVersion {
+            found: 99,
+            ..
+        }))
     ));
 
     // Bad magic.
