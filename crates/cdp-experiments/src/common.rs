@@ -1,7 +1,8 @@
 //! Shared experiment plumbing: run sizing, workload caching, and plain
 //!-text table rendering.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use cdp_sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
 use cdp_sim::{
@@ -74,10 +75,15 @@ impl ExpScale {
 ///
 /// Entries are keyed by `(Benchmark, Scale)` — a set holding a smoke
 /// image never leaks it into a quick run — and handed out as shared
-/// immutable [`Arc`]s so concurrent pool jobs reuse one image.
+/// immutable [`Arc`]s so concurrent pool jobs reuse one image. Beside
+/// each image the set memoizes its [`Workload::fingerprint`], taken after
+/// the fault plan edited it, so the cells of a grid key their results on
+/// the image they really run ([`SimJob::key`]) while each image is hashed
+/// at most once.
 #[derive(Debug, Default)]
 pub struct WorkloadSet {
     cache: WorkloadCache,
+    fingerprints: Mutex<HashMap<(Benchmark, Scale), u64>>,
 }
 
 impl WorkloadSet {
@@ -92,6 +98,18 @@ impl WorkloadSet {
             context::fault_plan().apply(bench.name(), &mut w);
             w
         })
+    }
+
+    /// The [`Workload::fingerprint`] of [`WorkloadSet::get`]'s image,
+    /// computed on first use.
+    fn fingerprint(&self, bench: Benchmark, scale: Scale) -> u64 {
+        let image = self.get(bench, scale);
+        *self
+            .fingerprints
+            .lock()
+            .expect("fingerprint memo lock")
+            .entry((bench, scale))
+            .or_insert_with(|| image.fingerprint())
     }
 }
 
@@ -154,26 +172,7 @@ pub fn run_grid_cells(
             if let Some(wf) = walk_fault {
                 job = job.with_walk_fault(wf);
             }
-            // The cell key covers everything behavior-affecting: the
-            // warmed-up config, the workload identity (benchmark +
-            // scale + seed, which determine the deterministic build),
-            // and any injected walk fault. The fault *plan* also
-            // mutates workload images, but it does so identically for
-            // every cell of a (bench, scale) in this process, so
-            // equal keys still mean equal results. The result cache and
-            // the checkpoint files share it.
-            let key = cdp_obs::fingerprint(
-                format!(
-                    "{:?}|{}|{}/{}|{}|{:?}",
-                    job.cfg,
-                    bench.name(),
-                    scale.target_uops,
-                    scale.footprint_div,
-                    SEED,
-                    walk_fault,
-                )
-                .as_bytes(),
-            );
+            let key = job.key(ws.fingerprint(bench, scale));
             if let Some(cache) = &result_cache {
                 job = job.with_result_cache(Arc::clone(cache), key);
             }
@@ -447,6 +446,15 @@ mod tests {
             quick.program.len(),
             smoke.program.len()
         );
+    }
+
+    #[test]
+    fn workload_set_fingerprints_the_image_it_serves() {
+        let ws = WorkloadSet::default();
+        let fp = ws.fingerprint(Benchmark::B2e, Scale::smoke());
+        assert_eq!(fp, ws.get(Benchmark::B2e, Scale::smoke()).fingerprint());
+        assert_eq!(fp, ws.fingerprint(Benchmark::B2e, Scale::smoke()));
+        assert_ne!(fp, ws.fingerprint(Benchmark::Slsb, Scale::smoke()));
     }
 
     #[test]

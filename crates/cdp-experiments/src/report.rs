@@ -322,10 +322,9 @@ mod tests {
             vec!["x".into()],
             vec![vec!["1".into()], vec!["2".into()]],
         );
-        let dir = std::env::temp_dir().join("cdp-report-test");
+        let dir = cdp_testutil::ScratchDir::new("cdp-report-test", "roundtrip");
         let path = d.write_to(&dir).expect("write");
-        let read = std::fs::read_to_string(&path).expect("read");
+        let read = std::fs::read_to_string(path).expect("read");
         assert_eq!(read, "x\n1\n2\n");
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -136,7 +136,10 @@ mod tests {
 
     #[test]
     fn fully_associative_itlb() {
-        let mut tlb = Tlb::new(&TlbConfig::itlb_asplos2002());
+        let mut tlb = Tlb::new(&TlbConfig {
+            entries: 128,
+            associativity: 128,
+        });
         assert_eq!(tlb.entries(), 128);
         for i in 0..128u32 {
             tlb.insert(PageNum(i), PhysAddr(i << 12));

@@ -317,20 +317,38 @@ impl Parser<'_> {
                 Some(b'b') => out.push('\u{8}'),
                 Some(b'f') => out.push('\u{c}'),
                 Some(b'u') => {
-                    let code = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    let mut code = self
+                        .hex4(self.pos + 1)
                         .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     self.pos += 4;
+                    // A high surrogate followed by an escaped low one is
+                    // one UTF-16 pair; a lone half decodes to U+FFFD.
+                    if (0xd800..0xdc00).contains(&code)
+                        && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                    {
+                        if let Some(low) = self
+                            .hex4(self.pos + 3)
+                            .filter(|low| (0xdc00..0xe000).contains(low))
+                        {
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                            self.pos += 6;
+                        }
+                    }
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
                 _ => return Err(format!("bad escape at byte {}", self.pos)),
             }
             self.pos += 1;
         }
+    }
+
+    /// The value of the four hex digits at byte `at`, if there are four.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.bytes
+            .get(at..at + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -491,6 +509,23 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad} parsed");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_halves_are_replaced() {
+        for (text, want) in [
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""\ud834\udd1ex""#, "\u{1d11e}x"),
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx\ude00""#, "\u{fffd}x\u{fffd}"),
+            (r#""\ud83dA""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
+        }
+        assert!(Json::parse(r#""\ud83d\ude0""#).is_err());
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::hierarchy::PollutionConfig;
 use crate::observe::{ObsEntry, ObsSink, Observation};
 use crate::runner::build_workload;
 use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot};
-use crate::system::{RunStats, Simulator};
+use crate::system::{run_fingerprint, RunStats, Simulator};
 
 /// How a [`Pool::run_sims_profiled`] job ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -322,12 +322,14 @@ pub struct JobObs {
 /// finished cell's [`RunStats`] (and, when observability is on, its
 /// [`Observation`]) can be replayed instead of re-simulated with no
 /// visible difference: stdout stays byte-identical at any job count,
-/// cache on or off. Keys are caller-computed FNV-1a fingerprints that
-/// must cover *everything* behavior-affecting: the full config, workload
-/// identity, scale, seed, and any pollution/fault attachments.
+/// cache on or off. A cell's stats live under its run fingerprint
+/// ([`SimJob::key`]), which hashes everything that shapes them: the
+/// config, the attachments and every byte of the workload image. An
+/// observed job's observation lives in an entry of its own, keyed by the
+/// run fingerprint and the job's [`ObsConfig`].
 ///
 /// Storage is sharded into [`CACHE_STRIPES`] independently-locked
-/// stripes selected by the key's low bits (FNV-1a mixes well, so keys
+/// stripes selected by the key's low bits (keys are hashes, so they
 /// spread uniformly). Concurrent jobs touching different cells then take
 /// different locks; a single global `Mutex` serialized every lookup at
 /// high `--jobs` counts. Hit/miss counters stay whole-cache atomics —
@@ -528,8 +530,9 @@ pub struct CheckpointSpec {
     /// Simulated cycles between checkpoints (0 disables periodic writes;
     /// resume still works off whatever file is present).
     pub every: u64,
-    /// Cell identity — the same fingerprint used for result-cache keys.
-    /// Names the file, so it must be unique per cell within `dir`.
+    /// Cell identity: the run fingerprint [`SimJob::key`], the key the
+    /// cell's result is cached under. Names the file, so it must be
+    /// unique per cell within `dir`.
     pub key: u64,
     /// Whether to look for (and resume from) an existing checkpoint.
     pub resume: bool,
@@ -616,13 +619,43 @@ impl SimJob {
         self
     }
 
-    /// Attaches a shared result cache under `key`. The key must fold in
-    /// every behavior-affecting input of this job — config, workload
-    /// identity, scale, seed, pollution, and fault attachments — or a hit
-    /// would replay the wrong cell.
+    /// Attaches a shared result cache under `key`, normally
+    /// [`SimJob::key`]. A caller-chosen key must fold in every
+    /// behavior-affecting input of this job — config, workload contents,
+    /// pollution and fault attachments — or a hit would replay the wrong
+    /// cell. The stats live under `key`; an observed job keeps its
+    /// observation in an entry of its own, derived from `key` and its
+    /// [`ObsConfig`].
     pub fn with_result_cache(mut self, cache: Arc<ResultCache>, key: u64) -> SimJob {
         self.result_cache = Some((cache, key));
         self
+    }
+
+    /// This job's run fingerprint over an image whose
+    /// [`Workload::fingerprint`] is `workload_fingerprint`: the key its
+    /// result is cached and stored under and its checkpoint file is named
+    /// by. The observability attachment is left out, so a plain job and
+    /// an observed one of the same cell share their stats. The caller
+    /// passes the image's fingerprint so that an image many cells share
+    /// is hashed once.
+    pub fn key(&self, workload_fingerprint: u64) -> u64 {
+        run_fingerprint(
+            &self.cfg,
+            self.pollution,
+            self.walk_fault,
+            None,
+            workload_fingerprint,
+        )
+    }
+
+    /// The cache key of an observed job's observation: `key` hashed with
+    /// the job's [`ObsConfig`]. `None` for a plain job.
+    fn observation_key(&self, key: u64) -> Option<u64> {
+        let obs = self.obs.as_ref()?;
+        let mut h = cdp_snap::WordHasher::new();
+        h.write_u64(key);
+        h.write(format!("{:?}", obs.cfg).as_bytes());
+        Some(h.finish())
     }
 
     fn simulator(&self) -> Result<Simulator, CdpError> {
@@ -738,13 +771,14 @@ impl SimJob {
     }
 
     /// Serves the job from its result cache, counting the hit or miss. A
-    /// cached result is usable when it satisfies the job's full contract:
-    /// plain jobs need only the stats; observed jobs also need a cached
-    /// observation to replay into their sink (without one the job
-    /// re-simulates, and its fresh entry upgrades the cache).
+    /// plain job replays the stats under its key. An observed job looks
+    /// only under its observation's key, so it replays an observation
+    /// taken under the same [`ObsConfig`] or none; without one it
+    /// re-simulates.
     fn replay(&self, source: &SourceSlot) -> Option<RunStats> {
         let (cache, key) = self.result_cache.as_ref()?;
-        if let Some(((stats, observation), tier)) = cache.get_with_source(*key) {
+        let key = self.observation_key(*key).unwrap_or(*key);
+        if let Some(((stats, observation), tier)) = cache.get_with_source(key) {
             if self.obs.is_none() || observation.is_some() {
                 cache.hits.fetch_add(1, Ordering::Relaxed);
                 source.set(tier);
@@ -758,11 +792,15 @@ impl SimJob {
         None
     }
 
-    /// Publishes a finished run: into the result cache (when attached),
-    /// then its observation into the job's sink (when observed).
+    /// Publishes a finished run: its stats into the result cache (when
+    /// attached), and an observed job's observation both into the cache,
+    /// under its own key, and into the job's sink.
     fn publish(&self, stats: RunStats, observation: Option<Observation>) {
         if let Some((cache, key)) = &self.result_cache {
-            cache.put(*key, stats, observation.clone());
+            if let Some(observation_key) = self.observation_key(*key) {
+                cache.put(observation_key, stats, observation.clone());
+            }
+            cache.put(*key, stats, None);
         }
         if let Some(observation) = observation {
             self.push_observation(observation);

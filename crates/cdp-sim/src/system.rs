@@ -285,19 +285,17 @@ impl Simulator {
     }
 
     /// The fingerprint a snapshot of this simulator over `workload` (with
-    /// observability `obs`) carries in its header. It folds in everything
-    /// that determines simulated behavior — full system configuration,
-    /// pollution and fault attachments, observability settings, and the
-    /// workload's content fingerprint — so a snapshot can only be resumed
-    /// against a bit-identical setup.
+    /// observability `obs`) carries in its header: the [`run_fingerprint`]
+    /// of this setup, so a snapshot can only be resumed against a
+    /// bit-identical one.
     pub fn snapshot_fingerprint(&self, workload: &Workload, obs: Option<&ObsConfig>) -> u64 {
-        let mut h = cdp_snap::WordHasher::new();
-        h.write(format!("{:?}", self.cfg).as_bytes());
-        h.write(format!("{:?}", self.pollution).as_bytes());
-        h.write(format!("{:?}", self.walk_fault).as_bytes());
-        h.write(format!("{:?}", obs).as_bytes());
-        h.write_u64(workload.fingerprint());
-        h.finish()
+        run_fingerprint(
+            &self.cfg,
+            self.pollution,
+            self.walk_fault,
+            obs,
+            workload.fingerprint(),
+        )
     }
 
     /// Starts a pausable run: the same windowed driving loop as
@@ -359,6 +357,32 @@ impl Simulator {
         session.restore(bytes).map_err(CdpError::Snapshot)?;
         Ok(session)
     }
+}
+
+/// The run fingerprint: one hash over everything that determines a
+/// run's results — the full system configuration, the pollution and
+/// walk-fault attachments, the observability settings, and the
+/// workload's content fingerprint ([`Workload::fingerprint`], which
+/// covers the trace and every byte of the image, page tables included).
+///
+/// It is a run's one identity. It heads every snapshot
+/// ([`Simulator::snapshot_fingerprint`]), and with `obs = None` it is the
+/// key a [`SimJob`](crate::SimJob) files its result and names its
+/// checkpoint under ([`SimJob::key`](crate::SimJob::key)).
+pub(crate) fn run_fingerprint(
+    cfg: &SystemConfig,
+    pollution: Option<PollutionConfig>,
+    walk_fault: Option<WalkFault>,
+    obs: Option<&ObsConfig>,
+    workload_fingerprint: u64,
+) -> u64 {
+    let mut h = cdp_snap::WordHasher::new();
+    h.write(format!("{cfg:?}").as_bytes());
+    h.write(format!("{pollution:?}").as_bytes());
+    h.write(format!("{walk_fault:?}").as_bytes());
+    h.write(format!("{obs:?}").as_bytes());
+    h.write_u64(workload_fingerprint);
+    h.finish()
 }
 
 /// Snapshot section holding the driver-loop scalars.

@@ -1,8 +1,9 @@
 //! Crash-safe, content-addressed on-disk result store for the CDP
 //! simulator.
 //!
-//! Sweep cells are keyed by FNV-1a config fingerprints (`cdp-obs`), so a
-//! cell's result is a pure function of its key. This crate persists those
+//! Sweep cells are keyed by their run fingerprint (`cdp_sim::SimJob::key`),
+//! which hashes every input that shapes a result, so a cell's result is a
+//! pure function of its key. This crate persists those
 //! results across processes with the same defensive discipline as the
 //! checkpoint codec (`cdp-snap`): every entry is a versioned, checksummed
 //! container; damage of any kind — torn writes, flipped bits, truncation,

@@ -1,13 +1,15 @@
 //! Shared test support for the CDP workspace.
 //!
 //! Integration tests across `tests/`, `crates/cdp-sim/tests/`, and the
-//! experiment-CLI tests kept re-growing the same three helpers: a smoke
-//! `Scale`, a small deterministic workload, and "diff these two outputs
-//! and show me where they diverge". This crate is the single home for
-//! them (it is a dev-dependency only — nothing in the shipped simulator
-//! depends on it).
+//! experiment-CLI tests kept re-growing the same helpers: a smoke
+//! `Scale`, a small deterministic workload, a scratch directory, and
+//! "diff these two outputs and show me where they diverge". This crate
+//! is the single home for them (it is a dev-dependency only — nothing in
+//! the shipped simulator depends on it).
 
 #![warn(missing_docs)]
+
+use std::path::{Path, PathBuf};
 
 use cdp_sim::RunLength;
 use cdp_types::rng::Rng;
@@ -39,6 +41,42 @@ pub fn default_workload() -> Workload {
 #[must_use]
 pub fn seeded_rng(seed: u64) -> Rng {
     Rng::seed_from_u64(seed)
+}
+
+/// A scratch directory `<prefix>-<pid>-<tag>` under the system temp dir:
+/// emptied when created, so a rerun starts cold, and removed when
+/// dropped, so a test run leaves nothing behind (std-only; this
+/// workspace has no tempfile crate). Derefs to its [`Path`].
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates the directory, removing whatever a run before left there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the directory cannot be created.
+    #[must_use]
+    pub fn new(prefix: &str, tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The first line where two captured outputs diverge, as
@@ -91,6 +129,19 @@ mod tests {
         let a = tiny_workload(Benchmark::Slsb, 7);
         let b = tiny_workload(Benchmark::Slsb, 7);
         assert_eq!(a.program, b.program);
+    }
+
+    #[test]
+    fn scratch_dirs_start_empty_and_are_removed_on_drop() {
+        let path = {
+            let dir = ScratchDir::new("cdp-testutil", "guard");
+            std::fs::write(dir.join("left-over"), b"x").unwrap();
+            let again = ScratchDir::new("cdp-testutil", "guard");
+            assert_eq!(std::fs::read_dir(&*again).unwrap().count(), 0);
+            std::fs::write(again.join("file"), b"x").unwrap();
+            again.to_path_buf()
+        };
+        assert!(!path.exists(), "dropping the guard removes the dir");
     }
 
     #[test]

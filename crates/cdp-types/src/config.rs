@@ -134,14 +134,6 @@ impl TlbConfig {
             associativity: 4,
         }
     }
-
-    /// The paper's 128-entry, fully-associative instruction TLB.
-    pub fn itlb_asplos2002() -> Self {
-        TlbConfig {
-            entries: 128,
-            associativity: 128,
-        }
-    }
 }
 
 /// Bus / DRAM parameters (Table 1, "Busses" block).

@@ -274,9 +274,10 @@ echo "== store chaos smoke (SIGKILL mid-sweep, fsck, warm replay, zero misses) =
 # Persistent result store (DESIGN.md §14): repeatedly SIGKILL a
 # store-enabled sweep mid-flight — the store must stay consistent
 # through every crash (store-fsck repairs and then scans clean), a cold
-# completion run must be byte-identical to a store-less reference, and a
+# completion run must be byte-identical to a store-less reference, a
 # warm cross-process re-run must replay every cell from disk (manifest
-# records zero store misses) with byte-identical stdout.
+# records zero store misses) with byte-identical stdout, and a clean run
+# over a store that a faulted run wrote must not replay its results.
 rm -rf /tmp/cdp-store-ci /tmp/cdp-store-ci-manifest
 mkdir -p /tmp/cdp-store-ci
 ./target/release/experiments tlb table2 --smoke --jobs 2 --no-result-cache \
@@ -319,6 +320,18 @@ if [ "$litter" -ne 0 ]; then
     echo "store smoke: $litter temp file(s) left after warm replay" >&2
     exit 1
 fi
+# A fault plan edits the workload images, so what a faulted run stores
+# belongs to other cells: a clean run over a store that a faulted run
+# wrote must simulate afresh and print the reference bytes.
+rm -rf /tmp/cdp-store-fault-ci
+./target/release/experiments tlb table2 --smoke --jobs 2 --fault 'corrupt:*:7:4096' \
+    --result-store /tmp/cdp-store-fault-ci > /dev/null
+./target/release/experiments tlb table2 --smoke --jobs 2 \
+    --result-store /tmp/cdp-store-fault-ci > /tmp/cdp-store-fault-clean.out
+cmp /tmp/cdp-store-ref.out /tmp/cdp-store-fault-clean.out || {
+    echo "store smoke: a clean run replayed results a faulted run stored" >&2
+    exit 1
+}
 
 echo "== tournament smoke (equal-silicon zoo, gating win, budget refusal) =="
 # The prefetcher tournament must run every engine plus both perceptron

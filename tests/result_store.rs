@@ -10,21 +10,18 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cdp::sim::{decode_result, encode_result, ResultCache, SimJob};
+use cdp::sim::fault::{corrupt_pointer_words, unmap_trace_pages};
+use cdp::sim::{
+    decode_result, encode_result, JobObs, ObsSink, PollutionConfig, ResultCache, SimJob, WalkFault,
+};
 use cdp::snap::SnapWriter;
 use cdp::store::{clean_stale_parts, RealIo, ResultStore, ENTRY_VERSION, TAG_META, TAG_PAYLOAD};
-use cdp::types::{SnapshotError, StoreError};
+use cdp::types::{ObsConfig, SnapshotError, StoreError, SystemConfig};
 use cdp::workloads::suite::Benchmark;
-use cdp_testutil::tiny_workload;
+use cdp_testutil::{tiny_workload, ScratchDir};
 
-/// A fresh per-test scratch directory (std-only; no tempfile crate in
-/// this workspace). Cleared on entry so reruns start cold.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cdp-result-store-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+/// Prefix of this suite's scratch directories.
+const SCRATCH: &str = "cdp-result-store";
 
 fn entry_path(root: &std::path::Path, key: u64) -> PathBuf {
     root.join(format!("cell-{key:016x}.res"))
@@ -38,16 +35,16 @@ fn quarantine_count(root: &std::path::Path) -> usize {
 
 #[test]
 fn roundtrip_replays_across_process_equivalent_handles() {
-    let dir = scratch("roundtrip");
+    let dir = ScratchDir::new(SCRATCH, "roundtrip");
     let key = 0xdead_beef_0042_0001;
     let payload = b"paper table cell bytes".to_vec();
     {
-        let store = ResultStore::open(&dir).expect("open store");
+        let store = ResultStore::open(&*dir).expect("open store");
         store.put(key, &payload);
         assert_eq!(store.stats().write_failures, 0);
     }
     // A brand-new handle — the cross-process warm path.
-    let store = ResultStore::open(&dir).expect("reopen store");
+    let store = ResultStore::open(&*dir).expect("reopen store");
     assert_eq!(store.get(key).as_deref(), Some(&payload[..]));
     assert_eq!(store.get(0x0bad_0bad), None, "absent key is a miss");
     let s = store.stats();
@@ -94,8 +91,8 @@ fn corruption_matrix_quarantines_and_recomputes() {
         ),
     ];
     for (name, damage) in damage {
-        let dir = scratch(&format!("matrix-{name}"));
-        let store = ResultStore::open(&dir).expect("open store");
+        let dir = ScratchDir::new(SCRATCH, &format!("matrix-{name}"));
+        let store = ResultStore::open(&*dir).expect("open store");
         store.put(key, &payload);
         let path = entry_path(&dir, key);
         damage(&path);
@@ -116,8 +113,8 @@ fn corruption_matrix_quarantines_and_recomputes() {
 
 #[test]
 fn wrong_fingerprint_is_typed_and_quarantined() {
-    let dir = scratch("wrong-key");
-    let store = ResultStore::open(&dir).expect("open store");
+    let dir = ScratchDir::new(SCRATCH, "wrong-key");
+    let store = ResultStore::open(&*dir).expect("open store");
     let (key_a, key_b) = (0x1111_1111_1111_1111, 0x2222_2222_2222_2222);
     store.put(key_a, b"cell A");
     // Publish A's (internally valid) entry under B's name — the cell-key
@@ -138,8 +135,8 @@ fn wrong_fingerprint_is_typed_and_quarantined() {
 
 #[test]
 fn future_entry_version_is_typed_and_quarantined() {
-    let dir = scratch("version-skew");
-    let store = ResultStore::open(&dir).expect("open store");
+    let dir = ScratchDir::new(SCRATCH, "version-skew");
+    let store = ResultStore::open(&*dir).expect("open store");
     // Hand-craft entries from one format version ahead, and from version
     // 0, which no build ever wrote: valid envelope, valid checksums,
     // unreadable meaning.
@@ -171,19 +168,19 @@ fn future_entry_version_is_typed_and_quarantined() {
 
 #[test]
 fn stale_parts_are_swept_on_open_and_by_fsck() {
-    let dir = scratch("stale-parts");
+    let dir = ScratchDir::new(SCRATCH, "stale-parts");
     // Litter from a writer killed between write and rename.
     std::fs::write(dir.join("cell-0000000000000001.123-0.part"), b"torn").unwrap();
     std::fs::write(dir.join("cell-0000000000000002.123-1.part"), b"torn").unwrap();
-    let store = ResultStore::open(&dir).expect("open sweeps parts");
-    let leftover: Vec<_> = std::fs::read_dir(&dir)
+    let store = ResultStore::open(&*dir).expect("open sweeps parts");
+    let leftover: Vec<_> = std::fs::read_dir(&*dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("part"))
         .collect();
     assert!(leftover.is_empty(), "open swept .part litter: {leftover:?}");
     // And the shared helper works on arbitrary dirs (checkpoint dirs).
-    let side = scratch("stale-parts-side");
+    let side = ScratchDir::new(SCRATCH, "stale-parts-side");
     std::fs::write(side.join("ckpt-1.part"), b"torn").unwrap();
     std::fs::write(side.join("ckpt-1.snap"), b"published").unwrap();
     assert_eq!(clean_stale_parts(&RealIo, &side), 1);
@@ -196,8 +193,8 @@ fn stale_parts_are_swept_on_open_and_by_fsck() {
 
 #[test]
 fn fsck_reports_and_repairs_then_is_clean() {
-    let dir = scratch("fsck");
-    let store = ResultStore::open(&dir).expect("open store");
+    let dir = ScratchDir::new(SCRATCH, "fsck");
+    let store = ResultStore::open(&*dir).expect("open store");
     store.put(1, b"good one");
     store.put(2, b"good two");
     store.put(3, b"will break");
@@ -226,15 +223,15 @@ fn fsck_reports_and_repairs_then_is_clean() {
 
 #[test]
 fn gc_drops_entries_older_than_kept_generations() {
-    let dir = scratch("gc");
+    let dir = ScratchDir::new(SCRATCH, "gc");
     {
-        let old = ResultStore::open(&dir).expect("gen 1");
+        let old = ResultStore::open(&*dir).expect("gen 1");
         old.put(10, b"old entry");
     }
     // Two more opens bump the generation twice; keep=1 then reaches back
     // only one generation, so the gen-1 entry falls out.
-    let _mid = ResultStore::open(&dir).expect("gen 2");
-    let store = ResultStore::open(&dir).expect("gen 3");
+    let _mid = ResultStore::open(&*dir).expect("gen 2");
+    let store = ResultStore::open(&*dir).expect("gen 3");
     store.put(11, b"fresh entry");
     let removed = store.gc(1).expect("gc");
     assert_eq!(removed, 1, "exactly the old entry collected");
@@ -248,7 +245,7 @@ fn gc_drops_entries_older_than_kept_generations() {
 /// cell from disk with identical results.
 #[test]
 fn real_cell_roundtrips_through_store_backed_cache() {
-    let dir = scratch("real-cell");
+    let dir = ScratchDir::new(SCRATCH, "real-cell");
     let w = Arc::new(tiny_workload(Benchmark::Slsb, 7));
     let cfg = cdp::types::SystemConfig::with_content();
     let key = 0x5eed_0000_0000_0001;
@@ -259,7 +256,7 @@ fn real_cell_roundtrips_through_store_backed_cache() {
 
     // Cold pass: computes and persists.
     {
-        let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+        let store = Arc::new(ResultStore::open(&*dir).expect("open store"));
         let cache = Arc::new(ResultCache::with_store(Arc::clone(&store)));
         let stats = SimJob::new("cell", cfg.clone(), Arc::clone(&w))
             .with_result_cache(Arc::clone(&cache), key)
@@ -271,7 +268,7 @@ fn real_cell_roundtrips_through_store_backed_cache() {
     }
 
     // Warm pass, fresh handle and fresh (empty) L1: replays from disk.
-    let store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
+    let store = Arc::new(ResultStore::open(&*dir).expect("reopen store"));
     let cache = Arc::new(ResultCache::with_store(Arc::clone(&store)));
     let stats = SimJob::new("cell", cfg, Arc::clone(&w))
         .with_result_cache(Arc::clone(&cache), key)
@@ -294,4 +291,113 @@ fn real_cell_roundtrips_through_store_backed_cache() {
         encode_result(&decoded, obs.as_ref()),
         "re-encode is stable"
     );
+}
+
+/// The run fingerprint is the cell's identity: it moves with every edit
+/// a fault plan makes to the image and with every attachment, so no
+/// stored result of one setup can be replayed for another.
+#[test]
+fn cell_key_covers_image_edits_and_attachments() {
+    let clean = tiny_workload(Benchmark::Tpcc1, 7);
+    let job = SimJob::new(
+        "cell",
+        SystemConfig::with_content(),
+        Arc::new(clean.clone()),
+    );
+    let key = job.key(clean.fingerprint());
+
+    let mut corrupted = clean.clone();
+    assert!(
+        corrupt_pointer_words(&mut corrupted, 7, 64) > 0,
+        "corrupted"
+    );
+    assert_ne!(key, job.key(corrupted.fingerprint()), "corrupted image");
+    let mut unmapped = clean.clone();
+    assert!(unmap_trace_pages(&mut unmapped, 7, 2) > 0, "unmapped");
+    assert_ne!(key, job.key(unmapped.fingerprint()), "unmapped pages");
+
+    let walk = job.clone().with_walk_fault(WalkFault {
+        period: 7,
+        demand: false,
+    });
+    assert_ne!(key, walk.key(clean.fingerprint()), "walk fault");
+    let mut polluted = job.clone();
+    polluted.pollution = Some(PollutionConfig { period: 64 });
+    assert_ne!(key, polluted.key(clean.fingerprint()), "pollution");
+}
+
+/// An observed job over `w` under `cfg`, delivering into `sink`.
+fn observed(w: &Arc<cdp::workloads::Workload>, cfg: ObsConfig, sink: &Arc<ObsSink>) -> SimJob {
+    SimJob::new("cell", SystemConfig::with_content(), Arc::clone(w)).with_obs(JobObs {
+        cfg,
+        sink: Arc::clone(sink),
+        batch: 0,
+        index: 0,
+    })
+}
+
+/// Metrics windows of `metrics_window` uops, nothing else observed.
+fn windows(metrics_window: u64) -> ObsConfig {
+    ObsConfig {
+        trace: None,
+        metrics_window: Some(metrics_window),
+        profile_hist: false,
+    }
+}
+
+/// An observation is keyed by its `ObsConfig` too: a job observing with
+/// B over a cache that holds A's observation of the same cell simulates
+/// and delivers B's windows, not A's.
+#[test]
+fn observed_job_never_replays_another_configs_observation() {
+    let w = Arc::new(tiny_workload(Benchmark::Slsb, 7));
+    let key =
+        SimJob::new("cell", SystemConfig::with_content(), Arc::clone(&w)).key(w.fingerprint());
+    let (a, b) = (windows(8_192), windows(2_048));
+    let reference = ObsSink::shared();
+    observed(&w, b.clone(), &reference)
+        .try_execute()
+        .expect("reference");
+    let want = reference.drain_sorted().remove(0).observation.windows;
+
+    let cache = Arc::new(ResultCache::new());
+    let got = [a, b].map(|cfg| {
+        let sink = ObsSink::shared();
+        observed(&w, cfg, &sink)
+            .with_result_cache(Arc::clone(&cache), key)
+            .try_execute()
+            .expect("observed run");
+        sink.drain_sorted().remove(0).observation.windows
+    });
+    assert_eq!((cache.hits(), cache.misses()), (0, 2), "B re-simulated");
+    let got = &got[1];
+    assert_ne!(got.len(), 0);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "B's windows");
+}
+
+/// Stats stay under the run fingerprint: a plain job replays, from a
+/// fresh store handle, the stats an observed job stored.
+#[test]
+fn plain_job_replays_stats_an_observed_job_stored() {
+    let dir = ScratchDir::new(SCRATCH, "observed-then-plain");
+    let w = Arc::new(tiny_workload(Benchmark::Slsb, 7));
+    let plain = SimJob::new("cell", SystemConfig::with_content(), Arc::clone(&w));
+    let key = plain.key(w.fingerprint());
+    let cache = || {
+        Arc::new(ResultCache::with_store(Arc::new(
+            ResultStore::open(&*dir).unwrap(),
+        )))
+    };
+
+    let observed_stats = observed(&w, windows(2_048), &ObsSink::shared())
+        .with_result_cache(cache(), key)
+        .try_execute()
+        .expect("observed run");
+    let warm = cache();
+    let stats = plain
+        .with_result_cache(Arc::clone(&warm), key)
+        .try_execute()
+        .expect("plain run");
+    assert_eq!((warm.hits(), warm.misses()), (1, 0), "plain run replayed");
+    assert_eq!(format!("{observed_stats:?}"), format!("{stats:?}"));
 }

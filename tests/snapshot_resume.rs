@@ -11,7 +11,6 @@
 //! flips, wrong fingerprint, future version), which must all surface as
 //! typed errors, never panics.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cdp::sim::{
@@ -23,7 +22,10 @@ use cdp::types::{
 };
 use cdp::workloads::suite::{Benchmark, Scale};
 use cdp::workloads::Workload;
-use cdp_testutil::{seeded_rng, tiny_workload};
+use cdp_testutil::{seeded_rng, tiny_workload, ScratchDir};
+
+/// Prefix of this suite's scratch directories.
+const SCRATCH: &str = "cdp-snapshot-resume";
 
 /// An observability config exercising both capture paths (trace ring +
 /// metrics windows). Small windows give every smoke run several step
@@ -34,15 +36,6 @@ fn obs_cfg() -> ObsConfig {
         metrics_window: Some(4_000),
         profile_hist: true,
     }
-}
-
-/// A fresh per-test scratch directory under the target-adjacent temp
-/// root (std-only; no tempfile crate in this workspace).
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("cdp-snapshot-resume-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 /// Counts the step boundaries (`step()` returning `false`) a session
@@ -245,7 +238,7 @@ fn disk_roundtrip_and_every_corruption_is_a_typed_error() {
     let bytes = assert_roundtrip_at(&cfg, None, &w, Some(&obs), 2);
 
     // Through the filesystem: what a checkpoint file actually does.
-    let dir = scratch("disk");
+    let dir = ScratchDir::new(SCRATCH, "disk");
     let path = dir.join("cell.snap");
     std::fs::write(&path, &bytes).expect("write checkpoint");
     let read = std::fs::read(&path).expect("read checkpoint");
@@ -308,7 +301,6 @@ fn disk_roundtrip_and_every_corruption_is_a_typed_error() {
         sim.resume(&w, Some(&obs), &bad),
         Err(CdpError::Snapshot(SnapshotError::BadMagic))
     ));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -321,9 +313,9 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
     let reference = SimJob::new("ref", cfg.clone(), Arc::clone(&w))
         .try_execute()
         .expect("reference cell");
-    let dir = scratch("job");
+    let dir = ScratchDir::new(SCRATCH, "job");
     let spec = |resume: bool, status: &Arc<CheckpointStatus>| CheckpointSpec {
-        dir: dir.clone(),
+        dir: dir.to_path_buf(),
         every: 10_000,
         key: 0xc0ffee,
         resume,
@@ -381,5 +373,4 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .expect("no-resume cell");
     assert_eq!(status.get(), ResultSource::Fresh);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,6 @@
 //! durability degrades, correctness never does — and a post-chaos
 //! `fsck --repair` leaves the store clean.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use cdp::sim::{
@@ -17,16 +16,10 @@ use cdp::sim::{
 use cdp::store::{FaultConfig, FaultyIo, RealIo, ResultStore, StoreIo};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
-use cdp_testutil::tiny_workload;
+use cdp_testutil::{tiny_workload, ScratchDir};
 
-/// A fresh per-test scratch directory (std-only; no tempfile crate in
-/// this workspace). Cleared on entry so reruns start cold.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cdp-store-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+/// Prefix of this suite's scratch directories.
+const SCRATCH: &str = "cdp-store-chaos";
 
 /// The sweep grid: a handful of distinct cells (benchmark × seed), each
 /// with a distinct store key.
@@ -75,10 +68,10 @@ fn chaos_sweep_is_byte_identical_to_fault_free_reference() {
     let reference = run_grid(&Pool::new(1), &cfg, None);
     for fault_seed in [1_u64, 0xc0ffee, 0xdead_beef] {
         for jobs in [1_usize, 4] {
-            let dir = scratch(&format!("soak-{fault_seed:x}-j{jobs}"));
+            let dir = ScratchDir::new(SCRATCH, &format!("soak-{fault_seed:x}-j{jobs}"));
             let io = Arc::new(FaultyIo::new(RealIo, FaultConfig::aggressive(fault_seed)));
             let store = Arc::new(
-                ResultStore::open_with(&dir, io.clone() as Arc<dyn StoreIo>)
+                ResultStore::open_with(&*dir, io.clone() as Arc<dyn StoreIo>)
                     .expect("store opens under fault injection"),
             );
             let cache = Arc::new(ResultCache::with_store(Arc::clone(&store)));
@@ -92,7 +85,7 @@ fn chaos_sweep_is_byte_identical_to_fault_free_reference() {
                 "fault schedule {fault_seed:#x} never fired — soak is vacuous"
             );
             // Post-chaos: repair, then the store must scan clean.
-            let clean = ResultStore::open(&dir).expect("reopen with real io");
+            let clean = ResultStore::open(&*dir).expect("reopen with real io");
             let report = clean.fsck(true).expect("repairing fsck");
             drop(report);
             let report = clean.fsck(false).expect("post-repair fsck");
@@ -107,10 +100,10 @@ fn chaos_sweep_is_byte_identical_to_fault_free_reference() {
 #[test]
 fn warm_store_replays_every_cell_with_zero_misses() {
     let cfg = SystemConfig::with_content();
-    let dir = scratch("warm");
+    let dir = ScratchDir::new(SCRATCH, "warm");
     let reference = run_grid(&Pool::new(1), &cfg, None);
 
-    let cold_store = Arc::new(ResultStore::open(&dir).expect("open cold"));
+    let cold_store = Arc::new(ResultStore::open(&*dir).expect("open cold"));
     let cache = Arc::new(ResultCache::with_store(Arc::clone(&cold_store)));
     let cold = run_grid(&Pool::new(4), &cfg, Some(&cache));
     assert_eq!(reference, cold);
@@ -121,7 +114,7 @@ fn warm_store_replays_every_cell_with_zero_misses() {
     drop(cache);
     drop(cold_store);
 
-    let warm_store = Arc::new(ResultStore::open(&dir).expect("open warm"));
+    let warm_store = Arc::new(ResultStore::open(&*dir).expect("open warm"));
     let cache = Arc::new(ResultCache::with_store(Arc::clone(&warm_store)));
     let warm = run_grid(&Pool::new(4), &cfg, Some(&cache));
     assert_eq!(reference, warm, "warm replay diverged");
@@ -162,7 +155,7 @@ fn checkpointed_run_survives_faulty_checkpoint_io() {
         .expect("reference cell");
 
     for fault_seed in [3_u64, 0xfeed] {
-        let dir = scratch(&format!("ckpt-{fault_seed:x}"));
+        let dir = ScratchDir::new(SCRATCH, &format!("ckpt-{fault_seed:x}"));
         // Checkpoint writes happen only at step boundaries, so the
         // schedule is denser than the store soak's to guarantee fire.
         let faults = FaultConfig {
@@ -176,7 +169,7 @@ fn checkpointed_run_survives_faulty_checkpoint_io() {
         let io = Arc::new(FaultyIo::new(RealIo, faults));
         let status = CheckpointStatus::shared();
         let spec = CheckpointSpec {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             every: 1,
             key: 0xc0ffee,
             resume: true,
@@ -214,7 +207,7 @@ fn checkpointed_run_survives_faulty_checkpoint_io() {
 /// working.
 #[test]
 fn reopen_after_torn_write_recovers() {
-    let dir = scratch("torn");
+    let dir = ScratchDir::new(SCRATCH, "torn");
     // A schedule where every write is short: the publication rename then
     // publishes a torn file, which must be caught at read and recomputed.
     let cfg = FaultConfig {
@@ -227,13 +220,13 @@ fn reopen_after_torn_write_recovers() {
     };
     let io = Arc::new(FaultyIo::new(RealIo, cfg));
     let store =
-        ResultStore::open_with(&dir, io as Arc<dyn StoreIo>).expect("open with torn writes");
+        ResultStore::open_with(&*dir, io as Arc<dyn StoreIo>).expect("open with torn writes");
     store.put(77, b"will be torn");
     assert_eq!(store.get(77), None, "torn entry must not replay");
     assert_eq!(store.stats().quarantined, 1);
 
     // New handle on the real filesystem: store still consistent.
-    let store = ResultStore::open(&dir).expect("reopen");
+    let store = ResultStore::open(&*dir).expect("reopen");
     store.put(77, b"recomputed");
     assert_eq!(store.get(77).as_deref(), Some(&b"recomputed"[..]));
     let report = store.fsck(false).expect("fsck");
