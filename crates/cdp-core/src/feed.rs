@@ -107,10 +107,9 @@ impl StreamFeed {
     pub(crate) fn uop_at(&mut self, idx: usize, keep_from: usize) -> Option<Uop> {
         while self.total.is_none() && idx >= self.base + self.window.len() {
             debug_assert!(keep_from >= self.base);
-            while self.base < keep_from {
-                self.window.pop_front();
-                self.base += 1;
-            }
+            let stale = (keep_from - self.base).min(self.window.len());
+            self.window.drain(..stale);
+            self.base += stale;
             let appended = self.source.fill(&mut self.window);
             if appended == 0 || self.source.exhausted() {
                 self.total = Some(self.base + self.window.len());

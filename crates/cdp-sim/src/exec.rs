@@ -515,7 +515,7 @@ impl CheckpointStatus {
 /// Periodic-checkpoint attachment for a [`SimJob`].
 ///
 /// The job snapshots its [`SimSession`](crate::system::SimSession) into
-/// `dir/cell-<key>.snap` every `every` simulated cycles (checked at
+/// [`SimJob::checkpoint_path`] every `every` simulated cycles (checked at
 /// window boundaries). Writes go through [`cdp_store::publish`] (unique
 /// temp file + rename), so a kill at any moment leaves either the
 /// previous or the new checkpoint intact — never a torn file. On
@@ -531,8 +531,9 @@ pub struct CheckpointSpec {
     /// resume still works off whatever file is present).
     pub every: u64,
     /// Cell identity: the run fingerprint [`SimJob::key`], the key the
-    /// cell's result is cached under. Names the file, so it must be
-    /// unique per cell within `dir`.
+    /// cell's result is cached under. Names the file (for an observed
+    /// job, hashed with its [`ObsConfig`] first), so it must be unique
+    /// per cell within `dir`.
     pub key: u64,
     /// Whether to look for (and resume from) an existing checkpoint.
     pub resume: bool,
@@ -545,11 +546,6 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// The checkpoint file path for this cell.
-    pub fn path(&self) -> PathBuf {
-        self.dir.join(format!("cell-{:016x}.snap", self.key))
-    }
-
     /// The filesystem this spec's I/O goes through.
     fn io(&self) -> Arc<dyn cdp_store::StoreIo> {
         self.io
@@ -648,6 +644,18 @@ impl SimJob {
         )
     }
 
+    /// The file this job checkpoints into, `dir/cell-<key>.snap`, if a
+    /// [`CheckpointSpec`] is attached. An observed job's snapshots carry
+    /// the run fingerprint with its [`ObsConfig`] and resume only into a
+    /// session observed the same way, so its file is named by its
+    /// observation key instead of the spec's key: a run with other
+    /// capture flags neither overwrites it nor mistakes it for corrupt.
+    pub fn checkpoint_path(&self) -> Option<PathBuf> {
+        let spec = self.checkpoint.as_ref()?;
+        let key = self.observation_key(spec.key).unwrap_or(spec.key);
+        Some(spec.dir.join(format!("cell-{key:016x}.snap")))
+    }
+
     /// The cache key of an observed job's observation: `key` hashed with
     /// the job's [`ObsConfig`]. `None` for a plain job.
     fn observation_key(&self, key: u64) -> Option<u64> {
@@ -703,7 +711,11 @@ impl SimJob {
         let sim = self.simulator()?;
         let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
         // Checkpoint I/O, resolved once: the spec, its filesystem, its file.
-        let ckpt = self.checkpoint.as_ref().map(|s| (s, s.io(), s.path()));
+        let ckpt = self
+            .checkpoint
+            .as_ref()
+            .zip(self.checkpoint_path())
+            .map(|(s, path)| (s, s.io(), path));
         let mut started = ResultSource::Fresh;
         let mut resumed = None;
         if let Some((_, io, path)) = ckpt.as_ref().filter(|(s, ..)| s.resume) {

@@ -284,20 +284,6 @@ impl Simulator {
         Ok(session.finish())
     }
 
-    /// The fingerprint a snapshot of this simulator over `workload` (with
-    /// observability `obs`) carries in its header: the [`run_fingerprint`]
-    /// of this setup, so a snapshot can only be resumed against a
-    /// bit-identical one.
-    pub fn snapshot_fingerprint(&self, workload: &Workload, obs: Option<&ObsConfig>) -> u64 {
-        run_fingerprint(
-            &self.cfg,
-            self.pollution,
-            self.walk_fault,
-            obs,
-            workload.fingerprint(),
-        )
-    }
-
     /// Starts a pausable run: the same windowed driving loop as
     /// [`Simulator::try_run`] / [`Simulator::try_run_observed`] (which are
     /// implemented on top of it), but surfaced as an object that can be
@@ -326,7 +312,9 @@ impl Simulator {
             warmup_uops: self.cfg.warmup_uops,
             window,
             record_windows: metrics_window.is_some(),
-            fingerprint: self.snapshot_fingerprint(workload, obs),
+            workload,
+            setup_hash: setup_hasher(&self.cfg, self.pollution, self.walk_fault, obs),
+            fingerprint: std::cell::OnceCell::new(),
             target: 0,
             warmed: false,
             done: false,
@@ -365,10 +353,11 @@ impl Simulator {
 /// workload's content fingerprint ([`Workload::fingerprint`], which
 /// covers the trace and every byte of the image, page tables included).
 ///
-/// It is a run's one identity. It heads every snapshot
-/// ([`Simulator::snapshot_fingerprint`]), and with `obs = None` it is the
-/// key a [`SimJob`](crate::SimJob) files its result and names its
-/// checkpoint under ([`SimJob::key`](crate::SimJob::key)).
+/// It is a run's one identity. It heads every snapshot of a
+/// [`SimSession`], so a snapshot resumes only into a bit-identical setup,
+/// and with `obs = None` it is the key a [`SimJob`](crate::SimJob) files
+/// its result and names its checkpoint under
+/// ([`SimJob::key`](crate::SimJob::key)).
 pub(crate) fn run_fingerprint(
     cfg: &SystemConfig,
     pollution: Option<PollutionConfig>,
@@ -376,13 +365,24 @@ pub(crate) fn run_fingerprint(
     obs: Option<&ObsConfig>,
     workload_fingerprint: u64,
 ) -> u64 {
+    let mut h = setup_hasher(cfg, pollution, walk_fault, obs);
+    h.write_u64(workload_fingerprint);
+    h.finish()
+}
+
+/// [`run_fingerprint`]'s hasher after everything but the workload.
+fn setup_hasher(
+    cfg: &SystemConfig,
+    pollution: Option<PollutionConfig>,
+    walk_fault: Option<WalkFault>,
+    obs: Option<&ObsConfig>,
+) -> cdp_snap::WordHasher {
     let mut h = cdp_snap::WordHasher::new();
     h.write(format!("{cfg:?}").as_bytes());
     h.write(format!("{pollution:?}").as_bytes());
     h.write(format!("{walk_fault:?}").as_bytes());
     h.write(format!("{obs:?}").as_bytes());
-    h.write_u64(workload_fingerprint);
-    h.finish()
+    h
 }
 
 /// Snapshot section holding the driver-loop scalars.
@@ -412,7 +412,13 @@ pub struct SimSession<'w> {
     warmup_uops: u64,
     window: u64,
     record_windows: bool,
-    fingerprint: u64,
+    workload: &'w Workload,
+    /// The run fingerprint's hasher over the configuration, taken at
+    /// session start.
+    setup_hash: cdp_snap::WordHasher,
+    /// The run fingerprint, computed by the first snapshot or restore:
+    /// only they read it, and hashing the image costs milliseconds.
+    fingerprint: std::cell::OnceCell<u64>,
     target: u64,
     warmed: bool,
     done: bool,
@@ -423,6 +429,15 @@ pub struct SimSession<'w> {
 }
 
 impl<'w> SimSession<'w> {
+    /// The [`run_fingerprint`] that heads this session's snapshots.
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = self.setup_hash;
+            h.write_u64(self.workload.fingerprint());
+            h.finish()
+        })
+    }
+
     /// Advances the run by one window (the first call runs the warm-up
     /// phase instead, when one is configured). Returns `true` once the
     /// program has fully retired.
@@ -505,7 +520,7 @@ impl<'w> SimSession<'w> {
     /// recycle one allocation across every snapshot it writes. Output
     /// bytes are identical to [`SimSession::snapshot`].
     pub fn snapshot_into(&self, buf: Vec<u8>) -> Vec<u8> {
-        let mut w = cdp_snap::SnapWriter::new_in(self.fingerprint, buf);
+        let mut w = cdp_snap::SnapWriter::new_in(self.fingerprint(), buf);
         w.section(SEC_RUN, |e| {
             e.u64(self.target);
             e.bool(self.warmed);
@@ -530,7 +545,7 @@ impl<'w> SimSession<'w> {
     /// Restores a snapshot into this freshly constructed session.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        let reader = cdp_snap::SnapReader::parse(bytes, Some(self.fingerprint))?;
+        let reader = cdp_snap::SnapReader::parse(bytes, Some(self.fingerprint()))?;
         let mut dec = reader.section(SEC_RUN)?;
         self.target = dec.u64("run target")?;
         self.warmed = dec.bool("run warmed")?;

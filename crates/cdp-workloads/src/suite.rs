@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cdp_core::{Program, Uop, UopKind, UopSource};
 use cdp_mem::AddressSpace;
@@ -245,8 +246,9 @@ impl Workload {
     /// It is recomputed on every call, not cached: the fields are public
     /// and mutable (fault studies unmap pages of cloned images), so a
     /// stored value could go stale. [`cdp_snap::WordHasher`] takes each
-    /// uop as two words and each frame eight bytes per step, which keeps
-    /// the recomputation a small part of starting a session.
+    /// uop as two words and each frame eight bytes per step; even so a
+    /// call costs milliseconds, so a session computes it only when it
+    /// first snapshots or restores.
     pub fn fingerprint(&self) -> u64 {
         let mut h = cdp_snap::WordHasher::new();
         h.write(self.name.as_bytes());
@@ -322,7 +324,8 @@ impl Workload {
 /// Streaming recipe for a workload's trace: a pristine generator plus the
 /// tier parameters that produced it. The generator inside is never
 /// advanced — [`StreamSpec::make_source`] clones it, so every source
-/// starts at uop 0 and replays the identical stream.
+/// starts at uop 0 and replays the identical stream. The clone shares
+/// the generator's read-only structures instead of copying them.
 #[derive(Clone, Debug)]
 pub struct StreamSpec {
     gen: TraceGen,
@@ -358,6 +361,19 @@ impl StreamSpec {
 /// the resident window stays a few hundred KB.
 const STREAM_CHUNK_UOPS: usize = 4096;
 
+/// The resident structures a generator walks. They are read-only once
+/// the image is built, so every source cloned from one [`StreamSpec`]
+/// shares them.
+#[derive(Debug)]
+struct Structures {
+    list: Option<LinkedList>,
+    tree: Option<BinaryTree>,
+    hash: Option<HashTable>,
+    array: Option<Array>,
+    index: Option<IndexArray>,
+    store_buf: cdp_types::VirtAddr,
+}
+
 /// The phase-loop generator behind both build modes: materialized builds
 /// drive it to completion up front, streaming builds drive it chunk by
 /// chunk from the core's fetch stage. Both modes draw the same rng
@@ -365,12 +381,7 @@ const STREAM_CHUNK_UOPS: usize = 4096;
 #[derive(Clone, Debug)]
 struct TraceGen {
     profile: Profile,
-    list: Option<LinkedList>,
-    tree: Option<BinaryTree>,
-    hash: Option<HashTable>,
-    array: Option<Array>,
-    index: Option<IndexArray>,
-    store_buf: cdp_types::VirtAddr,
+    structures: Arc<Structures>,
     rng: Rng,
     tb: TraceBuilder,
     stride_cursor: u32,
@@ -386,17 +397,20 @@ impl TraceGen {
     fn fill_burst(&mut self) {
         let p = self.profile;
         let TraceGen {
-            ref list,
-            ref tree,
-            ref hash,
-            ref array,
-            ref index,
-            store_buf,
+            ref structures,
             ref mut rng,
             ref mut tb,
             ref mut stride_cursor,
             ..
         } = *self;
+        let Structures {
+            list,
+            tree,
+            hash,
+            array,
+            index,
+            store_buf,
+        } = &**structures;
         let total_w: u32 = p.weights.iter().sum();
         let mut pick = rng.gen_range_u32(0..total_w);
         let mut phase = 0;
@@ -489,17 +503,24 @@ impl TraceGen {
 }
 
 impl UopSource for TraceGen {
+    /// Emits whole bursts straight onto the end of `out` until a chunk's
+    /// worth or the target is reached.
     fn fill(&mut self, out: &mut VecDeque<Uop>) -> usize {
-        while self.emitted + self.tb.len() < self.target && self.tb.len() < STREAM_CHUNK_UOPS {
+        let start = out.len();
+        self.tb.swap_buffer(out);
+        while self.emitted + (self.tb.len() - start) < self.target
+            && self.tb.len() - start < STREAM_CHUNK_UOPS
+        {
             self.fill_burst();
         }
-        let n = self.tb.drain_into(out);
+        self.tb.swap_buffer(out);
+        let n = out.len() - start;
         self.emitted += n;
         n
     }
 
     fn exhausted(&self) -> bool {
-        self.emitted + self.tb.len() >= self.target
+        self.emitted >= self.target
     }
 
     fn box_clone(&self) -> Box<dyn UopSource> {
@@ -507,8 +528,8 @@ impl UopSource for TraceGen {
     }
 
     fn save_cursor(&self, enc: &mut cdp_snap::Enc) {
-        // `fill` always drains the builder, so between fills only the
-        // scratch-register rotation survives in it.
+        // `fill` hands the window back, so between fills only the
+        // scratch-register rotation survives in the builder.
         debug_assert_eq!(self.tb.len(), 0, "cursor saved between fills");
         for w in self.rng.state() {
             enc.u64(w);
@@ -1011,12 +1032,14 @@ impl Benchmark {
         assert!(total_w > 0, "benchmark must have at least one phase");
         let mut gen = TraceGen {
             profile: p,
-            list,
-            tree,
-            hash,
-            array,
-            index,
-            store_buf,
+            structures: Arc::new(Structures {
+                list,
+                tree,
+                hash,
+                array,
+                index,
+                store_buf,
+            }),
             rng,
             tb: TraceBuilder::new(),
             stride_cursor: 0,

@@ -11,6 +11,8 @@
 //! `r1` list cursor, `r2` hash-chain cursor, `r3` hash key, `r4` tree
 //! cursor, `r5` stride index, `r8..r15` scratch destinations.
 
+use std::collections::VecDeque;
+
 use cdp_core::{Program, Uop};
 use cdp_types::rng::Rng;
 use cdp_types::VirtAddr;
@@ -42,7 +44,7 @@ const SCRATCH_REGS: u8 = 8;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct TraceBuilder {
-    uops: Vec<Uop>,
+    uops: VecDeque<Uop>,
     scratch_rr: u8,
 }
 
@@ -62,19 +64,20 @@ impl TraceBuilder {
         self.uops.is_empty()
     }
 
-    /// Finalizes the trace.
+    /// Finalizes the trace. The buffer becomes the program's `Vec` in
+    /// place: it was only ever pushed at the back, so it starts at the
+    /// front of its allocation and nothing moves.
     pub fn build(self) -> Program {
-        Program::new(self.uops)
+        Program::new(self.uops.into())
     }
 
-    /// Drains every pending uop into `out` (streaming generation: bursts
-    /// accumulate here, then move to the core's sliding window). The
-    /// scratch-register rotation persists across drains, so a drained
-    /// builder continues the exact uop stream an undrained one would.
-    pub fn drain_into(&mut self, out: &mut std::collections::VecDeque<Uop>) -> usize {
-        let n = self.uops.len();
-        out.extend(self.uops.drain(..));
-        n
+    /// Swaps the builder's uop buffer with `buf`. Streaming generation
+    /// swaps the core's window in, emits onto its end and swaps it back
+    /// out, so each uop is written once, into the window. The
+    /// scratch-register rotation stays with the builder, so it continues
+    /// the exact uop stream a single long build would emit.
+    pub(crate) fn swap_buffer(&mut self, buf: &mut VecDeque<Uop>) {
+        std::mem::swap(&mut self.uops, buf);
     }
 
     /// The scratch-register rotation cursor (streaming checkpoint state).
@@ -102,7 +105,8 @@ impl TraceBuilder {
     /// Emits `n` independent single-cycle ALU uops.
     pub fn alu_burst(&mut self, site: u32, n: usize) {
         for i in 0..n {
-            self.uops.push(Uop::alu(Self::pc(site, (i % 16) as u32)));
+            self.uops
+                .push_back(Uop::alu(Self::pc(site, (i % 16) as u32)));
         }
     }
 
@@ -110,7 +114,7 @@ impl TraceBuilder {
     pub fn fp_burst(&mut self, site: u32, n: usize, latency: u8) {
         for i in 0..n {
             let dst = self.scratch();
-            self.uops.push(Uop {
+            self.uops.push_back(Uop {
                 pc: Self::pc(site, (i % 16) as u32),
                 kind: cdp_core::UopKind::Fp { latency },
                 dst: Some(dst),
@@ -133,7 +137,7 @@ impl TraceBuilder {
     ) {
         for (i, &node) in nodes.iter().enumerate() {
             // r1 = load [r1 + NEXT_OFFSET]  (address known: node)
-            self.uops.push(Uop::load(
+            self.uops.push_back(Uop::load(
                 Self::pc(site, 0),
                 VirtAddr(node.0 + NEXT_OFFSET),
                 R_LIST,
@@ -141,7 +145,7 @@ impl TraceBuilder {
             ));
             for p in 0..payload_loads {
                 let dst = self.scratch();
-                self.uops.push(Uop::load(
+                self.uops.push_back(Uop::load(
                     Self::pc(site, 1 + p as u32),
                     VirtAddr(node.0 + 8 + 4 * p as u32),
                     dst,
@@ -150,7 +154,7 @@ impl TraceBuilder {
             }
             for a in 0..alu_per_node {
                 let dst = self.scratch();
-                self.uops.push(Uop::alu_dep(
+                self.uops.push_back(Uop::alu_dep(
                     Self::pc(site, 10 + a as u32),
                     dst,
                     [Some(R_LIST), None],
@@ -158,7 +162,7 @@ impl TraceBuilder {
                 ));
             }
             // Loop branch: taken except on the last node.
-            self.uops.push(Uop::branch(
+            self.uops.push_back(Uop::branch(
                 Self::pc(site, 30),
                 i + 1 < nodes.len(),
                 Some(R_LIST),
@@ -181,7 +185,7 @@ impl TraceBuilder {
         let steps = count.min(start + 1);
         for k in 0..steps {
             let node = dlist.nodes[start - k];
-            self.uops.push(Uop::load(
+            self.uops.push_back(Uop::load(
                 Self::pc(site, 0),
                 VirtAddr(node.0 + PREV_OFFSET),
                 R_LIST,
@@ -189,7 +193,7 @@ impl TraceBuilder {
             ));
             for a in 0..alu_per_node {
                 let dst = self.scratch();
-                self.uops.push(Uop::alu_dep(
+                self.uops.push_back(Uop::alu_dep(
                     Self::pc(site, 10 + a as u32),
                     dst,
                     [Some(R_LIST), None],
@@ -197,7 +201,7 @@ impl TraceBuilder {
                 ));
             }
             self.uops
-                .push(Uop::branch(Self::pc(site, 30), k + 1 < steps, Some(R_LIST)));
+                .push_back(Uop::branch(Self::pc(site, 30), k + 1 < steps, Some(R_LIST)));
         }
     }
 
@@ -219,7 +223,7 @@ impl TraceBuilder {
             for (lane, (seg, reg)) in [(seg_a, R_LIST), (seg_b, R_LIST2)].iter().enumerate() {
                 let Some(&node) = seg.get(i) else { continue };
                 let lane = lane as u32;
-                self.uops.push(Uop::load(
+                self.uops.push_back(Uop::load(
                     Self::pc(site, lane * 40),
                     VirtAddr(node.0 + NEXT_OFFSET),
                     *reg,
@@ -227,7 +231,7 @@ impl TraceBuilder {
                 ));
                 for p in 0..payload_loads {
                     let dst = self.scratch();
-                    self.uops.push(Uop::load(
+                    self.uops.push_back(Uop::load(
                         Self::pc(site, lane * 40 + 1 + p as u32),
                         VirtAddr(node.0 + 8 + 4 * p as u32),
                         dst,
@@ -236,14 +240,14 @@ impl TraceBuilder {
                 }
                 for a in 0..alu_per_node {
                     let dst = self.scratch();
-                    self.uops.push(Uop::alu_dep(
+                    self.uops.push_back(Uop::alu_dep(
                         Self::pc(site, lane * 40 + 10 + a as u32),
                         dst,
                         [Some(*reg), None],
                         1,
                     ));
                 }
-                self.uops.push(Uop::branch(
+                self.uops.push_back(Uop::branch(
                     Self::pc(site, lane * 40 + 39),
                     i + 1 < seg.len(),
                     Some(*reg),
@@ -267,12 +271,12 @@ impl TraceBuilder {
             let addr = base.offset(stride * i as i64);
             let dst = self.scratch();
             self.uops
-                .push(Uop::load(Self::pc(site, 0), addr, dst, Some(5)));
+                .push_back(Uop::load(Self::pc(site, 0), addr, dst, Some(5)));
             self.uops
-                .push(Uop::alu_dep(Self::pc(site, 1), 5, [Some(5), None], 1));
+                .push_back(Uop::alu_dep(Self::pc(site, 1), 5, [Some(5), None], 1));
             for a in 0..alu_per_elem {
                 let d2 = self.scratch();
-                self.uops.push(Uop::alu_dep(
+                self.uops.push_back(Uop::alu_dep(
                     Self::pc(site, 2 + a as u32),
                     d2,
                     [Some(dst), None],
@@ -280,7 +284,7 @@ impl TraceBuilder {
                 ));
             }
             self.uops
-                .push(Uop::branch(Self::pc(site, 30), i + 1 < count, Some(5)));
+                .push_back(Uop::branch(Self::pc(site, 30), i + 1 < count, Some(5)));
         }
     }
 
@@ -326,13 +330,13 @@ impl TraceBuilder {
                 rng.gen_range_usize(0..table.bucket_count)
             };
             // Hash computation: 2 dependent ALU ops into the key register.
-            self.uops.push(Uop::alu_dep(
+            self.uops.push_back(Uop::alu_dep(
                 Self::pc(site, 0),
                 R_KEY,
                 [Some(R_KEY), None],
                 1,
             ));
-            self.uops.push(Uop::alu_dep(
+            self.uops.push_back(Uop::alu_dep(
                 Self::pc(site, 1),
                 R_KEY,
                 [Some(R_KEY), None],
@@ -341,7 +345,7 @@ impl TraceBuilder {
             // Bucket head load (indexed by the hash).
             let head_addr = VirtAddr(table.buckets.0 + b as u32 * 4);
             self.uops
-                .push(Uop::load(Self::pc(site, 2), head_addr, R_HASH, Some(R_KEY)));
+                .push_back(Uop::load(Self::pc(site, 2), head_addr, R_HASH, Some(R_KEY)));
             // Walk the chain that is actually resident in the image.
             let chain = &table.chains[b];
             let walked = chain.len();
@@ -349,23 +353,23 @@ impl TraceBuilder {
                 // Key compare: load node key, hash/compare work, branch.
                 let dst = self.scratch();
                 self.uops
-                    .push(Uop::load(Self::pc(site, 3), node, dst, Some(R_HASH)));
+                    .push_back(Uop::load(Self::pc(site, 3), node, dst, Some(R_HASH)));
                 for a in 0..4u32 {
                     let d2 = self.scratch();
-                    self.uops.push(Uop::alu_dep(
+                    self.uops.push_back(Uop::alu_dep(
                         Self::pc(site, 8 + a),
                         d2,
                         [Some(dst), None],
                         1,
                     ));
                 }
-                self.uops.push(Uop::branch(
+                self.uops.push_back(Uop::branch(
                     Self::pc(site, 4),
                     i + 1 < walked && rng.gen_bool(0.7),
                     Some(dst),
                 ));
                 if i + 1 < walked {
-                    self.uops.push(Uop::load(
+                    self.uops.push_back(Uop::load(
                         Self::pc(site, 5),
                         VirtAddr(node.0 + NEXT_OFFSET),
                         R_HASH,
@@ -388,10 +392,10 @@ impl TraceBuilder {
                 // Load key (dependent on cursor), compare-branch.
                 let dst = self.scratch();
                 self.uops
-                    .push(Uop::load(Self::pc(site, 0), node, dst, Some(R_TREE)));
+                    .push_back(Uop::load(Self::pc(site, 0), node, dst, Some(R_TREE)));
                 let go_right = rng.gen_bool(0.5);
                 self.uops
-                    .push(Uop::branch(Self::pc(site, 1), go_right, Some(dst)));
+                    .push_back(Uop::branch(Self::pc(site, 1), go_right, Some(dst)));
                 let (child_idx, offset) = if go_right {
                     (2 * idx + 2, RIGHT_OFFSET)
                 } else {
@@ -400,7 +404,7 @@ impl TraceBuilder {
                 if child_idx >= tree.nodes.len() {
                     break;
                 }
-                self.uops.push(Uop::load(
+                self.uops.push_back(Uop::load(
                     Self::pc(site, 2),
                     VirtAddr(node.0 + offset),
                     R_TREE,
@@ -430,22 +434,22 @@ impl TraceBuilder {
             let addr = arr.elem_addr(idx);
             // r6 = load [elem]; address depends on r6 (prior index).
             self.uops
-                .push(Uop::load(Self::pc(site, 0), addr, 6, Some(6)));
+                .push_back(Uop::load(Self::pc(site, 0), addr, 6, Some(6)));
             // Address computation: next = base + idx * size.
             self.uops
-                .push(Uop::alu_dep(Self::pc(site, 1), 6, [Some(6), None], 1));
+                .push_back(Uop::alu_dep(Self::pc(site, 1), 6, [Some(6), None], 1));
             self.uops
-                .push(Uop::alu_dep(Self::pc(site, 2), 6, [Some(6), None], 1));
+                .push_back(Uop::alu_dep(Self::pc(site, 2), 6, [Some(6), None], 1));
             for a in 0..alu_extra {
                 let dst = self.scratch();
-                self.uops.push(Uop::alu_dep(
+                self.uops.push_back(Uop::alu_dep(
                     Self::pc(site, 3 + a as u32),
                     dst,
                     [Some(6), None],
                     1,
                 ));
             }
-            self.uops.push(Uop::branch(
+            self.uops.push_back(Uop::branch(
                 Self::pc(site, 30),
                 k + 1 < count.min(n),
                 Some(6),
@@ -473,7 +477,7 @@ impl TraceBuilder {
         for k in 0..steps {
             let node = graph.nodes[cur];
             // Load the adjacency pointer (dependent on the cursor).
-            self.uops.push(Uop::load(
+            self.uops.push_back(Uop::load(
                 Self::pc(site, 0),
                 VirtAddr(node.0 + ADJ_PTR_OFFSET),
                 R_GRAPH,
@@ -487,7 +491,7 @@ impl TraceBuilder {
             // Load the chosen edge slot out of the adjacency array
             // (dependent on the adjacency pointer): its data is the next
             // node's address, serializing the walk.
-            self.uops.push(Uop::load(
+            self.uops.push_back(Uop::load(
                 Self::pc(site, 1),
                 VirtAddr(graph.adj_arrays[cur].0 + 4 * pick as u32),
                 R_GRAPH,
@@ -495,14 +499,14 @@ impl TraceBuilder {
             ));
             for a in 0..alu {
                 let dst = self.scratch();
-                self.uops.push(Uop::alu_dep(
+                self.uops.push_back(Uop::alu_dep(
                     Self::pc(site, 2 + a as u32),
                     dst,
                     [Some(R_GRAPH), None],
                     1,
                 ));
             }
-            self.uops.push(Uop::branch(
+            self.uops.push_back(Uop::branch(
                 Self::pc(site, 30),
                 k + 1 < steps && rng.gen_bool(0.8),
                 Some(R_GRAPH),
@@ -517,9 +521,9 @@ impl TraceBuilder {
         for i in 0..n {
             let addr = base.offset(stride * i as i64);
             self.uops
-                .push(Uop::store(Self::pc(site, 0), addr, None, Some(6)));
+                .push_back(Uop::store(Self::pc(site, 0), addr, None, Some(6)));
             self.uops
-                .push(Uop::alu_dep(Self::pc(site, 1), 6, [Some(6), None], 1));
+                .push_back(Uop::alu_dep(Self::pc(site, 1), 6, [Some(6), None], 1));
         }
     }
 
@@ -532,7 +536,8 @@ impl TraceBuilder {
             } else {
                 true
             };
-            self.uops.push(Uop::branch(Self::pc(site, 0), taken, None));
+            self.uops
+                .push_back(Uop::branch(Self::pc(site, 0), taken, None));
         }
     }
 }

@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use cdp::sim::{
-    CheckpointSpec, CheckpointStatus, ResultSource, SimJob, SimSession, Simulator, WalkFault,
+    CheckpointSpec, CheckpointStatus, JobObs, ObsSink, ResultSource, SimJob, SimSession, Simulator,
+    WalkFault,
 };
 use cdp::types::{
     CdpError, DeltaConfig, JumpConfig, ObsConfig, PerceptronConfig, SnapshotError, SystemConfig,
@@ -373,4 +374,83 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
         .expect("no-resume cell");
     assert_eq!(status.get(), ResultSource::Fresh);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
+}
+
+/// An observed job checkpoints into a file of its own, named by its key
+/// hashed with its `ObsConfig`: its snapshots carry the observed run
+/// fingerprint and resume only into a session observed the same way. So
+/// a plain run over the same directory starts fresh (not
+/// `CorruptFallback`) and leaves the observed checkpoint alone, and the
+/// observed run then resumes from it. The checkpoint is seeded by hand,
+/// so no kill has to land at the right moment.
+#[test]
+fn an_observed_checkpoint_is_neither_corrupt_nor_overwritten_for_a_plain_run() {
+    let mut cfg = SystemConfig::with_content();
+    cfg.warmup_uops = 5_000;
+    let w = Arc::new(tiny_workload(Benchmark::Slsb, 42));
+    let obs = ObsConfig {
+        metrics_window: Some(4_000),
+        ..ObsConfig::default()
+    };
+    let dir = ScratchDir::new(SCRATCH, "observed-name");
+    let job = |observed: bool, status: &Arc<CheckpointStatus>| {
+        let job =
+            SimJob::new("cell", cfg.clone(), Arc::clone(&w)).with_checkpoint(CheckpointSpec {
+                dir: dir.to_path_buf(),
+                every: 0,
+                key: 0xc0ffee,
+                resume: true,
+                status: Some(Arc::clone(status)),
+                io: None,
+            });
+        if !observed {
+            return job;
+        }
+        job.with_obs(JobObs {
+            cfg: obs.clone(),
+            sink: ObsSink::shared(),
+            batch: 0,
+            index: 0,
+        })
+    };
+    let unused = CheckpointStatus::shared();
+    let plain_path = job(false, &unused)
+        .checkpoint_path()
+        .expect("spec attached");
+    let observed_path = job(true, &unused).checkpoint_path().expect("spec attached");
+    assert_eq!(
+        plain_path,
+        dir.join(format!("cell-{:016x}.snap", 0xc0ffeeu64))
+    );
+    assert_ne!(observed_path, plain_path, "the ObsConfig names the file");
+
+    // An observed session, two windows in, checkpointed where the
+    // observed job looks.
+    let sim = Simulator::new(cfg.clone());
+    let mut session = sim.session(&w, Some(&obs));
+    for _ in 0..2 {
+        assert!(!session.step().expect("seed step"));
+    }
+    std::fs::write(&observed_path, session.snapshot()).expect("seed checkpoint");
+
+    let plain_reference = SimJob::new("ref", cfg.clone(), Arc::clone(&w))
+        .try_execute()
+        .expect("plain reference");
+    let status = CheckpointStatus::shared();
+    let stats = job(false, &status).try_execute().expect("plain cell");
+    assert_eq!(status.get(), ResultSource::Fresh);
+    assert_eq!(format!("{plain_reference:?}"), format!("{stats:?}"));
+    assert!(
+        observed_path.exists(),
+        "the plain run kept the observed checkpoint"
+    );
+
+    let status = CheckpointStatus::shared();
+    let stats = job(true, &status).try_execute().expect("observed cell");
+    assert_eq!(status.get(), ResultSource::CheckpointResumed);
+    assert_eq!(format!("{plain_reference:?}"), format!("{stats:?}"));
+    assert!(
+        !observed_path.exists(),
+        "a finished cell removes its checkpoint"
+    );
 }
