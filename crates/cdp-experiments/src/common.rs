@@ -135,7 +135,8 @@ pub struct CellFailure {
 /// image from `ws`; workloads are pre-built serially so job timing never
 /// depends on cache races. Jobs run under the process-wide watchdog
 /// policy, and benchmarks targeted by a walk-fault directive get the
-/// injection attached.
+/// injection attached. While `--emit-manifest` collects, each cell is
+/// recorded with the observation its report carries.
 ///
 /// In strict mode (the default) the first failing cell panics with its
 /// typed error, preserving the historical fail-fast behavior. In
@@ -154,45 +155,42 @@ pub fn run_grid_cells(
 ) -> (Vec<Option<RunStats>>, Vec<CellFailure>) {
     let plan = context::fault_plan();
     let collect = context::obs_enabled();
-    let batch = context::obs_new_batch();
+    let obs = context::obs_config();
     let result_cache = context::result_cache();
     let checkpointing = context::checkpointing();
     let mut fingerprints = Vec::new();
     let mut checkpoint_statuses: Vec<Option<Arc<CheckpointStatus>>> = Vec::new();
     let jobs: Vec<SimJob> = grid
         .into_iter()
-        .enumerate()
-        .map(|(index, (label, cfg, bench))| {
+        .map(|(label, cfg, bench)| {
             let cfg = with_warmup(cfg, scale);
             if collect {
                 fingerprints.push(cdp_obs::fingerprint_hex(format!("{cfg:?}").as_bytes()));
             }
-            let walk_fault = plan.walk_fault(bench.name());
             let mut job = SimJob::new(label, cfg, ws.get(bench, scale));
-            if let Some(wf) = walk_fault {
-                job = job.with_walk_fault(wf);
+            job.walk_fault = plan.walk_fault(bench.name());
+            job.obs = obs.clone();
+            let mut status = None;
+            // The key hashes the whole image: compute it only for a reader.
+            if result_cache.is_some() || checkpointing.is_some() {
+                let key = job.key(ws.fingerprint(bench, scale));
+                if let Some(cache) = &result_cache {
+                    job = job.with_result_cache(Arc::clone(cache), key);
+                }
+                if let Some(ck) = &checkpointing {
+                    let shared = CheckpointStatus::shared();
+                    status = Some(Arc::clone(&shared));
+                    job = job.with_checkpoint(CheckpointSpec {
+                        dir: ck.dir.clone(),
+                        every: ck.every,
+                        key,
+                        resume: ck.resume,
+                        status: Some(shared),
+                        io: None,
+                    });
+                }
             }
-            let key = job.key(ws.fingerprint(bench, scale));
-            if let Some(cache) = &result_cache {
-                job = job.with_result_cache(Arc::clone(cache), key);
-            }
-            if let Some(ck) = &checkpointing {
-                let status = CheckpointStatus::shared();
-                checkpoint_statuses.push(Some(Arc::clone(&status)));
-                job = job.with_checkpoint(CheckpointSpec {
-                    dir: ck.dir.clone(),
-                    every: ck.every,
-                    key,
-                    resume: ck.resume,
-                    status: Some(status),
-                    io: None,
-                });
-            } else {
-                checkpoint_statuses.push(None);
-            }
-            if let Some(obs) = context::obs_job_attachment(batch, index) {
-                job = job.with_obs(obs);
-            }
+            checkpoint_statuses.push(status);
             job
         })
         .collect();
@@ -208,6 +206,7 @@ pub fn run_grid_cells(
             label,
             outcome,
             wall,
+            observation,
         } = report;
         if collect {
             context::obs_record_cell(CellRecord {
@@ -239,6 +238,7 @@ pub fn run_grid_cells(
                     JobOutcome::Ok(stats) => engines(stats).map(|e| e.wasted_evictions).sum(),
                     _ => 0,
                 },
+                observation,
             });
         }
         cells.push(cell_or_gap(label, outcome, &mut failures));
@@ -395,16 +395,6 @@ pub fn ascii_bar(value: f64, max_value: f64, width: usize) -> String {
     bar
 }
 
-/// Formats a ratio as the paper's speedup convention (e.g. `1.126`).
-pub fn fmt_speedup(s: f64) -> String {
-    format!("{s:.3}")
-}
-
-/// Formats a fraction as a percentage (e.g. `12.6%`).
-pub fn fmt_pct(f: f64) -> String {
-    format!("{:.1}%", f * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,11 +467,5 @@ mod tests {
         assert_eq!(ascii_bar(2.0, 1.0, 4), "####", "clamps above max");
         assert_eq!(ascii_bar(-1.0, 1.0, 4), "    ", "clamps below zero");
         assert_eq!(ascii_bar(1.0, 0.0, 4), "", "degenerate max");
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_speedup(1.1264), "1.126");
-        assert_eq!(fmt_pct(0.126), "12.6%");
     }
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cdp_sim::{FaultPlan, FaultSpec, JobObs, ObsSink, ResultCache, RunPolicy};
+use cdp_sim::{FaultPlan, FaultSpec, ResultCache, RunPolicy};
 use cdp_types::ObsConfig;
 
 use crate::obs::{CellRecord, ExperimentRecord, ObsTaken};
@@ -35,11 +35,8 @@ pub struct FailureRecord {
 #[derive(Debug)]
 struct ObsState {
     cfg: ObsConfig,
-    sink: Arc<ObsSink>,
     cells: Vec<CellRecord>,
     experiments: Vec<ExperimentRecord>,
-    /// batch id → owning experiment id; `len()` is the next batch id.
-    batch_experiments: Vec<String>,
 }
 
 static KEEP_GOING: AtomicBool = AtomicBool::new(false);
@@ -141,15 +138,13 @@ pub fn verbose_timing() -> bool {
 }
 
 /// Starts collecting observability data (`--emit-manifest`): cell and
-/// experiment records accumulate, and — when `cfg` enables tracing or
-/// metrics windowing — grid jobs get an observation sink attached.
+/// experiment records accumulate, and — when `cfg` enables any capture —
+/// grid jobs are observed under it.
 pub fn enable_obs(cfg: ObsConfig) {
     *OBS.lock().expect("obs lock") = Some(ObsState {
         cfg,
-        sink: ObsSink::shared(),
         cells: Vec::new(),
         experiments: Vec::new(),
-        batch_experiments: Vec::new(),
     });
 }
 
@@ -158,38 +153,16 @@ pub fn obs_enabled() -> bool {
     OBS.lock().expect("obs lock").is_some()
 }
 
-/// Allocates the next observation batch id, owned by the current
-/// experiment. Returns 0 when collection is off (the id is then unused).
-pub fn obs_new_batch() -> u64 {
-    let mut guard = OBS.lock().expect("obs lock");
-    match guard.as_mut() {
-        None => 0,
-        Some(state) => {
-            let id = state.batch_experiments.len() as u64;
-            state.batch_experiments.push(current_experiment());
-            id
-        }
-    }
-}
-
-/// The observation attachment for grid job `index` of `batch`, or `None`
-/// when collection is off or neither tracing nor windowing is requested.
-pub fn obs_job_attachment(batch: u64, index: usize) -> Option<JobObs> {
+/// What grid jobs observe, or `None` when collection is off or no
+/// capture flag is set.
+pub fn obs_config() -> Option<ObsConfig> {
     let guard = OBS.lock().expect("obs lock");
     let state = guard.as_ref()?;
-    if !state.cfg.is_enabled() {
-        return None;
-    }
-    Some(JobObs {
-        cfg: state.cfg.clone(),
-        sink: Arc::clone(&state.sink),
-        batch,
-        index,
-    })
+    state.cfg.is_enabled().then(|| state.cfg.clone())
 }
 
-/// Records one finished grid cell for the manifest. No-op when
-/// collection is off.
+/// Records one finished grid cell, with its observation, for the
+/// artifacts. No-op when collection is off.
 pub fn obs_record_cell(record: CellRecord) {
     if let Some(state) = OBS.lock().expect("obs lock").as_mut() {
         state.cells.push(record);
@@ -302,8 +275,8 @@ pub fn checkpoint_dropped_writes() -> u64 {
     CHECKPOINT_DROPPED_WRITES.load(Ordering::Relaxed)
 }
 
-/// Ends collection and returns everything accumulated, with sink entries
-/// drained in `(batch, index)` order. `None` if collection was off.
+/// Ends collection and returns everything accumulated, cells in the
+/// order they were recorded. `None` if collection was off.
 pub fn take_obs() -> Option<ObsTaken> {
     let state = OBS.lock().expect("obs lock").take()?;
     let (result_cache_hits, result_cache_misses) = result_cache_stats();
@@ -311,8 +284,6 @@ pub fn take_obs() -> Option<ObsTaken> {
     Some(ObsTaken {
         cells: state.cells,
         experiments: state.experiments,
-        entries: state.sink.drain_sorted(),
-        batch_experiments: state.batch_experiments,
         result_cache_hits,
         result_cache_misses,
         result_store_hits,
@@ -337,7 +308,7 @@ mod tests {
     #[test]
     fn obs_lifecycle_collects_and_drains() {
         // Collection disabled: every hook is a cheap no-op.
-        assert!(obs_job_attachment(0, 0).is_none());
+        assert!(obs_config().is_none());
         obs_record_cell(CellRecord {
             experiment: "none".into(),
             label: "dropped".into(),
@@ -349,12 +320,13 @@ mod tests {
             pf_issued: 0,
             pf_useful: 0,
             pf_wasted: 0,
+            observation: None,
         });
         // Enabled with an all-off ObsConfig: records accumulate but jobs
-        // get no sink attachment (plain try_run path).
+        // are not observed (plain try_run path).
         enable_obs(ObsConfig::default());
         assert!(obs_enabled());
-        assert!(obs_job_attachment(obs_new_batch(), 0).is_none());
+        assert!(obs_config().is_none());
         obs_record_cell(CellRecord {
             experiment: "ctx-obs-test".into(),
             label: "ctx-obs-cell".into(),
@@ -366,6 +338,7 @@ mod tests {
             pf_issued: 0,
             pf_useful: 0,
             pf_wasted: 0,
+            observation: None,
         });
         obs_record_experiment("ctx-obs-test", 9);
         let taken = take_obs().expect("collection was on");

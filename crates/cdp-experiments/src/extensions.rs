@@ -9,14 +9,15 @@
 //!   buffers versus content prefetching on the pointer subset.
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, Pool, SimJob};
 use cdp_types::{AdaptiveConfig, ContentConfig, StreamConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet,
+    cell_or_gap, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells,
+    CellFailure, ExpScale, WorkloadSet,
 };
+use crate::context;
 
 /// One margin point.
 #[derive(Clone, Debug)]
@@ -317,10 +318,12 @@ pub fn stream(scale: ExpScale, pool: &Pool) -> StreamStudy {
 pub struct BackwardRow {
     /// Traversal direction.
     pub direction: &'static str,
-    /// Speedup with previous-line width (p2.n0).
-    pub prev_width: f64,
-    /// Speedup with next-line width (p0.n2).
-    pub next_width: f64,
+    /// Speedup with previous-line width (p2.n0) over the direction's
+    /// stride baseline; `None` if either cell failed.
+    pub prev_width: Option<f64>,
+    /// Speedup with next-line width (p0.n2) over the direction's stride
+    /// baseline; `None` if either cell failed.
+    pub next_width: Option<f64>,
 }
 
 /// The backward-traversal width study.
@@ -328,6 +331,8 @@ pub struct BackwardRow {
 pub struct BackwardStudy {
     /// Forward and backward rows.
     pub rows: Vec<BackwardRow>,
+    /// Cells that failed (empty on a healthy run).
+    pub failures: Vec<CellFailure>,
 }
 
 impl BackwardStudy {
@@ -345,8 +350,8 @@ impl BackwardStudy {
             .map(|r| {
                 vec![
                     r.direction.to_string(),
-                    format!("{:.3}", r.prev_width),
-                    format!("{:.3}", r.next_width),
+                    opt_cell(r.prev_width, |s| format!("{s:.3}")),
+                    opt_cell(r.next_width, |s| format!("{s:.3}")),
                 ]
             })
             .collect();
@@ -359,15 +364,20 @@ impl BackwardStudy {
              that previous-line width buys nothing: backward-regular walks are \
              stride-predictable, and backward-irregular walks are chain-covered.\n",
         );
+        out.push_str(&failure_note(&self.failures));
         out
     }
 }
 
 /// Builds a doubly-linked-list workload traversed in one direction and
 /// measures previous-line vs next-line width at equal bandwidth. The
-/// six simulations (2 directions x 3 configurations) run as pool tasks
-/// over shared workload images.
+/// six simulations (2 directions x 3 configurations) are pool jobs over
+/// shared workload images, labelled `<direction>/<config>`. They run
+/// under the run policy's watchdog and see the fault plan's walk
+/// failures; a failed cell gaps its row (see [`cell_or_gap`]).
 pub fn backward(scale: ExpScale, pool: &Pool) -> BackwardStudy {
+    use std::sync::Arc;
+
     use cdp_mem::AddressSpace;
     use cdp_types::rng::Rng;
     use cdp_workloads::structures::build_dlist;
@@ -412,30 +422,40 @@ pub fn backward(scale: ExpScale, pool: &Pool) -> BackwardStudy {
     };
 
     let directions = [("forward", true), ("backward", false)];
-    let workloads: Vec<std::sync::Arc<Workload>> = directions
-        .iter()
-        .map(|&(_, forward)| std::sync::Arc::new(build(forward)))
-        .collect();
-    let mut tasks: Vec<Box<dyn FnOnce() -> f64 + Send>> = Vec::new();
-    for w in &workloads {
-        for cfg in [SystemConfig::asplos2002(), width_cfg(2, 0), width_cfg(0, 2)] {
-            let w = std::sync::Arc::clone(w);
-            tasks.push(Box::new(move || {
-                cdp_sim::Simulator::new(cfg).run(&w).cycles as f64
-            }));
+    let plan = context::fault_plan();
+    let mut jobs = Vec::new();
+    for &(direction, forward) in &directions {
+        let w = Arc::new(build(forward));
+        for (name, cfg) in [
+            ("base", SystemConfig::asplos2002()),
+            ("p2.n0", width_cfg(2, 0)),
+            ("p0.n2", width_cfg(0, 2)),
+        ] {
+            let mut job = SimJob::new(format!("{direction}/{name}"), cfg, Arc::clone(&w));
+            job.walk_fault = plan.walk_fault(&w.name);
+            jobs.push(job);
         }
     }
-    let cycles = pool.run(tasks);
+    let mut failures = Vec::new();
+    let runs: Vec<_> = pool
+        .run_sims_profiled(jobs, context::policy())
+        .into_iter()
+        .map(|r| cell_or_gap(r.label, r.outcome, &mut failures))
+        .collect();
+    let over_base = |base: &Option<_>, variant: &Option<_>| match (base, variant) {
+        (Some(base), Some(variant)) => Some(speedup(base, variant)),
+        _ => None,
+    };
     let rows = directions
         .iter()
-        .zip(cycles.chunks(3))
+        .zip(runs.chunks(3))
         .map(|(&(direction, _), trio)| BackwardRow {
             direction,
-            prev_width: trio[0] / trio[1],
-            next_width: trio[0] / trio[2],
+            prev_width: over_base(&trio[0], &trio[1]),
+            next_width: over_base(&trio[0], &trio[2]),
         })
         .collect();
-    BackwardStudy { rows }
+    BackwardStudy { rows, failures }
 }
 
 #[cfg(test)]
@@ -473,15 +493,18 @@ mod tests {
         // prev pointers), so p2.n0 and p0.n2 land close together.
         let st = backward(ExpScale::Smoke, &Pool::new(2));
         assert_eq!(st.rows.len(), 2);
+        assert!(st.failures.is_empty());
         for r in &st.rows {
-            assert!(
-                (r.prev_width - r.next_width).abs() < 0.25,
-                "{}: p2 {:.3} vs n2 {:.3} should be close",
-                r.direction,
-                r.prev_width,
-                r.next_width
+            let (prev, next) = (
+                r.prev_width.expect("healthy run"),
+                r.next_width.expect("healthy run"),
             );
-            assert!(r.prev_width > 1.0 && r.next_width > 1.0, "{}", r.direction);
+            assert!(
+                (prev - next).abs() < 0.25,
+                "{}: p2 {prev:.3} vs n2 {next:.3} should be close",
+                r.direction,
+            );
+            assert!(prev > 1.0 && next > 1.0, "{}", r.direction);
         }
         assert!(st.render().contains("chain, not the"));
     }

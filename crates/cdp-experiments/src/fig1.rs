@@ -5,9 +5,7 @@
 //! L2 miss rate in retired-uop windows, and picks the statistics-start
 //! point where the cold-start transient has died out.
 
-use std::sync::Arc;
-
-use cdp_sim::{JobObs, ObsSink, Pool, SimJob};
+use cdp_sim::{Pool, SimJob};
 use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
@@ -88,41 +86,29 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure1 {
     let window = (s.target_uops as u64 / 24).max(500);
     let mut cfg = SystemConfig::asplos2002();
     cfg.ul2.size_bytes = 4 * 1024 * 1024; // the paper's Figure 1 uses 4 MB
-    let sink = ObsSink::shared();
+    let obs = ObsConfig {
+        metrics_window: Some(window),
+        ..ObsConfig::default()
+    };
     let ws = WorkloadSet::default();
     let plan = context::fault_plan();
-    let benches = Benchmark::figure1_set();
-    let jobs = benches
+    let jobs = Benchmark::figure1_set()
         .iter()
-        .enumerate()
-        .map(|(index, b)| {
-            let mut job = SimJob::new(b.name(), cfg.clone(), ws.get(*b, s)).with_obs(JobObs {
-                cfg: ObsConfig {
-                    metrics_window: Some(window),
-                    ..ObsConfig::default()
-                },
-                sink: Arc::clone(&sink),
-                batch: 0,
-                index,
-            });
+        .map(|b| {
+            let mut job = SimJob::new(b.name(), cfg.clone(), ws.get(*b, s)).with_obs(obs.clone());
             job.walk_fault = plan.walk_fault(b.name());
             job
         })
         .collect();
-    let reports = pool.run_sims_profiled(jobs, context::policy());
-    // Only finished runs push an observation.
-    let mut observed = sink.drain_sorted().into_iter().peekable();
     let mut failures = Vec::new();
     let mut series = Vec::new();
-    for (index, report) in reports.into_iter().enumerate() {
-        let observation = observed
-            .next_if(|e| e.index == index)
-            .map(|e| e.observation);
+    for report in pool.run_sims_profiled(jobs, context::policy()) {
         let samples = cell_or_gap(report.label.clone(), report.outcome, &mut failures).map(|_| {
             // Misses per 1000 uops of window width (the last window may
             // be shorter), as the paper plots them.
-            let windows = observation
-                .expect("a finished run pushes its observation")
+            let windows = report
+                .observation
+                .expect("a finished observed run reports its observation")
                 .windows;
             windows
                 .iter()

@@ -1,9 +1,10 @@
 //! Run-manifest assembly and artifact emission for `--emit-manifest`.
 //!
-//! The experiments binary collects three streams while it runs — per-cell
-//! [`CellRecord`]s from the grids, per-id [`ExperimentRecord`]s from the
-//! main loop, and per-run [`cdp_sim::Observation`]s from the obs sink —
-//! and this module turns them into the on-disk artifacts:
+//! The experiments binary collects two streams while it runs — per-cell
+//! [`CellRecord`]s from the grids, each carrying the cell's
+//! [`Observation`] when it was observed, and per-id [`ExperimentRecord`]s
+//! from the main loop — and this module turns them into the on-disk
+//! artifacts:
 //!
 //! * `manifest.json` — one schema-versioned document per invocation
 //!   (config fingerprints, per-cell status/attempts/wall-time, suite
@@ -11,20 +12,20 @@
 //! * `metrics.jsonl` — one line per metrics window per observed run;
 //! * `trace.jsonl` — one line per captured trace event.
 //!
-//! All ordering is `(batch, index)` submission order, so artifacts are
-//! byte-identical at any `--jobs` count.
+//! Every artifact follows cell-record order: grids record their cells in
+//! submission order, so artifacts are byte-identical at any `--jobs`
+//! count.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use cdp_obs::{Json, SCHEMA_VERSION};
-use cdp_sim::ObsEntry;
+use cdp_sim::Observation;
 
 use crate::common::SEED;
 
-/// One finished sweep cell, as the manifest reports it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One finished sweep cell, as the artifacts report it.
+#[derive(Clone, Debug)]
 pub struct CellRecord {
     /// Owning experiment id (e.g. `tlb`).
     pub experiment: String,
@@ -53,6 +54,10 @@ pub struct CellRecord {
     /// Prefetched lines evicted untouched (the wasted-prefetch counter
     /// the tournament's hybrid assertions read).
     pub pf_wasted: u64,
+    /// The cell's observation (its metrics windows, trace events and
+    /// latency profile), when the run was observed and the cell
+    /// succeeded.
+    pub observation: Option<Observation>,
 }
 
 impl CellRecord {
@@ -87,7 +92,21 @@ impl CellRecord {
         o.set("pf_issued", Json::U64(self.pf_issued));
         o.set("pf_useful", Json::U64(self.pf_useful));
         o.set("pf_wasted", Json::U64(self.pf_wasted));
+        if let Some(p) = self.observation.as_ref().and_then(|o| o.profile.as_ref()) {
+            o.set("profile", p.to_json());
+        }
         o
+    }
+
+    /// One JSONL line: the cell's experiment and label, then `fields`.
+    fn line(&self, fields: impl IntoIterator<Item = (String, Json)>) -> String {
+        let mut line = Json::obj();
+        line.set("experiment", Json::Str(self.experiment.clone()));
+        line.set("label", Json::Str(self.label.clone()));
+        for (k, v) in fields {
+            line.set(&k, v);
+        }
+        format!("{line}\n")
     }
 }
 
@@ -112,14 +131,11 @@ impl ExperimentRecord {
 /// Everything the run accumulated for artifact emission.
 #[derive(Debug, Default)]
 pub struct ObsTaken {
-    /// Per-cell records, in recording order (submission order per grid).
+    /// Per-cell records with their observations, in recording order
+    /// (submission order per grid).
     pub cells: Vec<CellRecord>,
     /// Per-experiment wall times, in invocation order.
     pub experiments: Vec<ExperimentRecord>,
-    /// Drained observations in `(batch, index)` order.
-    pub entries: Vec<ObsEntry>,
-    /// batch id → owning experiment id (parallel to batch allocation).
-    pub batch_experiments: Vec<String>,
     /// Cells served from the fingerprint-keyed result cache.
     pub result_cache_hits: u64,
     /// Cells simulated because the result cache had no usable entry.
@@ -137,27 +153,11 @@ pub struct ObsTaken {
 }
 
 impl ObsTaken {
-    fn batch_experiment(&self, batch: u64) -> &str {
-        self.batch_experiments
-            .get(batch as usize)
-            .map_or("", String::as_str)
-    }
-
-    /// Collected profiles keyed `(experiment, label)`, each key holding
-    /// its entries in drain order. Cells re-run across grids share a
-    /// label, so the manifest consumes each key as a FIFO queue: the
-    /// n-th recorded cell under a key gets the n-th profile.
-    fn profile_queues(&self) -> HashMap<(&str, &str), VecDeque<&cdp_obs::Profile>> {
-        let mut queues: HashMap<(&str, &str), VecDeque<&cdp_obs::Profile>> = HashMap::new();
-        for e in &self.entries {
-            if let Some(p) = &e.observation.profile {
-                queues
-                    .entry((self.batch_experiment(e.batch), e.label.as_str()))
-                    .or_default()
-                    .push_back(p);
-            }
-        }
-        queues
+    /// The observed cells with their observations, in recording order.
+    fn observed(&self) -> impl Iterator<Item = (&CellRecord, &Observation)> {
+        self.cells
+            .iter()
+            .filter_map(|c| c.observation.as_ref().map(|o| (c, o)))
     }
 }
 
@@ -176,17 +176,14 @@ pub fn build_manifest(scale: &str, jobs: usize, taken: &ObsTaken) -> Json {
         wall_ms_total += c.wall_ms;
         retired_total += c.retired;
     }
-    let windows_total: u64 = taken
-        .entries
-        .iter()
-        .map(|e| e.observation.windows.len() as u64)
-        .sum();
-    let (mut events_total, mut recorded, mut overwritten, mut sampled_out) = (0u64, 0, 0, 0);
-    for e in &taken.entries {
-        events_total += e.observation.events.len() as u64;
-        recorded += e.observation.trace_recorded;
-        overwritten += e.observation.trace_overwritten;
-        sampled_out += e.observation.trace_sampled_out;
+    let (mut windows_total, mut events_total) = (0u64, 0u64);
+    let (mut recorded, mut overwritten, mut sampled_out) = (0u64, 0, 0);
+    for (_, o) in taken.observed() {
+        windows_total += o.windows.len() as u64;
+        events_total += o.events.len() as u64;
+        recorded += o.trace_recorded;
+        overwritten += o.trace_overwritten;
+        sampled_out += o.trace_sampled_out;
     }
     let mut aggregates = Json::obj();
     aggregates.set("cells_total", Json::U64(taken.cells.len() as u64));
@@ -243,25 +240,9 @@ pub fn build_manifest(scale: &str, jobs: usize, taken: &ObsTaken) -> Json {
                 .collect(),
         ),
     );
-    let mut profiles = taken.profile_queues();
     doc.set(
         "cells",
-        Json::Arr(
-            taken
-                .cells
-                .iter()
-                .map(|c| {
-                    let mut o = c.to_json();
-                    if let Some(p) = profiles
-                        .get_mut(&(c.experiment.as_str(), c.label.as_str()))
-                        .and_then(VecDeque::pop_front)
-                    {
-                        o.set("profile", p.to_json());
-                    }
-                    o
-                })
-                .collect(),
-        ),
+        Json::Arr(taken.cells.iter().map(CellRecord::to_json).collect()),
     );
     doc.set("aggregates", aggregates);
     doc
@@ -271,22 +252,12 @@ pub fn build_manifest(scale: &str, jobs: usize, taken: &ObsTaken) -> Json {
 #[must_use]
 pub fn render_metrics_jsonl(taken: &ObsTaken) -> String {
     let mut out = String::new();
-    for e in &taken.entries {
-        for w in &e.observation.windows {
-            let mut line = Json::obj();
-            line.set(
-                "experiment",
-                Json::Str(taken.batch_experiment(e.batch).to_string()),
-            );
-            line.set("label", Json::Str(e.label.clone()));
+    for (c, o) in taken.observed() {
+        for w in &o.windows {
             let Json::Obj(fields) = w.to_json() else {
                 unreachable!("MetricsWindow::to_json always yields an object");
             };
-            for (k, v) in fields {
-                line.set(&k, v);
-            }
-            out.push_str(&line.to_string());
-            out.push('\n');
+            out.push_str(&c.line(fields));
         }
     }
     out
@@ -296,17 +267,9 @@ pub fn render_metrics_jsonl(taken: &ObsTaken) -> String {
 #[must_use]
 pub fn render_trace_jsonl(taken: &ObsTaken) -> String {
     let mut out = String::new();
-    for e in &taken.entries {
-        for ev in &e.observation.events {
-            let mut line = Json::obj();
-            line.set(
-                "experiment",
-                Json::Str(taken.batch_experiment(e.batch).to_string()),
-            );
-            line.set("label", Json::Str(e.label.clone()));
-            line.set("event", ev.to_json());
-            out.push_str(&line.to_string());
-            out.push('\n');
+    for (c, o) in taken.observed() {
+        for ev in &o.events {
+            out.push_str(&c.line([("event".to_string(), ev.to_json())]));
         }
     }
     out
@@ -355,7 +318,25 @@ pub fn write_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdp_sim::{MetricsWindow, Observation};
+    use cdp_sim::MetricsWindow;
+
+    /// A `tlb` cell that failed the way `status` says and was not
+    /// observed.
+    fn failed_cell(label: &str, status: &'static str) -> CellRecord {
+        CellRecord {
+            experiment: "tlb".into(),
+            label: label.into(),
+            status,
+            wall_ms: 900,
+            config_fingerprint: "00baddecafc0ffee".into(),
+            checkpoint: "resumed",
+            retired: 0,
+            pf_issued: 0,
+            pf_useful: 0,
+            pf_wasted: 0,
+            observation: None,
+        }
+    }
 
     fn sample_taken() -> ObsTaken {
         ObsTaken {
@@ -371,39 +352,23 @@ mod tests {
                     pf_issued: 120,
                     pf_useful: 90,
                     pf_wasted: 10,
+                    observation: Some(Observation {
+                        windows: vec![MetricsWindow {
+                            window: 0,
+                            retired: 1000,
+                            cycles: 2000,
+                            ..MetricsWindow::default()
+                        }],
+                        profile: Some(cdp_obs::Profile::default()),
+                        ..Observation::default()
+                    }),
                 },
-                CellRecord {
-                    experiment: "tlb".into(),
-                    label: "128/slsb".into(),
-                    status: "timeout",
-                    wall_ms: 900,
-                    config_fingerprint: "00baddecafc0ffee".into(),
-                    checkpoint: "resumed",
-                    retired: 0,
-                    pf_issued: 0,
-                    pf_useful: 0,
-                    pf_wasted: 0,
-                },
+                failed_cell("128/slsb", "timeout"),
             ],
             experiments: vec![ExperimentRecord {
                 id: "tlb".into(),
                 wall_ms: 950,
             }],
-            entries: vec![ObsEntry {
-                batch: 0,
-                index: 0,
-                label: "64/slsb".into(),
-                observation: Observation {
-                    windows: vec![MetricsWindow {
-                        window: 0,
-                        retired: 1000,
-                        cycles: 2000,
-                        ..MetricsWindow::default()
-                    }],
-                    ..Observation::default()
-                },
-            }],
-            batch_experiments: vec!["tlb".into()],
             result_cache_hits: 3,
             result_cache_misses: 5,
             result_store_hits: 2,
@@ -464,6 +429,22 @@ mod tests {
         assert_eq!(j.get("experiment").unwrap().as_str(), Some("tlb"));
         assert_eq!(j.get("label").unwrap().as_str(), Some("64/slsb"));
         assert_eq!(j.get("retired").unwrap().as_u64(), Some(1000));
+    }
+
+    #[test]
+    fn a_profile_stays_on_its_own_cell() {
+        // One experiment runs the same label twice: the first run fails,
+        // the second is observed. The profile belongs to the second.
+        let mut taken = sample_taken();
+        taken.cells.reverse();
+        taken.cells[0] = failed_cell("64/slsb", "failed");
+        let doc = build_manifest("smoke", 1, &taken);
+        cdp_obs::validate(&doc).expect("schema-valid");
+        let cells = doc.get("cells").unwrap().as_arr().unwrap();
+        let labels: Vec<_> = cells.iter().map(|c| c.get("label").unwrap()).collect();
+        assert_eq!(labels[0], labels[1], "one label, two cells");
+        assert!(cells[0].get("profile").is_none(), "the failed cell");
+        assert!(cells[1].get("profile").is_some(), "the observed cell");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! * stdout is byte-identical at any `--jobs` count, faulted or not;
 //! * cells untouched by the fault report the same values as a fault-free
 //!   run, in the non-grid studies (fig1, pollution) too;
+//! * the non-grid studies gap per cell, backward's six cells included;
 //! * `--cell-timeout` abandons a cell that overruns it, a fig1 series
 //!   included.
 
@@ -237,6 +238,32 @@ fn fig1_and_pollution_gap_per_cell() {
         );
     }
     assert!(out.contains("cell(s) failed"), "footnotes:\n{out}");
+}
+
+#[test]
+fn backward_gaps_per_cell_under_a_walk_fault() {
+    // Failing every demand page walk fails all six backward cells; each
+    // gets its own report entry and gap, and the study is not skipped.
+    let o = experiments(&[
+        "backward",
+        "--smoke",
+        "--jobs",
+        "2",
+        "--keep-going",
+        "--fault",
+        "walk:*:1:demand",
+    ]);
+    let (out, err) = (stdout(&o), stderr(&o));
+    assert_eq!(o.status.code(), Some(EXIT_PARTIAL), "stderr: {err}");
+    assert!(!err.contains("(whole experiment)"), "stderr: {err}");
+    for direction in ["forward", "backward"] {
+        for config in ["base", "p2.n0", "p0.n2"] {
+            let cell = format!("[backward] {direction}/{config}:");
+            assert!(err.contains(&cell), "{cell} in report: {err}");
+        }
+        assert_eq!(bench_rows(&out, direction), [[direction, "--", "--"]]);
+    }
+    assert!(out.contains("6 cell(s) failed"), "footnote:\n{out}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! so the memory hierarchy can charge latency and route them around the
 //! content prefetcher's scanner.
 
-use cdp_types::{LineAddr, PageNum, PhysAddr, VirtAddr, LINE_SIZE};
+use cdp_types::{PageNum, PhysAddr, VirtAddr, LINE_SIZE};
 
 use crate::phys::PhysMem;
 
@@ -40,13 +40,6 @@ pub struct WalkResult {
     pub pte_addr: Option<PhysAddr>,
     /// The translated frame base, if the mapping exists.
     pub frame_base: Option<PhysAddr>,
-}
-
-impl WalkResult {
-    /// The cache lines touched by this walk, in access order.
-    pub fn touched_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        std::iter::once(self.pde_addr.line()).chain(self.pte_addr.map(|a| a.line()))
-    }
 }
 
 /// A 32-bit virtual address space backed by [`PhysMem`].
@@ -391,7 +384,6 @@ mod tests {
         assert_eq!(walk.pde_addr.frame(), 1);
         assert!(is_page_table_phys(pte));
         assert!(is_page_table_phys(walk.pde_addr));
-        assert_eq!(walk.touched_lines().count(), 2);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   closures and [`Pool::run_sims_profiled`] for simulations;
 //! * [`SimJob`] — the labelled `(SystemConfig, Arc<Workload>)` batch unit
 //!   every sweep submits. One windowed loop drives it, with optional
-//!   result-cache, checkpoint and observability attachments;
+//!   result-cache, checkpoint and observability attachments. A job's
+//!   [`JobReport`] carries its stats and, for an observed job, its
+//!   [`Observation`], so a batch's results come back on one channel in
+//!   submission order;
 //! * [`WorkloadCache`] — a shared `(Benchmark, Scale)`-keyed cache of
 //!   immutable `Arc<Workload>`s, so concurrent jobs reuse one build.
 //!
@@ -39,7 +42,7 @@ use cdp_workloads::Workload;
 
 use crate::fault::WalkFault;
 use crate::hierarchy::PollutionConfig;
-use crate::observe::{ObsEntry, ObsSink, Observation};
+use crate::observe::Observation;
 use crate::runner::build_workload;
 use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot};
 use crate::system::{run_fingerprint, RunStats, Simulator};
@@ -105,6 +108,10 @@ pub struct JobReport {
     /// Wall-clock time the job consumed — the per-cell cost a manifest
     /// reports.
     pub wall: Duration,
+    /// The run's [`Observation`], simulated or replayed from the result
+    /// cache, when the job has an [`ObsConfig`] and succeeded; `None`
+    /// otherwise.
+    pub observation: Option<Observation>,
 }
 
 /// Watchdog policy for [`Pool::run_sims_profiled`].
@@ -215,11 +222,11 @@ impl Pool {
     }
 
     /// Runs a batch of simulations under `policy` and reports a labelled,
-    /// timed [`JobOutcome`] per job, in submission order.
+    /// timed [`JobOutcome`] per job, in submission order, each with its
+    /// observation.
     ///
     /// One failing, panicking, or hanging job never aborts the batch;
-    /// every other job still runs to its own outcome. Attached
-    /// [`JobObs`] observations go into their sinks. When a process-global
+    /// every other job still runs to its own outcome. When a process-global
     /// [`StatusSink`](crate::status::StatusSink) is installed, the batch
     /// also streams JSONL events (`batch`, `queued`, `running`, in-cell
     /// `heartbeat`s, `done`) with per-job result provenance.
@@ -254,10 +261,16 @@ impl Pool {
                 let wall_ms = wall.as_millis() as u64;
                 sink.done(&label, i, outcome.status(), wall_ms, slot.get());
             }
+            let (outcome, observation) = match outcome {
+                JobOutcome::Ok((stats, observation)) => (JobOutcome::Ok(stats), observation),
+                JobOutcome::Failed { error } => (JobOutcome::Failed { error }, None),
+                JobOutcome::TimedOut { timeout } => (JobOutcome::TimedOut { timeout }, None),
+            };
             JobReport {
                 label,
                 outcome,
                 wall,
+                observation,
             }
         })
     }
@@ -293,24 +306,6 @@ impl Pool {
             })
             .collect()
     }
-}
-
-/// Observability attachment for a [`SimJob`]: which signals to collect
-/// and where the resulting [`Observation`](crate::observe::Observation)
-/// goes.
-///
-/// The `(batch, index)` pair tags the sink entry so artifacts drain in
-/// submission order at any job count (see [`ObsSink::drain_sorted`]).
-#[derive(Clone, Debug)]
-pub struct JobObs {
-    /// What to observe (trace ring and/or metrics windowing).
-    pub cfg: ObsConfig,
-    /// Destination shared across the batch's jobs.
-    pub sink: Arc<ObsSink>,
-    /// Caller-assigned batch id (one per submission wave).
-    pub batch: u64,
-    /// Submission index within the batch.
-    pub index: usize,
 }
 
 /// A process-wide, fingerprint-keyed cache of finished simulation
@@ -554,6 +549,9 @@ impl CheckpointSpec {
     }
 }
 
+/// A finished job: its stats and, for an observed job, its observation.
+type Finished = (RunStats, Option<Observation>);
+
 /// One independent simulation: a configuration over a shared workload.
 #[derive(Clone, Debug)]
 pub struct SimJob {
@@ -568,9 +566,10 @@ pub struct SimJob {
     pub pollution: Option<PollutionConfig>,
     /// Optional injected page-walk failures (fault studies).
     pub walk_fault: Option<WalkFault>,
-    /// Optional observability attachment; `None` keeps the run
-    /// byte-identical to a build without tracing.
-    pub obs: Option<JobObs>,
+    /// What to observe (trace ring, metrics windows, histograms); the
+    /// run's [`Observation`] comes back in its [`JobReport`]. `None`
+    /// keeps the run byte-identical to a build without tracing.
+    pub obs: Option<ObsConfig>,
     /// Optional result cache plus this job's precomputed key.
     pub result_cache: Option<(Arc<ResultCache>, u64)>,
     /// Optional periodic checkpointing / resume (see [`CheckpointSpec`]).
@@ -596,16 +595,10 @@ impl SimJob {
         }
     }
 
-    /// Adds injected page-walk failures.
-    pub fn with_walk_fault(mut self, f: WalkFault) -> SimJob {
-        self.walk_fault = Some(f);
-        self
-    }
-
-    /// Attaches an observability sink: the run collects an
-    /// [`Observation`] and pushes it into `obs.sink`.
-    pub fn with_obs(mut self, obs: JobObs) -> SimJob {
-        self.obs = Some(obs);
+    /// Observes the run under `cfg`: its [`Observation`] comes back in
+    /// [`JobReport::observation`].
+    pub fn with_obs(mut self, cfg: ObsConfig) -> SimJob {
+        self.obs = Some(cfg);
         self
     }
 
@@ -662,7 +655,7 @@ impl SimJob {
         let obs = self.obs.as_ref()?;
         let mut h = cdp_snap::WordHasher::new();
         h.write_u64(key);
-        h.write(format!("{:?}", obs.cfg).as_bytes());
+        h.write(format!("{obs:?}").as_bytes());
         Some(h.finish())
     }
 
@@ -686,9 +679,10 @@ impl SimJob {
     /// first fault latched by the memory hierarchy.
     pub fn try_execute(&self) -> Result<RunStats, CdpError> {
         let unwatched = SourceSlot::default();
-        Ok(self
+        let (stats, _) = self
             .run(&unwatched)?
-            .expect("only the pool's watchdog abandons a job"))
+            .expect("only the pool's watchdog abandons a job");
+        Ok(stats)
     }
 
     /// The one driving loop behind every job.
@@ -698,18 +692,19 @@ impl SimJob {
     /// window by window — resuming from, and periodically writing, a
     /// checkpoint when a [`CheckpointSpec`] is attached — and publishes
     /// the result. Window boundaries change no simulated state, so the
-    /// stats equal [`Simulator::try_run`]'s. How the result was obtained
-    /// goes into `source` for the status stream.
+    /// stats equal [`Simulator::try_run`]'s. An observed job also returns
+    /// its observation. How the result was obtained goes into `source`
+    /// for the status stream.
     ///
     /// Returns `Ok(None)` once `source` is marked abandoned (the pool's
     /// watchdog fired): the loop stops at that window boundary, publishes
     /// nothing and leaves its last checkpoint for `--resume`.
-    fn run(&self, source: &SourceSlot) -> Result<Option<RunStats>, CdpError> {
-        if let Some(stats) = self.replay(source) {
-            return Ok(Some(stats));
+    fn run(&self, source: &SourceSlot) -> Result<Option<Finished>, CdpError> {
+        if let Some(finished) = self.replay(source) {
+            return Ok(Some(finished));
         }
         let sim = self.simulator()?;
-        let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
+        let obs_cfg = self.obs.as_ref();
         // Checkpoint I/O, resolved once: the spec, its filesystem, its file.
         let ckpt = self
             .checkpoint
@@ -778,55 +773,39 @@ impl SimJob {
             let _ = io.remove_file(path);
         }
         let (stats, observation) = session.finish();
-        self.publish(stats, self.obs.as_ref().map(|_| observation));
-        Ok(Some(stats))
+        let observation = self.obs.is_some().then_some(observation);
+        self.publish(stats, observation.as_ref());
+        Ok(Some((stats, observation)))
     }
 
     /// Serves the job from its result cache, counting the hit or miss. A
-    /// plain job replays the stats under its key. An observed job looks
-    /// only under its observation's key, so it replays an observation
-    /// taken under the same [`ObsConfig`] or none; without one it
-    /// re-simulates.
-    fn replay(&self, source: &SourceSlot) -> Option<RunStats> {
+    /// plain job replays the stats under its key and reports no
+    /// observation. An observed job looks only under its observation's
+    /// key, so it replays an observation taken under the same
+    /// [`ObsConfig`] or none; without one it re-simulates.
+    fn replay(&self, source: &SourceSlot) -> Option<Finished> {
         let (cache, key) = self.result_cache.as_ref()?;
         let key = self.observation_key(*key).unwrap_or(*key);
         if let Some(((stats, observation), tier)) = cache.get_with_source(key) {
             if self.obs.is_none() || observation.is_some() {
                 cache.hits.fetch_add(1, Ordering::Relaxed);
                 source.set(tier);
-                if let Some(observation) = observation {
-                    self.push_observation(observation);
-                }
-                return Some(stats);
+                return Some((stats, self.obs.as_ref().and(observation)));
             }
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Publishes a finished run: its stats into the result cache (when
-    /// attached), and an observed job's observation both into the cache,
-    /// under its own key, and into the job's sink.
-    fn publish(&self, stats: RunStats, observation: Option<Observation>) {
+    /// Publishes a finished run into the result cache (when attached):
+    /// its stats under the job's key, and an observed job's observation
+    /// under its own key.
+    fn publish(&self, stats: RunStats, observation: Option<&Observation>) {
         if let Some((cache, key)) = &self.result_cache {
             if let Some(observation_key) = self.observation_key(*key) {
-                cache.put(observation_key, stats, observation.clone());
+                cache.put(observation_key, stats, observation.cloned());
             }
             cache.put(*key, stats, None);
-        }
-        if let Some(observation) = observation {
-            self.push_observation(observation);
-        }
-    }
-
-    fn push_observation(&self, observation: Observation) {
-        if let Some(o) = &self.obs {
-            o.sink.push(ObsEntry {
-                batch: o.batch,
-                index: o.index,
-                label: self.label.clone(),
-                observation,
-            });
         }
     }
 
@@ -937,6 +916,7 @@ impl WorkloadCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::MetricsWindow;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -1096,48 +1076,83 @@ mod tests {
         assert!(got[1].outcome.failure().unwrap().contains("configuration"));
     }
 
+    /// Everything observable: trace ring, 16k-uop windows, histograms.
+    fn observe_all() -> ObsConfig {
+        ObsConfig {
+            trace: Some(cdp_types::TraceConfig::default()),
+            metrics_window: Some(16_384),
+            profile_hist: true,
+        }
+    }
+
     #[test]
     fn abandoned_cell_publishes_nothing() {
-        use cdp_types::TraceConfig;
         let w = WorkloadCache::new().get(Benchmark::Slsb, Scale::smoke());
-        let obs = |sink: &Arc<ObsSink>| JobObs {
-            cfg: ObsConfig {
-                trace: Some(TraceConfig::default()),
-                metrics_window: Some(16_384),
-                profile_hist: true,
-            },
-            sink: Arc::clone(sink),
-            batch: 0,
-            index: 0,
-        };
-        let job = |sink: &Arc<ObsSink>| {
-            SimJob::new("slsb", SystemConfig::with_content(), Arc::clone(&w)).with_obs(obs(sink))
+        let job = || {
+            SimJob::new("slsb", SystemConfig::with_content(), Arc::clone(&w))
+                .with_obs(observe_all())
         };
         let start = Instant::now();
-        job(&ObsSink::shared()).try_execute().expect("untimed cell");
+        job().try_execute().expect("untimed cell");
         let untimed = start.elapsed();
 
-        let sink = ObsSink::shared();
         let cache = Arc::new(ResultCache::new());
-        let timed = job(&sink).with_result_cache(Arc::clone(&cache), 0x5eed);
+        let timed = job().with_result_cache(Arc::clone(&cache), 0x5eed);
         let policy = RunPolicy {
             timeout: Some(Duration::from_millis(1)),
         };
         let reports = Pool::new(1).run_sims_profiled(vec![timed], policy);
         assert_eq!(reports[0].outcome.status(), "timeout");
+        assert!(
+            reports[0].observation.is_none(),
+            "a timed-out job reports no observation"
+        );
         // Give the abandoned attempt ample time to have finished the cell
         // had it kept running.
         std::thread::sleep(untimed * 3);
-        assert!(sink.is_empty(), "abandoned attempt pushed an observation");
         assert!(cache.is_empty(), "abandoned attempt published its result");
     }
 
     #[test]
+    fn reports_carry_only_an_observed_jobs_observation() {
+        let w = WorkloadCache::new().get(Benchmark::Slsb, Scale::smoke());
+        let plain = SimJob::new("plain", SystemConfig::with_content(), Arc::clone(&w));
+        let observed = plain.clone().with_obs(observe_all());
+        let stats = plain.try_execute().expect("reference run");
+        // A stand-in observation no simulation of this cell produces.
+        let marker = |window| Observation {
+            windows: vec![MetricsWindow {
+                window,
+                ..MetricsWindow::default()
+            }],
+            ..Observation::default()
+        };
+        let (key, cache) = (0x5eed, Arc::new(ResultCache::new()));
+        let observation_key = observed.observation_key(key).expect("observed");
+        cache.put(key, stats, Some(marker(7)));
+        cache.put(observation_key, stats, Some(marker(9)));
+        let jobs = [plain, observed]
+            .map(|job| job.with_result_cache(Arc::clone(&cache), key))
+            .to_vec();
+        let reports = Pool::new(1).run_sims_profiled(jobs, RunPolicy::default());
+        assert_eq!((cache.hits(), cache.misses()), (2, 0), "both replayed");
+        assert!(reports.iter().all(|r| r.outcome.is_ok()));
+        assert!(
+            reports[0].observation.is_none(),
+            "a plain job reports no observation, even a cached one"
+        );
+        let replayed = reports[1].observation.as_ref().expect("observed job");
+        assert_eq!(
+            replayed.windows,
+            marker(9).windows,
+            "the cached observation"
+        );
+    }
+
+    #[test]
     fn profiled_sims_time_jobs_and_route_observations() {
-        use cdp_types::TraceConfig;
         let cache = WorkloadCache::new();
         let w = cache.get(Benchmark::Slsb, Scale::smoke());
-        let sink = ObsSink::shared();
         let jobs: Vec<SimJob> = (0..2)
             .map(|i| {
                 SimJob::new(
@@ -1145,16 +1160,7 @@ mod tests {
                     SystemConfig::with_content(),
                     Arc::clone(&w),
                 )
-                .with_obs(JobObs {
-                    cfg: ObsConfig {
-                        trace: Some(TraceConfig::default()),
-                        metrics_window: Some(16_384),
-                        profile_hist: true,
-                    },
-                    sink: Arc::clone(&sink),
-                    batch: 7,
-                    index: i,
-                })
+                .with_obs(observe_all())
             })
             .collect();
         let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
@@ -1163,11 +1169,10 @@ mod tests {
             assert_eq!(r.label, format!("cell/{i}"));
             assert!(r.outcome.is_ok(), "{:?}", r.outcome.failure());
             assert!(r.wall > Duration::ZERO);
+            let observation = r.observation.as_ref().expect("observed job");
+            assert!(!observation.windows.is_empty());
+            assert!(observation.profile.is_some());
         }
-        let entries = sink.drain_sorted();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].index, 0);
-        assert!(!entries[0].observation.windows.is_empty());
         // Observed runs must not perturb the simulation itself.
         let plain = SimJob::new("p", SystemConfig::with_content(), Arc::clone(&w))
             .try_execute()

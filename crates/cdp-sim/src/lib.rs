@@ -20,11 +20,13 @@
 //!   [`Pool`] running independent simulations across cores with
 //!   submission-order (deterministic) results, plus the shared
 //!   [`WorkloadCache`]. [`Pool::run_sims_profiled`] runs each
-//!   [`SimJob`] once under an optional watchdog and reports a per-job
-//!   [`JobOutcome`].
+//!   [`SimJob`] once under an optional watchdog and returns a
+//!   [`JobReport`] per job: its [`JobOutcome`], its wall time and, for a
+//!   job observed under an [`ObsConfig`](cdp_types::ObsConfig), its
+//!   [`Observation`].
 //! * [`observe`] — windowed metrics time-series ([`MetricsWindow`]) and
-//!   the deterministic [`ObsSink`] that collects per-run
-//!   [`Observation`]s from parallel jobs for manifest emission.
+//!   the per-run [`Observation`] bundle that manifests and Figure 1 are
+//!   built from.
 //! * [`fault`] — deterministic, seeded fault injection (corrupt pointer
 //!   words, unmap pages, force TLB-walk failures) for robustness tests:
 //!   the prefetcher must squash, the demand path must surface typed
@@ -57,13 +59,13 @@ pub mod status;
 pub mod system;
 
 pub use exec::{
-    default_jobs, CheckpointSpec, CheckpointStatus, JobObs, JobOutcome, JobReport, Pool,
-    ResultCache, RunPolicy, SimJob, WorkloadCache, CACHE_STRIPES,
+    default_jobs, CheckpointSpec, CheckpointStatus, JobOutcome, JobReport, Pool, ResultCache,
+    RunPolicy, SimJob, WorkloadCache, CACHE_STRIPES,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};
 pub use metrics::{accuracy, coverage, mean};
-pub use observe::{MetricsWindow, ObsEntry, ObsSink, Observation};
+pub use observe::{MetricsWindow, Observation};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
 pub use runner::build_workload;
 pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};

@@ -4,11 +4,13 @@
 //! drives the core in windows (exactly like the fault-check loop — window
 //! boundaries change no simulated state) and snapshots a
 //! [`MetricsWindow`] delta at each boundary. Together with the drained
-//! trace ring this forms an [`Observation`]; parallel runs push theirs
-//! into a shared [`ObsSink`] tagged with `(batch, index)` so drain order
-//! is deterministic regardless of thread scheduling.
-
-use std::sync::{Arc, Mutex};
+//! trace ring and the latency histograms this forms an [`Observation`].
+//! A pooled job returns its observation in its
+//! [`JobReport`](crate::JobReport), and [`Pool::run_sims_profiled`]
+//! returns the reports in submission order, so artifacts built from them
+//! are deterministic regardless of thread scheduling.
+//!
+//! [`Pool::run_sims_profiled`]: crate::Pool::run_sims_profiled
 
 use cdp_obs::{Json, TraceEvent, TraceRing};
 
@@ -227,66 +229,6 @@ impl Observation {
     }
 }
 
-/// One sink entry: which submission slot produced which observation.
-#[derive(Clone, Debug)]
-pub struct ObsEntry {
-    /// Batch id — one per `Pool` submission wave, monotonically assigned
-    /// by the caller.
-    pub batch: u64,
-    /// Submission index within the batch.
-    pub index: usize,
-    /// The job's label (benchmark / cell name).
-    pub label: String,
-    /// The run's observation.
-    pub observation: Observation,
-}
-
-/// A thread-safe collector of [`ObsEntry`]s from parallel runs.
-///
-/// Worker threads push in completion order; [`ObsSink::drain_sorted`]
-/// re-establishes `(batch, index)` submission order so emitted artifacts
-/// are byte-identical at any `--jobs` count. Duplicate `(batch, index)`
-/// entries keep only the first pushed.
-#[derive(Debug, Default)]
-pub struct ObsSink {
-    entries: Mutex<Vec<ObsEntry>>,
-}
-
-impl ObsSink {
-    /// An empty sink behind an [`Arc`], ready to share with jobs.
-    #[must_use]
-    pub fn shared() -> Arc<Self> {
-        Arc::new(ObsSink::default())
-    }
-
-    /// Pushes one entry (called from worker threads).
-    pub fn push(&self, entry: ObsEntry) {
-        self.entries.lock().expect("obs sink poisoned").push(entry);
-    }
-
-    /// Number of entries currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("obs sink poisoned").len()
-    }
-
-    /// True when no entries are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns all entries in `(batch, index)` order,
-    /// dropping duplicate slots.
-    #[must_use]
-    pub fn drain_sorted(&self) -> Vec<ObsEntry> {
-        let mut entries = std::mem::take(&mut *self.entries.lock().expect("obs sink poisoned"));
-        entries.sort_by_key(|e| (e.batch, e.index));
-        entries.dedup_by_key(|e| (e.batch, e.index));
-        entries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,24 +287,5 @@ mod tests {
             assert!(j.get(key).is_some(), "missing {key}");
         }
         assert!(Json::parse(&j.to_string()).is_ok());
-    }
-
-    #[test]
-    fn sink_sorts_and_dedups_by_slot() {
-        let sink = ObsSink::shared();
-        let entry = |batch, index| ObsEntry {
-            batch,
-            index,
-            label: format!("b{batch}i{index}"),
-            observation: Observation::default(),
-        };
-        sink.push(entry(1, 1));
-        sink.push(entry(0, 2));
-        sink.push(entry(0, 0));
-        sink.push(entry(0, 2)); // late duplicate: dropped
-        let drained = sink.drain_sorted();
-        let slots: Vec<(u64, usize)> = drained.iter().map(|e| (e.batch, e.index)).collect();
-        assert_eq!(slots, vec![(0, 0), (0, 2), (1, 1)]);
-        assert!(sink.is_empty());
     }
 }

@@ -493,11 +493,6 @@ impl<'w> SimSession<'w> {
         Ok(done)
     }
 
-    /// Whether the program has fully retired.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Cycles simulated so far (post-warm-up measurement clock).
     pub fn cycles(&self) -> u64 {
         self.core.stats().cycles

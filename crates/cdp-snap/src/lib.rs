@@ -488,12 +488,6 @@ impl<'a> SnapReader<'a> {
             .map(|(_, payload)| Dec::new(payload))
             .ok_or(SnapshotError::MissingSection { tag })
     }
-
-    /// True when section `tag` is present.
-    #[must_use]
-    pub fn has_section(&self, tag: u32) -> bool {
-        self.sections.iter().any(|(t, _)| *t == tag)
-    }
 }
 
 #[cfg(test)]
@@ -527,7 +521,6 @@ mod tests {
         assert!(d.is_exhausted());
         let mut d2 = r.section(2).unwrap();
         assert_eq!(d2.bytes("p").unwrap(), &[1, 2, 3]);
-        assert!(!r.has_section(3));
         assert!(matches!(
             r.section(3),
             Err(SnapshotError::MissingSection { tag: 3 })

@@ -103,6 +103,12 @@ for jobs in 1 4; do
     ./target/release/validate-manifest "/tmp/cdp-prof-ci-$jobs/manifest.json" \
         "/tmp/cdp-prof-ci-$jobs/metrics.jsonl"
 done
+# The JSONL series follow the cells' report order, so they too must be
+# byte-identical at any --jobs count.
+cmp /tmp/cdp-prof-ci-1/metrics.jsonl /tmp/cdp-prof-ci-4/metrics.jsonl || {
+    echo "profile smoke: metrics.jsonl differs between --jobs 1 and 4" >&2
+    exit 1
+}
 ./target/release/run-explain /tmp/cdp-prof-ci-1 /tmp/cdp-prof-ci-4 > /dev/null || {
     echo "profile smoke: run-explain found divergence between same-config runs" >&2
     exit 1
@@ -297,6 +303,31 @@ for cell in '[fig1] b2e:' '[pollution] clean/b2e:' '[pollution] dirty/b2e:' \
 done
 if grep -qF '(whole experiment)' /tmp/cdp-fault-cells.err; then
     echo "fault smoke: an experiment failed whole instead of per cell" >&2
+    exit 1
+fi
+# backward's six cells are pool jobs too: failing every demand page walk
+# leaves one report entry per cell and does not skip the experiment.
+set +e
+./target/release/experiments backward --smoke --jobs 2 --keep-going \
+    --fault 'walk:*:1:demand' > /dev/null 2> /tmp/cdp-fault-backward.err
+code=$?
+set -e
+if [ "$code" -ne 3 ]; then
+    echo "fault smoke: backward expected exit 3, got $code" >&2
+    cat /tmp/cdp-fault-backward.err >&2
+    exit 1
+fi
+for direction in forward backward; do
+    for config in base p2.n0 p0.n2; do
+        cell="[backward] $direction/$config:"
+        sed -n '/FAILURE REPORT/,$p' /tmp/cdp-fault-backward.err | grep -qF "$cell" || {
+            echo "fault smoke: no '$cell' entry in the failure report" >&2
+            exit 1
+        }
+    done
+done
+if grep -qF '(whole experiment)' /tmp/cdp-fault-backward.err; then
+    echo "fault smoke: backward failed whole instead of per cell" >&2
     exit 1
 fi
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use cdp::experiments::obs::{build_manifest, CellRecord, ExperimentRecord, ObsTaken};
 use cdp::obs::{Json, TraceData};
-use cdp::sim::{JobObs, JobOutcome, ObsSink, Pool, RunPolicy, SimJob, Simulator};
+use cdp::sim::{JobOutcome, Pool, RunPolicy, SimJob, Simulator};
 use cdp::types::{ObsConfig, SystemConfig, TraceConfig, TraceFilter};
 use cdp_testutil::default_workload as workload;
 
@@ -145,7 +145,6 @@ fn trace_ring_honors_filter_capacity_and_sampling() {
 #[test]
 fn manifest_from_real_runs_validates_and_round_trips() {
     let w = Arc::new(workload());
-    let sink = ObsSink::shared();
     let obs_cfg = ObsConfig {
         trace: Some(TraceConfig {
             capacity: 256,
@@ -159,20 +158,12 @@ fn manifest_from_real_runs_validates_and_round_trips() {
         ("cdp", SystemConfig::with_content()),
     ]
     .into_iter()
-    .enumerate()
-    .map(|(i, (label, cfg))| {
-        SimJob::new(label, cfg, Arc::clone(&w)).with_obs(JobObs {
-            cfg: obs_cfg.clone(),
-            sink: Arc::clone(&sink),
-            batch: 0,
-            index: i,
-        })
-    })
+    .map(|(label, cfg)| SimJob::new(label, cfg, Arc::clone(&w)).with_obs(obs_cfg.clone()))
     .collect();
     let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
     let taken = ObsTaken {
         cells: reports
-            .iter()
+            .into_iter()
             .map(|r| CellRecord {
                 experiment: "obs-it".into(),
                 label: r.label.clone(),
@@ -187,14 +178,13 @@ fn manifest_from_real_runs_validates_and_round_trips() {
                 pf_issued: 0,
                 pf_useful: 0,
                 pf_wasted: 0,
+                observation: r.observation,
             })
             .collect(),
         experiments: vec![ExperimentRecord {
             id: "obs-it".into(),
             wall_ms: 1,
         }],
-        entries: sink.drain_sorted(),
-        batch_experiments: vec!["obs-it".into()],
         result_cache_hits: 0,
         result_cache_misses: 0,
         result_store_hits: 0,
@@ -202,7 +192,10 @@ fn manifest_from_real_runs_validates_and_round_trips() {
         result_store_quarantined: 0,
         checkpoint_dropped_writes: 0,
     };
-    assert_eq!(taken.entries.len(), 2, "both runs delivered observations");
+    assert!(
+        taken.cells.iter().all(|c| c.observation.is_some()),
+        "both runs delivered observations"
+    );
     let manifest = build_manifest("smoke", 2, &taken);
     cdp::obs::validate(&manifest).expect("schema-valid");
     let reparsed = Json::parse(&manifest.to_string()).expect("serializes to valid JSON");

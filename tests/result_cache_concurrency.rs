@@ -5,13 +5,11 @@
 //! * hit/miss counters are exact — every job is counted exactly once,
 //!   no matter how the threads interleave;
 //! * a cache hit replays bit-identical `RunStats` and, for observed
-//!   jobs, a bit-identical `Observation` into the sink.
+//!   jobs, a bit-identical `Observation` into the job's report.
 
 use std::sync::Arc;
 
-use cdp::sim::{
-    JobObs, ObsSink, Pool, ResultCache, RunPolicy, RunStats, SimJob, WorkloadCache, CACHE_STRIPES,
-};
+use cdp::sim::{Pool, ResultCache, RunPolicy, RunStats, SimJob, WorkloadCache, CACHE_STRIPES};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
 use cdp_testutil::{default_workload, tiny_workload};
@@ -110,11 +108,10 @@ fn racing_jobs_on_one_key_count_exactly_and_replay_identically() {
 }
 
 /// Observed jobs racing on one key: whoever misses records the
-/// observation; every hit replays an identical copy into the sink.
+/// observation; every hit replays an identical copy into its report.
 #[test]
 fn observed_hits_replay_identical_observations() {
     let cache = Arc::new(ResultCache::new());
-    let sink = ObsSink::shared();
     let w = Arc::new(default_workload());
     let key = 0xcafe_f00d_u64;
     let obs_cfg = ObsConfig {
@@ -130,25 +127,22 @@ fn observed_hits_replay_identical_observations() {
                 Arc::clone(&w),
             )
             .with_result_cache(Arc::clone(&cache), key)
-            .with_obs(JobObs {
-                cfg: obs_cfg.clone(),
-                sink: Arc::clone(&sink),
-                batch: 0,
-                index: i,
-            })
+            .with_obs(obs_cfg.clone())
         })
         .collect();
-    run_all(&Pool::new(8), jobs);
-    let entries = sink.drain_sorted();
-    assert_eq!(entries.len(), 8, "every observed job delivered");
-    let reference = &entries[0].observation;
-    for e in &entries {
+    let observations: Vec<_> = Pool::new(8)
+        .run_sims_profiled(jobs, RunPolicy::default())
+        .into_iter()
+        .map(|r| r.observation.expect("every observed job delivered"))
+        .collect();
+    let reference = &observations[0];
+    for o in &observations {
         assert_eq!(
-            e.observation.windows.len(),
+            o.windows.len(),
             reference.windows.len(),
             "replayed observation differs in window count"
         );
-        for (a, b) in e.observation.windows.iter().zip(reference.windows.iter()) {
+        for (a, b) in o.windows.iter().zip(reference.windows.iter()) {
             assert_eq!(a.retired, b.retired, "windows diverge");
             assert_eq!(a.cycles, b.cycles, "windows diverge");
         }

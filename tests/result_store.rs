@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use cdp::sim::fault::{corrupt_pointer_words, unmap_trace_pages};
 use cdp::sim::{
-    decode_result, encode_result, JobObs, ObsSink, PollutionConfig, ResultCache, SimJob, WalkFault,
+    decode_result, encode_result, MetricsWindow, PollutionConfig, Pool, ResultCache, RunPolicy,
+    SimJob, WalkFault,
 };
 use cdp::snap::SnapWriter;
 use cdp::store::{clean_stale_parts, RealIo, ResultStore, ENTRY_VERSION, TAG_META, TAG_PAYLOAD};
@@ -316,7 +317,8 @@ fn cell_key_covers_image_edits_and_attachments() {
     assert!(unmap_trace_pages(&mut unmapped, 7, 2) > 0, "unmapped");
     assert_ne!(key, job.key(unmapped.fingerprint()), "unmapped pages");
 
-    let walk = job.clone().with_walk_fault(WalkFault {
+    let mut walk = job.clone();
+    walk.walk_fault = Some(WalkFault {
         period: 7,
         demand: false,
     });
@@ -326,14 +328,17 @@ fn cell_key_covers_image_edits_and_attachments() {
     assert_ne!(key, polluted.key(clean.fingerprint()), "pollution");
 }
 
-/// An observed job over `w` under `cfg`, delivering into `sink`.
-fn observed(w: &Arc<cdp::workloads::Workload>, cfg: ObsConfig, sink: &Arc<ObsSink>) -> SimJob {
-    SimJob::new("cell", SystemConfig::with_content(), Arc::clone(w)).with_obs(JobObs {
-        cfg,
-        sink: Arc::clone(sink),
-        batch: 0,
-        index: 0,
-    })
+/// An observed job over `w` under `cfg`.
+fn observed(w: &Arc<cdp::workloads::Workload>, cfg: ObsConfig) -> SimJob {
+    SimJob::new("cell", SystemConfig::with_content(), Arc::clone(w)).with_obs(cfg)
+}
+
+/// The metrics windows `job`'s report carries.
+fn reported_windows(job: SimJob) -> Vec<MetricsWindow> {
+    let report = Pool::new(1)
+        .run_sims_profiled(vec![job], RunPolicy::default())
+        .remove(0);
+    report.observation.expect("observed job").windows
 }
 
 /// Metrics windows of `metrics_window` uops, nothing else observed.
@@ -354,21 +359,11 @@ fn observed_job_never_replays_another_configs_observation() {
     let key =
         SimJob::new("cell", SystemConfig::with_content(), Arc::clone(&w)).key(w.fingerprint());
     let (a, b) = (windows(8_192), windows(2_048));
-    let reference = ObsSink::shared();
-    observed(&w, b.clone(), &reference)
-        .try_execute()
-        .expect("reference");
-    let want = reference.drain_sorted().remove(0).observation.windows;
+    let want = reported_windows(observed(&w, b.clone()));
 
     let cache = Arc::new(ResultCache::new());
-    let got = [a, b].map(|cfg| {
-        let sink = ObsSink::shared();
-        observed(&w, cfg, &sink)
-            .with_result_cache(Arc::clone(&cache), key)
-            .try_execute()
-            .expect("observed run");
-        sink.drain_sorted().remove(0).observation.windows
-    });
+    let got = [a, b]
+        .map(|cfg| reported_windows(observed(&w, cfg).with_result_cache(Arc::clone(&cache), key)));
     assert_eq!((cache.hits(), cache.misses()), (0, 2), "B re-simulated");
     let got = &got[1];
     assert_ne!(got.len(), 0);
@@ -389,7 +384,7 @@ fn plain_job_replays_stats_an_observed_job_stored() {
         )))
     };
 
-    let observed_stats = observed(&w, windows(2_048), &ObsSink::shared())
+    let observed_stats = observed(&w, windows(2_048))
         .with_result_cache(cache(), key)
         .try_execute()
         .expect("observed run");

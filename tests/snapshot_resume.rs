@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use cdp::sim::{
-    CheckpointSpec, CheckpointStatus, JobObs, ObsSink, ResultSource, SimJob, SimSession, Simulator,
-    WalkFault,
+    CheckpointSpec, CheckpointStatus, ResultSource, SimJob, SimSession, Simulator, WalkFault,
 };
 use cdp::types::{
     CdpError, DeltaConfig, JumpConfig, ObsConfig, PerceptronConfig, SnapshotError, SystemConfig,
@@ -406,12 +405,7 @@ fn an_observed_checkpoint_is_neither_corrupt_nor_overwritten_for_a_plain_run() {
         if !observed {
             return job;
         }
-        job.with_obs(JobObs {
-            cfg: obs.clone(),
-            sink: ObsSink::shared(),
-            batch: 0,
-            index: 0,
-        })
+        job.with_obs(obs.clone())
     };
     let unused = CheckpointStatus::shared();
     let plain_path = job(false, &unused)

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use cdp::sim::{
-    CheckpointSpec, CheckpointStatus, JobObs, ObsSink, Pool, ResultCache, RunPolicy, SimJob,
-};
+use cdp::sim::{CheckpointSpec, CheckpointStatus, Pool, ResultCache, RunPolicy, SimJob};
 use cdp::store::{FaultConfig, FaultyIo, RealIo, ResultStore, StoreIo};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
@@ -143,14 +141,8 @@ fn checkpointed_run_survives_faulty_checkpoint_io() {
         metrics_window: Some(4_000),
         profile_hist: true,
     };
-    let job_obs = |index: usize| JobObs {
-        cfg: obs.clone(),
-        sink: ObsSink::shared(),
-        batch: 0,
-        index,
-    };
     let reference = SimJob::new("ref", cfg.clone(), Arc::clone(&w))
-        .with_obs(job_obs(0))
+        .with_obs(obs.clone())
         .try_execute()
         .expect("reference cell");
 
@@ -177,7 +169,7 @@ fn checkpointed_run_survives_faulty_checkpoint_io() {
             io: Some(io.clone() as Arc<dyn StoreIo>),
         };
         let stats = SimJob::new("chaos", cfg.clone(), Arc::clone(&w))
-            .with_obs(job_obs(1))
+            .with_obs(obs.clone())
             .with_checkpoint(spec)
             .try_execute()
             .expect("checkpointed run under fault injection");
