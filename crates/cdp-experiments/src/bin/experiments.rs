@@ -114,14 +114,16 @@
 //! engine geometry can realize within ±5% is refused with exit code 2
 //! before anything simulates.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cdp_experiments::context::CheckpointSettings;
 use cdp_experiments::obs;
 use cdp_experiments::{
-    context, extensions, fig1, fig10, fig11, fig2, fig34, fig7, fig8, fig9, onecell, pollution,
-    sensitivity, suite_summary, table1, table2, tlb, tournament, ExpScale,
+    extensions, fig1, fig10, fig11, fig2, fig34, fig7, fig8, fig9, onecell, pollution, sensitivity,
+    suite_summary, table1, table2, tlb, tournament, Context,
 };
-use cdp_sim::{FaultPlan, FaultSpec, Pool, RunPolicy};
+use cdp_sim::{FaultSpec, Pool, ResultCache, RunLength};
 use cdp_types::{ObsConfig, TraceConfig, TraceFilter, VamConfig};
 
 const ALL: [&str; 19] = [
@@ -157,8 +159,8 @@ const DEFAULT_CHECKPOINT_EVERY: u64 = 1_000_000;
 
 fn run_one(
     id: &str,
-    scale: ExpScale,
-    pool: &Pool,
+    scale: RunLength,
+    ctx: &Context,
     csv_dir: Option<&std::path::Path>,
     budgets: &[usize],
 ) -> Result<String, String> {
@@ -175,71 +177,71 @@ fn run_one(
     match id {
         "table1" => Ok(table1::run()),
         "fig1" => {
-            let r = fig1::run(scale, pool);
+            let r = fig1::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "table2" => {
-            let r = table2::run(scale, pool);
+            let r = table2::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "fig2" => Ok(fig2::run(VamConfig::tuned())),
         "fig34" => Ok(fig34::run().render().to_string()),
         "fig7" => {
-            let r = fig7::run(scale, pool);
+            let r = fig7::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "fig8" => {
-            let r = fig8::run(scale, pool);
+            let r = fig8::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "fig9" => {
-            let r = fig9::run(scale, pool);
+            let r = fig9::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "fig10" => {
-            let r = fig10::run(scale, pool);
+            let r = fig10::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "fig11" => {
-            let r = fig11::run(scale, pool);
+            let r = fig11::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "tlb" => {
-            let r = tlb::run(scale, pool);
+            let r = tlb::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "pollution" => {
-            let r = pollution::run(scale, pool);
+            let r = pollution::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
         "suite" => {
-            let r = suite_summary::run(scale, pool);
+            let r = suite_summary::run(scale, ctx);
             save(r.dataset())?;
             Ok(r.render())
         }
-        "margin" => Ok(extensions::margin(scale, pool).render()),
-        "adaptive" => Ok(extensions::adaptive(scale, pool).render()),
-        "streams" => Ok(extensions::stream(scale, pool).render()),
-        "latency" => Ok(sensitivity::latency(scale, pool).render()),
-        "l2size" => Ok(sensitivity::l2size(scale, pool).render()),
-        "backward" => Ok(extensions::backward(scale, pool).render()),
-        "onecell" => Ok(onecell::run(scale, pool).render()),
+        "margin" => Ok(extensions::margin(scale, ctx).render()),
+        "adaptive" => Ok(extensions::adaptive(scale, ctx).render()),
+        "streams" => Ok(extensions::stream(scale, ctx).render()),
+        "latency" => Ok(sensitivity::latency(scale, ctx).render()),
+        "l2size" => Ok(sensitivity::l2size(scale, ctx).render()),
+        "backward" => Ok(extensions::backward(scale, ctx).render()),
+        "onecell" => Ok(onecell::run(scale, ctx).render()),
         "tournament" => {
             let budgets: &[usize] = if budgets.is_empty() {
                 &tournament::DEFAULT_BUDGETS
             } else {
                 budgets
             };
-            tournament::run(scale, pool, budgets).map(|t| t.render())
+            tournament::run(scale, ctx, budgets).map(|t| t.render())
         }
         other => Err(format!("unknown experiment id: {other}")),
     }
@@ -250,16 +252,16 @@ fn run_one(
 /// skips that id instead of killing the whole run.
 fn run_one_guarded(
     id: &str,
-    scale: ExpScale,
-    pool: &Pool,
+    scale: RunLength,
+    ctx: &Context,
     csv_dir: Option<&std::path::Path>,
     budgets: &[usize],
 ) -> Result<String, String> {
-    if !context::keep_going() {
-        return run_one(id, scale, pool, csv_dir, budgets);
+    if !ctx.keep_going {
+        return run_one(id, scale, ctx, csv_dir, budgets);
     }
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one(id, scale, pool, csv_dir, budgets)
+        run_one(id, scale, ctx, csv_dir, budgets)
     }));
     match res {
         Ok(r) => r,
@@ -269,7 +271,7 @@ fn run_one_guarded(
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "experiment panicked".to_string());
-            context::record_failure("(whole experiment)", &msg);
+            ctx.record_failure("(whole experiment)", &msg);
             Ok(format!(
                 "experiment {id} failed: {msg}\n(skipped under --keep-going)\n"
             ))
@@ -279,12 +281,11 @@ fn run_one_guarded(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = ExpScale::Quick;
+    let mut scale = RunLength::Quick;
     let mut ids: Vec<String> = Vec::new();
     let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut jobs: Option<usize> = None;
-    let mut fault_specs: Vec<FaultSpec> = Vec::new();
-    let mut policy = RunPolicy::default();
+    let mut ctx = Context::default();
+    let mut verbose_timing = false;
     let mut trace = false;
     let mut trace_filter: Option<TraceFilter> = None;
     let mut metrics_window: Option<u64> = None;
@@ -303,14 +304,14 @@ fn main() {
             match flag {
                 "--csv" => csv_dir = Some(std::path::PathBuf::from(a)),
                 "--jobs" => match a.parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = Some(n),
+                    Ok(n) if n > 0 => ctx.pool = Pool::new(n),
                     _ => {
                         eprintln!("--jobs requires a positive integer, got {a:?}");
                         std::process::exit(2);
                     }
                 },
                 "--fault" => match FaultSpec::parse(a) {
-                    Ok(spec) => fault_specs.push(spec),
+                    Ok(spec) => ctx.faults.specs.push(spec),
                     Err(e) => {
                         eprintln!("bad --fault spec {a:?}: {e}");
                         eprintln!(
@@ -322,7 +323,7 @@ fn main() {
                     }
                 },
                 "--cell-timeout" => match a.parse::<u64>() {
-                    Ok(n) if n > 0 => policy.timeout = Some(Duration::from_secs(n)),
+                    Ok(n) if n > 0 => ctx.policy.timeout = Some(Duration::from_secs(n)),
                     _ => {
                         eprintln!(
                             "--cell-timeout requires a positive number of seconds, got {a:?}"
@@ -348,7 +349,7 @@ fn main() {
                         std::process::exit(2);
                     }
                 },
-                "--scale" => match ExpScale::parse(a) {
+                "--scale" => match RunLength::parse(a) {
                     Some(s) => scale = s,
                     None => {
                         eprintln!("--scale requires one of smoke/quick/full/large/huge, got {a:?}");
@@ -380,14 +381,14 @@ fn main() {
             continue;
         }
         match a.as_str() {
-            "--smoke" => scale = ExpScale::Smoke,
-            "--quick" => scale = ExpScale::Quick,
-            "--full" => scale = ExpScale::Full,
-            "--stream" => cdp_workloads::set_force_streaming(true),
-            "--keep-going" => context::set_keep_going(true),
+            "--smoke" => scale = RunLength::Smoke,
+            "--quick" => scale = RunLength::Quick,
+            "--full" => scale = RunLength::Full,
+            "--stream" => ctx.stream = true,
+            "--keep-going" => ctx.keep_going = true,
             "--trace" => trace = true,
             "--profile-hist" => profile_hist = true,
-            "--verbose-timing" => context::set_verbose_timing(true),
+            "--verbose-timing" => verbose_timing = true,
             "--no-result-cache" => result_cache = false,
             "--no-fast-forward" => cdp_sim::set_fast_forward(false),
             "--resume" => resume = true,
@@ -447,30 +448,33 @@ fn main() {
         // Sweep stale .part files left behind by a killed predecessor so
         // resume scans only ever see published checkpoints.
         let swept = cdp_store::clean_stale_parts(&cdp_store::RealIo, &dir);
-        if swept > 0 && context::verbose_timing() {
+        if swept > 0 && verbose_timing {
             eprintln!("checkpoint dir: swept {swept} stale .part file(s)");
         }
-        context::set_checkpointing(Some(context::CheckpointSettings {
+        ctx.checkpoint = Some(CheckpointSettings {
             dir,
             every: checkpoint_every,
             resume,
-        }));
+        });
     }
     if let Some(dir) = &result_store_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create result store dir {}: {e}", dir.display());
             std::process::exit(2);
         }
-        if let Err(e) = context::set_result_store(dir) {
-            eprintln!("cannot open result store {}: {e}", dir.display());
-            std::process::exit(2);
+        match cdp_store::ResultStore::open(dir) {
+            // Results persist across processes: a warm store replays
+            // whole sweeps without simulating.
+            Ok(store) => {
+                ctx.result_cache = Some(Arc::new(ResultCache::with_store(Arc::new(store))))
+            }
+            Err(e) => {
+                eprintln!("cannot open result store {}: {e}", dir.display());
+                std::process::exit(2);
+            }
         }
-    }
-    if !fault_specs.is_empty() {
-        context::set_fault_plan(FaultPlan { specs: fault_specs });
-    }
-    if policy != RunPolicy::default() {
-        context::set_policy(policy);
+    } else if result_cache {
+        ctx.result_cache = Some(Arc::new(ResultCache::new()));
     }
     if let Some(target) = &status_jsonl {
         // The stream is diagnostic and must never perturb stdout: `-`
@@ -489,7 +493,7 @@ fn main() {
         cdp_sim::install_status_sink(cdp_sim::StatusSink::new(out));
     }
     if manifest_dir.is_some() {
-        context::enable_obs(ObsConfig {
+        ctx.obs = Some(ObsConfig {
             trace: trace.then(|| TraceConfig {
                 filter: trace_filter.unwrap_or_default(),
                 ..TraceConfig::default()
@@ -498,19 +502,17 @@ fn main() {
             profile_hist,
         });
     }
-    context::set_result_cache(result_cache);
-    let pool = jobs.map_or_else(Pool::default, Pool::new);
     for id in ids {
         let t0 = Instant::now();
-        context::set_current_experiment(&id);
-        match run_one_guarded(&id, scale, &pool, csv_dir.as_deref(), &budgets) {
+        ctx.experiment.clone_from(&id);
+        match run_one_guarded(&id, scale, &ctx, csv_dir.as_deref(), &budgets) {
             Ok(text) => {
                 // Wall time goes to stderr (and only under
                 // --verbose-timing): stdout must be byte-identical at any
                 // --jobs count. The manifest records it unconditionally.
-                context::obs_record_experiment(&id, t0.elapsed().as_millis() as u64);
-                if context::verbose_timing() {
-                    eprintln!("{id}: {:.1?} ({} jobs)", t0.elapsed(), pool.jobs());
+                ctx.record_experiment(&id, t0.elapsed().as_millis() as u64);
+                if verbose_timing {
+                    eprintln!("{id}: {:.1?} ({} jobs)", t0.elapsed(), ctx.pool.jobs());
                 }
                 println!("================================================================");
                 println!("== {id}  (scale: {scale:?})");
@@ -523,19 +525,19 @@ fn main() {
             }
         }
     }
-    if context::verbose_timing() {
-        let (hits, misses) = context::result_cache_stats();
+    if verbose_timing {
+        let (hits, misses) = ctx.result_cache_stats();
         eprintln!("result cache: {hits} hit(s), {misses} miss(es)");
         if result_store_dir.is_some() {
-            let (s_hits, s_misses, s_quarantined) = context::result_store_stats();
+            let (s_hits, s_misses, s_quarantined) = ctx.result_store_stats();
             eprintln!(
                 "result store: {s_hits} hit(s), {s_misses} miss(es), \
                  {s_quarantined} quarantined"
             );
         }
     }
-    if let (Some(dir), Some(taken)) = (&manifest_dir, context::take_obs()) {
-        match obs::write_artifacts(dir, scale.name(), pool.jobs(), &taken) {
+    if let (Some(dir), Some(taken)) = (&manifest_dir, ctx.take_obs()) {
+        match obs::write_artifacts(dir, scale.name(), ctx.pool.jobs(), &taken) {
             Ok(paths) => {
                 for p in paths {
                     eprintln!("wrote {}", p.display());
@@ -547,7 +549,7 @@ fn main() {
             }
         }
     }
-    let failures = context::take_failures();
+    let failures = ctx.take_failures();
     if !failures.is_empty() {
         eprintln!();
         eprintln!("FAILURE REPORT: {} cell(s) failed", failures.len());

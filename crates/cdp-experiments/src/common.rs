@@ -1,286 +1,84 @@
-//! Shared experiment plumbing: run sizing, workload caching, and plain
+//! Shared experiment plumbing: workload sets, gap rendering, and plain
 //!-text table rendering.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use cdp_sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
-use cdp_sim::{
-    CheckpointSpec, CheckpointStatus, Engine, EngineCounters, JobOutcome, JobReport, Pool,
-    ResultSource, RunStats, SimJob, WorkloadCache,
-};
-use cdp_types::SystemConfig;
+use cdp_sim::runner::DEFAULT_SEED;
+use cdp_sim::{FaultPlan, WorkloadCache};
 use cdp_workloads::suite::{Benchmark, Scale};
 use cdp_workloads::Workload;
 
-use crate::context;
-use crate::obs::CellRecord;
-
-/// How big an experiment run is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExpScale {
-    /// Minutes-scale smoke runs (CI / tests).
-    Smoke,
-    /// The default: every figure in a few minutes.
-    Quick,
-    /// Full runs (the EXPERIMENTS.md numbers).
-    Full,
-    /// Streaming-tier runs (~100M uops/cell); workloads above the
-    /// streaming threshold synthesize uops on the fly with O(window)
-    /// resident memory.
-    Large,
-    /// The top streaming tier (~1B uops/cell).
-    Huge,
-}
-
-impl ExpScale {
-    /// The workload scale.
-    pub fn scale(self) -> Scale {
-        match self {
-            ExpScale::Smoke => Scale::smoke(),
-            ExpScale::Quick => Scale::quick(),
-            ExpScale::Full => Scale::full(),
-            ExpScale::Large => Scale::large(),
-            ExpScale::Huge => Scale::huge(),
-        }
-    }
-
-    /// The scale's canonical lowercase name (inverse of
-    /// [`ExpScale::parse`]; used by manifests).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExpScale::Smoke => "smoke",
-            ExpScale::Quick => "quick",
-            ExpScale::Full => "full",
-            ExpScale::Large => "large",
-            ExpScale::Huge => "huge",
-        }
-    }
-
-    /// Parses `smoke` / `quick` / `full` / `large` / `huge`.
-    pub fn parse(s: &str) -> Option<ExpScale> {
-        match s {
-            "smoke" => Some(ExpScale::Smoke),
-            "quick" => Some(ExpScale::Quick),
-            "full" => Some(ExpScale::Full),
-            "large" => Some(ExpScale::Large),
-            "huge" => Some(ExpScale::Huge),
-            _ => None,
-        }
-    }
-}
-
-/// A benchmark workload cache: experiments run many configurations over
-/// the same workloads; building each workload once matters.
+/// One experiment's workload images: experiments run many
+/// configurations over the same workloads, and building each image once
+/// matters.
 ///
 /// Entries are keyed by `(Benchmark, Scale)` — a set holding a smoke
 /// image never leaks it into a quick run — and handed out as shared
-/// immutable [`Arc`]s so concurrent pool jobs reuse one image. Beside
-/// each image the set memoizes its [`Workload::fingerprint`], taken after
-/// the fault plan edited it, so the cells of a grid key their results on
-/// the image they really run ([`SimJob::key`]) while each image is hashed
-/// at most once.
+/// immutable [`Arc`]s so concurrent pool jobs reuse one image. Every
+/// image passes through the fault plan once, when it is built
+/// ([`WorkloadSet::faulted`]). Beside the images the set memoizes each
+/// image's [`Workload::fingerprint`], taken after the plan edited it, so
+/// cells key their results on the image they really run
+/// ([`cdp_sim::SimJob::key`]) while each image is hashed at most once.
 #[derive(Debug, Default)]
 pub struct WorkloadSet {
+    faults: FaultPlan,
+    stream: bool,
     cache: WorkloadCache,
-    fingerprints: Mutex<HashMap<(Benchmark, Scale), u64>>,
+    fingerprints: Mutex<Vec<(Arc<Workload>, u64)>>,
 }
 
 impl WorkloadSet {
-    /// Builds (or reuses) the workload for `bench` at `scale`, applying
-    /// the process-wide fault-injection plan (if any) to fresh builds.
-    /// Builds are deterministic (fixed seed, seeded injection), so every
-    /// cell of a benchmark sees the same — possibly faulted — image at
-    /// any job count.
+    /// An empty set whose images get `faults`' image edits, built with
+    /// the streaming engine at every scale when `stream` is set.
+    pub(crate) fn new(faults: FaultPlan, stream: bool) -> WorkloadSet {
+        WorkloadSet {
+            faults,
+            stream,
+            ..WorkloadSet::default()
+        }
+    }
+
+    /// Builds (or reuses) the workload for `bench` at `scale` with the
+    /// experiment seed. Builds are deterministic (fixed seed, seeded
+    /// injection), so every cell of a benchmark sees the same — possibly
+    /// faulted — image at any job count.
     pub fn get(&self, bench: Benchmark, scale: Scale) -> Arc<Workload> {
         self.cache.get_with(bench, scale, || {
-            let mut w = build_workload(bench, scale);
-            context::fault_plan().apply(bench.name(), &mut w);
-            w
+            let streamed = self.stream || scale.streamed();
+            self.faulted(bench.build_with_engine(scale, DEFAULT_SEED, streamed))
         })
     }
 
-    /// The [`Workload::fingerprint`] of [`WorkloadSet::get`]'s image,
-    /// computed on first use.
-    fn fingerprint(&self, bench: Benchmark, scale: Scale) -> u64 {
-        let image = self.get(bench, scale);
-        *self
-            .fingerprints
-            .lock()
-            .expect("fingerprint memo lock")
-            .entry((bench, scale))
-            .or_insert_with(|| image.fingerprint())
+    /// Applies the fault plan's image faults (corrupt / unmap) that match
+    /// `image`'s name — the step every image an experiment runs passes
+    /// through, custom-built ones included.
+    pub fn faulted(&self, mut image: Workload) -> Workload {
+        let name = image.name.clone();
+        self.faults.apply(&name, &mut image);
+        image
+    }
+
+    /// The [`Workload::fingerprint`] of `image`, computed the first time
+    /// this set sees it.
+    pub(crate) fn fingerprint(&self, image: &Arc<Workload>) -> u64 {
+        let mut memo = self.fingerprints.lock().expect("fingerprint memo lock");
+        if let Some(&(_, fp)) = memo.iter().find(|(w, _)| Arc::ptr_eq(w, image)) {
+            return fp;
+        }
+        let fp = image.fingerprint();
+        memo.push((Arc::clone(image), fp));
+        fp
     }
 }
 
-/// Every prefetch engine's counters in one run, for the manifest's
-/// cross-engine coverage/accuracy/wasted accounting.
-fn engines(stats: &RunStats) -> impl Iterator<Item = &EngineCounters> {
-    Engine::ALL.into_iter().filter_map(|e| stats.mem.engine(e))
-}
-
-/// One failed sweep cell (see [`cell_or_gap`]).
+/// One failed sweep cell (see [`crate::context::Context::run_cells`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellFailure {
     /// The cell's grid label.
     pub label: String,
     /// Why it failed.
     pub error: String,
-}
-
-/// Submits a labelled `(config, benchmark)` grid to the pool and returns
-/// per-cell results in submission order, plus the cells that failed.
-///
-/// Every job gets the §2.2 warm-up convention and a shared workload
-/// image from `ws`; workloads are pre-built serially so job timing never
-/// depends on cache races. Jobs run under the process-wide watchdog
-/// policy, and benchmarks targeted by a walk-fault directive get the
-/// injection attached. While `--emit-manifest` collects, each cell is
-/// recorded with the observation its report carries.
-///
-/// In strict mode (the default) the first failing cell panics with its
-/// typed error, preserving the historical fail-fast behavior. In
-/// keep-going mode failing cells come back as `None` (an annotated gap
-/// for the caller to render), are appended to the global failure report,
-/// and every healthy cell still completes.
-///
-/// # Panics
-///
-/// Panics on the first failed cell unless keep-going mode is active.
-pub fn run_grid_cells(
-    pool: &Pool,
-    ws: &WorkloadSet,
-    scale: Scale,
-    grid: Vec<(String, SystemConfig, Benchmark)>,
-) -> (Vec<Option<RunStats>>, Vec<CellFailure>) {
-    let plan = context::fault_plan();
-    let collect = context::obs_enabled();
-    let obs = context::obs_config();
-    let result_cache = context::result_cache();
-    let checkpointing = context::checkpointing();
-    let mut fingerprints = Vec::new();
-    let mut checkpoint_statuses: Vec<Option<Arc<CheckpointStatus>>> = Vec::new();
-    let jobs: Vec<SimJob> = grid
-        .into_iter()
-        .map(|(label, cfg, bench)| {
-            let cfg = with_warmup(cfg, scale);
-            if collect {
-                fingerprints.push(cdp_obs::fingerprint_hex(format!("{cfg:?}").as_bytes()));
-            }
-            let mut job = SimJob::new(label, cfg, ws.get(bench, scale));
-            job.walk_fault = plan.walk_fault(bench.name());
-            job.obs = obs.clone();
-            let mut status = None;
-            // The key hashes the whole image: compute it only for a reader.
-            if result_cache.is_some() || checkpointing.is_some() {
-                let key = job.key(ws.fingerprint(bench, scale));
-                if let Some(cache) = &result_cache {
-                    job = job.with_result_cache(Arc::clone(cache), key);
-                }
-                if let Some(ck) = &checkpointing {
-                    let shared = CheckpointStatus::shared();
-                    status = Some(Arc::clone(&shared));
-                    job = job.with_checkpoint(CheckpointSpec {
-                        dir: ck.dir.clone(),
-                        every: ck.every,
-                        key,
-                        resume: ck.resume,
-                        status: Some(shared),
-                        io: None,
-                    });
-                }
-            }
-            checkpoint_statuses.push(status);
-            job
-        })
-        .collect();
-    let experiment = context::current_experiment();
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    for (index, report) in pool
-        .run_sims_profiled(jobs, context::policy())
-        .into_iter()
-        .enumerate()
-    {
-        let JobReport {
-            label,
-            outcome,
-            wall,
-            observation,
-        } = report;
-        if collect {
-            context::obs_record_cell(CellRecord {
-                experiment: experiment.clone(),
-                label: label.clone(),
-                status: outcome.status(),
-                wall_ms: wall.as_millis() as u64,
-                config_fingerprint: fingerprints[index].clone(),
-                checkpoint: checkpoint_statuses[index]
-                    .as_ref()
-                    .map_or("off", |s| match s.get() {
-                        ResultSource::CheckpointResumed => "resumed",
-                        ResultSource::CorruptFallback => "corrupt-fallback",
-                        _ => "fresh",
-                    }),
-                retired: match &outcome {
-                    JobOutcome::Ok(stats) => stats.retired,
-                    _ => 0,
-                },
-                pf_issued: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(|e| e.issued).sum(),
-                    _ => 0,
-                },
-                pf_useful: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(EngineCounters::useful).sum(),
-                    _ => 0,
-                },
-                pf_wasted: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(|e| e.wasted_evictions).sum(),
-                    _ => 0,
-                },
-                observation,
-            });
-        }
-        cells.push(cell_or_gap(label, outcome, &mut failures));
-    }
-    // Fold each cell's dropped checkpoint writes into the run-wide
-    // total: best-effort writes, but the manifest must not hide them.
-    let dropped: u64 = checkpoint_statuses
-        .iter()
-        .flatten()
-        .map(|s| s.dropped_writes())
-        .sum();
-    if dropped > 0 {
-        context::add_checkpoint_dropped_writes(dropped);
-    }
-    (cells, failures)
-}
-
-/// Unwraps one finished cell. In strict mode a failure panics with its
-/// error; in keep-going mode it joins the global failure report and
-/// `failures`, and the cell comes back as `None` (an annotated gap for
-/// the caller to render).
-///
-/// # Panics
-///
-/// Panics on a failed cell unless keep-going mode is active.
-pub fn cell_or_gap<T>(
-    label: String,
-    outcome: JobOutcome<T>,
-    failures: &mut Vec<CellFailure>,
-) -> Option<T> {
-    let error = match outcome {
-        JobOutcome::Ok(value) => return Some(value),
-        other => other
-            .failure()
-            .expect("non-Ok outcomes always describe their failure"),
-    };
-    if !context::keep_going() {
-        panic!("cell {label}: {error}");
-    }
-    context::record_failure(&label, &error);
-    failures.push(CellFailure { label, error });
-    None
 }
 
 /// The gap marker rendered for a failed sweep cell.
@@ -400,20 +198,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parse() {
-        assert_eq!(ExpScale::parse("quick"), Some(ExpScale::Quick));
-        assert_eq!(ExpScale::parse("large"), Some(ExpScale::Large));
-        assert_eq!(ExpScale::parse("huge"), Some(ExpScale::Huge));
-        assert_eq!(ExpScale::parse("bogus"), None);
-        assert_eq!(
-            ExpScale::parse(ExpScale::Large.name()),
-            Some(ExpScale::Large)
-        );
-        assert!(ExpScale::Large.scale().target_uops > ExpScale::Full.scale().target_uops);
-        assert!(ExpScale::Huge.scale().target_uops > ExpScale::Large.scale().target_uops);
-    }
-
-    #[test]
     fn workload_set_caches() {
         let ws = WorkloadSet::default();
         let a = ws.get(Benchmark::B2e, Scale::smoke());
@@ -441,10 +225,11 @@ mod tests {
     #[test]
     fn workload_set_fingerprints_the_image_it_serves() {
         let ws = WorkloadSet::default();
-        let fp = ws.fingerprint(Benchmark::B2e, Scale::smoke());
-        assert_eq!(fp, ws.get(Benchmark::B2e, Scale::smoke()).fingerprint());
-        assert_eq!(fp, ws.fingerprint(Benchmark::B2e, Scale::smoke()));
-        assert_ne!(fp, ws.fingerprint(Benchmark::Slsb, Scale::smoke()));
+        let b2e = ws.get(Benchmark::B2e, Scale::smoke());
+        let fp = ws.fingerprint(&b2e);
+        assert_eq!(fp, b2e.fingerprint());
+        assert_eq!(fp, ws.fingerprint(&ws.get(Benchmark::B2e, Scale::smoke())));
+        assert_ne!(fp, ws.fingerprint(&ws.get(Benchmark::Slsb, Scale::smoke())));
     }
 
     #[test]

@@ -1,22 +1,32 @@
-//! Process-wide run context for the experiments binary: keep-going mode,
-//! the active fault-injection plan, the cell watchdog policy, and the
-//! accumulated failure report.
+//! The run context: one value holding everything a run of the
+//! experiments reads and records.
 //!
-//! Experiments are invoked through a stable `run(scale, pool)` signature
-//! from many call sites (the binary, unit tests, integration tests), so
-//! the failure-handling knobs travel out of band in this context instead
-//! of threading through every experiment's arguments. All state is
-//! default-off: a process that never touches the context gets the strict,
-//! fault-free behavior, and rendered output is byte-identical to a build
-//! without this module.
+//! The binary (or a test) builds a [`Context`], and every simulating
+//! experiment takes it: the worker pool, the cell watchdog policy, the
+//! fault-injection plan, keep-going mode, the result cache (over an
+//! optional persistent store), checkpointing, observability collection
+//! and the `--stream` engine choice, plus the failure report and the
+//! manifest records the run accumulates. Nothing here is process-global,
+//! so two contexts run side by side without seeing each other's settings
+//! or failures. A [`Context::new`] context is strict, fault-free, uncached
+//! and unobserved; its rendered output is the reference bytes.
+//!
+//! [`Context::run_cells`] is the one cell runner: every experiment's
+//! simulations go through it, so every cell gets the watchdog, the fault
+//! plan, the cache, checkpoints and a manifest record the same way.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cdp_sim::{FaultPlan, FaultSpec, ResultCache, RunPolicy};
-use cdp_types::ObsConfig;
+use cdp_sim::runner::with_warmup;
+use cdp_sim::{
+    CheckpointSpec, CheckpointStatus, Engine, EngineCounters, FaultPlan, JobOutcome, JobReport,
+    Observation, Pool, ResultCache, ResultSource, RunPolicy, RunStats, SimJob,
+};
+use cdp_types::{ObsConfig, SystemConfig};
+use cdp_workloads::suite::{Benchmark, Scale};
 
+use crate::common::{CellFailure, WorkloadSet};
 use crate::obs::{CellRecord, ExperimentRecord, ObsTaken};
 
 /// One failed sweep cell, for the end-of-run report.
@@ -30,31 +40,7 @@ pub struct FailureRecord {
     pub error: String,
 }
 
-/// Observability collection state, alive between [`enable_obs`] and
-/// [`take_obs`].
-#[derive(Debug)]
-struct ObsState {
-    cfg: ObsConfig,
-    cells: Vec<CellRecord>,
-    experiments: Vec<ExperimentRecord>,
-}
-
-static KEEP_GOING: AtomicBool = AtomicBool::new(false);
-static VERBOSE_TIMING: AtomicBool = AtomicBool::new(false);
-static FAULT_SPECS: Mutex<Vec<FaultSpec>> = Mutex::new(Vec::new());
-static POLICY: Mutex<Option<RunPolicy>> = Mutex::new(None);
-static CURRENT_EXPERIMENT: Mutex<String> = Mutex::new(String::new());
-static FAILURES: Mutex<Vec<FailureRecord>> = Mutex::new(Vec::new());
-static OBS: Mutex<Option<ObsState>> = Mutex::new(None);
-static RESULT_CACHE: Mutex<Option<Arc<ResultCache>>> = Mutex::new(None);
-static RESULT_STORE: Mutex<Option<Arc<cdp_store::ResultStore>>> = Mutex::new(None);
-static CHECKPOINT: Mutex<Option<CheckpointSettings>> = Mutex::new(None);
-/// Checkpoint writes dropped across the whole run (summed from per-cell
-/// [`cdp_sim::CheckpointStatus`] slots after each grid).
-static CHECKPOINT_DROPPED_WRITES: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(0);
-
-/// Process-wide checkpointing configuration (`--checkpoint-dir`).
+/// Checkpointing configuration (`--checkpoint-dir`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointSettings {
     /// Directory holding the per-cell `.snap` files.
@@ -66,270 +52,341 @@ pub struct CheckpointSettings {
     pub resume: bool,
 }
 
-/// Enables (or disables) keep-going mode: failing sweep cells render as
-/// annotated gaps instead of aborting the run.
-pub fn set_keep_going(on: bool) {
-    KEEP_GOING.store(on, Ordering::SeqCst);
+/// A finished cell: its stats, and its observation when the job brought
+/// its own [`ObsConfig`].
+pub type Cell = (RunStats, Option<Observation>);
+
+/// Everything one run of the experiments reads and records.
+#[derive(Debug, Default)]
+pub struct Context {
+    /// The worker pool every cell runs on.
+    pub pool: Pool,
+    /// The per-cell watchdog ([`RunPolicy::default`]: none).
+    pub policy: RunPolicy,
+    /// The fault-injection plan applied to images and jobs.
+    pub faults: FaultPlan,
+    /// Keep-going mode: a failing cell renders as an annotated gap and
+    /// joins the failure report instead of aborting the run.
+    pub keep_going: bool,
+    /// Builds every benchmark image with the streaming engine
+    /// (`--stream`); results are bit-identical to materialized images.
+    pub stream: bool,
+    /// The fingerprint-keyed result cache, when on. Cached cells replay
+    /// their finished stats (and observation) instead of re-simulating;
+    /// stdout is byte-identical either way (DESIGN.md §8). With a
+    /// persistent store behind it, results outlive the process.
+    pub result_cache: Option<Arc<ResultCache>>,
+    /// Per-cell checkpointing, when on (DESIGN.md §12).
+    pub checkpoint: Option<CheckpointSettings>,
+    /// Observability collection (`--emit-manifest`): while set, cells
+    /// and experiments are recorded for the artifacts, and cells are
+    /// observed under it when it enables any capture.
+    pub obs: Option<ObsConfig>,
+    /// The id of the experiment whose cells are running (labels failure
+    /// and manifest records).
+    pub experiment: String,
+    failures: Mutex<Vec<FailureRecord>>,
+    records: Mutex<ObsTaken>,
 }
 
-/// Whether keep-going mode is active.
-pub fn keep_going() -> bool {
-    KEEP_GOING.load(Ordering::SeqCst)
-}
-
-/// Installs the fault-injection plan applied to workload builds and
-/// simulation jobs.
-pub fn set_fault_plan(plan: FaultPlan) {
-    *FAULT_SPECS.lock().expect("fault plan lock") = plan.specs;
-}
-
-/// The active fault-injection plan (empty by default).
-pub fn fault_plan() -> FaultPlan {
-    FaultPlan {
-        specs: FAULT_SPECS.lock().expect("fault plan lock").clone(),
-    }
-}
-
-/// Sets the per-cell watchdog policy.
-pub fn set_policy(policy: RunPolicy) {
-    *POLICY.lock().expect("policy lock") = Some(policy);
-}
-
-/// The per-cell policy ([`RunPolicy::default`] when unset: no
-/// watchdog).
-pub fn policy() -> RunPolicy {
-    POLICY.lock().expect("policy lock").unwrap_or_default()
-}
-
-/// Names the experiment whose cells are currently running (labels the
-/// failure report).
-pub fn set_current_experiment(id: &str) {
-    *CURRENT_EXPERIMENT.lock().expect("experiment lock") = id.to_string();
-}
-
-/// Records one failed cell under the current experiment id.
-pub fn record_failure(cell: &str, error: &str) {
-    let experiment = CURRENT_EXPERIMENT.lock().expect("experiment lock").clone();
-    FAILURES.lock().expect("failures lock").push(FailureRecord {
-        experiment,
-        cell: cell.to_string(),
-        error: error.to_string(),
-    });
-}
-
-/// Takes the accumulated failure report (clearing it).
-pub fn take_failures() -> Vec<FailureRecord> {
-    std::mem::take(&mut *FAILURES.lock().expect("failures lock"))
-}
-
-/// The experiment id currently running (empty when none was named).
-pub fn current_experiment() -> String {
-    CURRENT_EXPERIMENT.lock().expect("experiment lock").clone()
-}
-
-/// Enables (or disables) the per-id wall-time line on stderr.
-pub fn set_verbose_timing(on: bool) {
-    VERBOSE_TIMING.store(on, Ordering::SeqCst);
-}
-
-/// Whether the per-id wall-time stderr line is enabled.
-pub fn verbose_timing() -> bool {
-    VERBOSE_TIMING.load(Ordering::SeqCst)
-}
-
-/// Starts collecting observability data (`--emit-manifest`): cell and
-/// experiment records accumulate, and — when `cfg` enables any capture —
-/// grid jobs are observed under it.
-pub fn enable_obs(cfg: ObsConfig) {
-    *OBS.lock().expect("obs lock") = Some(ObsState {
-        cfg,
-        cells: Vec::new(),
-        experiments: Vec::new(),
-    });
-}
-
-/// Whether observability collection is active.
-pub fn obs_enabled() -> bool {
-    OBS.lock().expect("obs lock").is_some()
-}
-
-/// What grid jobs observe, or `None` when collection is off or no
-/// capture flag is set.
-pub fn obs_config() -> Option<ObsConfig> {
-    let guard = OBS.lock().expect("obs lock");
-    let state = guard.as_ref()?;
-    state.cfg.is_enabled().then(|| state.cfg.clone())
-}
-
-/// Records one finished grid cell, with its observation, for the
-/// artifacts. No-op when collection is off.
-pub fn obs_record_cell(record: CellRecord) {
-    if let Some(state) = OBS.lock().expect("obs lock").as_mut() {
-        state.cells.push(record);
-    }
-}
-
-/// Records one finished experiment id's wall time for the manifest.
-/// No-op when collection is off.
-pub fn obs_record_experiment(id: &str, wall_ms: u64) {
-    if let Some(state) = OBS.lock().expect("obs lock").as_mut() {
-        state.experiments.push(ExperimentRecord {
-            id: id.to_string(),
-            wall_ms,
-        });
-    }
-}
-
-/// Enables (or disables) the process-wide fingerprint-keyed result
-/// cache. Cached cells replay their finished [`RunStats`] (and any
-/// observation) instead of re-simulating; rendered output is
-/// byte-identical either way, so the binary turns it on by default and
-/// `--no-result-cache` opts out.
-///
-/// When a persistent store directory was installed beforehand
-/// ([`set_result_store`]), the cache is created as a write-through L1
-/// over it: results persist across processes, and a warm store replays
-/// whole sweeps without simulating.
-///
-/// [`RunStats`]: cdp_sim::RunStats
-pub fn set_result_cache(on: bool) {
-    let cache = if on {
-        match RESULT_STORE.lock().expect("result store lock").as_ref() {
-            Some(store) => Some(Arc::new(ResultCache::with_store(Arc::clone(store)))),
-            None => Some(Arc::new(ResultCache::new())),
+impl Context {
+    /// A strict, fault-free, uncached and unobserved context over `pool`.
+    pub fn new(pool: Pool) -> Context {
+        Context {
+            pool,
+            ..Context::default()
         }
-    } else {
+    }
+
+    /// A fresh workload set for one experiment: its images see this
+    /// context's fault plan and engine choice, and live as long as the
+    /// set.
+    pub fn workloads(&self) -> WorkloadSet {
+        WorkloadSet::new(self.faults.clone(), self.stream)
+    }
+
+    /// Runs `jobs` on the pool and returns each cell in submission order,
+    /// plus the cells that failed.
+    ///
+    /// Every job runs under the watchdog policy and gets the fault plan's
+    /// walk fault for its image. A job without its own [`ObsConfig`] is
+    /// observed under the context's capture flags, and its observation
+    /// goes only to the manifest; a job that brought its own gets its
+    /// observation back. With a result cache or checkpoints on, a job
+    /// gets its run key (each image in `ws` hashed at most once) and the
+    /// attachments that read it. While a manifest collects, each cell is
+    /// recorded with its observation.
+    ///
+    /// In strict mode the first failing cell panics with its typed error.
+    /// In keep-going mode a failing cell comes back as `None` (a gap for
+    /// the caller to render) and joins the failure report and the
+    /// returned failures, and every healthy cell still completes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first failed cell unless keep-going mode is active.
+    pub fn run_cells(
+        &self,
+        ws: &WorkloadSet,
+        jobs: Vec<SimJob>,
+    ) -> (Vec<Option<Cell>>, Vec<CellFailure>) {
+        let collect = self.obs.is_some();
+        let capture = self.obs.clone().filter(ObsConfig::is_enabled);
+        let mut attached = Vec::with_capacity(jobs.len());
+        let jobs: Vec<SimJob> = jobs
+            .into_iter()
+            .map(|mut job| {
+                job.walk_fault = self.faults.walk_fault(&job.workload.name);
+                let own_obs = job.obs.is_some();
+                if !own_obs {
+                    job.obs = capture.clone();
+                }
+                let mut status = None;
+                // The key hashes the whole image: compute it only for a reader.
+                if self.result_cache.is_some() || self.checkpoint.is_some() {
+                    let key = job.key(ws.fingerprint(&job.workload));
+                    if let Some(cache) = &self.result_cache {
+                        job = job.with_result_cache(Arc::clone(cache), key);
+                    }
+                    if let Some(ck) = &self.checkpoint {
+                        let shared = CheckpointStatus::shared();
+                        status = Some(Arc::clone(&shared));
+                        job = job.with_checkpoint(CheckpointSpec {
+                            dir: ck.dir.clone(),
+                            every: ck.every,
+                            key,
+                            resume: ck.resume,
+                            status: Some(shared),
+                            io: None,
+                        });
+                    }
+                }
+                let fingerprint =
+                    collect.then(|| cdp_obs::fingerprint_hex(format!("{:?}", job.cfg).as_bytes()));
+                attached.push((fingerprint, own_obs, status));
+                job
+            })
+            .collect();
+        let mut cells = Vec::new();
+        let mut failures = Vec::new();
+        let reports = self.pool.run_sims_profiled(jobs, self.policy);
+        for (report, (fingerprint, own_obs, status)) in reports.into_iter().zip(attached) {
+            let JobReport {
+                label,
+                outcome,
+                wall,
+                observation,
+            } = report;
+            let returned = if own_obs { observation.clone() } else { None };
+            if collect {
+                let stats = match &outcome {
+                    JobOutcome::Ok(stats) => Some(stats),
+                    _ => None,
+                };
+                let counters = || stats.into_iter().flat_map(engines);
+                self.records().cells.push(CellRecord {
+                    experiment: self.experiment.clone(),
+                    label: label.clone(),
+                    status: outcome.status(),
+                    wall_ms: wall.as_millis() as u64,
+                    config_fingerprint: fingerprint.unwrap_or_default(),
+                    checkpoint: status.as_ref().map_or("off", |s| match s.get() {
+                        ResultSource::CheckpointResumed => "resumed",
+                        ResultSource::CorruptFallback => "corrupt-fallback",
+                        _ => "fresh",
+                    }),
+                    retired: stats.map_or(0, |s| s.retired),
+                    pf_issued: counters().map(|e| e.issued).sum(),
+                    pf_useful: counters().map(EngineCounters::useful).sum(),
+                    pf_wasted: counters().map(|e| e.wasted_evictions).sum(),
+                    observation,
+                });
+            }
+            // Best-effort writes, but the manifest must not hide a drop.
+            self.records().checkpoint_dropped_writes += status.map_or(0, |s| s.dropped_writes());
+            let cell = self.cell_or_gap(label, outcome, &mut failures);
+            cells.push(cell.map(|stats| (stats, returned)));
+        }
+        (cells, failures)
+    }
+
+    /// Runs a labelled `(config, benchmark)` grid through
+    /// [`Context::run_cells`]: each cell gets the §2.2 warm-up for
+    /// `scale` and its benchmark's image from `ws`, and comes back as
+    /// its stats.
+    ///
+    /// # Panics
+    ///
+    /// As [`Context::run_cells`].
+    pub fn run_grid(
+        &self,
+        ws: &WorkloadSet,
+        scale: Scale,
+        grid: Vec<(String, SystemConfig, Benchmark)>,
+    ) -> (Vec<Option<RunStats>>, Vec<CellFailure>) {
+        let jobs = grid
+            .into_iter()
+            .map(|(label, cfg, bench)| {
+                SimJob::new(label, with_warmup(cfg, scale), ws.get(bench, scale))
+            })
+            .collect();
+        let (cells, failures) = self.run_cells(ws, jobs);
+        let stats = cells.into_iter().map(|c| c.map(|(stats, _)| stats));
+        (stats.collect(), failures)
+    }
+
+    /// Unwraps one finished cell. In strict mode a failure panics with
+    /// its error; in keep-going mode it joins the failure report and
+    /// `failures`, and the cell comes back as `None`.
+    fn cell_or_gap(
+        &self,
+        label: String,
+        outcome: JobOutcome<RunStats>,
+        failures: &mut Vec<CellFailure>,
+    ) -> Option<RunStats> {
+        let error = match outcome {
+            JobOutcome::Ok(stats) => return Some(stats),
+            other => other
+                .failure()
+                .expect("non-Ok outcomes always describe their failure"),
+        };
+        if !self.keep_going {
+            panic!("cell {label}: {error}");
+        }
+        self.record_failure(&label, &error);
+        failures.push(CellFailure { label, error });
         None
-    };
-    *RESULT_CACHE.lock().expect("result cache lock") = cache;
-}
+    }
 
-/// Opens (creating if needed) the persistent result store at `dir` and
-/// installs it process-wide. Must run before [`set_result_cache`] for
-/// the cache to pick it up. Opening sweeps stale temp files and bumps
-/// the store generation.
-///
-/// # Errors
-///
-/// Propagates the store's typed open failure (unwritable directory,
-/// maintenance lock held by another process).
-pub fn set_result_store(dir: &std::path::Path) -> Result<(), cdp_types::StoreError> {
-    let store = cdp_store::ResultStore::open(dir)?;
-    *RESULT_STORE.lock().expect("result store lock") = Some(Arc::new(store));
-    Ok(())
-}
+    /// Records one failed cell under the running experiment's id.
+    pub fn record_failure(&self, cell: &str, error: &str) {
+        self.failures
+            .lock()
+            .expect("failure report lock")
+            .push(FailureRecord {
+                experiment: self.experiment.clone(),
+                cell: cell.to_string(),
+                error: error.to_string(),
+            });
+    }
 
-/// The persistent result store, if one was installed.
-pub fn result_store() -> Option<Arc<cdp_store::ResultStore>> {
-    RESULT_STORE.lock().expect("result store lock").clone()
-}
+    /// Takes the accumulated failure report (clearing it).
+    pub fn take_failures(&self) -> Vec<FailureRecord> {
+        std::mem::take(&mut *self.failures.lock().expect("failure report lock"))
+    }
 
-/// `(hits, misses, quarantined)` served by the persistent store so far
-/// (zeros when no store is installed).
-pub fn result_store_stats() -> (u64, u64, u64) {
-    match result_store() {
-        Some(s) => {
+    /// Records one finished experiment id's wall time for the manifest.
+    /// No-op when collection is off.
+    pub fn record_experiment(&self, id: &str, wall_ms: u64) {
+        if self.obs.is_some() {
+            self.records().experiments.push(ExperimentRecord {
+                id: id.to_string(),
+                wall_ms,
+            });
+        }
+    }
+
+    /// `(hits, misses)` served by the result cache so far (zeros when it
+    /// is off).
+    pub fn result_cache_stats(&self) -> (u64, u64) {
+        self.result_cache
+            .as_ref()
+            .map_or((0, 0), |c| (c.hits(), c.misses()))
+    }
+
+    /// `(hits, misses, quarantined)` served by the persistent result
+    /// store so far (zeros without one).
+    pub fn result_store_stats(&self) -> (u64, u64, u64) {
+        let store = self.result_cache.as_ref().and_then(|c| c.store());
+        store.map_or((0, 0, 0), |s| {
             let st = s.stats();
             (st.hits, st.misses, st.quarantined)
-        }
-        None => (0, 0, 0),
+        })
+    }
+
+    /// Takes everything collected for the artifacts, cells in the order
+    /// they were recorded, with the cache and store counters. `None`
+    /// when collection is off.
+    pub fn take_obs(&self) -> Option<ObsTaken> {
+        self.obs.as_ref()?;
+        let mut taken = std::mem::take(&mut *self.records());
+        (taken.result_cache_hits, taken.result_cache_misses) = self.result_cache_stats();
+        (
+            taken.result_store_hits,
+            taken.result_store_misses,
+            taken.result_store_quarantined,
+        ) = self.result_store_stats();
+        Some(taken)
+    }
+
+    fn records(&self) -> std::sync::MutexGuard<'_, ObsTaken> {
+        self.records.lock().expect("manifest records lock")
     }
 }
 
-/// The shared result cache, if enabled.
-pub fn result_cache() -> Option<Arc<ResultCache>> {
-    RESULT_CACHE.lock().expect("result cache lock").clone()
-}
-
-/// Enables per-cell checkpointing: sweep cells snapshot their simulation
-/// state into `settings.dir` every `settings.every` cycles, and — when
-/// `settings.resume` is set — pick up from an existing checkpoint
-/// instead of starting over. Rendered output is byte-identical with
-/// checkpointing on, off, or resumed (DESIGN.md §12).
-pub fn set_checkpointing(settings: Option<CheckpointSettings>) {
-    *CHECKPOINT.lock().expect("checkpoint lock") = settings;
-}
-
-/// The active checkpoint settings, if any.
-pub fn checkpointing() -> Option<CheckpointSettings> {
-    CHECKPOINT.lock().expect("checkpoint lock").clone()
-}
-
-/// `(hits, misses)` served by the result cache so far (zeros when the
-/// cache is disabled).
-pub fn result_cache_stats() -> (u64, u64) {
-    match result_cache() {
-        Some(c) => (c.hits(), c.misses()),
-        None => (0, 0),
-    }
-}
-
-/// Adds `n` dropped checkpoint writes to the run-wide total (summed from
-/// per-cell status slots after each grid).
-pub fn add_checkpoint_dropped_writes(n: u64) {
-    CHECKPOINT_DROPPED_WRITES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Checkpoint writes dropped so far across the whole run.
-pub fn checkpoint_dropped_writes() -> u64 {
-    CHECKPOINT_DROPPED_WRITES.load(Ordering::Relaxed)
-}
-
-/// Ends collection and returns everything accumulated, cells in the
-/// order they were recorded. `None` if collection was off.
-pub fn take_obs() -> Option<ObsTaken> {
-    let state = OBS.lock().expect("obs lock").take()?;
-    let (result_cache_hits, result_cache_misses) = result_cache_stats();
-    let (result_store_hits, result_store_misses, result_store_quarantined) = result_store_stats();
-    Some(ObsTaken {
-        cells: state.cells,
-        experiments: state.experiments,
-        result_cache_hits,
-        result_cache_misses,
-        result_store_hits,
-        result_store_misses,
-        result_store_quarantined,
-        checkpoint_dropped_writes: checkpoint_dropped_writes(),
-    })
+/// Every prefetch engine's counters in one run, for the manifest's
+/// cross-engine coverage/accuracy/wasted accounting.
+fn engines(stats: &RunStats) -> impl Iterator<Item = &EngineCounters> {
+    Engine::ALL.into_iter().filter_map(|e| stats.mem.engine(e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    use cdp_sim::{FaultSpec, RunLength};
+
+    use crate::onecell;
 
     #[test]
-    fn defaults_are_strict_and_empty() {
-        // Note: other tests in this binary must not mutate the globals,
-        // so the defaults observed here are the process-wide truth.
-        assert!(fault_plan().is_empty());
-        assert_eq!(policy(), RunPolicy::default());
+    fn contexts_share_nothing() {
+        // Two contexts run at once on two threads: a strict clean one,
+        // and a keep-going one whose fault gaps its only cell. Neither
+        // sees the other's settings or failures.
+        let serial = onecell::run(RunLength::Smoke, &Context::new(Pool::new(1))).render();
+        let clean = Context::new(Pool::new(1));
+        let faulted = Context {
+            keep_going: true,
+            faults: FaultPlan {
+                specs: vec![FaultSpec::parse("unmap:tpcc-1:7:2").expect("valid spec")],
+            },
+            ..Context::new(Pool::new(1))
+        };
+        let start = Barrier::new(2);
+        let run = |ctx: &Context| {
+            start.wait();
+            onecell::run(RunLength::Smoke, ctx).render()
+        };
+        let (clean_out, faulted_out) = std::thread::scope(|s| {
+            let clean = s.spawn(|| run(&clean));
+            let faulted = s.spawn(|| run(&faulted));
+            (
+                clean.join().expect("clean thread"),
+                faulted.join().expect("faulted thread"),
+            )
+        });
+        assert_eq!(
+            clean_out, serial,
+            "the clean context renders the clean bytes"
+        );
+        assert!(clean.take_failures().is_empty());
+        assert!(
+            faulted_out
+                .lines()
+                .any(|l| l.split_whitespace().eq(["--", "--", "--", "--"])),
+            "the faulted context renders a gap row:\n{faulted_out}"
+        );
+        let failures = faulted.take_failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!(failures[0].cell, "onecell/tpcc-1");
     }
 
     #[test]
     fn obs_lifecycle_collects_and_drains() {
-        // Collection disabled: every hook is a cheap no-op.
-        assert!(obs_config().is_none());
-        obs_record_cell(CellRecord {
-            experiment: "none".into(),
-            label: "dropped".into(),
-            status: "ok",
-            wall_ms: 1,
-            config_fingerprint: String::new(),
-            checkpoint: "off",
-            retired: 0,
-            pf_issued: 0,
-            pf_useful: 0,
-            pf_wasted: 0,
-            observation: None,
-        });
-        // Enabled with an all-off ObsConfig: records accumulate but jobs
-        // are not observed (plain try_run path).
-        enable_obs(ObsConfig::default());
-        assert!(obs_enabled());
-        assert!(obs_config().is_none());
-        obs_record_cell(CellRecord {
+        let record = |label: &str| CellRecord {
             experiment: "ctx-obs-test".into(),
-            label: "ctx-obs-cell".into(),
+            label: label.into(),
             status: "ok",
             wall_ms: 5,
             config_fingerprint: "deadbeefdeadbeef".into(),
@@ -339,23 +396,43 @@ mod tests {
             pf_useful: 0,
             pf_wasted: 0,
             observation: None,
-        });
-        obs_record_experiment("ctx-obs-test", 9);
-        let taken = take_obs().expect("collection was on");
-        assert!(taken.cells.iter().any(|c| c.label == "ctx-obs-cell"));
-        assert!(taken.cells.iter().all(|c| c.label != "dropped"));
-        assert!(taken.experiments.iter().any(|e| e.id == "ctx-obs-test"));
-        assert!(take_obs().is_none(), "take ends collection");
+        };
+        // Collection off: nothing is recorded or taken.
+        let off = Context::new(Pool::new(1));
+        off.record_experiment("ctx-obs-test", 9);
+        assert!(off.take_obs().is_none());
+        // On with an all-off ObsConfig: records accumulate, and a take
+        // drains them.
+        let on = Context {
+            obs: Some(ObsConfig::default()),
+            ..Context::new(Pool::new(1))
+        };
+        on.records().cells.push(record("ctx-obs-cell"));
+        on.record_experiment("ctx-obs-test", 9);
+        let taken = on.take_obs().expect("collection is on");
+        assert_eq!(taken.cells.len(), 1);
+        assert_eq!(taken.cells[0].label, "ctx-obs-cell");
+        assert_eq!(taken.experiments[0].id, "ctx-obs-test");
+        let again = on.take_obs().expect("collection is still on");
+        assert!(again.cells.is_empty() && again.experiments.is_empty());
     }
 
     #[test]
     fn failure_records_carry_the_experiment_id() {
-        set_current_experiment("ctx-test");
-        record_failure("cell-a", "broke");
-        let got = take_failures();
-        let rec = got.iter().find(|r| r.cell == "cell-a").expect("recorded");
-        assert_eq!(rec.experiment, "ctx-test");
-        assert_eq!(rec.error, "broke");
-        assert!(take_failures().iter().all(|r| r.cell != "cell-a"));
+        let ctx = Context {
+            experiment: "ctx-test".into(),
+            ..Context::new(Pool::new(1))
+        };
+        ctx.record_failure("cell-a", "broke");
+        let got = ctx.take_failures();
+        assert_eq!(
+            got,
+            [FailureRecord {
+                experiment: "ctx-test".into(),
+                cell: "cell-a".into(),
+                error: "broke".into(),
+            }]
+        );
+        assert!(ctx.take_failures().is_empty());
     }
 }

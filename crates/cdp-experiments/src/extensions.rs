@@ -9,15 +9,12 @@
 //!   buffers versus content prefetching on the pointer subset.
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{speedup, Pool, SimJob};
+use cdp_sim::{speedup, RunLength, SimJob};
 use cdp_types::{AdaptiveConfig, ContentConfig, StreamConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{
-    cell_or_gap, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells,
-    CellFailure, ExpScale, WorkloadSet,
-};
-use crate::context;
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::{Cell, Context};
 
 /// One margin point.
 #[derive(Clone, Debug)]
@@ -74,13 +71,12 @@ impl MarginAblation {
 
 /// Runs the margin ablation on the pointer subset (one flat pooled
 /// grid: margins x benchmarks).
-pub fn margin(scale: ExpScale, pool: &Pool) -> MarginAblation {
+pub fn margin(scale: RunLength, ctx: &Context) -> MarginAblation {
     let s = scale.scale();
     let benches = pointer_subset();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let base_cfg = SystemConfig::asplos2002();
-    let (baselines, mut failures) = run_grid_cells(
-        pool,
+    let (baselines, mut failures) = ctx.run_grid(
         &ws,
         s,
         benches
@@ -100,7 +96,7 @@ pub fn margin(scale: ExpScale, pool: &Pool) -> MarginAblation {
             grid.push((format!("m{margin}/{}", b.name()), cfg.clone(), b));
         }
     }
-    let (runs, grid_failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, grid_failures) = ctx.run_grid(&ws, s, grid);
     failures.extend(grid_failures);
     let points = margins
         .iter()
@@ -186,7 +182,7 @@ impl AdaptiveStudy {
 
 /// Runs fixed vs adaptive over a mixed subset (pointer-heavy plus two
 /// low-MPTU codes where aggressive knobs have nothing to win).
-pub fn adaptive(scale: ExpScale, pool: &Pool) -> AdaptiveStudy {
+pub fn adaptive(scale: RunLength, ctx: &Context) -> AdaptiveStudy {
     let s = scale.scale();
     let mut benches = pointer_subset();
     benches.push(Benchmark::B2e);
@@ -195,14 +191,14 @@ pub fn adaptive(scale: ExpScale, pool: &Pool) -> AdaptiveStudy {
     let fixed_cfg = SystemConfig::with_content();
     let mut adaptive_cfg = SystemConfig::with_content();
     adaptive_cfg.prefetchers.adaptive = Some(AdaptiveConfig::default());
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for &b in &benches {
         grid.push((format!("base/{}", b.name()), base_cfg.clone(), b));
         grid.push((format!("fixed/{}", b.name()), fixed_cfg.clone(), b));
         grid.push((format!("adaptive/{}", b.name()), adaptive_cfg.clone(), b));
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let mut rows = Vec::new();
     for (&b, trio) in benches.iter().zip(runs.chunks(3)) {
         let (base, fixed, adapt) = (&trio[0], &trio[1], &trio[2]);
@@ -280,21 +276,21 @@ impl StreamStudy {
 }
 
 /// Runs stride vs stride+streams vs stride+content on the pointer subset.
-pub fn stream(scale: ExpScale, pool: &Pool) -> StreamStudy {
+pub fn stream(scale: RunLength, ctx: &Context) -> StreamStudy {
     let s = scale.scale();
     let benches = pointer_subset();
     let base_cfg = SystemConfig::asplos2002();
     let mut stream_cfg = SystemConfig::asplos2002();
     stream_cfg.prefetchers.stream = Some(StreamConfig::default());
     let content_cfg = SystemConfig::with_content();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for &b in &benches {
         grid.push((format!("base/{}", b.name()), base_cfg.clone(), b));
         grid.push((format!("streams/{}", b.name()), stream_cfg.clone(), b));
         grid.push((format!("content/{}", b.name()), content_cfg.clone(), b));
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let rows = benches
         .iter()
         .zip(runs.chunks(3))
@@ -371,11 +367,12 @@ impl BackwardStudy {
 
 /// Builds a doubly-linked-list workload traversed in one direction and
 /// measures previous-line vs next-line width at equal bandwidth. The
-/// six simulations (2 directions x 3 configurations) are pool jobs over
-/// shared workload images, labelled `<direction>/<config>`. They run
-/// under the run policy's watchdog and see the fault plan's walk
-/// failures; a failed cell gaps its row (see [`cell_or_gap`]).
-pub fn backward(scale: ExpScale, pool: &Pool) -> BackwardStudy {
+/// six simulations (2 directions x 3 configurations) are cells of the
+/// context's runner over shared workload images, labelled
+/// `<direction>/<config>`. The images pass through the fault plan like
+/// benchmark images (a `*` directive reaches them); a failed cell gaps
+/// its row.
+pub fn backward(scale: RunLength, ctx: &Context) -> BackwardStudy {
     use std::sync::Arc;
 
     use cdp_mem::AddressSpace;
@@ -422,28 +419,25 @@ pub fn backward(scale: ExpScale, pool: &Pool) -> BackwardStudy {
     };
 
     let directions = [("forward", true), ("backward", false)];
-    let plan = context::fault_plan();
+    let ws = ctx.workloads();
     let mut jobs = Vec::new();
     for &(direction, forward) in &directions {
-        let w = Arc::new(build(forward));
+        let w = Arc::new(ws.faulted(build(forward)));
         for (name, cfg) in [
             ("base", SystemConfig::asplos2002()),
             ("p2.n0", width_cfg(2, 0)),
             ("p0.n2", width_cfg(0, 2)),
         ] {
-            let mut job = SimJob::new(format!("{direction}/{name}"), cfg, Arc::clone(&w));
-            job.walk_fault = plan.walk_fault(&w.name);
-            jobs.push(job);
+            jobs.push(SimJob::new(
+                format!("{direction}/{name}"),
+                cfg,
+                Arc::clone(&w),
+            ));
         }
     }
-    let mut failures = Vec::new();
-    let runs: Vec<_> = pool
-        .run_sims_profiled(jobs, context::policy())
-        .into_iter()
-        .map(|r| cell_or_gap(r.label, r.outcome, &mut failures))
-        .collect();
-    let over_base = |base: &Option<_>, variant: &Option<_>| match (base, variant) {
-        (Some(base), Some(variant)) => Some(speedup(base, variant)),
+    let (runs, failures) = ctx.run_cells(&ws, jobs);
+    let over_base = |base: &Option<Cell>, variant: &Option<Cell>| match (base, variant) {
+        (Some((base, _)), Some((variant, _))) => Some(speedup(base, variant)),
         _ => None,
     };
     let rows = directions
@@ -462,10 +456,11 @@ pub fn backward(scale: ExpScale, pool: &Pool) -> BackwardStudy {
 mod tests {
     use super::*;
     use cdp_sim::metrics::mean;
+    use cdp_sim::Pool;
 
     #[test]
     fn margin_two_cuts_rescans() {
-        let m = margin(ExpScale::Smoke, &Pool::new(2));
+        let m = margin(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(m.points.len(), 3);
         assert!(m.failures.is_empty());
         let (r1, r2) = (
@@ -478,7 +473,7 @@ mod tests {
 
     #[test]
     fn adaptive_study_runs() {
-        let a = adaptive(ExpScale::Smoke, &Pool::new(2));
+        let a = adaptive(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(a.rows.len(), 6);
         assert!(a.failures.is_empty());
         for r in &a.rows {
@@ -491,7 +486,7 @@ mod tests {
     fn width_direction_is_immaterial_on_dlists() {
         // The chain covers both traversal directions (VAM finds next AND
         // prev pointers), so p2.n0 and p0.n2 land close together.
-        let st = backward(ExpScale::Smoke, &Pool::new(2));
+        let st = backward(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(st.rows.len(), 2);
         assert!(st.failures.is_empty());
         for r in &st.rows {
@@ -511,7 +506,7 @@ mod tests {
 
     #[test]
     fn content_beats_streams_on_pointer_subset() {
-        let s = stream(ExpScale::Smoke, &Pool::new(2));
+        let s = stream(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert!(s.failures.is_empty());
         let avg_stream = mean(
             &s.rows

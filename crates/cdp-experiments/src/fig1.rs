@@ -5,12 +5,12 @@
 //! L2 miss rate in retired-uop windows, and picks the statistics-start
 //! point where the cold-start transient has died out.
 
-use cdp_sim::{Pool, SimJob};
+use cdp_sim::{RunLength, SimJob};
 use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{cell_or_gap, failure_note, CellFailure, ExpScale, WorkloadSet, GAP};
-use crate::context;
+use crate::common::{failure_note, CellFailure, GAP};
+use crate::context::Context;
 
 /// One benchmark's MPTU-over-time series.
 #[derive(Clone, Debug)]
@@ -78,10 +78,9 @@ impl Figure1 {
 }
 
 /// Runs the six suite representatives on a 4 MB UL2 and samples windowed
-/// MPTU from each run's metrics windows. The runs are pool jobs under the
-/// run policy's watchdog and see the process-wide fault plan; a failed or
-/// timed-out run renders as a gap column (see [`cell_or_gap`]).
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure1 {
+/// MPTU from each run's metrics windows. The runs are cells of the
+/// context's runner; a failed or timed-out run renders as a gap column.
+pub fn run(scale: RunLength, ctx: &Context) -> Figure1 {
     let s = scale.scale();
     let window = (s.target_uops as u64 / 24).max(500);
     let mut cfg = SystemConfig::asplos2002();
@@ -90,36 +89,30 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure1 {
         metrics_window: Some(window),
         ..ObsConfig::default()
     };
-    let ws = WorkloadSet::default();
-    let plan = context::fault_plan();
-    let jobs = Benchmark::figure1_set()
+    let ws = ctx.workloads();
+    let benches = Benchmark::figure1_set();
+    let jobs = benches
         .iter()
-        .map(|b| {
-            let mut job = SimJob::new(b.name(), cfg.clone(), ws.get(*b, s)).with_obs(obs.clone());
-            job.walk_fault = plan.walk_fault(b.name());
-            job
-        })
+        .map(|b| SimJob::new(b.name(), cfg.clone(), ws.get(*b, s)).with_obs(obs.clone()))
         .collect();
-    let mut failures = Vec::new();
-    let mut series = Vec::new();
-    for report in pool.run_sims_profiled(jobs, context::policy()) {
-        let samples = cell_or_gap(report.label.clone(), report.outcome, &mut failures).map(|_| {
+    let (cells, failures) = ctx.run_cells(&ws, jobs);
+    let series: Vec<Series> = benches
+        .iter()
+        .zip(cells)
+        .map(|(b, cell)| Series {
+            name: b.name().to_string(),
             // Misses per 1000 uops of window width (the last window may
             // be shorter), as the paper plots them.
-            let windows = report
-                .observation
-                .expect("a finished observed run reports its observation")
-                .windows;
-            windows
-                .iter()
-                .map(|m| m.l2_demand_misses as f64 * 1000.0 / window as f64)
-                .collect()
-        });
-        series.push(Series {
-            name: report.label,
-            samples,
-        });
-    }
+            samples: cell.map(|(_, observation)| {
+                let observation = observation.expect("an observed cell returns its observation");
+                observation
+                    .windows
+                    .iter()
+                    .map(|m| m.l2_demand_misses as f64 * 1000.0 / window as f64)
+                    .collect()
+            }),
+        })
+        .collect();
     // Steady point: first window from which every series stays within 2x
     // of the mean of its second half.
     let mut steady = 0usize;
@@ -149,10 +142,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn six_series_with_cold_start_transient() {
-        let f = run(ExpScale::Smoke, &Pool::new(2));
+        let f = run(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(f.series.len(), 6);
         assert!(f.failures.is_empty(), "fault-free run has no gaps");
         // At least one pointer-heavy series must show a cold-start spike:

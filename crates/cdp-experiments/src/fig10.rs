@@ -7,14 +7,12 @@
 //! * of the content prefetches that masked any latency, ~72% masked it
 //!   fully.
 
-use cdp_sim::{speedup, Pool, RequestDistribution};
+use cdp_sim::{speedup, RequestDistribution, RunLength};
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{
-    failure_note, mean_if_complete, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet, GAP,
-};
+use crate::common::{failure_note, mean_if_complete, render_table, CellFailure, GAP};
+use crate::context::Context;
 
 /// One benchmark's measured classification (present only when both its
 /// baseline and CDP cells completed).
@@ -127,17 +125,17 @@ impl Figure10 {
 
 /// Runs the full suite under baseline and tuned-CDP configurations,
 /// both runs of every benchmark as independent pool jobs.
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure10 {
+pub fn run(scale: RunLength, ctx: &Context) -> Figure10 {
     let s = scale.scale();
     let base_cfg = SystemConfig::asplos2002();
     let cdp_cfg = SystemConfig::with_content();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for b in Benchmark::all() {
         grid.push((format!("base/{}", b.name()), base_cfg.clone(), b));
         grid.push((format!("cdp/{}", b.name()), cdp_cfg.clone(), b));
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let mut rows = Vec::new();
     let mut agg = RequestDistribution::default();
     let mut complete = true;
@@ -182,10 +180,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn fractions_are_distributions() {
-        let f = run(ExpScale::Smoke, &Pool::new(2));
+        let f = run(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(f.rows.len(), 15);
         for r in &f.rows {
             let d = r.data.as_ref().expect("healthy run");

@@ -13,14 +13,14 @@
 //! ~4.5% (training phase + resident lines), and the content prefetcher
 //! beats it by ~3x.
 
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, RunLength};
 use cdp_types::{MarkovConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure,
-    ExpScale, WorkloadSet, GAP,
+    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, CellFailure, GAP,
 };
+use crate::context::Context;
 
 /// One configuration's result.
 #[derive(Clone, Debug)]
@@ -96,14 +96,14 @@ impl Figure11 {
 }
 
 /// Runs the four configurations over the suite.
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure11 {
-    run_on(scale, &Benchmark::all(), pool)
+pub fn run(scale: RunLength, ctx: &Context) -> Figure11 {
+    run_on(scale, &Benchmark::all(), ctx)
 }
 
 /// Runs the comparison on a benchmark subset (used by tests and the
 /// quick-look example): baselines first, then all variant x benchmark
 /// cells as one flat pooled grid.
-pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Figure11 {
+pub fn run_on(scale: RunLength, benches: &[Benchmark], ctx: &Context) -> Figure11 {
     let s = scale.scale();
     let base_cfg = SystemConfig::asplos2002();
     let variants: Vec<(String, SystemConfig)> = vec![
@@ -121,9 +121,8 @@ pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Figure11 {
         ),
         ("content".into(), SystemConfig::with_content()),
     ];
-    let ws = WorkloadSet::default();
-    let (baselines, mut failures) = run_grid_cells(
-        pool,
+    let ws = ctx.workloads();
+    let (baselines, mut failures) = ctx.run_grid(
         &ws,
         s,
         benches
@@ -137,7 +136,7 @@ pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Figure11 {
             grid.push((format!("{name}/{}", b.name()), cfg.clone(), b));
         }
     }
-    let (runs, grid_failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, grid_failures) = ctx.run_grid(&ws, s, grid);
     failures.extend(grid_failures);
     let configs = variants
         .into_iter()
@@ -164,13 +163,14 @@ pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Figure11 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn content_beats_every_markov_configuration() {
         let f = run_on(
-            ExpScale::Smoke,
+            RunLength::Smoke,
             &[Benchmark::Slsb, Benchmark::Tpcc2, Benchmark::B2e],
-            &Pool::new(2),
+            &Context::new(Pool::new(2)),
         );
         assert_eq!(f.configs.len(), 4);
         assert!(f.failures.is_empty());

@@ -7,14 +7,14 @@
 //! coverage falls (the prefetchable region halves per added bit).
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{accuracy, coverage, Engine, Pool, RunStats};
+use cdp_sim::{accuracy, coverage, Engine, RunLength, RunStats};
 use cdp_types::{SystemConfig, VamConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    best_tradeoff, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells,
-    CellFailure, ExpScale, WorkloadSet,
+    best_tradeoff, failure_note, mean_if_complete, opt_cell, render_table, CellFailure, WorkloadSet,
 };
+use crate::context::Context;
 
 /// One sweep point.
 #[derive(Clone, Debug)]
@@ -140,8 +140,8 @@ pub(crate) fn reduce_point(
 /// coverage denominator. Also returns the cells that failed.
 pub fn measure_vam(
     ws: &WorkloadSet,
-    scale: ExpScale,
-    pool: &Pool,
+    scale: RunLength,
+    ctx: &Context,
     vam: VamConfig,
     baselines: &[(Benchmark, Option<RunStats>)],
 ) -> ((Option<f64>, Option<f64>), Vec<CellFailure>) {
@@ -150,7 +150,7 @@ pub fn measure_vam(
         .iter()
         .map(|(b, _)| (b.name().to_string(), cfg.clone(), *b))
         .collect();
-    let (runs, failures) = run_grid_cells(pool, ws, scale.scale(), grid);
+    let (runs, failures) = ctx.run_grid(ws, scale.scale(), grid);
     (reduce_point(&runs, baselines), failures)
 }
 
@@ -159,8 +159,8 @@ pub fn measure_vam(
 /// point of its benchmark.
 pub fn baselines(
     ws: &WorkloadSet,
-    scale: ExpScale,
-    pool: &Pool,
+    scale: RunLength,
+    ctx: &Context,
 ) -> (Vec<(Benchmark, Option<RunStats>)>, Vec<CellFailure>) {
     let base_cfg = SystemConfig::asplos2002();
     let benches = pointer_subset();
@@ -168,7 +168,7 @@ pub fn baselines(
         .iter()
         .map(|b| (format!("base/{}", b.name()), base_cfg.clone(), *b))
         .collect();
-    let (runs, failures) = run_grid_cells(pool, ws, scale.scale(), grid);
+    let (runs, failures) = ctx.run_grid(ws, scale.scale(), grid);
     (benches.into_iter().zip(runs).collect(), failures)
 }
 
@@ -189,9 +189,9 @@ pub(crate) fn best_complete(points: &[(Option<f64>, Option<f64>)]) -> Option<usi
 
 /// Runs the Figure 7 sweep: every sweep point x benchmark is one
 /// independent simulation, submitted to the pool as a single flat grid.
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure7 {
-    let ws = WorkloadSet::default();
-    let (base, mut failures) = baselines(&ws, scale, pool);
+pub fn run(scale: RunLength, ctx: &Context) -> Figure7 {
+    let ws = ctx.workloads();
+    let (base, mut failures) = baselines(&ws, scale, ctx);
     let sweep = paper_sweep();
     let vams: Vec<VamConfig> = sweep
         .iter()
@@ -207,7 +207,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure7 {
             grid.push((format!("{n:02}.{m}/{}", b.name()), vam_cfg(*vam), *b));
         }
     }
-    let (runs, sweep_failures) = run_grid_cells(pool, &ws, scale.scale(), grid);
+    let (runs, sweep_failures) = ctx.run_grid(&ws, scale.scale(), grid);
     failures.extend(sweep_failures);
     let mut points = Vec::new();
     for (i, (&(n, m), vam)) in sweep.iter().zip(&vams).enumerate() {
@@ -236,6 +236,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure7 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn sweep_axis_matches_paper() {
@@ -262,15 +263,15 @@ mod tests {
     fn more_compare_bits_do_not_raise_coverage() {
         // Scaled-down directional check: coverage at 12 compare bits must
         // not exceed coverage at 8 compare bits (same filter).
-        let pool = Pool::new(2);
-        let ws = WorkloadSet::default();
-        let (base, base_failures) = baselines(&ws, ExpScale::Smoke, &pool);
+        let ctx = Context::new(Pool::new(2));
+        let ws = ctx.workloads();
+        let (base, base_failures) = baselines(&ws, RunLength::Smoke, &ctx);
         assert!(base_failures.is_empty());
         let at = |n: u32| {
             let ((cov, _), failures) = measure_vam(
                 &ws,
-                ExpScale::Smoke,
-                &pool,
+                RunLength::Smoke,
+                &ctx,
                 VamConfig {
                     compare_bits: n,
                     filter_bits: 4,

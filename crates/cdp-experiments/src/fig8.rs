@@ -4,12 +4,11 @@
 //! The paper sweeps "8.4.A.S" for A ∈ {0,1,2,4} and S ∈ {1,2,4} and picks
 //! 8.4.1.2: predicting only on 2-byte alignment with a 2-byte scan step.
 
-use cdp_sim::Pool;
+use cdp_sim::RunLength;
 use cdp_types::VamConfig;
 
-use crate::common::{
-    failure_note, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale, WorkloadSet,
-};
+use crate::common::{failure_note, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 use crate::fig7::{baselines, best_complete, reduce_point, vam_cfg};
 
 /// One sweep point.
@@ -84,9 +83,9 @@ pub fn paper_sweep() -> Vec<(u32, usize)> {
 
 /// Runs the Figure 8 sweep as one flat pooled grid (every sweep point x
 /// benchmark is an independent simulation).
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure8 {
-    let ws = WorkloadSet::default();
-    let (base, mut failures) = baselines(&ws, scale, pool);
+pub fn run(scale: RunLength, ctx: &Context) -> Figure8 {
+    let ws = ctx.workloads();
+    let (base, mut failures) = baselines(&ws, scale, ctx);
     let sweep = paper_sweep();
     let vams: Vec<VamConfig> = sweep
         .iter()
@@ -107,7 +106,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure8 {
             ));
         }
     }
-    let (runs, sweep_failures) = run_grid_cells(pool, &ws, scale.scale(), grid);
+    let (runs, sweep_failures) = ctx.run_grid(&ws, scale.scale(), grid);
     failures.extend(sweep_failures);
     let mut points = Vec::new();
     for (i, (&(align, step), vam)) in sweep.iter().zip(&vams).enumerate() {
@@ -137,6 +136,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure8 {
 mod tests {
     use super::*;
     use crate::fig7::measure_vam;
+    use cdp_sim::Pool;
 
     #[test]
     fn twelve_points() {
@@ -147,15 +147,15 @@ mod tests {
 
     #[test]
     fn four_byte_alignment_cannot_beat_two_byte_coverage() {
-        let pool = Pool::new(2);
-        let ws = WorkloadSet::default();
-        let (base, base_failures) = baselines(&ws, ExpScale::Smoke, &pool);
+        let ctx = Context::new(Pool::new(2));
+        let ws = ctx.workloads();
+        let (base, base_failures) = baselines(&ws, RunLength::Smoke, &ctx);
         assert!(base_failures.is_empty());
         let at = |align: u32| {
             let ((cov, _), failures) = measure_vam(
                 &ws,
-                ExpScale::Smoke,
-                &pool,
+                RunLength::Smoke,
+                &ctx,
                 VamConfig {
                     compare_bits: 8,
                     filter_bits: 4,

@@ -10,13 +10,11 @@
 //! * the best configuration is reinforcement + depth 3 + p0.n3.
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, RunLength};
 use cdp_types::{ContentConfig, SystemConfig};
 
-use crate::common::{
-    failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet,
-};
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// The width axis of Figure 9: (previous lines, next lines).
 pub const WIDTH_AXIS: [(u32, u32); 7] = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)];
@@ -112,13 +110,12 @@ impl Figure9 {
 
 /// Runs the Figure 9 grid over the pointer subset: 6 curves x 7 width
 /// points x the benchmark subset, submitted as one flat pooled grid.
-pub fn run(scale: ExpScale, pool: &Pool) -> Figure9 {
+pub fn run(scale: RunLength, ctx: &Context) -> Figure9 {
     let s = scale.scale();
     let benches = pointer_subset();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let base_cfg = SystemConfig::asplos2002();
-    let (baselines, mut failures) = run_grid_cells(
-        pool,
+    let (baselines, mut failures) = ctx.run_grid(
         &ws,
         s,
         benches
@@ -153,7 +150,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure9 {
             }
         }
     }
-    let (runs, grid_failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, grid_failures) = ctx.run_grid(&ws, s, grid);
     failures.extend(grid_failures);
     let mut chunks = runs.chunks(benches.len());
     let curves = axes

@@ -20,9 +20,10 @@
 //! | [`sensitivity`] | §2.1 motivation | bus-latency and L2-size sweeps |
 //! | [`tournament`] | §5 methodology | equal-silicon prefetcher zoo (Markov, delta, jump, CDP, perceptron hybrids) |
 //!
-//! Every experiment takes an [`ExpScale`] (how big a run) and returns a
-//! typed result with a `render()` method producing the table/series the
-//! paper reports.
+//! Every simulating experiment takes a [`RunLength`](cdp_sim::RunLength)
+//! (how big a run) and a [`Context`] (how to run it: pool, fault plan,
+//! cache, checkpoints, observability) and returns a typed result with a
+//! `render()` method producing the table/series the paper reports.
 
 #![warn(missing_docs)]
 
@@ -48,4 +49,5 @@ pub mod table2;
 pub mod tlb;
 pub mod tournament;
 
-pub use common::{CellFailure, ExpScale};
+pub use common::CellFailure;
+pub use context::Context;

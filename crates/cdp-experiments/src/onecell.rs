@@ -6,16 +6,15 @@
 //! large` or `huge` takes hours, but CI and the throughput benchmarks
 //! only need one representative cell to prove the tier completes with
 //! bounded memory and to measure uop throughput. The cell goes through
-//! [`run_grid_cells`] like any sweep cell, so a manifest emitted around
+//! [`Context::run_grid`] like any sweep cell, so a manifest emitted around
 //! it carries the usual `retired`/`muops` accounting.
 
-use cdp_sim::{Pool, RunStats};
+use cdp_sim::{RunLength, RunStats};
 use cdp_types::SystemConfig;
 use cdp_workloads::Benchmark;
 
-use crate::common::{
-    failure_note, render_table, run_grid_cells, CellFailure, ExpScale, WorkloadSet,
-};
+use crate::common::{failure_note, render_table, CellFailure};
+use crate::context::Context;
 
 /// The single-cell run's result.
 #[derive(Clone, Debug)]
@@ -23,7 +22,7 @@ pub struct OneCell {
     /// The benchmark the cell ran.
     pub bench: Benchmark,
     /// The tier it ran at.
-    pub scale: ExpScale,
+    pub scale: RunLength,
     /// The cell's stats; `None` when it failed under keep-going.
     pub stats: Option<RunStats>,
     /// Failure detail (empty on a healthy run).
@@ -58,15 +57,15 @@ impl OneCell {
 /// Tpcc1 is the representative pick: pointer-chasing TPC-C is the
 /// workload family the paper's prefetcher targets, so the cell exercises
 /// the VAM scan path, not just a stride stream.
-pub fn run(scale: ExpScale, pool: &Pool) -> OneCell {
+pub fn run(scale: RunLength, ctx: &Context) -> OneCell {
     let bench = Benchmark::Tpcc1;
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let grid = vec![(
         format!("onecell/{}", bench.name()),
         SystemConfig::with_content(),
         bench,
     )];
-    let (mut cells, failures) = run_grid_cells(pool, &ws, scale.scale(), grid);
+    let (mut cells, failures) = ctx.run_grid(&ws, scale.scale(), grid);
     OneCell {
         bench,
         scale,
@@ -78,10 +77,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> OneCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn onecell_runs_and_renders_at_smoke() {
-        let r = run(ExpScale::Smoke, &Pool::new(1));
+        let r = run(RunLength::Smoke, &Context::new(Pool::new(1)));
         assert!(r.failures.is_empty());
         let s = r.stats.as_ref().expect("healthy run");
         assert!(s.retired > 0);

@@ -6,15 +6,12 @@
 
 use cdp_sim::hierarchy::PollutionConfig;
 use cdp_sim::runner::with_warmup;
-use cdp_sim::{speedup, Pool, SimJob};
+use cdp_sim::{speedup, RunLength, SimJob};
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{
-    cell_or_gap, failure_note, mean_if_complete, opt_cell, render_table, CellFailure, ExpScale,
-    WorkloadSet,
-};
-use crate::context;
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// One benchmark's pollution sensitivity.
 #[derive(Clone, Debug)]
@@ -71,48 +68,44 @@ impl Pollution {
 
 /// Runs the pollution study over the full suite (stride baseline with and
 /// without injected junk fills).
-pub fn run(scale: ExpScale, pool: &Pool) -> Pollution {
-    run_on(scale, &Benchmark::all(), pool)
+pub fn run(scale: RunLength, ctx: &Context) -> Pollution {
+    run_on(scale, &Benchmark::all(), ctx)
 }
 
 /// Runs the study on a subset: the clean and polluted runs of every
-/// benchmark are independent pool jobs sharing one workload image, under
-/// the process-wide watchdog policy and fault plan. A failed run gaps
-/// out its row (see [`cell_or_gap`]).
-pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Pollution {
+/// benchmark are cells of the context's runner sharing one workload
+/// image. A failed run gaps out its row.
+pub fn run_on(scale: RunLength, benches: &[Benchmark], ctx: &Context) -> Pollution {
     let s = scale.scale();
     let cfg = with_warmup(SystemConfig::asplos2002(), s);
-    let ws = WorkloadSet::default();
-    let plan = context::fault_plan();
+    let ws = ctx.workloads();
     let mut jobs = Vec::new();
     for &b in benches {
         let w = ws.get(b, s);
-        let mut clean = SimJob::new(format!("clean/{}", b.name()), cfg.clone(), w.clone());
-        clean.walk_fault = plan.walk_fault(b.name());
+        jobs.push(SimJob::new(
+            format!("clean/{}", b.name()),
+            cfg.clone(),
+            w.clone(),
+        ));
         let mut dirty = SimJob::new(format!("dirty/{}", b.name()), cfg.clone(), w);
-        dirty.walk_fault = clean.walk_fault;
         // One injection per line-occupancy of idle bus: "every idle
         // bus cycle" at line granularity.
         dirty.pollution = Some(PollutionConfig { period: 60 });
-        jobs.push(clean);
         jobs.push(dirty);
     }
-    let mut failures = Vec::new();
-    let results: Vec<_> = pool
-        .run_sims_profiled(jobs, context::policy())
-        .into_iter()
-        .map(|r| cell_or_gap(r.label, r.outcome, &mut failures))
-        .collect();
+    let (cells, failures) = ctx.run_cells(&ws, jobs);
     let rows = benches
         .iter()
-        .zip(results.chunks(2))
+        .zip(cells.chunks(2))
         .map(|(&b, pair)| Row {
             name: b.name().to_string(),
             speedup: match pair {
-                [Some(clean), Some(dirty)] => Some(speedup(clean, dirty)),
+                [Some((clean, _)), Some((dirty, _))] => Some(speedup(clean, dirty)),
                 _ => None,
             },
-            injected: pair[1].as_ref().map(|dirty| dirty.mem.injected_pollution),
+            injected: pair[1]
+                .as_ref()
+                .map(|(dirty, _)| dirty.mem.injected_pollution),
         })
         .collect::<Vec<_>>();
     let average = mean_if_complete(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>());
@@ -126,13 +119,14 @@ pub fn run_on(scale: ExpScale, benches: &[Benchmark], pool: &Pool) -> Pollution 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn pollution_never_helps() {
         let p = run_on(
-            ExpScale::Smoke,
+            RunLength::Smoke,
             &[Benchmark::B2e, Benchmark::Tpcc2],
-            &Pool::new(2),
+            &Context::new(Pool::new(2)),
         );
         assert_eq!(p.rows.len(), 2);
         assert!(p.failures.is_empty(), "fault-free run has no gaps");

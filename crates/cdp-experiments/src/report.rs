@@ -307,7 +307,10 @@ mod tests {
 
     #[test]
     fn table2_dataset_shape() {
-        let t = crate::table2::run(crate::ExpScale::Smoke, &cdp_sim::Pool::new(2));
+        let t = crate::table2::run(
+            cdp_sim::RunLength::Smoke,
+            &crate::Context::new(cdp_sim::Pool::new(2)),
+        );
         let d = t.dataset();
         assert_eq!(d.headers.len(), 5);
         assert_eq!(d.rows.len(), 15);

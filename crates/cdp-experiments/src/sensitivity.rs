@@ -11,13 +11,11 @@
 //!   CDP would have masked, shrinking its headroom.
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, RunLength};
 use cdp_types::SystemConfig;
 
-use crate::common::{
-    failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet,
-};
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// One sweep point.
 #[derive(Clone, Debug)]
@@ -72,8 +70,8 @@ impl Sweep {
 }
 
 fn sweep<F>(
-    scale: ExpScale,
-    pool: &Pool,
+    scale: RunLength,
+    ctx: &Context,
     parameter: &'static str,
     values: &[u64],
     mut apply: F,
@@ -83,7 +81,7 @@ where
 {
     let s = scale.scale();
     let benches = pointer_subset();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for &v in values {
         let mut base_cfg = SystemConfig::asplos2002();
@@ -103,7 +101,7 @@ where
             ));
         }
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let points = values
         .iter()
         .zip(runs.chunks(2 * benches.len()))
@@ -132,10 +130,10 @@ where
 }
 
 /// Sweeps the bus/DRAM round-trip latency (Table 1 value: 460 cycles).
-pub fn latency(scale: ExpScale, pool: &Pool) -> Sweep {
+pub fn latency(scale: RunLength, ctx: &Context) -> Sweep {
     sweep(
         scale,
-        pool,
+        ctx,
         "bus latency (cycles)",
         &[230, 460, 690, 920],
         |cfg, v| cfg.bus.latency = v,
@@ -143,10 +141,10 @@ pub fn latency(scale: ExpScale, pool: &Pool) -> Sweep {
 }
 
 /// Sweeps the UL2 capacity (Table 1 value: 1 MB).
-pub fn l2size(scale: ExpScale, pool: &Pool) -> Sweep {
+pub fn l2size(scale: RunLength, ctx: &Context) -> Sweep {
     sweep(
         scale,
-        pool,
+        ctx,
         "UL2 size (KB)",
         &[512, 1024, 2048, 4096],
         |cfg, v| cfg.ul2.size_bytes = (v as usize) * 1024,
@@ -156,10 +154,11 @@ pub fn l2size(scale: ExpScale, pool: &Pool) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn latency_sweep_shapes() {
-        let s = latency(ExpScale::Smoke, &Pool::new(2));
+        let s = latency(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(s.points.len(), 4);
         assert!(s.failures.is_empty());
         // The paper's motivation: a wider processor/memory gap makes the
@@ -175,7 +174,7 @@ mod tests {
 
     #[test]
     fn l2_sweep_shrinks_mptu() {
-        let s = l2size(ExpScale::Smoke, &Pool::new(2));
+        let s = l2size(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(s.points.len(), 4);
         let small = s.points[0].baseline_mptu.expect("healthy run");
         let big = s.points[3].baseline_mptu.expect("healthy run");

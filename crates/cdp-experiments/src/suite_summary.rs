@@ -6,14 +6,14 @@
 //! state, rising to 12.6% with the <½% reinforcement bits (abstract,
 //! §4.2.1).
 
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, RunLength};
 use cdp_types::{ContentConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
-    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure,
-    ExpScale, WorkloadSet, GAP,
+    ascii_bar, failure_note, mean_if_complete, opt_cell, render_table, CellFailure, GAP,
 };
+use crate::context::Context;
 
 /// One benchmark's summary row.
 #[derive(Clone, Debug)]
@@ -107,20 +107,20 @@ impl SuiteSummary {
 
 /// Runs the summary across the full suite: three configurations per
 /// benchmark, every cell an independent pool job.
-pub fn run(scale: ExpScale, pool: &Pool) -> SuiteSummary {
+pub fn run(scale: RunLength, ctx: &Context) -> SuiteSummary {
     let s = scale.scale();
     let base_cfg = SystemConfig::asplos2002();
     let reinf_cfg = SystemConfig::with_content();
     let mut stateless_cfg = SystemConfig::asplos2002();
     stateless_cfg.prefetchers.content = Some(ContentConfig::stateless());
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for b in Benchmark::all() {
         grid.push((format!("base/{}", b.name()), base_cfg.clone(), b));
         grid.push((format!("reinf/{}", b.name()), reinf_cfg.clone(), b));
         grid.push((format!("stateless/{}", b.name()), stateless_cfg.clone(), b));
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let mut rows = Vec::new();
     for (b, trio) in Benchmark::all().into_iter().zip(runs.chunks(3)) {
         let (base, reinf, stateless) = (&trio[0], &trio[1], &trio[2]);
@@ -151,10 +151,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> SuiteSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn summary_has_all_benchmarks_and_sane_averages() {
-        let s = run(ExpScale::Smoke, &Pool::new(2));
+        let s = run(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(s.rows.len(), 15);
         assert!(s.failures.is_empty());
         let reinf = s.average_reinf.expect("healthy run");

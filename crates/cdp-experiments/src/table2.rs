@@ -1,13 +1,12 @@
 //! Table 2: per-benchmark trace statistics — uops executed and L2 MPTU
 //! for 1 MB and 4 MB second-level caches.
 
-use cdp_sim::Pool;
+use cdp_sim::RunLength;
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{
-    failure_note, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale, WorkloadSet,
-};
+use crate::common::{failure_note, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// One Table 2 row.
 #[derive(Clone, Debug)]
@@ -63,18 +62,18 @@ impl Table2 {
 
 /// Runs every benchmark under the stride baseline at both UL2 sizes,
 /// all runs as independent pool jobs.
-pub fn run(scale: ExpScale, pool: &Pool) -> Table2 {
+pub fn run(scale: RunLength, ctx: &Context) -> Table2 {
     let s = scale.scale();
     let cfg_1mb = SystemConfig::asplos2002();
     let mut cfg_4mb = SystemConfig::asplos2002();
     cfg_4mb.ul2.size_bytes = 4 * 1024 * 1024;
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for b in Benchmark::all() {
         grid.push((format!("1mb/{}", b.name()), cfg_1mb.clone(), b));
         grid.push((format!("4mb/{}", b.name()), cfg_4mb.clone(), b));
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let rows = Benchmark::all()
         .into_iter()
         .zip(runs.chunks(2))
@@ -92,10 +91,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn bigger_cache_never_increases_mptu_much() {
-        let t = run(ExpScale::Smoke, &Pool::new(2));
+        let t = run(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(t.rows.len(), 15);
         assert!(t.failures.is_empty(), "fault-free run has no gaps");
         for r in &t.rows {

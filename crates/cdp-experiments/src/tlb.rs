@@ -7,13 +7,11 @@
 //! and no TLB-pollution signature appears either.
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{speedup, Pool};
+use cdp_sim::{speedup, RunLength};
 use cdp_types::SystemConfig;
 
-use crate::common::{
-    failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet,
-};
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// One TLB size's result.
 #[derive(Clone, Debug)]
@@ -76,11 +74,11 @@ impl TlbSweep {
 
 /// Runs the DTLB sweep on the pointer subset as one flat pooled grid
 /// (every TLB size x benchmark x {baseline, CDP} cell independently).
-pub fn run(scale: ExpScale, pool: &Pool) -> TlbSweep {
+pub fn run(scale: RunLength, ctx: &Context) -> TlbSweep {
     let s = scale.scale();
     let benches = pointer_subset();
     let sizes = [64usize, 128, 256, 512, 1024];
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let mut grid = Vec::new();
     for &entries in &sizes {
         let mut base_cfg = SystemConfig::asplos2002();
@@ -96,7 +94,7 @@ pub fn run(scale: ExpScale, pool: &Pool) -> TlbSweep {
             grid.push((format!("tlb{entries}-cdp/{}", b.name()), cdp_cfg.clone(), b));
         }
     }
-    let (runs, failures) = run_grid_cells(pool, &ws, s, grid);
+    let (runs, failures) = ctx.run_grid(&ws, s, grid);
     let points = sizes
         .iter()
         .zip(runs.chunks(2 * benches.len()))
@@ -120,10 +118,11 @@ pub fn run(scale: ExpScale, pool: &Pool) -> TlbSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn five_doublings() {
-        let t = run(ExpScale::Smoke, &Pool::new(2));
+        let t = run(RunLength::Smoke, &Context::new(Pool::new(2)));
         assert_eq!(t.points.len(), 5);
         assert_eq!(t.points[0].entries, 64);
         assert_eq!(t.points[4].entries, 1024);

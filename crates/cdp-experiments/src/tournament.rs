@@ -22,14 +22,12 @@
 //! within ±5% of is refused before anything simulates.
 
 use cdp_prefetch::{DeltaPrefetcher, JumpPrefetcher, PerceptronFilter};
-use cdp_sim::{speedup, Engine, Pool, RunStats};
+use cdp_sim::{speedup, Engine, RunLength, RunStats};
 use cdp_types::{DeltaConfig, JumpConfig, MarkovConfig, PerceptronConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
-use crate::common::{
-    failure_note, mean_if_complete, opt_cell, render_table, run_grid_cells, CellFailure, ExpScale,
-    WorkloadSet,
-};
+use crate::common::{failure_note, mean_if_complete, opt_cell, render_table, CellFailure};
+use crate::context::Context;
 
 /// Byte budgets swept when the command line does not override them.
 pub const DEFAULT_BUDGETS: [usize; 2] = [16 * 1024, 64 * 1024];
@@ -270,8 +268,8 @@ impl Tournament {
 /// # Errors
 ///
 /// Propagates [`entrants`]' refusal when a budget cannot be normalized.
-pub fn run(scale: ExpScale, pool: &Pool, budgets: &[usize]) -> Result<Tournament, String> {
-    run_on(scale, &Benchmark::all(), budgets, pool)
+pub fn run(scale: RunLength, ctx: &Context, budgets: &[usize]) -> Result<Tournament, String> {
+    run_on(scale, &Benchmark::all(), budgets, ctx)
 }
 
 /// Runs the tournament on a benchmark subset (tests / quick looks):
@@ -283,20 +281,19 @@ pub fn run(scale: ExpScale, pool: &Pool, budgets: &[usize]) -> Result<Tournament
 /// Returns the normalization refusal for the first bad budget — before
 /// any cell simulates.
 pub fn run_on(
-    scale: ExpScale,
+    scale: RunLength,
     benches: &[Benchmark],
     budgets: &[usize],
-    pool: &Pool,
+    ctx: &Context,
 ) -> Result<Tournament, String> {
     let groups_spec: Vec<(usize, Vec<Entrant>)> = budgets
         .iter()
         .map(|&b| entrants(b).map(|e| (b, e)))
         .collect::<Result<_, _>>()?;
     let s = scale.scale();
-    let ws = WorkloadSet::default();
+    let ws = ctx.workloads();
     let base_cfg = SystemConfig::asplos2002();
-    let (baselines, mut failures) = run_grid_cells(
-        pool,
+    let (baselines, mut failures) = ctx.run_grid(
         &ws,
         s,
         benches
@@ -316,7 +313,7 @@ pub fn run_on(
             }
         }
     }
-    let (cells, grid_failures) = run_grid_cells(pool, &ws, s, grid);
+    let (cells, grid_failures) = ctx.run_grid(&ws, s, grid);
     failures.extend(grid_failures);
     let mut groups = Vec::new();
     let mut cursor = cells.chunks(benches.len());
@@ -392,6 +389,7 @@ fn score(e: Entrant, chunk: &[Option<RunStats>], baselines: &[Option<RunStats>])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdp_sim::Pool;
 
     #[test]
     fn every_entrant_lands_within_tolerance() {
@@ -425,10 +423,10 @@ mod tests {
     #[test]
     fn smoke_grid_scores_all_engines() {
         let t = run_on(
-            ExpScale::Smoke,
+            RunLength::Smoke,
             &[Benchmark::Slsb, Benchmark::Tpcc2],
             &[16 * 1024],
-            &Pool::new(2),
+            &Context::new(Pool::new(2)),
         )
         .expect("budget normalizes");
         assert!(t.failures.is_empty());

@@ -7,7 +7,8 @@
 //! * stdout is byte-identical at any `--jobs` count, faulted or not;
 //! * cells untouched by the fault report the same values as a fault-free
 //!   run, in the non-grid studies (fig1, pollution) too;
-//! * the non-grid studies gap per cell, backward's six cells included;
+//! * fig1, pollution and backward gap per cell, backward's six cells
+//!   included, under walk and image faults alike;
 //! * `--cell-timeout` abandons a cell that overruns it, a fig1 series
 //!   included.
 
@@ -177,9 +178,9 @@ fn faulted_stdout_is_byte_identical_at_any_job_count() {
 
 #[test]
 fn fig1_and_pollution_gap_per_cell() {
-    // Neither study is a `run_grid_cells` grid, but a fault in one
-    // benchmark must still gap only that benchmark's cells, whether it
-    // unmaps trace pages or fails demand page walks.
+    // Neither study is a grid, but a fault in one benchmark must still
+    // gap only that benchmark's cells, whether it unmaps trace pages or
+    // fails demand page walks.
     let faulted = experiments(&[
         "fig1",
         "pollution",
@@ -240,10 +241,9 @@ fn fig1_and_pollution_gap_per_cell() {
     assert!(out.contains("cell(s) failed"), "footnotes:\n{out}");
 }
 
-#[test]
-fn backward_gaps_per_cell_under_a_walk_fault() {
-    // Failing every demand page walk fails all six backward cells; each
-    // gets its own report entry and gap, and the study is not skipped.
+/// Runs `backward` under `fault`, which must fail all six of its cells:
+/// each gets its own report entry and gap, and the study is not skipped.
+fn assert_backward_gaps_every_cell(fault: &str) {
     let o = experiments(&[
         "backward",
         "--smoke",
@@ -251,7 +251,7 @@ fn backward_gaps_per_cell_under_a_walk_fault() {
         "2",
         "--keep-going",
         "--fault",
-        "walk:*:1:demand",
+        fault,
     ]);
     let (out, err) = (stdout(&o), stderr(&o));
     assert_eq!(o.status.code(), Some(EXIT_PARTIAL), "stderr: {err}");
@@ -264,6 +264,18 @@ fn backward_gaps_per_cell_under_a_walk_fault() {
         assert_eq!(bench_rows(&out, direction), [[direction, "--", "--"]]);
     }
     assert!(out.contains("6 cell(s) failed"), "footnote:\n{out}");
+}
+
+#[test]
+fn backward_gaps_per_cell_under_a_walk_fault() {
+    assert_backward_gaps_every_cell("walk:*:1:demand");
+}
+
+#[test]
+fn backward_gaps_per_cell_under_an_image_fault() {
+    // backward builds its own dlist images; they pass through the same
+    // fault-plan step as benchmark images, so a `*` unmap reaches them.
+    assert_backward_gaps_every_cell("unmap:*:7:2");
 }
 
 #[test]

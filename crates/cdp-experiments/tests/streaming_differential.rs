@@ -11,9 +11,11 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use cdp_experiments::{context, onecell, ExpScale};
+use std::sync::Arc;
+
+use cdp_experiments::{onecell, Context};
 use cdp_obs::{validate, Json};
-use cdp_sim::Pool;
+use cdp_sim::{Pool, ResultCache, RunLength};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -87,16 +89,16 @@ fn onecell_manifest_reports_throughput_accounting() {
 
 #[test]
 fn result_cache_never_replays_across_scale_tiers() {
-    context::set_result_cache(true);
-    let pool = Pool::new(1);
+    let mut ctx = Context::new(Pool::new(1));
+    ctx.result_cache = Some(Arc::new(ResultCache::new()));
 
-    let smoke1 = onecell::run(ExpScale::Smoke, &pool);
-    let (h0, m0) = context::result_cache_stats();
+    let smoke1 = onecell::run(RunLength::Smoke, &ctx);
+    let (h0, m0) = ctx.result_cache_stats();
     assert_eq!((h0, m0), (0, 1), "first smoke cell is a miss");
 
     // Same tier, same config: a replay.
-    let smoke2 = onecell::run(ExpScale::Smoke, &pool);
-    let (h1, m1) = context::result_cache_stats();
+    let smoke2 = onecell::run(RunLength::Smoke, &ctx);
+    let (h1, m1) = ctx.result_cache_stats();
     assert_eq!((h1, m1), (1, 1), "identical smoke cell replays");
     assert_eq!(
         format!("{:?}", smoke1.stats),
@@ -105,8 +107,8 @@ fn result_cache_never_replays_across_scale_tiers() {
     );
 
     // Different tier: the key must differ, so no replay.
-    let quick = onecell::run(ExpScale::Quick, &pool);
-    let (h2, m2) = context::result_cache_stats();
+    let quick = onecell::run(RunLength::Quick, &ctx);
+    let (h2, m2) = ctx.result_cache_stats();
     assert_eq!(
         (h2, m2),
         (1, 2),
@@ -117,6 +119,4 @@ fn result_cache_never_replays_across_scale_tiers() {
         quick.stats.as_ref().map(|s| s.retired),
         "tiers retire different uop counts"
     );
-
-    context::set_result_cache(false);
 }

@@ -57,6 +57,8 @@ fn build_core<'w>(cfg: &SystemConfig, workload: &'w Workload) -> Core<'w> {
 }
 
 /// Canonical run sizes used across examples, tests, and experiments.
+/// The experiments' stdout header prints the `Debug` name (`Smoke`,
+/// `Quick`, ...), manifests the lowercase [`RunLength::name`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunLength {
     /// Tiny: unit tests and doc examples.
@@ -83,10 +85,29 @@ impl RunLength {
         }
     }
 
-    /// Warm-up uops before statistics collection (§2.2 methodology,
-    /// proportional to the run budget: the paper warms 7.5 M of ~45 M).
-    pub fn warmup_uops(self) -> u64 {
-        (self.scale().target_uops / 6) as u64
+    /// The tier's canonical lowercase name (inverse of
+    /// [`RunLength::parse`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            RunLength::Smoke => "smoke",
+            RunLength::Quick => "quick",
+            RunLength::Full => "full",
+            RunLength::Large => "large",
+            RunLength::Huge => "huge",
+        }
+    }
+
+    /// Parses `smoke` / `quick` / `full` / `large` / `huge`.
+    pub fn parse(s: &str) -> Option<RunLength> {
+        [
+            RunLength::Smoke,
+            RunLength::Quick,
+            RunLength::Full,
+            RunLength::Large,
+            RunLength::Huge,
+        ]
+        .into_iter()
+        .find(|tier| tier.name() == s)
     }
 }
 
@@ -741,10 +762,21 @@ mod tests {
         assert!(RunLength::Quick.scale().target_uops < RunLength::Full.scale().target_uops);
         assert!(RunLength::Full.scale().target_uops < RunLength::Large.scale().target_uops);
         assert!(RunLength::Large.scale().target_uops < RunLength::Huge.scale().target_uops);
-        assert!(RunLength::Full.warmup_uops() > 0);
         // The new tiers stream unconditionally (above the threshold).
         assert!(RunLength::Large.scale().streamed());
         assert!(RunLength::Huge.scale().streamed());
+    }
+
+    #[test]
+    fn scale_parse() {
+        assert_eq!(RunLength::parse("quick"), Some(RunLength::Quick));
+        assert_eq!(RunLength::parse("huge"), Some(RunLength::Huge));
+        assert_eq!(RunLength::parse("bogus"), None);
+        assert_eq!(
+            RunLength::parse(RunLength::Large.name()),
+            Some(RunLength::Large)
+        );
+        assert_eq!(format!("{:?}", RunLength::Smoke), "Smoke", "stdout header");
     }
 
     #[test]

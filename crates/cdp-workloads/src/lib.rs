@@ -35,8 +35,5 @@ pub mod suite;
 pub mod trace;
 
 pub use heap::Heap;
-pub use suite::{
-    force_streaming, set_force_streaming, Benchmark, Scale, StreamSpec, Suite, Workload,
-    STREAM_THRESHOLD_UOPS,
-};
+pub use suite::{Benchmark, Scale, StreamSpec, Suite, Workload, STREAM_THRESHOLD_UOPS};
 pub use trace::TraceBuilder;

@@ -16,7 +16,6 @@
 //! Workloads are fully deterministic given `(benchmark, scale, seed)`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cdp_core::{Program, Uop, UopKind, UopSource};
@@ -68,23 +67,6 @@ impl std::fmt::Display for Suite {
 /// synthesized lazily on first touch. Everything at or below the
 /// threshold builds exactly as before, byte for byte.
 pub const STREAM_THRESHOLD_UOPS: usize = 4_000_000;
-
-static FORCE_STREAMING: AtomicBool = AtomicBool::new(false);
-
-/// Forces [`Benchmark::build`] to return streaming workloads at *every*
-/// scale (tests and the differential harness use this to compare the
-/// streaming engine against the materialized one on small runs). Unlike
-/// true large/huge tiers, force-streamed small scales keep their eagerly
-/// written memory image, so results are bit-identical to materialized
-/// builds.
-pub fn set_force_streaming(on: bool) {
-    FORCE_STREAMING.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`set_force_streaming`] is currently on.
-pub fn force_streaming() -> bool {
-    FORCE_STREAMING.load(Ordering::SeqCst)
-}
 
 /// Run-size scaling: uop budget plus a divisor applied to every structure
 /// footprint (tests use large divisors; experiments use 1).
@@ -142,10 +124,10 @@ impl Scale {
         }
     }
 
-    /// Whether builds at this scale stream their trace (over the
-    /// [`STREAM_THRESHOLD_UOPS`] budget, or [`set_force_streaming`] is on).
+    /// Whether [`Benchmark::build`] streams the trace at this scale (over
+    /// the [`STREAM_THRESHOLD_UOPS`] budget).
     pub fn streamed(&self) -> bool {
-        self.target_uops > STREAM_THRESHOLD_UOPS || force_streaming()
+        self.target_uops > STREAM_THRESHOLD_UOPS
     }
 
     fn div(&self, x: usize) -> usize {
@@ -932,8 +914,7 @@ impl Benchmark {
 
     /// Builds the workload: allocates and links its structures into a
     /// fresh address space, then emits `scale.target_uops` of trace —
-    /// materialized below [`STREAM_THRESHOLD_UOPS`], streaming above it
-    /// (or everywhere when [`set_force_streaming`] is on).
+    /// materialized below [`STREAM_THRESHOLD_UOPS`], streaming above it.
     pub fn build(&self, scale: Scale, seed: u64) -> Workload {
         self.build_with_engine(scale, seed, scale.streamed())
     }
@@ -941,8 +922,11 @@ impl Benchmark {
     /// [`Benchmark::build`] with an explicit engine choice: `streamed`
     /// selects the chunked on-demand generator regardless of scale.
     /// Both engines draw the same rng trajectory, so they produce the
-    /// identical uop stream; the differential tests compare them directly
-    /// without touching the process-wide [`set_force_streaming`] toggle.
+    /// identical uop stream. A streamed build below the threshold keeps
+    /// its eagerly written memory image (only true large/huge tiers
+    /// synthesize the stride array lazily), so its results are
+    /// bit-identical to the materialized build's; the differential tests
+    /// and the experiments' `--stream` compare the two engines this way.
     pub fn build_with_engine(&self, scale: Scale, seed: u64, streamed: bool) -> Workload {
         let p = self.profile();
         let mut space = AddressSpace::new();
@@ -1391,19 +1375,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_streaming_predicate_and_toggle() {
-        // The toggle is process-wide, so every `!streamed()` assertion
-        // lives in this one test (others pass the engine explicitly and
-        // never read the toggle).
+    fn scale_streaming_predicate() {
         assert!(Scale::large().streamed());
         assert!(Scale::huge().streamed());
         assert!(!Scale::smoke().streamed());
         assert!(!Scale::full().streamed());
-        set_force_streaming(true);
-        let forced = Scale::smoke().streamed();
-        set_force_streaming(false);
-        assert!(forced, "force-streaming covers small scales");
-        assert!(!Scale::smoke().streamed());
     }
 
     #[test]

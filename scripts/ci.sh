@@ -305,31 +305,35 @@ if grep -qF '(whole experiment)' /tmp/cdp-fault-cells.err; then
     echo "fault smoke: an experiment failed whole instead of per cell" >&2
     exit 1
 fi
-# backward's six cells are pool jobs too: failing every demand page walk
-# leaves one report entry per cell and does not skip the experiment.
-set +e
-./target/release/experiments backward --smoke --jobs 2 --keep-going \
-    --fault 'walk:*:1:demand' > /dev/null 2> /tmp/cdp-fault-backward.err
-code=$?
-set -e
-if [ "$code" -ne 3 ]; then
-    echo "fault smoke: backward expected exit 3, got $code" >&2
-    cat /tmp/cdp-fault-backward.err >&2
-    exit 1
-fi
-for direction in forward backward; do
-    for config in base p2.n0 p0.n2; do
-        cell="[backward] $direction/$config:"
-        sed -n '/FAILURE REPORT/,$p' /tmp/cdp-fault-backward.err | grep -qF "$cell" || {
-            echo "fault smoke: no '$cell' entry in the failure report" >&2
-            exit 1
-        }
+# backward's six cells run through the same cell runner, and its dlist
+# images through the same fault-plan step as benchmark images: failing
+# every demand page walk, or unmapping trace pages of every image, leaves
+# one report entry per cell and does not skip the experiment.
+for fault in 'walk:*:1:demand' 'unmap:*:7:2'; do
+    set +e
+    ./target/release/experiments backward --smoke --jobs 2 --keep-going \
+        --fault "$fault" > /dev/null 2> /tmp/cdp-fault-backward.err
+    code=$?
+    set -e
+    if [ "$code" -ne 3 ]; then
+        echo "fault smoke: backward under $fault expected exit 3, got $code" >&2
+        cat /tmp/cdp-fault-backward.err >&2
+        exit 1
+    fi
+    for direction in forward backward; do
+        for config in base p2.n0 p0.n2; do
+            cell="[backward] $direction/$config:"
+            sed -n '/FAILURE REPORT/,$p' /tmp/cdp-fault-backward.err | grep -qF "$cell" || {
+                echo "fault smoke: no '$cell' entry under $fault" >&2
+                exit 1
+            }
+        done
     done
+    if grep -qF '(whole experiment)' /tmp/cdp-fault-backward.err; then
+        echo "fault smoke: backward failed whole under $fault instead of per cell" >&2
+        exit 1
+    fi
 done
-if grep -qF '(whole experiment)' /tmp/cdp-fault-backward.err; then
-    echo "fault smoke: backward failed whole instead of per cell" >&2
-    exit 1
-fi
 
 echo "== store chaos smoke (SIGKILL mid-sweep, fsck, warm replay, zero misses) =="
 # Persistent result store (DESIGN.md §14): repeatedly SIGKILL a
@@ -391,6 +395,35 @@ rm -rf /tmp/cdp-store-fault-ci
     --result-store /tmp/cdp-store-fault-ci > /tmp/cdp-store-fault-clean.out
 cmp /tmp/cdp-store-ref.out /tmp/cdp-store-fault-clean.out || {
     echo "store smoke: a clean run replayed results a faulted run stored" >&2
+    exit 1
+}
+
+# fig1, pollution and backward replay from the store like the grids: a
+# warm re-run in a fresh process serves all 42 smoke cells (6 fig1 + 30
+# pollution + 6 backward) from disk with the storeless bytes, both
+# manifests list every cell, and fig1's metrics windows validate.
+rm -rf /tmp/cdp-store-studies-ci /tmp/cdp-store-studies-cold /tmp/cdp-store-studies-warm
+./target/release/experiments fig1 pollution backward --smoke --jobs 2 \
+    > /tmp/cdp-store-studies-ref.out
+for run in cold warm; do
+    ./target/release/experiments fig1 pollution backward --smoke --jobs 2 \
+        --result-store /tmp/cdp-store-studies-ci \
+        --emit-manifest "/tmp/cdp-store-studies-$run" \
+        > "/tmp/cdp-store-studies-$run.out" 2> /dev/null
+    cmp /tmp/cdp-store-studies-ref.out "/tmp/cdp-store-studies-$run.out" || {
+        echo "store smoke: $run fig1/pollution/backward stdout differs from reference" >&2
+        exit 1
+    }
+    grep -q '"cells_total":42' "/tmp/cdp-store-studies-$run/manifest.json" || {
+        echo "store smoke: $run manifest does not list the 42 study cells" >&2
+        exit 1
+    }
+    ./target/release/validate-manifest "/tmp/cdp-store-studies-$run/manifest.json" \
+        "/tmp/cdp-store-studies-$run/metrics.jsonl"
+done
+grep -q '"result_store_hits":42' /tmp/cdp-store-studies-warm/manifest.json \
+    && grep -q '"result_store_misses":0' /tmp/cdp-store-studies-warm/manifest.json || {
+    echo "store smoke: warm fig1/pollution/backward did not replay all 42 cells from disk" >&2
     exit 1
 }
 
