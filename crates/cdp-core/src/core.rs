@@ -1069,7 +1069,7 @@ impl<'p> Core<'p> {
             }
             None => enc.bool(false),
         }
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         // The pad slot is always zero and is not state.
         for r in &self.reg_ready[..NUM_REGS] {
             enc.u64(*r);
@@ -1151,7 +1151,7 @@ impl<'p> Core<'p> {
         } else {
             None
         };
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         for r in self.reg_ready[..NUM_REGS].iter_mut() {
             *r = dec.u64("core reg_ready")?;
         }
@@ -1305,39 +1305,23 @@ impl<'p> Core<'p> {
     }
 }
 
-impl CoreStats {
-    /// Serializes every counter.
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.cycles);
-        enc.u64(self.retired);
-        enc.u64(self.loads);
-        enc.u64(self.stores);
-        enc.u64(self.branches);
-        enc.u64(self.mispredicts);
-        enc.u64(self.redirect_stall_cycles);
-        enc.u64(self.forwarded_loads);
-        enc.u64(self.rob_occupancy_cycles);
-    }
-
-    /// Restores counters written by [`CoreStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.cycles = dec.u64("core stats cycles")?;
-        self.retired = dec.u64("core stats retired")?;
-        self.loads = dec.u64("core stats loads")?;
-        self.stores = dec.u64("core stats stores")?;
-        self.branches = dec.u64("core stats branches")?;
-        self.mispredicts = dec.u64("core stats mispredicts")?;
-        self.redirect_stall_cycles = dec.u64("core stats redirect_stall_cycles")?;
-        self.forwarded_loads = dec.u64("core stats forwarded_loads")?;
-        self.rob_occupancy_cycles = dec.u64("core stats rob_occupancy_cycles")?;
-        Ok(())
+impl cdp_snap::Record for CoreStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.cycles, "core stats cycles")?;
+        c.u64(&mut self.retired, "core stats retired")?;
+        c.u64(&mut self.loads, "core stats loads")?;
+        c.u64(&mut self.stores, "core stats stores")?;
+        c.u64(&mut self.branches, "core stats branches")?;
+        c.u64(&mut self.mispredicts, "core stats mispredicts")?;
+        c.u64(
+            &mut self.redirect_stall_cycles,
+            "core stats redirect_stall_cycles",
+        )?;
+        c.u64(&mut self.forwarded_loads, "core stats forwarded_loads")?;
+        c.u64(
+            &mut self.rob_occupancy_cycles,
+            "core stats rob_occupancy_cycles",
+        )
     }
 }
 

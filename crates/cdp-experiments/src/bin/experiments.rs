@@ -490,7 +490,7 @@ fn main() {
                 }
             }
         };
-        cdp_sim::install_status_sink(cdp_sim::StatusSink::new(out));
+        ctx.policy.status = Some(Arc::new(cdp_sim::StatusSink::new(out)));
     }
     if manifest_dir.is_some() {
         ctx.obs = Some(ObsConfig {

@@ -61,7 +61,8 @@ pub type Cell = (RunStats, Option<Observation>);
 pub struct Context {
     /// The worker pool every cell runs on.
     pub pool: Pool,
-    /// The per-cell watchdog ([`RunPolicy::default`]: none).
+    /// The per-cell watchdog and the status stream
+    /// ([`RunPolicy::default`]: neither).
     pub policy: RunPolicy,
     /// The fault-injection plan applied to images and jobs.
     pub faults: FaultPlan,
@@ -169,7 +170,7 @@ impl Context {
             .collect();
         let mut cells = Vec::new();
         let mut failures = Vec::new();
-        let reports = self.pool.run_sims_profiled(jobs, self.policy);
+        let reports = self.pool.run_sims_profiled(jobs, self.policy.clone());
         for (report, (fingerprint, own_obs, status)) in reports.into_iter().zip(attached) {
             let JobReport {
                 label,

@@ -30,29 +30,12 @@ pub struct BusStats {
     pub queue_waits: u64,
 }
 
-impl BusStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.transfers);
-        enc.u64(self.demand_transfers);
-        enc.u64(self.busy_cycles);
-        enc.u64(self.queue_waits);
-    }
-
-    /// Restores counters written by [`BusStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.transfers = dec.u64("bus transfers")?;
-        self.demand_transfers = dec.u64("bus demand transfers")?;
-        self.busy_cycles = dec.u64("bus busy cycles")?;
-        self.queue_waits = dec.u64("bus queue waits")?;
-        Ok(())
+impl cdp_snap::Record for BusStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.transfers, "bus transfers")?;
+        c.u64(&mut self.demand_transfers, "bus demand transfers")?;
+        c.u64(&mut self.busy_cycles, "bus busy cycles")?;
+        c.u64(&mut self.queue_waits, "bus queue waits")
     }
 }
 
@@ -261,7 +244,7 @@ impl Bus {
                 enc.u64(t);
             }
         }
-        self.stats.save_state(enc);
+        enc.put(self.stats);
     }
 
     /// Restores state written by [`Bus::save_state`].
@@ -287,7 +270,8 @@ impl Bus {
                 q.push_back(dec.u64("bus queue entry")?);
             }
         }
-        self.stats.restore_state(dec)
+        self.stats = dec.get()?;
+        Ok(())
     }
 }
 

@@ -45,27 +45,11 @@ pub struct AdaptiveStats {
     pub loosened: u64,
 }
 
-impl AdaptiveStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.windows);
-        enc.u64(self.tightened);
-        enc.u64(self.loosened);
-    }
-
-    /// Restores counters written by [`AdaptiveStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.windows = dec.u64("adaptive stats windows")?;
-        self.tightened = dec.u64("adaptive stats tightened")?;
-        self.loosened = dec.u64("adaptive stats loosened")?;
-        Ok(())
+impl cdp_snap::Record for AdaptiveStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.windows, "adaptive stats windows")?;
+        c.u64(&mut self.tightened, "adaptive stats tightened")?;
+        c.u64(&mut self.loosened, "adaptive stats loosened")
     }
 }
 
@@ -169,7 +153,7 @@ impl AdaptiveVam {
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.last_issued);
         enc.u64(self.last_useful);
-        self.stats.save_state(enc);
+        enc.put(self.stats);
     }
 
     /// Restores state written by [`AdaptiveVam::save_state`].
@@ -183,7 +167,8 @@ impl AdaptiveVam {
     ) -> Result<(), cdp_types::SnapshotError> {
         self.last_issued = dec.u64("adaptive last_issued")?;
         self.last_useful = dec.u64("adaptive last_useful")?;
-        self.stats.restore_state(dec)
+        self.stats = dec.get()?;
+        Ok(())
     }
 }
 

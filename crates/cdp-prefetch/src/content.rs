@@ -36,68 +36,42 @@ pub struct ContentStats {
     pub depth_terminations: u64,
 }
 
-impl ContentStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.fills_scanned);
-        enc.u64(self.rescans);
-        enc.u64(self.candidates);
-        enc.u64(self.emitted);
-        enc.u64(self.depth_terminations);
-    }
-
-    /// Restores counters written by [`ContentStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.fills_scanned = dec.u64("content stats fills_scanned")?;
-        self.rescans = dec.u64("content stats rescans")?;
-        self.candidates = dec.u64("content stats candidates")?;
-        self.emitted = dec.u64("content stats emitted")?;
-        self.depth_terminations = dec.u64("content stats depth_terminations")?;
-        Ok(())
+impl cdp_snap::Record for ContentStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.fills_scanned, "content stats fills_scanned")?;
+        c.u64(&mut self.rescans, "content stats rescans")?;
+        c.u64(&mut self.candidates, "content stats candidates")?;
+        c.u64(&mut self.emitted, "content stats emitted")?;
+        c.u64(
+            &mut self.depth_terminations,
+            "content stats depth_terminations",
+        )
     }
 }
 
-/// Serializes a [`ContentConfig`] (declaration order). The codec lives
-/// here rather than on the type because `cdp-types` does not depend on
-/// `cdp-snap`.
-pub fn save_config(cfg: &ContentConfig, enc: &mut cdp_snap::Enc) {
-    enc.u32(cfg.vam.compare_bits);
-    enc.u32(cfg.vam.filter_bits);
-    enc.u32(cfg.vam.align_bits);
-    enc.usize(cfg.vam.scan_step);
-    enc.u8(cfg.depth_threshold);
-    enc.bool(cfg.reinforcement);
-    enc.u8(cfg.reinforcement_margin);
-    enc.u32(cfg.prev_lines);
-    enc.u32(cfg.next_lines);
-}
-
-/// Restores a configuration written by [`save_config`].
+/// Codes a [`ContentConfig`] through `c`, in declaration order. A free
+/// function rather than a [`cdp_snap::Record`] impl because neither the
+/// trait nor the type belongs to this crate.
 ///
 /// # Errors
 ///
-/// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-pub fn restore_config(
+/// The first field `c` fails on.
+pub fn config_fields<C: cdp_snap::Codec>(
     cfg: &mut ContentConfig,
-    dec: &mut cdp_snap::Dec<'_>,
-) -> Result<(), cdp_types::SnapshotError> {
-    cfg.vam.compare_bits = dec.u32("content vam compare_bits")?;
-    cfg.vam.filter_bits = dec.u32("content vam filter_bits")?;
-    cfg.vam.align_bits = dec.u32("content vam align_bits")?;
-    cfg.vam.scan_step = dec.usize("content vam scan_step")?;
-    cfg.depth_threshold = dec.u8("content depth_threshold")?;
-    cfg.reinforcement = dec.bool("content reinforcement")?;
-    cfg.reinforcement_margin = dec.u8("content reinforcement_margin")?;
-    cfg.prev_lines = dec.u32("content prev_lines")?;
-    cfg.next_lines = dec.u32("content next_lines")?;
-    Ok(())
+    c: &mut C,
+) -> Result<(), C::Error> {
+    c.u32(&mut cfg.vam.compare_bits, "content vam compare_bits")?;
+    c.u32(&mut cfg.vam.filter_bits, "content vam filter_bits")?;
+    c.u32(&mut cfg.vam.align_bits, "content vam align_bits")?;
+    c.usize(&mut cfg.vam.scan_step, "content vam scan_step")?;
+    c.u8(&mut cfg.depth_threshold, "content depth_threshold")?;
+    c.bool(&mut cfg.reinforcement, "content reinforcement")?;
+    c.u8(
+        &mut cfg.reinforcement_margin,
+        "content reinforcement_margin",
+    )?;
+    c.u32(&mut cfg.prev_lines, "content prev_lines")?;
+    c.u32(&mut cfg.next_lines, "content next_lines")
 }
 
 /// The content-directed prefetcher.
@@ -244,8 +218,9 @@ impl ContentPrefetcher {
     /// run must pick up the knobs exactly where the controller left them,
     /// not at the construction-time values.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        save_config(&self.cfg, enc);
-        self.stats.save_state(enc);
+        let mut cfg = self.cfg;
+        let Ok(()) = config_fields(&mut cfg, enc);
+        enc.put(self.stats);
     }
 
     /// Restores state written by [`ContentPrefetcher::save_state`].
@@ -257,8 +232,9 @@ impl ContentPrefetcher {
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
-        restore_config(&mut self.cfg, dec)?;
-        self.stats.restore_state(dec)
+        config_fields(&mut self.cfg, dec)?;
+        self.stats = dec.get()?;
+        Ok(())
     }
 
     /// Performs a reinforcement rescan of a resident line (counted

@@ -69,31 +69,13 @@ pub struct DeltaStats {
     pub evictions: u64,
 }
 
-impl DeltaStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.observed);
-        enc.u64(self.table_hits);
-        enc.u64(self.emitted);
-        enc.u64(self.trained);
-        enc.u64(self.evictions);
-    }
-
-    /// Restores counters written by [`DeltaStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.observed = dec.u64("delta stats observed")?;
-        self.table_hits = dec.u64("delta stats table_hits")?;
-        self.emitted = dec.u64("delta stats emitted")?;
-        self.trained = dec.u64("delta stats trained")?;
-        self.evictions = dec.u64("delta stats evictions")?;
-        Ok(())
+impl cdp_snap::Record for DeltaStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.observed, "delta stats observed")?;
+        c.u64(&mut self.table_hits, "delta stats table_hits")?;
+        c.u64(&mut self.emitted, "delta stats emitted")?;
+        c.u64(&mut self.trained, "delta stats trained")?;
+        c.u64(&mut self.evictions, "delta stats evictions")
     }
 }
 
@@ -386,7 +368,7 @@ impl DeltaPrefetcher {
         for &d in &self.hist {
             enc.i64(i64::from(d));
         }
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.seq_len(self.sets.len());
         for set in &self.sets {
             enc.seq_len(set.len());
@@ -435,7 +417,7 @@ impl DeltaPrefetcher {
             })?;
             self.hist.push(d);
         }
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         let sets = dec.seq_len(8, "delta set count")?;
         if sets != self.sets.len() {
             return Err(SnapshotError::Corrupt {

@@ -43,31 +43,13 @@ pub struct JumpStats {
     pub evictions: u64,
 }
 
-impl JumpStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.observed);
-        enc.u64(self.trained);
-        enc.u64(self.table_hits);
-        enc.u64(self.emitted);
-        enc.u64(self.evictions);
-    }
-
-    /// Restores counters written by [`JumpStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.observed = dec.u64("jump stats observed")?;
-        self.trained = dec.u64("jump stats trained")?;
-        self.table_hits = dec.u64("jump stats table_hits")?;
-        self.emitted = dec.u64("jump stats emitted")?;
-        self.evictions = dec.u64("jump stats evictions")?;
-        Ok(())
+impl cdp_snap::Record for JumpStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.observed, "jump stats observed")?;
+        c.u64(&mut self.trained, "jump stats trained")?;
+        c.u64(&mut self.table_hits, "jump stats table_hits")?;
+        c.u64(&mut self.emitted, "jump stats emitted")?;
+        c.u64(&mut self.evictions, "jump stats evictions")
     }
 }
 
@@ -174,7 +156,7 @@ impl JumpPrefetcher {
     /// preserved, so LRU victim selection resumes bit-identically).
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.clock);
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.seq_len(self.sets.len());
         for set in &self.sets {
             enc.seq_len(set.len());
@@ -199,7 +181,7 @@ impl JumpPrefetcher {
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
         self.clock = dec.u64("jump clock")?;
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         let sets = dec.seq_len(8, "jump set count")?;
         if sets != self.sets.len() {
             return Err(SnapshotError::Corrupt {

@@ -41,33 +41,17 @@ pub struct PerceptronStats {
     pub false_negatives: u64,
 }
 
-impl PerceptronStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.considered);
-        enc.u64(self.accepted);
-        enc.u64(self.rejected);
-        enc.u64(self.trained_useful);
-        enc.u64(self.trained_wasted);
-        enc.u64(self.false_negatives);
-    }
-
-    /// Restores counters written by [`PerceptronStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.considered = dec.u64("perceptron stats considered")?;
-        self.accepted = dec.u64("perceptron stats accepted")?;
-        self.rejected = dec.u64("perceptron stats rejected")?;
-        self.trained_useful = dec.u64("perceptron stats trained_useful")?;
-        self.trained_wasted = dec.u64("perceptron stats trained_wasted")?;
-        self.false_negatives = dec.u64("perceptron stats false_negatives")?;
-        Ok(())
+impl cdp_snap::Record for PerceptronStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.considered, "perceptron stats considered")?;
+        c.u64(&mut self.accepted, "perceptron stats accepted")?;
+        c.u64(&mut self.rejected, "perceptron stats rejected")?;
+        c.u64(&mut self.trained_useful, "perceptron stats trained_useful")?;
+        c.u64(&mut self.trained_wasted, "perceptron stats trained_wasted")?;
+        c.u64(
+            &mut self.false_negatives,
+            "perceptron stats false_negatives",
+        )
     }
 }
 
@@ -211,7 +195,7 @@ impl PerceptronFilter {
 
     /// Serializes the complete filter state.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.seq_len(self.weights.len());
         for &w in &self.weights {
             enc.u8(w as u8);
@@ -234,7 +218,7 @@ impl PerceptronFilter {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         let n = dec.seq_len(1, "perceptron weight count")?;
         if n != self.weights.len() {
             return Err(SnapshotError::Corrupt {

@@ -37,29 +37,12 @@ pub struct StreamStats {
     pub emitted: u64,
 }
 
-impl StreamStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.observed);
-        enc.u64(self.confirmed);
-        enc.u64(self.allocated);
-        enc.u64(self.emitted);
-    }
-
-    /// Restores counters written by [`StreamStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.observed = dec.u64("stream stats observed")?;
-        self.confirmed = dec.u64("stream stats confirmed")?;
-        self.allocated = dec.u64("stream stats allocated")?;
-        self.emitted = dec.u64("stream stats emitted")?;
-        Ok(())
+impl cdp_snap::Record for StreamStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.observed, "stream stats observed")?;
+        c.u64(&mut self.confirmed, "stream stats confirmed")?;
+        c.u64(&mut self.allocated, "stream stats allocated")?;
+        c.u64(&mut self.emitted, "stream stats emitted")
     }
 }
 
@@ -179,7 +162,7 @@ impl StreamPrefetcher {
     /// depends on position for ties, so order is preserved verbatim).
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         enc.u64(self.clock);
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.seq_len(self.streams.len());
         for s in &self.streams {
             enc.u32(s.next_line);
@@ -200,7 +183,7 @@ impl StreamPrefetcher {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         self.clock = dec.u64("stream clock")?;
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         let n = dec.seq_len(4 + 4 + 8 + 1, "stream count")?;
         if n > self.max_streams {
             return Err(cdp_types::SnapshotError::Corrupt {

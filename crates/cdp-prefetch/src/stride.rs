@@ -44,27 +44,11 @@ pub struct StrideStats {
     pub conflicts: u64,
 }
 
-impl StrideStats {
-    /// Serializes every counter (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.observed);
-        enc.u64(self.emitted);
-        enc.u64(self.conflicts);
-    }
-
-    /// Restores counters written by [`StrideStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.observed = dec.u64("stride stats observed")?;
-        self.emitted = dec.u64("stride stats emitted")?;
-        self.conflicts = dec.u64("stride stats conflicts")?;
-        Ok(())
+impl cdp_snap::Record for StrideStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.observed, "stride stats observed")?;
+        c.u64(&mut self.emitted, "stride stats emitted")?;
+        c.u64(&mut self.conflicts, "stride stats conflicts")
     }
 }
 
@@ -177,7 +161,7 @@ impl StridePrefetcher {
 
     /// Serializes the complete RPT state.
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.seq_len(self.table.len());
         for slot in &self.table {
             match slot {
@@ -210,7 +194,7 @@ impl StridePrefetcher {
         dec: &mut cdp_snap::Dec<'_>,
     ) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        self.stats.restore_state(dec)?;
+        self.stats = dec.get()?;
         let n = dec.seq_len(1, "stride table size")?;
         if n != self.table.len() {
             return Err(SnapshotError::Corrupt {

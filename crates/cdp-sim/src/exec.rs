@@ -43,8 +43,7 @@ use cdp_workloads::Workload;
 use crate::fault::WalkFault;
 use crate::hierarchy::PollutionConfig;
 use crate::observe::Observation;
-use crate::runner::build_workload;
-use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot};
+use crate::status::{CellHeartbeat, ResultSource, SourceSlot, StatusSink};
 use crate::system::{run_fingerprint, RunStats, Simulator};
 
 /// How a [`Pool::run_sims_profiled`] job ended.
@@ -114,14 +113,17 @@ pub struct JobReport {
     pub observation: Option<Observation>,
 }
 
-/// Watchdog policy for [`Pool::run_sims_profiled`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Watchdog and status stream for [`Pool::run_sims_profiled`].
+#[derive(Clone, Debug, Default)]
 pub struct RunPolicy {
     /// Per-job wall-clock watchdog; `None` (the default) disables it and
     /// jobs run on the pool's own workers with no extra thread. A job
     /// that exceeds it is reported [`JobOutcome::TimedOut`] and never
     /// rerun.
     pub timeout: Option<Duration>,
+    /// Where the batch streams its JSONL status events; `None` (the
+    /// default) streams nothing.
+    pub status: Option<Arc<StatusSink>>,
 }
 
 /// Renders a panic payload as a message string.
@@ -226,34 +228,37 @@ impl Pool {
     /// observation.
     ///
     /// One failing, panicking, or hanging job never aborts the batch;
-    /// every other job still runs to its own outcome. When a process-global
-    /// [`StatusSink`](crate::status::StatusSink) is installed, the batch
-    /// also streams JSONL events (`batch`, `queued`, `running`, in-cell
-    /// `heartbeat`s, `done`) with per-job result provenance.
+    /// every other job still runs to its own outcome. When the policy
+    /// carries a [`StatusSink`], the batch also streams JSONL events
+    /// (`batch`, `queued`, `running`, in-cell `heartbeat`s, `done`) with
+    /// per-job result provenance.
     pub fn run_sims_profiled(&self, jobs: Vec<SimJob>, policy: RunPolicy) -> Vec<JobReport> {
-        let sink = status_sink();
+        let RunPolicy {
+            timeout,
+            status: sink,
+        } = policy;
         if let Some(sink) = &sink {
             sink.batch(jobs.len());
             for (i, job) in jobs.iter().enumerate() {
                 sink.queued(&job.label, i);
             }
         }
-        self.drive(jobs, |i, mut job| {
-            job.status_index = i;
+        self.drive(jobs, |i, job| {
             let label = job.label.clone();
             if let Some(sink) = &sink {
                 sink.running(&label, i);
             }
             let slot = SourceSlot::shared();
             let job_slot = Arc::clone(&slot);
+            let hb = CellHeartbeat::new(sink.clone(), &label, i, job.measurement_uops());
             let start = Instant::now();
             let outcome = watch(
                 move || {
-                    job.run(&job_slot)
+                    job.run(&job_slot, hb)
                         .map_err(|e| e.to_string())?
                         .ok_or_else(|| "abandoned by the watchdog".to_string())
                 },
-                policy.timeout,
+                timeout,
                 &slot,
             );
             let wall = start.elapsed();
@@ -323,12 +328,9 @@ impl Pool {
 /// observed job's observation lives in an entry of its own, keyed by the
 /// run fingerprint and the job's [`ObsConfig`].
 ///
-/// Storage is sharded into [`CACHE_STRIPES`] independently-locked
-/// stripes selected by the key's low bits (keys are hashes, so they
-/// spread uniformly). Concurrent jobs touching different cells then take
-/// different locks; a single global `Mutex` serialized every lookup at
-/// high `--jobs` counts. Hit/miss counters stay whole-cache atomics —
-/// sharding changes lock granularity, never observable counts.
+/// One lock guards the map: a cell does one lookup and at most two
+/// inserts, and runs for milliseconds, so the lock is never the
+/// bottleneck.
 ///
 /// With [`ResultCache::with_store`], the in-memory cache becomes a
 /// write-through L1 over a persistent [`cdp_store::ResultStore`]: every
@@ -337,32 +339,13 @@ impl Pool {
 /// unreadable or damaged entry is quarantined by the store and the cell
 /// recomputes; a failed persist leaves the in-memory entry serving the
 /// rest of the run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ResultCache {
-    stripes: [ResultStripe; CACHE_STRIPES],
+    /// Fingerprint → replayable outcome.
+    entries: Mutex<HashMap<u64, Finished>>,
     hits: AtomicU64,
     misses: AtomicU64,
     store: Option<Arc<cdp_store::ResultStore>>,
-}
-
-/// One independently-locked stripe of a [`ResultCache`]: fingerprint →
-/// replayable outcome.
-type ResultStripe = Mutex<HashMap<u64, (RunStats, Option<Observation>)>>;
-
-/// Lock stripes per shared cache ([`ResultCache`], [`WorkloadCache`]).
-/// A power of two so stripe selection is a mask; 16 comfortably exceeds
-/// any plausible worker count on this workload.
-pub const CACHE_STRIPES: usize = 16;
-
-impl Default for ResultCache {
-    fn default() -> ResultCache {
-        ResultCache {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            store: None,
-        }
-    }
 }
 
 impl ResultCache {
@@ -386,8 +369,8 @@ impl ResultCache {
         self.store.as_ref()
     }
 
-    fn stripe(&self, key: u64) -> &ResultStripe {
-        &self.stripes[key as usize & (CACHE_STRIPES - 1)]
+    fn entries(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Finished>> {
+        self.entries.lock().expect("result cache poisoned")
     }
 
     /// Cache hits served so far.
@@ -402,10 +385,7 @@ impl ResultCache {
 
     /// Finished cells currently held.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("result cache poisoned").len())
-            .sum()
+        self.entries().len()
     }
 
     /// Whether no cells are held.
@@ -425,27 +405,18 @@ impl ResultCache {
     }
 
     /// As [`ResultCache::get`], additionally reporting which tier served
-    /// the hit ([`ResultSource::ResultCache`] for the in-memory stripes,
+    /// the hit ([`ResultSource::ResultCache`] for the in-memory map,
     /// [`ResultSource::ResultStore`] for a disk hit) for the status
     /// stream's provenance field.
     fn get_with_source(&self, key: u64) -> Option<((RunStats, Option<Observation>), ResultSource)> {
-        if let Some(found) = self
-            .stripe(key)
-            .lock()
-            .expect("result cache poisoned")
-            .get(&key)
-            .cloned()
-        {
+        if let Some(found) = self.entries().get(&key).cloned() {
             return Some((found, ResultSource::ResultCache));
         }
         let store = self.store.as_ref()?;
         let payload = store.get(key)?;
         match crate::persist::decode_result(&payload) {
             Ok((stats, observation)) => {
-                self.stripe(key)
-                    .lock()
-                    .expect("result cache poisoned")
-                    .insert(key, (stats, observation.clone()));
+                self.entries().insert(key, (stats, observation.clone()));
                 Some(((stats, observation), ResultSource::ResultStore))
             }
             Err(e) => {
@@ -470,10 +441,7 @@ impl ResultCache {
                 &crate::persist::encode_result(&stats, observation.as_ref()),
             );
         }
-        self.stripe(key)
-            .lock()
-            .expect("result cache poisoned")
-            .insert(key, (stats, observation));
+        self.entries().insert(key, (stats, observation));
     }
 }
 
@@ -574,9 +542,6 @@ pub struct SimJob {
     pub result_cache: Option<(Arc<ResultCache>, u64)>,
     /// Optional periodic checkpointing / resume (see [`CheckpointSpec`]).
     pub checkpoint: Option<CheckpointSpec>,
-    /// Batch submission index carried on in-cell `heartbeat` events (set
-    /// by [`Pool::run_sims_profiled`]; 0 for standalone execution).
-    pub status_index: usize,
 }
 
 impl SimJob {
@@ -591,7 +556,6 @@ impl SimJob {
             obs: None,
             result_cache: None,
             checkpoint: None,
-            status_index: 0,
         }
     }
 
@@ -679,8 +643,9 @@ impl SimJob {
     /// first fault latched by the memory hierarchy.
     pub fn try_execute(&self) -> Result<RunStats, CdpError> {
         let unwatched = SourceSlot::default();
+        let silent = CellHeartbeat::new(None, &self.label, 0, 0);
         let (stats, _) = self
-            .run(&unwatched)?
+            .run(&unwatched, silent)?
             .expect("only the pool's watchdog abandons a job");
         Ok(stats)
     }
@@ -694,12 +659,17 @@ impl SimJob {
     /// the result. Window boundaries change no simulated state, so the
     /// stats equal [`Simulator::try_run`]'s. An observed job also returns
     /// its observation. How the result was obtained goes into `source`
-    /// for the status stream.
+    /// for the status stream, and `hb` reports progress after every
+    /// window.
     ///
     /// Returns `Ok(None)` once `source` is marked abandoned (the pool's
     /// watchdog fired): the loop stops at that window boundary, publishes
     /// nothing and leaves its last checkpoint for `--resume`.
-    fn run(&self, source: &SourceSlot) -> Result<Option<Finished>, CdpError> {
+    fn run(
+        &self,
+        source: &SourceSlot,
+        mut hb: CellHeartbeat,
+    ) -> Result<Option<Finished>, CdpError> {
         if let Some(finished) = self.replay(source) {
             return Ok(Some(finished));
         }
@@ -735,7 +705,6 @@ impl SimJob {
         }
         let mut session = resumed.unwrap_or_else(|| sim.session(&self.workload, obs_cfg));
         let mut last_checkpoint = session.cycles();
-        let mut hb = self.heartbeat();
         // One snapshot arena recycled across every checkpoint write.
         let mut snap_buf = Vec::new();
         loop {
@@ -819,12 +788,6 @@ impl SimJob {
         };
         total.saturating_sub(self.cfg.warmup_uops)
     }
-
-    /// A throttled heartbeat reporter for this cell (no-op without an
-    /// installed status sink).
-    fn heartbeat(&self) -> CellHeartbeat {
-        CellHeartbeat::new(&self.label, self.status_index, self.measurement_uops())
-    }
 }
 
 /// A thread-safe `(Benchmark, Scale)`-keyed cache of immutable workload
@@ -835,26 +798,10 @@ impl SimJob {
 /// matters. Workload generation is deterministic (fixed experiment
 /// seed), so the rare duplicate build under a race produces an identical
 /// image and either copy may win.
-///
-/// Sharded like [`ResultCache`]: [`CACHE_STRIPES`] stripes selected by
-/// benchmark, so concurrent first-builds of *different* benchmarks never
-/// contend on one lock (the builds themselves already ran unlocked; this
-/// removes the remaining serialization on the map itself).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WorkloadCache {
-    stripes: [WorkloadStripe; CACHE_STRIPES],
-}
-
-/// One independently-locked stripe of a [`WorkloadCache`]: (benchmark,
-/// scale) → shared built image.
-type WorkloadStripe = Mutex<HashMap<(Benchmark, Scale), Arc<Workload>>>;
-
-impl Default for WorkloadCache {
-    fn default() -> WorkloadCache {
-        WorkloadCache {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
+    /// (benchmark, scale) → shared built image.
+    images: Mutex<HashMap<(Benchmark, Scale), Arc<Workload>>>,
 }
 
 impl WorkloadCache {
@@ -863,21 +810,9 @@ impl WorkloadCache {
         WorkloadCache::default()
     }
 
-    fn stripe(&self, bench: Benchmark) -> &WorkloadStripe {
-        self.stripes
-            .get(bench as usize & (CACHE_STRIPES - 1))
-            .expect("stripe mask in bounds")
-    }
-
-    /// The workload for `bench` at `scale` with the experiment seed,
-    /// built on first use. The build runs outside the lock so other
-    /// benchmarks stay fetchable meanwhile.
-    pub fn get(&self, bench: Benchmark, scale: Scale) -> Arc<Workload> {
-        self.get_with(bench, scale, || build_workload(bench, scale))
-    }
-
-    /// As [`WorkloadCache::get`] with a caller-supplied builder (custom
-    /// seeds or structures). The builder must be deterministic for the
+    /// The workload for `bench` at `scale`, built by `build` on first
+    /// use. The build runs outside the lock, so other images stay
+    /// fetchable meanwhile. The builder must be deterministic for the
     /// key: under a race both builds run and either image is kept.
     pub fn get_with(
         &self,
@@ -885,26 +820,17 @@ impl WorkloadCache {
         scale: Scale,
         build: impl FnOnce() -> Workload,
     ) -> Arc<Workload> {
-        let stripe = self.stripe(bench);
-        if let Some(w) = stripe.lock().expect("cache lock").get(&(bench, scale)) {
+        let images = || self.images.lock().expect("cache lock");
+        if let Some(w) = images().get(&(bench, scale)) {
             return Arc::clone(w);
         }
         let built = Arc::new(build());
-        Arc::clone(
-            stripe
-                .lock()
-                .expect("cache lock")
-                .entry((bench, scale))
-                .or_insert(built),
-        )
+        Arc::clone(images().entry((bench, scale)).or_insert(built))
     }
 
     /// How many distinct `(benchmark, scale)` images are cached.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("cache lock").len())
-            .sum()
+        self.images.lock().expect("cache lock").len()
     }
 
     /// Whether the cache is empty.
@@ -917,6 +843,13 @@ impl WorkloadCache {
 mod tests {
     use super::*;
     use crate::observe::MetricsWindow;
+    use crate::runner::DEFAULT_SEED;
+
+    /// The smoke-tier image of `b` with the experiment seed, through
+    /// `cache`.
+    fn smoke(cache: &WorkloadCache, b: Benchmark) -> Arc<Workload> {
+        cache.get_with(b, Scale::smoke(), || b.build(Scale::smoke(), DEFAULT_SEED))
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -960,11 +893,11 @@ mod tests {
     #[test]
     fn workload_cache_is_keyed_by_benchmark_and_scale() {
         let cache = WorkloadCache::new();
-        let smoke = cache.get(Benchmark::B2e, Scale::smoke());
-        let again = cache.get(Benchmark::B2e, Scale::smoke());
-        assert!(Arc::ptr_eq(&smoke, &again), "same key shares one image");
-        let other = cache.get(Benchmark::Slsb, Scale::smoke());
-        assert!(!Arc::ptr_eq(&smoke, &other));
+        let first = smoke(&cache, Benchmark::B2e);
+        let again = smoke(&cache, Benchmark::B2e);
+        assert!(Arc::ptr_eq(&first, &again), "same key shares one image");
+        let other = smoke(&cache, Benchmark::Slsb);
+        assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!(cache.len(), 2);
     }
 
@@ -1061,7 +994,7 @@ mod tests {
     #[test]
     fn sims_surface_bad_configs_without_aborting_the_batch() {
         let cache = WorkloadCache::new();
-        let w = cache.get(Benchmark::Slsb, Scale::smoke());
+        let w = smoke(&cache, Benchmark::Slsb);
         let mut bad_cfg = SystemConfig::asplos2002();
         bad_cfg.dtlb.entries = 63; // fails validation
         let jobs = vec![
@@ -1087,7 +1020,7 @@ mod tests {
 
     #[test]
     fn abandoned_cell_publishes_nothing() {
-        let w = WorkloadCache::new().get(Benchmark::Slsb, Scale::smoke());
+        let w = smoke(&WorkloadCache::new(), Benchmark::Slsb);
         let job = || {
             SimJob::new("slsb", SystemConfig::with_content(), Arc::clone(&w))
                 .with_obs(observe_all())
@@ -1100,6 +1033,7 @@ mod tests {
         let timed = job().with_result_cache(Arc::clone(&cache), 0x5eed);
         let policy = RunPolicy {
             timeout: Some(Duration::from_millis(1)),
+            ..RunPolicy::default()
         };
         let reports = Pool::new(1).run_sims_profiled(vec![timed], policy);
         assert_eq!(reports[0].outcome.status(), "timeout");
@@ -1115,7 +1049,7 @@ mod tests {
 
     #[test]
     fn reports_carry_only_an_observed_jobs_observation() {
-        let w = WorkloadCache::new().get(Benchmark::Slsb, Scale::smoke());
+        let w = smoke(&WorkloadCache::new(), Benchmark::Slsb);
         let plain = SimJob::new("plain", SystemConfig::with_content(), Arc::clone(&w));
         let observed = plain.clone().with_obs(observe_all());
         let stats = plain.try_execute().expect("reference run");
@@ -1152,7 +1086,7 @@ mod tests {
     #[test]
     fn profiled_sims_time_jobs_and_route_observations() {
         let cache = WorkloadCache::new();
-        let w = cache.get(Benchmark::Slsb, Scale::smoke());
+        let w = smoke(&cache, Benchmark::Slsb);
         let jobs: Vec<SimJob> = (0..2)
             .map(|i| {
                 SimJob::new(
@@ -1190,7 +1124,7 @@ mod tests {
             [Benchmark::B2e, Benchmark::Slsb]
                 .iter()
                 .flat_map(|&b| {
-                    let w = cache.get(b, Scale::smoke());
+                    let w = smoke(&cache, b);
                     (0..n).map(move |i| {
                         let cfg = if i % 2 == 0 {
                             SystemConfig::asplos2002()

@@ -293,13 +293,13 @@ pub fn unmap_trace_pages(w: &mut Workload, seed: u64, pages: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::build_workload;
+    use crate::runner::DEFAULT_SEED;
     use crate::system::Simulator;
     use cdp_types::{CdpError, SystemConfig};
     use cdp_workloads::suite::{Benchmark, Scale};
 
     fn slsb() -> Workload {
-        build_workload(Benchmark::Slsb, Scale::smoke())
+        Benchmark::Slsb.build(Scale::smoke(), DEFAULT_SEED)
     }
 
     #[test]

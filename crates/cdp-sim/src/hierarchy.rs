@@ -28,6 +28,7 @@ use cdp_prefetch::{
     ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, PerceptronFilter, PrefetchRequest,
     Prefetcher, StreamPrefetcher, StridePrefetcher, VamVerdict,
 };
+use cdp_snap::Codec;
 use cdp_types::{
     AccessKind, CdpError, LineAddr, PhysAddr, RequestKind, SystemConfig, TraceFilter, VirtAddr,
     LINE_SIZE, WORD_SIZE,
@@ -786,39 +787,32 @@ impl<'w> Hierarchy<'w> {
         self.dtlb.save_state(enc);
         self.bus.save_state(enc);
         self.mshrs.save_state(enc);
-        enc.bool(self.stride.is_some());
-        if let Some(p) = &self.stride {
+        if let Ok(Some(p)) = enc.option(&mut self.stride.as_ref(), None, "stride presence") {
             p.save_state(enc);
         }
-        enc.bool(self.content.is_some());
-        if let Some(p) = &self.content {
+        if let Ok(Some(p)) = enc.option(&mut self.content.as_ref(), None, "content presence") {
             p.save_state(enc);
         }
-        enc.bool(self.markov.is_some());
-        if let Some(p) = &self.markov {
+        if let Ok(Some(p)) = enc.option(&mut self.markov.as_ref(), None, "markov presence") {
             p.save_state(enc);
         }
-        enc.bool(self.stream.is_some());
-        if let Some(p) = &self.stream {
+        if let Ok(Some(p)) = enc.option(&mut self.stream.as_ref(), None, "stream presence") {
             p.save_state(enc);
         }
-        enc.bool(self.adaptive.is_some());
-        if let Some(p) = &self.adaptive {
+        if let Ok(Some(p)) = enc.option(&mut self.adaptive.as_ref(), None, "adaptive presence") {
             p.save_state(enc);
         }
-        enc.bool(self.delta.is_some());
-        if let Some(p) = &self.delta {
+        if let Ok(Some(p)) = enc.option(&mut self.delta.as_ref(), None, "delta presence") {
             p.save_state(enc);
         }
-        enc.bool(self.jump.is_some());
-        if let Some(p) = &self.jump {
+        if let Ok(Some(p)) = enc.option(&mut self.jump.as_ref(), None, "jump presence") {
             p.save_state(enc);
         }
-        enc.bool(self.perceptron.is_some());
-        if let Some(p) = &self.perceptron {
+        if let Ok(Some(p)) = enc.option(&mut self.perceptron.as_ref(), None, "perceptron presence")
+        {
             p.save_state(enc);
         }
-        self.stats.save_state(enc);
+        enc.put(self.stats);
         enc.u64(self.next_pollution);
         enc.u64(self.pollution_rng);
         enc.u64(self.walk_tick);
@@ -830,12 +824,10 @@ impl<'w> Hierarchy<'w> {
         for line in dirty {
             enc.u32(line);
         }
-        enc.bool(self.tracer.is_some());
-        if let Some(t) = self.tracer.as_deref() {
+        if let Ok(Some(t)) = enc.option(&mut self.tracer.as_deref(), None, "tracer presence") {
             t.save_state(enc);
         }
-        enc.bool(self.profile.is_some());
-        if let Some(p) = self.profile.as_deref() {
+        if let Ok(Some(p)) = enc.option(&mut self.profile.as_deref(), None, "profile presence") {
             p.save_state(enc);
         }
     }
@@ -872,25 +864,31 @@ impl<'w> Hierarchy<'w> {
         self.dtlb.restore_state(dec)?;
         self.bus.restore_state(dec)?;
         self.mshrs.restore_state(dec)?;
-        macro_rules! restore_opt {
-            ($field:ident, $ctx:literal) => {
-                if dec.bool($ctx)? != self.$field.is_some() {
-                    return Err(SnapshotError::Corrupt { context: $ctx });
-                }
-                if let Some(p) = self.$field.as_mut() {
-                    p.restore_state(dec)?;
-                }
-            };
+        if let Some(p) = dec.option(&mut self.stride.as_mut(), None, "stride presence")? {
+            p.restore_state(dec)?;
         }
-        restore_opt!(stride, "stride presence");
-        restore_opt!(content, "content presence");
-        restore_opt!(markov, "markov presence");
-        restore_opt!(stream, "stream presence");
-        restore_opt!(adaptive, "adaptive presence");
-        restore_opt!(delta, "delta presence");
-        restore_opt!(jump, "jump presence");
-        restore_opt!(perceptron, "perceptron presence");
-        self.stats.restore_state(dec)?;
+        if let Some(p) = dec.option(&mut self.content.as_mut(), None, "content presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.markov.as_mut(), None, "markov presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.stream.as_mut(), None, "stream presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.adaptive.as_mut(), None, "adaptive presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.delta.as_mut(), None, "delta presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.jump.as_mut(), None, "jump presence")? {
+            p.restore_state(dec)?;
+        }
+        if let Some(p) = dec.option(&mut self.perceptron.as_mut(), None, "perceptron presence")? {
+            p.restore_state(dec)?;
+        }
+        self.stats = dec.get()?;
         self.next_pollution = dec.u64("next_pollution")?;
         self.pollution_rng = dec.u64("pollution_rng")?;
         self.walk_tick = dec.u64("walk_tick")?;
@@ -899,21 +897,11 @@ impl<'w> Hierarchy<'w> {
         for _ in 0..n {
             self.pending_dirty.insert(dec.u32("pending_dirty line")?);
         }
-        if dec.bool("tracer presence")? != self.tracer.is_some() {
-            return Err(SnapshotError::Corrupt {
-                context: "tracer presence",
-            });
-        }
-        if let Some(t) = self.tracer.as_deref_mut() {
+        if let Some(t) = dec.option(&mut self.tracer.as_deref_mut(), None, "tracer presence")? {
             t.restore_state(dec)?;
         }
-        if dec.bool("profile presence")? != self.profile.is_some() {
-            return Err(SnapshotError::Corrupt {
-                context: "profile presence",
-            });
-        }
-        if let Some(p) = self.profile.as_deref_mut() {
-            *p = cdp_obs::Profile::restore_state(dec)?;
+        if let Some(p) = dec.option(&mut self.profile.as_deref_mut(), None, "profile presence")? {
+            **p = cdp_obs::Profile::restore_state(dec)?;
         }
         Ok(())
     }
@@ -1463,6 +1451,50 @@ mod tests {
         let t2 = h.access(0x40, nodes[0], AccessKind::Load, t + 10);
         assert_eq!(t2, t + 13);
         assert_eq!(h.stats().l1_hits, 1);
+    }
+
+    #[test]
+    fn restore_refuses_a_presence_flag_the_configuration_contradicts() {
+        let (space, nodes) = space_with_list(8, true);
+        let snapshot = |cfg: SystemConfig, tracer: bool| {
+            let mut h = Hierarchy::new(cfg, &space);
+            if tracer {
+                h.set_tracer(TraceRing::new(cdp_types::TraceConfig::default()));
+            }
+            h.access(0x40, nodes[0], AccessKind::Load, 0);
+            let mut enc = cdp_snap::Enc::new();
+            h.save_state(&mut enc);
+            enc.into_bytes()
+        };
+        let restore = |bytes: &[u8], cfg: SystemConfig, tracer: bool| {
+            let mut h = Hierarchy::new(cfg, &space);
+            if tracer {
+                h.set_tracer(TraceRing::new(cdp_types::TraceConfig::default()));
+            }
+            h.restore_state(&mut cdp_snap::Dec::new(bytes))
+        };
+        let content = snapshot(cfg_with_content(), false);
+        let stride = snapshot(cfg_stride_only(), false);
+        let traced = snapshot(cfg_stride_only(), true);
+        assert_eq!(restore(&content, cfg_with_content(), false), Ok(()));
+        assert_eq!(restore(&traced, cfg_stride_only(), true), Ok(()));
+        let refused = |context| Err(cdp_types::SnapshotError::Corrupt { context });
+        assert_eq!(
+            restore(&content, cfg_stride_only(), false),
+            refused("content presence")
+        );
+        assert_eq!(
+            restore(&stride, cfg_with_content(), false),
+            refused("content presence")
+        );
+        assert_eq!(
+            restore(&traced, cfg_stride_only(), false),
+            refused("tracer presence")
+        );
+        assert_eq!(
+            restore(&stride, cfg_stride_only(), true),
+            refused("tracer presence")
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   bit-identically.
 //! * [`stats`] / [`metrics`] — counters and the paper's coverage/accuracy
 //!   and Figure 10 timeliness metrics.
-//! * [`runner`] — the experiment conventions: seed, workload builder,
-//!   §2.2 warm-up budget, and the pointer-heavy tuning subset.
+//! * [`runner`] — the experiment conventions: seed, §2.2 warm-up
+//!   budget, and the pointer-heavy tuning subset.
 //! * [`exec`] — the parallel experiment engine: a std-only scoped-thread
 //!   [`Pool`] running independent simulations across cores with
 //!   submission-order (deterministic) results, plus the shared
@@ -60,14 +60,13 @@ pub mod system;
 
 pub use exec::{
     default_jobs, CheckpointSpec, CheckpointStatus, JobOutcome, JobReport, Pool, ResultCache,
-    RunPolicy, SimJob, WorkloadCache, CACHE_STRIPES,
+    RunPolicy, SimJob, WorkloadCache,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};
 pub use metrics::{accuracy, coverage, mean};
 pub use observe::{MetricsWindow, Observation};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
-pub use runner::build_workload;
 pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};
-pub use status::{install_status_sink, status_sink, ResultSource, SourceSlot, StatusSink};
+pub use status::{ResultSource, SourceSlot, StatusSink};
 pub use system::{set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator};

@@ -113,52 +113,6 @@ impl MetricsWindow {
         }
     }
 
-    /// Serializes the window (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.usize(self.window);
-        enc.u64(self.retired);
-        enc.u64(self.cycles);
-        enc.u64(self.l1_misses);
-        enc.u64(self.l2_demand_accesses);
-        enc.u64(self.l2_demand_misses);
-        enc.u64(self.dtlb_misses);
-        enc.u64(self.prefetch_walks);
-        enc.u64(self.stride_issued);
-        enc.u64(self.stride_useful);
-        enc.u64(self.content_issued);
-        enc.u64(self.content_useful);
-        enc.u64(self.markov_issued);
-        enc.u64(self.markov_useful);
-        enc.u64(self.drops);
-        enc.u64(self.rescans);
-    }
-
-    /// Restores a window written by [`MetricsWindow::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(dec: &mut cdp_snap::Dec<'_>) -> Result<Self, cdp_types::SnapshotError> {
-        Ok(MetricsWindow {
-            window: dec.usize("window index")?,
-            retired: dec.u64("window retired")?,
-            cycles: dec.u64("window cycles")?,
-            l1_misses: dec.u64("window l1_misses")?,
-            l2_demand_accesses: dec.u64("window l2_demand_accesses")?,
-            l2_demand_misses: dec.u64("window l2_demand_misses")?,
-            dtlb_misses: dec.u64("window dtlb_misses")?,
-            prefetch_walks: dec.u64("window prefetch_walks")?,
-            stride_issued: dec.u64("window stride_issued")?,
-            stride_useful: dec.u64("window stride_useful")?,
-            content_issued: dec.u64("window content_issued")?,
-            content_useful: dec.u64("window content_useful")?,
-            markov_issued: dec.u64("window markov_issued")?,
-            markov_useful: dec.u64("window markov_useful")?,
-            drops: dec.u64("window drops")?,
-            rescans: dec.u64("window rescans")?,
-        })
-    }
-
     /// Renders the window as a flat JSON object (one JSONL line's payload).
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -183,6 +137,27 @@ impl MetricsWindow {
         o.set("drops", Json::U64(self.drops));
         o.set("rescans", Json::U64(self.rescans));
         o
+    }
+}
+
+impl cdp_snap::Record for MetricsWindow {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.usize(&mut self.window, "window index")?;
+        c.u64(&mut self.retired, "window retired")?;
+        c.u64(&mut self.cycles, "window cycles")?;
+        c.u64(&mut self.l1_misses, "window l1_misses")?;
+        c.u64(&mut self.l2_demand_accesses, "window l2_demand_accesses")?;
+        c.u64(&mut self.l2_demand_misses, "window l2_demand_misses")?;
+        c.u64(&mut self.dtlb_misses, "window dtlb_misses")?;
+        c.u64(&mut self.prefetch_walks, "window prefetch_walks")?;
+        c.u64(&mut self.stride_issued, "window stride_issued")?;
+        c.u64(&mut self.stride_useful, "window stride_useful")?;
+        c.u64(&mut self.content_issued, "window content_issued")?;
+        c.u64(&mut self.content_useful, "window content_useful")?;
+        c.u64(&mut self.markov_issued, "window markov_issued")?;
+        c.u64(&mut self.markov_useful, "window markov_useful")?;
+        c.u64(&mut self.drops, "window drops")?;
+        c.u64(&mut self.rescans, "window rescans")
     }
 }
 

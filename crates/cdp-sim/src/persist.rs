@@ -7,8 +7,9 @@
 //! rides inside a checksummed `cdp-snap` section, so this layer only
 //! needs structural validation (version gate, length guards); bit-level
 //! damage is caught by the envelope before these bytes are ever decoded.
-//! Every stats type is written by its own `save_state`, the codec its
-//! component's snapshot also uses, so each counter has one encoding.
+//! Every stats type is written by its own field list
+//! ([`cdp_snap::Record`]), the one its component's snapshot also uses,
+//! so each counter has one encoding.
 //!
 //! The payload carries its own version, independent of the store's
 //! envelope version: the envelope describes *how entries are framed*,
@@ -17,15 +18,11 @@
 //! refused entry is just a cache miss — the cell recomputes.
 
 use cdp_obs::trace::TraceEvent;
-use cdp_prefetch::adaptive::AdaptiveStats;
 use cdp_prefetch::content;
-use cdp_prefetch::{
-    ContentStats, DeltaStats, JumpStats, PerceptronStats, StreamStats, StrideStats,
-};
-use cdp_snap::{Dec, Enc};
+use cdp_snap::{Codec, Dec, Enc, Record};
 use cdp_types::SnapshotError;
 
-use crate::observe::{MetricsWindow, Observation};
+use crate::observe::Observation;
 use crate::system::RunStats;
 
 /// Version of the result payload encoding. Bump on any layout change;
@@ -42,7 +39,7 @@ pub const RESULT_VERSION: u32 = 3;
 pub fn encode_result(stats: &RunStats, obs: Option<&Observation>) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(RESULT_VERSION);
-    save_run_stats(stats, &mut e);
+    e.put(*stats);
     match obs {
         Some(o) => {
             e.bool(true);
@@ -69,7 +66,7 @@ pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), Sn
             supported: RESULT_VERSION,
         });
     }
-    let stats = load_run_stats(&mut d)?;
+    let stats = d.get()?;
     let obs = if d.bool("result has observation")? {
         Some(load_observation(&mut d)?)
     } else {
@@ -83,81 +80,50 @@ pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), Sn
     Ok((stats, obs))
 }
 
-fn save_run_stats(s: &RunStats, e: &mut Enc) {
-    e.u64(s.cycles);
-    e.u64(s.retired);
-    s.core.save_state(e);
-    s.mem.save_state(e);
-    opt(e, s.content.as_ref(), ContentStats::save_state);
-    opt(e, s.stride.as_ref(), StrideStats::save_state);
-    opt(e, s.markov.as_ref(), DeltaStats::save_state);
-    opt(e, s.stream.as_ref(), StreamStats::save_state);
-    opt(e, s.adaptive.as_ref(), |(a, cfg), e| {
-        a.save_state(e);
-        content::save_config(cfg, e);
-    });
-    opt(e, s.delta.as_ref(), DeltaStats::save_state);
-    opt(e, s.jump.as_ref(), JumpStats::save_state);
-    opt(e, s.perceptron.as_ref(), PerceptronStats::save_state);
-    s.bus.save_state(e);
-}
-
-fn load_run_stats(d: &mut Dec<'_>) -> Result<RunStats, SnapshotError> {
-    let mut s = RunStats {
-        cycles: d.u64("result cycles")?,
-        retired: d.u64("result retired")?,
-        ..RunStats::default()
-    };
-    s.core.restore_state(d)?;
-    s.mem.restore_state(d)?;
-    s.content = opt_load(d, "result content stats", ContentStats::restore_state)?;
-    s.stride = opt_load(d, "result stride stats", StrideStats::restore_state)?;
-    s.markov = opt_load(d, "result markov stats", DeltaStats::restore_state)?;
-    s.stream = opt_load(d, "result stream stats", StreamStats::restore_state)?;
-    s.adaptive = opt_load(
-        d,
-        "result has adaptive",
-        |(a, cfg): &mut (AdaptiveStats, _), d| {
-            a.restore_state(d)?;
-            content::restore_config(cfg, d)
-        },
-    )?;
-    s.delta = opt_load(d, "result delta stats", DeltaStats::restore_state)?;
-    s.jump = opt_load(d, "result jump stats", JumpStats::restore_state)?;
-    s.perceptron = opt_load(d, "result perceptron stats", PerceptronStats::restore_state)?;
-    s.bus.restore_state(d)?;
-    Ok(s)
-}
-
-/// Writes a presence flag, then `v` through its codec.
-fn opt<T>(e: &mut Enc, v: Option<&T>, save: impl Fn(&T, &mut Enc)) {
-    match v {
-        Some(v) => {
-            e.bool(true);
-            save(v, e);
+/// A result's statistics. An engine's counters follow a presence flag
+/// that the stored bytes decide, since a result is decoded without its
+/// configuration.
+impl Record for RunStats {
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.cycles, "result cycles")?;
+        c.u64(&mut self.retired, "result retired")?;
+        c.record(&mut self.core)?;
+        c.record(&mut self.mem)?;
+        optional(c, &mut self.content, "result content stats")?;
+        optional(c, &mut self.stride, "result stride stats")?;
+        optional(c, &mut self.markov, "result markov stats")?;
+        optional(c, &mut self.stream, "result stream stats")?;
+        if let Some((s, cfg)) = c.option(
+            &mut self.adaptive,
+            Some(Default::default()),
+            "result has adaptive",
+        )? {
+            c.record(s)?;
+            content::config_fields(cfg, c)?;
         }
-        None => e.bool(false),
+        optional(c, &mut self.delta, "result delta stats")?;
+        optional(c, &mut self.jump, "result jump stats")?;
+        optional(c, &mut self.perceptron, "result perceptron stats")?;
+        c.record(&mut self.bus)
     }
 }
 
-/// Reads what [`opt`] wrote, restoring into a default value.
-fn opt_load<T: Default>(
-    d: &mut Dec<'_>,
+/// An engine's counters: present when the stored flag says so.
+fn optional<C: Codec, R: Record>(
+    c: &mut C,
+    v: &mut Option<R>,
     context: &'static str,
-    restore: impl Fn(&mut T, &mut Dec<'_>) -> Result<(), SnapshotError>,
-) -> Result<Option<T>, SnapshotError> {
-    if !d.bool(context)? {
-        return Ok(None);
+) -> Result<(), C::Error> {
+    match c.option(v, Some(R::default()), context)? {
+        Some(r) => c.record(r),
+        None => Ok(()),
     }
-    let mut v = T::default();
-    restore(&mut v, d)?;
-    Ok(Some(v))
 }
 
 fn save_observation(o: &Observation, e: &mut Enc) {
     e.seq_len(o.windows.len());
     for w in &o.windows {
-        w.save_state(e);
+        e.put(*w);
     }
     e.seq_len(o.events.len());
     for ev in &o.events {
@@ -183,7 +149,7 @@ fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
     let n_windows = d.seq_len(16 * 8, "observation window count")?;
     let mut windows = Vec::with_capacity(n_windows);
     for _ in 0..n_windows {
-        windows.push(MetricsWindow::restore_state(d)?);
+        windows.push(d.get()?);
     }
     let n_events = d.seq_len(17, "observation event count")?;
     let mut events = Vec::with_capacity(n_events);
@@ -211,7 +177,12 @@ fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::MetricsWindow;
     use cdp_obs::trace::TraceData;
+    use cdp_prefetch::adaptive::AdaptiveStats;
+    use cdp_prefetch::{
+        ContentStats, DeltaStats, JumpStats, PerceptronStats, StreamStats, StrideStats,
+    };
     use cdp_types::ContentConfig;
 
     fn sample_stats() -> RunStats {

@@ -4,15 +4,9 @@
 
 use cdp_types::SystemConfig;
 use cdp_workloads::suite::{Benchmark, Scale};
-use cdp_workloads::Workload;
 
 /// Default seed for experiment workload generation.
 pub const DEFAULT_SEED: u64 = 0x5eed_2002;
-
-/// Builds a benchmark workload at `scale` with the experiment seed.
-pub fn build_workload(bench: Benchmark, scale: Scale) -> Workload {
-    bench.build(scale, DEFAULT_SEED)
-}
 
 /// The pointer-intensive subset used for heuristic tuning sweeps (the
 /// workloads where the content prefetcher has headroom; keeps Figure 7/8

@@ -284,151 +284,61 @@ impl MemStats {
     }
 }
 
-impl EngineCounters {
-    /// Serializes the counters (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.issued);
-        enc.u64(self.useful_full);
-        enc.u64(self.useful_partial);
-        enc.u64(self.wasted_evictions);
-    }
-
-    /// Restores counters written by [`EngineCounters::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.issued = dec.u64("engine issued")?;
-        self.useful_full = dec.u64("engine useful_full")?;
-        self.useful_partial = dec.u64("engine useful_partial")?;
-        self.wasted_evictions = dec.u64("engine wasted_evictions")?;
-        Ok(())
+impl cdp_snap::Record for EngineCounters {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.issued, "engine issued")?;
+        c.u64(&mut self.useful_full, "engine useful_full")?;
+        c.u64(&mut self.useful_partial, "engine useful_partial")?;
+        c.u64(&mut self.wasted_evictions, "engine wasted_evictions")
     }
 }
 
-impl DropCounters {
-    /// Serializes the counters (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.resident);
-        enc.u64(self.in_flight);
-        enc.u64(self.unmapped);
-        enc.u64(self.queue_full);
-        enc.u64(self.too_deep);
-    }
-
-    /// Restores counters written by [`DropCounters::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.resident = dec.u64("drops resident")?;
-        self.in_flight = dec.u64("drops in_flight")?;
-        self.unmapped = dec.u64("drops unmapped")?;
-        self.queue_full = dec.u64("drops queue_full")?;
-        self.too_deep = dec.u64("drops too_deep")?;
-        Ok(())
+impl cdp_snap::Record for DropCounters {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.resident, "drops resident")?;
+        c.u64(&mut self.in_flight, "drops in_flight")?;
+        c.u64(&mut self.unmapped, "drops unmapped")?;
+        c.u64(&mut self.queue_full, "drops queue_full")?;
+        c.u64(&mut self.too_deep, "drops too_deep")
     }
 }
 
-impl RequestDistribution {
-    /// Serializes the counters (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.stride_full);
-        enc.u64(self.stride_partial);
-        enc.u64(self.cpf_full);
-        enc.u64(self.cpf_partial);
-        enc.u64(self.markov_full);
-        enc.u64(self.markov_partial);
-        enc.u64(self.unmasked_misses);
-    }
-
-    /// Restores counters written by [`RequestDistribution::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.stride_full = dec.u64("dist stride_full")?;
-        self.stride_partial = dec.u64("dist stride_partial")?;
-        self.cpf_full = dec.u64("dist cpf_full")?;
-        self.cpf_partial = dec.u64("dist cpf_partial")?;
-        self.markov_full = dec.u64("dist markov_full")?;
-        self.markov_partial = dec.u64("dist markov_partial")?;
-        self.unmasked_misses = dec.u64("dist unmasked_misses")?;
-        Ok(())
+impl cdp_snap::Record for RequestDistribution {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.stride_full, "dist stride_full")?;
+        c.u64(&mut self.stride_partial, "dist stride_partial")?;
+        c.u64(&mut self.cpf_full, "dist cpf_full")?;
+        c.u64(&mut self.cpf_partial, "dist cpf_partial")?;
+        c.u64(&mut self.markov_full, "dist markov_full")?;
+        c.u64(&mut self.markov_partial, "dist markov_partial")?;
+        c.u64(&mut self.unmasked_misses, "dist unmasked_misses")
     }
 }
 
-impl MemStats {
-    /// Serializes the full statistics block (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.accesses);
-        enc.u64(self.l1_hits);
-        enc.u64(self.l1_misses);
-        enc.u64(self.l2_demand_accesses);
-        enc.u64(self.l2_demand_hits);
-        enc.u64(self.l2_miss_merged);
-        enc.u64(self.l2_demand_misses);
-        enc.u64(self.dtlb_hits);
-        enc.u64(self.dtlb_misses);
-        enc.u64(self.prefetch_walks);
-        enc.u64(self.prefetch_tlb_hits);
-        enc.u64(self.rescans);
-        enc.u64(self.depth_promotions);
-        self.stride.save_state(enc);
-        self.content.save_state(enc);
-        self.markov.save_state(enc);
-        self.delta.save_state(enc);
-        self.jump.save_state(enc);
-        self.drops.save_state(enc);
-        self.distribution.save_state(enc);
-        enc.u64(self.injected_pollution);
-        enc.u64(self.writebacks);
-    }
-
-    /// Restores statistics written by [`MemStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.accesses = dec.u64("mem accesses")?;
-        self.l1_hits = dec.u64("mem l1_hits")?;
-        self.l1_misses = dec.u64("mem l1_misses")?;
-        self.l2_demand_accesses = dec.u64("mem l2_demand_accesses")?;
-        self.l2_demand_hits = dec.u64("mem l2_demand_hits")?;
-        self.l2_miss_merged = dec.u64("mem l2_miss_merged")?;
-        self.l2_demand_misses = dec.u64("mem l2_demand_misses")?;
-        self.dtlb_hits = dec.u64("mem dtlb_hits")?;
-        self.dtlb_misses = dec.u64("mem dtlb_misses")?;
-        self.prefetch_walks = dec.u64("mem prefetch_walks")?;
-        self.prefetch_tlb_hits = dec.u64("mem prefetch_tlb_hits")?;
-        self.rescans = dec.u64("mem rescans")?;
-        self.depth_promotions = dec.u64("mem depth_promotions")?;
-        self.stride.restore_state(dec)?;
-        self.content.restore_state(dec)?;
-        self.markov.restore_state(dec)?;
-        self.delta.restore_state(dec)?;
-        self.jump.restore_state(dec)?;
-        self.drops.restore_state(dec)?;
-        self.distribution.restore_state(dec)?;
-        self.injected_pollution = dec.u64("mem injected_pollution")?;
-        self.writebacks = dec.u64("mem writebacks")?;
-        Ok(())
+impl cdp_snap::Record for MemStats {
+    fn fields<C: cdp_snap::Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+        c.u64(&mut self.accesses, "mem accesses")?;
+        c.u64(&mut self.l1_hits, "mem l1_hits")?;
+        c.u64(&mut self.l1_misses, "mem l1_misses")?;
+        c.u64(&mut self.l2_demand_accesses, "mem l2_demand_accesses")?;
+        c.u64(&mut self.l2_demand_hits, "mem l2_demand_hits")?;
+        c.u64(&mut self.l2_miss_merged, "mem l2_miss_merged")?;
+        c.u64(&mut self.l2_demand_misses, "mem l2_demand_misses")?;
+        c.u64(&mut self.dtlb_hits, "mem dtlb_hits")?;
+        c.u64(&mut self.dtlb_misses, "mem dtlb_misses")?;
+        c.u64(&mut self.prefetch_walks, "mem prefetch_walks")?;
+        c.u64(&mut self.prefetch_tlb_hits, "mem prefetch_tlb_hits")?;
+        c.u64(&mut self.rescans, "mem rescans")?;
+        c.u64(&mut self.depth_promotions, "mem depth_promotions")?;
+        c.record(&mut self.stride)?;
+        c.record(&mut self.content)?;
+        c.record(&mut self.markov)?;
+        c.record(&mut self.delta)?;
+        c.record(&mut self.jump)?;
+        c.record(&mut self.drops)?;
+        c.record(&mut self.distribution)?;
+        c.u64(&mut self.injected_pollution, "mem injected_pollution")?;
+        c.u64(&mut self.writebacks, "mem writebacks")
     }
 }
 

@@ -6,10 +6,10 @@
 //! claims the job, throttled in-cell `heartbeat`s, and `done` with the
 //! outcome, wall time, result provenance, batch progress, and a sweep
 //! ETA. Events never touch stdout — the sweep's rendered tables stay
-//! byte-identical with the stream on or off — and the sink is installed
-//! process-globally (like [`crate::system::set_fast_forward`]) so every
-//! experiment's pool picks it up without threading a handle through
-//! each call site.
+//! byte-identical with the stream on or off. The sink belongs to a run:
+//! it rides in the batch's [`RunPolicy`](crate::RunPolicy), and the pool
+//! hands it to each job's [`CellHeartbeat`], so two runs in one process
+//! each stream only their own events.
 //!
 //! Provenance travels through a per-job [`SourceSlot`]: under a watchdog
 //! the job runs on a detached thread, so the worker that emits `done`
@@ -19,7 +19,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cdp_obs::Json;
@@ -107,8 +107,8 @@ impl SourceSlot {
     }
 }
 
-/// A line-buffered JSONL event stream shared by every pool batch in the
-/// process. One `write` call per event (a single line), so interleaving
+/// A line-buffered JSONL event stream shared by the pool batches of one
+/// run. One `write` call per event (a single line), so interleaving
 /// from concurrent workers is line-atomic in practice and each line is
 /// a complete JSON object regardless.
 pub struct StatusSink {
@@ -220,8 +220,8 @@ impl StatusSink {
 /// A throttled in-cell progress reporter: the stepping loop calls
 /// [`CellHeartbeat::tick`] after every window and the helper emits at
 /// most one `heartbeat` event per period (default 1 s). Costs one
-/// `Instant::now` per window when a sink is installed and nothing at
-/// all otherwise, so it is safe to leave in every driving loop.
+/// `Instant::now` per window when it has a sink and nothing at all
+/// otherwise, so it is safe to leave in every driving loop.
 #[derive(Debug)]
 pub struct CellHeartbeat {
     sink: Option<Arc<StatusSink>>,
@@ -233,17 +233,11 @@ pub struct CellHeartbeat {
 }
 
 impl CellHeartbeat {
-    /// A reporter bound to the process-global sink (no-op when none is
-    /// installed). `total_uops` is the cell's post-warm-up measurement
-    /// budget; progress is reported against it.
+    /// A reporter for job `index` of a batch into `sink` (`None`
+    /// reports nothing). `total_uops` is the cell's post-warm-up
+    /// measurement budget; progress is reported against it.
     #[must_use]
-    pub fn new(label: &str, index: usize, total_uops: u64) -> CellHeartbeat {
-        CellHeartbeat::with_sink(status_sink(), label, index, total_uops)
-    }
-
-    /// A reporter bound to an explicit sink (tests; `None` disables).
-    #[must_use]
-    pub fn with_sink(
+    pub fn new(
         sink: Option<Arc<StatusSink>>,
         label: &str,
         index: usize,
@@ -275,23 +269,6 @@ impl CellHeartbeat {
         self.last = Instant::now();
         sink.heartbeat(&self.label, self.index, uops_done, self.total_uops);
     }
-}
-
-/// The process-global sink slot. Write-once: experiment drivers install
-/// it during CLI parsing, before any pool runs.
-static STATUS: OnceLock<Arc<StatusSink>> = OnceLock::new();
-
-/// Installs the process-global status sink. Later calls are ignored
-/// (first writer wins), matching the one-shot CLI flag that sets it.
-pub fn install_status_sink(sink: StatusSink) {
-    let _ = STATUS.set(Arc::new(sink));
-}
-
-/// The installed sink, if any. Cheap (one atomic load) — pool hot paths
-/// call this per batch, not per event.
-#[must_use]
-pub fn status_sink() -> Option<Arc<StatusSink>> {
-    STATUS.get().cloned()
 }
 
 #[cfg(test)]
@@ -341,7 +318,7 @@ mod tests {
     fn cell_heartbeat_throttles_and_reports_progress() {
         let cap = Capture::default();
         let sink = Arc::new(StatusSink::new(Box::new(cap.clone())));
-        let mut hb = CellHeartbeat::with_sink(Some(sink), "cell/a", 3, 1_000)
+        let mut hb = CellHeartbeat::new(Some(sink), "cell/a", 3, 1_000)
             .with_period(std::time::Duration::ZERO);
         hb.tick(250);
         hb.tick(600);
@@ -357,10 +334,71 @@ mod tests {
         assert_eq!(j.get("uops_done").unwrap().to_string(), "600");
         assert_eq!(j.get("uops_total").unwrap().to_string(), "1000");
         assert_eq!(j.get("uops_remaining").unwrap().to_string(), "400");
-        // No sink installed: tick is a no-op, not a panic.
-        let mut silent =
-            CellHeartbeat::with_sink(None, "x", 0, 1).with_period(std::time::Duration::ZERO);
+        // No sink: tick is a no-op, not a panic.
+        let mut silent = CellHeartbeat::new(None, "x", 0, 1).with_period(std::time::Duration::ZERO);
         silent.tick(1);
+    }
+
+    #[test]
+    fn concurrent_runs_each_stream_only_their_own_batch() {
+        use crate::exec::{Pool, RunPolicy, SimJob};
+        use crate::runner::DEFAULT_SEED;
+        use cdp_types::SystemConfig;
+        use cdp_workloads::suite::{Benchmark, Scale};
+
+        let w = Arc::new(Benchmark::Slsb.build(Scale::smoke(), DEFAULT_SEED));
+        let runs = ["a", "b"];
+        let captures = [Capture::default(), Capture::default()];
+        let barrier = std::sync::Barrier::new(runs.len());
+        std::thread::scope(|s| {
+            for (run, cap) in runs.iter().zip(&captures) {
+                let (w, barrier) = (&w, &barrier);
+                s.spawn(move || {
+                    let jobs = (0..3)
+                        .map(|i| {
+                            let label = format!("{run}/{i}");
+                            SimJob::new(label, SystemConfig::asplos2002(), Arc::clone(w))
+                        })
+                        .collect();
+                    let policy = RunPolicy {
+                        status: Some(Arc::new(StatusSink::new(Box::new(cap.clone())))),
+                        ..RunPolicy::default()
+                    };
+                    barrier.wait();
+                    Pool::new(1).run_sims_profiled(jobs, policy);
+                });
+            }
+        });
+        for (run, cap) in runs.iter().zip(&captures) {
+            let text = String::from_utf8(cap.0.lock().unwrap().clone()).unwrap();
+            let events: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+            let count = |kind: &str| {
+                let kind = format!("\"{kind}\"");
+                events
+                    .iter()
+                    .filter(|e| e.get("event").unwrap().to_string() == kind)
+                    .count()
+            };
+            assert_eq!(
+                (
+                    count("batch"),
+                    count("queued"),
+                    count("running"),
+                    count("done")
+                ),
+                (1, 3, 3, 3),
+                "run {run}: {text}"
+            );
+            for label in events.iter().filter_map(|e| e.get("label")) {
+                let label = label.to_string();
+                assert!(
+                    label.starts_with(&format!("\"{run}/")),
+                    "run {run}: {label}"
+                );
+            }
+            let last = events.last().unwrap();
+            assert_eq!(last.get("total").unwrap().to_string(), "3", "run {run}");
+        }
     }
 
     #[test]

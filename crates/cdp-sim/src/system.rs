@@ -548,10 +548,10 @@ impl<'w> SimSession<'w> {
             w.section(SEC_OBS, |e| {
                 e.u64(self.prev_retired);
                 e.u64(self.prev_cycles);
-                self.prev_mem.save_state(e);
+                e.put(self.prev_mem);
                 e.seq_len(self.windows.len());
                 for win in &self.windows {
-                    win.save_state(e);
+                    e.put(*win);
                 }
             });
         }
@@ -589,11 +589,11 @@ impl<'w> SimSession<'w> {
             let mut dec = reader.section(SEC_OBS)?;
             self.prev_retired = dec.u64("obs prev_retired")?;
             self.prev_cycles = dec.u64("obs prev_cycles")?;
-            self.prev_mem.restore_state(&mut dec)?;
+            self.prev_mem = dec.get()?;
             let n = dec.seq_len(16 * 8, "obs window count")?;
             self.windows.clear();
             for _ in 0..n {
-                self.windows.push(MetricsWindow::restore_state(&mut dec)?);
+                self.windows.push(dec.get()?);
             }
             if !dec.is_exhausted() {
                 return Err(SnapshotError::Corrupt {

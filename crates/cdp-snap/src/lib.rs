@@ -28,6 +28,11 @@
 //! a truncated file, a flipped byte, a fingerprint from a different run,
 //! or a future version number must all be rejected before any simulator
 //! state is touched.
+//!
+//! A flat record lists its fields once, through the [`Codec`] trait that
+//! both [`Enc`] and [`Dec`] implement ([`Record`]), so the one list
+//! drives both directions. State with loops or validation (caches,
+//! tables, rings) keeps a hand-written pair of functions.
 
 #![warn(missing_docs)]
 
@@ -342,6 +347,167 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// One direction of a field-by-field codec. [`Enc`] implements it by
+/// writing each field and [`Dec`] by reading each field back in place, so
+/// a [`Record`] that lists its fields once is written and read by that
+/// one list: a reordered or dropped field moves bytes but cannot put the
+/// two directions out of step.
+pub trait Codec: Sized {
+    /// What coding a field can fail with: nothing when writing,
+    /// [`SnapshotError`] when reading.
+    type Error;
+
+    /// A `u8` field. `context` names the field in a read error.
+    fn u8(&mut self, v: &mut u8, context: &'static str) -> Result<(), Self::Error>;
+
+    /// A bool field, one byte (a read refuses anything but 0 or 1).
+    fn bool(&mut self, v: &mut bool, context: &'static str) -> Result<(), Self::Error>;
+
+    /// A little-endian `u32` field.
+    fn u32(&mut self, v: &mut u32, context: &'static str) -> Result<(), Self::Error>;
+
+    /// A little-endian `u64` field.
+    fn u64(&mut self, v: &mut u64, context: &'static str) -> Result<(), Self::Error>;
+
+    /// A `usize` field, widened to `u64` (a read refuses overflow).
+    fn usize(&mut self, v: &mut usize, context: &'static str) -> Result<(), Self::Error>;
+
+    /// A nested record, in its own field order.
+    fn record<R: Record>(&mut self, r: &mut R) -> Result<(), Self::Error> {
+        r.fields(self)
+    }
+
+    /// The presence flag of an optional part. Returns the part, which the
+    /// caller then codes, when the flag says it is present.
+    ///
+    /// [`Enc`] writes whether `v` holds a part. [`Dec`] reads the flag;
+    /// a set flag fills an empty `v` with `blank`, and a flag that `v`
+    /// then contradicts is refused as [`SnapshotError::Corrupt`] with
+    /// `context`. Where the configuration fixes which parts exist,
+    /// `blank` is `None`, so a snapshot can neither add nor drop one.
+    fn option<'v, T>(
+        &mut self,
+        v: &'v mut Option<T>,
+        blank: Option<T>,
+        context: &'static str,
+    ) -> Result<Option<&'v mut T>, Self::Error>;
+}
+
+/// A flat record whose byte layout is the one field list in
+/// [`Record::fields`]: [`Enc::put`] writes it and [`Dec::get`] reads it.
+pub trait Record: Copy + Default {
+    /// Codes every field, in layout order, through `c`.
+    ///
+    /// # Errors
+    ///
+    /// The first field `c` fails on.
+    fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), C::Error>;
+}
+
+impl Enc {
+    /// Appends a record by its field list.
+    pub fn put<R: Record>(&mut self, mut r: R) {
+        let Ok(()) = r.fields(self);
+    }
+}
+
+impl Dec<'_> {
+    /// Reads a record written by [`Enc::put`].
+    ///
+    /// # Errors
+    ///
+    /// The typed [`SnapshotError`] of the first field that fails.
+    pub fn get<R: Record>(&mut self) -> Result<R, SnapshotError> {
+        let mut r = R::default();
+        r.fields(self)?;
+        Ok(r)
+    }
+}
+
+impl Codec for Enc {
+    type Error = std::convert::Infallible;
+
+    fn u8(&mut self, v: &mut u8, _: &'static str) -> Result<(), Self::Error> {
+        Enc::u8(self, *v);
+        Ok(())
+    }
+
+    fn bool(&mut self, v: &mut bool, _: &'static str) -> Result<(), Self::Error> {
+        Enc::bool(self, *v);
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32, _: &'static str) -> Result<(), Self::Error> {
+        Enc::u32(self, *v);
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64, _: &'static str) -> Result<(), Self::Error> {
+        Enc::u64(self, *v);
+        Ok(())
+    }
+
+    fn usize(&mut self, v: &mut usize, _: &'static str) -> Result<(), Self::Error> {
+        Enc::usize(self, *v);
+        Ok(())
+    }
+
+    fn option<'v, T>(
+        &mut self,
+        v: &'v mut Option<T>,
+        _: Option<T>,
+        _: &'static str,
+    ) -> Result<Option<&'v mut T>, Self::Error> {
+        Enc::bool(self, v.is_some());
+        Ok(v.as_mut())
+    }
+}
+
+impl Codec for Dec<'_> {
+    type Error = SnapshotError;
+
+    fn u8(&mut self, v: &mut u8, context: &'static str) -> Result<(), SnapshotError> {
+        *v = Dec::u8(self, context)?;
+        Ok(())
+    }
+
+    fn bool(&mut self, v: &mut bool, context: &'static str) -> Result<(), SnapshotError> {
+        *v = Dec::bool(self, context)?;
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32, context: &'static str) -> Result<(), SnapshotError> {
+        *v = Dec::u32(self, context)?;
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64, context: &'static str) -> Result<(), SnapshotError> {
+        *v = Dec::u64(self, context)?;
+        Ok(())
+    }
+
+    fn usize(&mut self, v: &mut usize, context: &'static str) -> Result<(), SnapshotError> {
+        *v = Dec::usize(self, context)?;
+        Ok(())
+    }
+
+    fn option<'v, T>(
+        &mut self,
+        v: &'v mut Option<T>,
+        blank: Option<T>,
+        context: &'static str,
+    ) -> Result<Option<&'v mut T>, SnapshotError> {
+        let present = Dec::bool(self, context)?;
+        if present && v.is_none() {
+            *v = blank;
+        }
+        if present != v.is_some() {
+            return Err(SnapshotError::Corrupt { context });
+        }
+        Ok(v.as_mut())
+    }
+}
+
 /// Writes a snapshot: header first, then checksummed sections.
 #[derive(Debug)]
 pub struct SnapWriter {
@@ -600,6 +766,104 @@ mod tests {
                 "flipping byte {i} went undetected"
             );
         }
+    }
+
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Inner {
+        a: u8,
+        b: bool,
+    }
+
+    impl Record for Inner {
+        fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+            c.u8(&mut self.a, "inner a")?;
+            c.bool(&mut self.b, "inner b")
+        }
+    }
+
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Outer {
+        x: u32,
+        inner: Inner,
+        y: u64,
+        z: usize,
+    }
+
+    impl Record for Outer {
+        fn fields<C: Codec>(&mut self, c: &mut C) -> Result<(), C::Error> {
+            c.u32(&mut self.x, "outer x")?;
+            c.record(&mut self.inner)?;
+            c.u64(&mut self.y, "outer y")?;
+            c.usize(&mut self.z, "outer z")
+        }
+    }
+
+    #[test]
+    fn one_field_list_writes_and_reads_a_record() {
+        let r = Outer {
+            x: 7,
+            inner: Inner { a: 9, b: true },
+            y: u64::MAX - 3,
+            z: 12,
+        };
+        let mut e = Enc::new();
+        e.put(r);
+        let bytes = e.into_bytes();
+        // The layout is the field list: 4 + 1 + 1 + 8 + 8 bytes.
+        assert_eq!(bytes.len(), 22);
+        assert_eq!(&bytes[..6], &[7, 0, 0, 0, 9, 1]);
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.get::<Outer>(), Ok(r));
+        assert!(d.is_exhausted());
+        // Each cut names the field it fell in.
+        assert_eq!(
+            Dec::new(&bytes[..5]).get::<Outer>(),
+            Err(SnapshotError::Truncated { context: "inner b" })
+        );
+        let mut bad = bytes.clone();
+        bad[5] = 2;
+        assert_eq!(
+            Dec::new(&bad).get::<Outer>(),
+            Err(SnapshotError::Corrupt { context: "inner b" })
+        );
+    }
+
+    #[test]
+    fn option_flags_fill_a_blank_and_refuse_contradictions() {
+        let flag = |present: bool| [u8::from(present)];
+        // Writing: the flag follows the part, and the part comes back.
+        let mut e = Enc::new();
+        let mut part = Some(5u8);
+        assert_eq!(e.option(&mut part, None, "p"), Ok(Some(&mut 5)));
+        assert_eq!(e.option(&mut None::<u8>, None, "p"), Ok(None));
+        assert_eq!(e.into_bytes(), [1, 0]);
+        // Reading with a blank: the flag decides.
+        let mut v = None;
+        let got = Dec::new(&flag(true)).option(&mut v, Some(0u8), "p");
+        assert_eq!(got, Ok(Some(&mut 0)));
+        let mut v = None;
+        assert_eq!(
+            Dec::new(&flag(false)).option(&mut v, Some(0u8), "p"),
+            Ok(None)
+        );
+        // Reading without a blank: the flag must agree with `v`.
+        let corrupt = Err(SnapshotError::Corrupt { context: "p" });
+        assert_eq!(
+            Dec::new(&flag(true)).option(&mut None::<u8>, None, "p"),
+            corrupt
+        );
+        assert_eq!(
+            Dec::new(&flag(false)).option(&mut Some(1u8), None, "p"),
+            corrupt
+        );
+        assert_eq!(
+            Dec::new(&flag(true)).option(&mut Some(1u8), None, "p"),
+            Ok(Some(&mut 1))
+        );
+        assert_eq!(
+            Dec::new(&[]).option(&mut None::<u8>, None, "p"),
+            Err(SnapshotError::Truncated { context: "p" })
+        );
     }
 
     #[test]

@@ -468,4 +468,7 @@ if [ "$code" -ne 2 ]; then
     exit 1
 fi
 
+echo "== line counts (reported, not gated) =="
+scripts/loc.sh
+
 echo "ci: OK"

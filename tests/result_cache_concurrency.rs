@@ -1,7 +1,7 @@
-//! Concurrency contract of the sharded [`ResultCache`] (DESIGN.md §8):
+//! Concurrency contract of the [`ResultCache`] (DESIGN.md §8):
 //!
-//! * raw `get`/`put` from 8 threads with stripe-colliding fingerprints
-//!   never lose or cross-wire an entry;
+//! * raw `get`/`put` from 8 threads, half of them with fingerprints that
+//!   agree in their low bits, never lose or cross-wire an entry;
 //! * hit/miss counters are exact — every job is counted exactly once,
 //!   no matter how the threads interleave;
 //! * a cache hit replays bit-identical `RunStats` and, for observed
@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cdp::sim::{Pool, ResultCache, RunPolicy, RunStats, SimJob, WorkloadCache, CACHE_STRIPES};
+use cdp::sim::{Pool, ResultCache, RunPolicy, RunStats, SimJob, WorkloadCache};
 use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
 use cdp_testutil::{default_workload, tiny_workload};
@@ -22,10 +22,9 @@ fn run_all(pool: &Pool, jobs: Vec<SimJob>) -> Vec<RunStats> {
         .collect()
 }
 
-/// Eight threads hammer raw get/put with keys deliberately congruent
-/// modulo the stripe count (maximal lock collisions) plus spread keys.
-/// Every inserted entry must come back from the stripe it hashed to,
-/// with the exact value stored under that key.
+/// Eight threads hammer raw get/put with keys whose low byte is zero
+/// plus spread keys. Every inserted entry must come back with the exact
+/// value stored under its key.
 #[test]
 fn colliding_fingerprints_never_lose_or_cross_wire_entries() {
     const THREADS: u64 = 8;
@@ -42,10 +41,10 @@ fn colliding_fingerprints_never_lose_or_cross_wire_entries() {
             let cache = Arc::clone(&cache);
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    // Half the keys share one stripe (low bits fixed to
-                    // t % STRIPES), half spread; all globally unique.
+                    // Half the keys share their low byte, half spread;
+                    // all globally unique.
                     let key = if i % 2 == 0 {
-                        (t % CACHE_STRIPES as u64) | ((t * PER_THREAD + i) << 8)
+                        (t * PER_THREAD + i) << 8
                     } else {
                         (t * PER_THREAD + i) << 4 | t
                     };
@@ -150,10 +149,10 @@ fn observed_hits_replay_identical_observations() {
     assert_eq!(cache.hits() + cache.misses(), 8);
 }
 
-/// The sharded workload cache still builds each image once per key and
-/// shares it by Arc under cross-benchmark concurrency.
+/// The workload cache builds each image once per key and shares it by
+/// Arc under cross-benchmark concurrency.
 #[test]
-fn workload_cache_shards_share_images() {
+fn workload_cache_shares_images_across_threads() {
     let cache = Arc::new(WorkloadCache::new());
     let benches = [
         Benchmark::B2b,

@@ -6,21 +6,27 @@
 //! `cdp_snap::VERSION`. Three sessions cover the two feeds: a streamed
 //! tpcc-1 cell under the content prefetcher, a streamed b2e cell under
 //! the stride baseline (both small), and a materialized quick-tier tpcc-2
-//! cell. Each is snapshotted after every other step, every snapshot must
-//! resume and re-snapshot to the same bytes, and the digests of all of
-//! them must equal the values pinned here.
+//! cell. A fourth, streamed, runs every prefetch engine at once and is
+//! observed, so its snapshots carry each engine's presence flag and
+//! state, the trace ring, the profile histograms and the metrics
+//! windows. Each is snapshotted after every other step, every snapshot
+//! must resume and re-snapshot to the same bytes, and the digests of all
+//! of them must equal the values pinned here.
 
 use cdp::sim::Simulator;
 use cdp::snap::WordHasher;
-use cdp::types::SystemConfig;
+use cdp::types::{
+    AdaptiveConfig, DeltaConfig, JumpConfig, MarkovConfig, ObsConfig, PerceptronConfig,
+    StreamConfig, SystemConfig, TraceConfig,
+};
 use cdp::workloads::suite::{Benchmark, Scale};
 use cdp::workloads::Workload;
 
 /// Digests of the snapshots taken after steps 2, 4, 6, ... of the
 /// session, each the [`WordHasher`] digest of the snapshot's bytes.
-fn snapshot_digests(cfg: SystemConfig, w: &Workload) -> Vec<u64> {
+fn snapshot_digests(cfg: SystemConfig, w: &Workload, obs: Option<&ObsConfig>) -> Vec<u64> {
     let sim = Simulator::new(cfg);
-    let mut session = sim.session(w, None);
+    let mut session = sim.session(w, obs);
     let mut digests = Vec::new();
     let mut steps = 0;
     loop {
@@ -28,7 +34,7 @@ fn snapshot_digests(cfg: SystemConfig, w: &Workload) -> Vec<u64> {
         steps += 1;
         if steps % 2 == 0 {
             let bytes = session.snapshot();
-            let resumed = sim.resume(w, None, &bytes).expect("snapshot resumes");
+            let resumed = sim.resume(w, obs, &bytes).expect("snapshot resumes");
             assert!(
                 resumed.snapshot() == bytes,
                 "{}: step {steps} re-snapshots to other bytes",
@@ -59,14 +65,14 @@ fn small_streamed(bench: Benchmark, mut cfg: SystemConfig) -> (SystemConfig, Wor
 fn streamed_content_cell_snapshots_are_pinned() {
     let (cfg, w) = small_streamed(Benchmark::Tpcc1, SystemConfig::with_content());
     assert!(w.is_streamed());
-    assert_eq!(snapshot_digests(cfg, &w), PINNED_TPCC1_CONTENT);
+    assert_eq!(snapshot_digests(cfg, &w, None), PINNED_TPCC1_CONTENT);
 }
 
 #[test]
 fn streamed_stride_cell_snapshots_are_pinned() {
     let (cfg, w) = small_streamed(Benchmark::B2e, SystemConfig::asplos2002());
     assert!(w.is_streamed());
-    assert_eq!(snapshot_digests(cfg, &w), PINNED_B2E_STRIDE);
+    assert_eq!(snapshot_digests(cfg, &w, None), PINNED_B2E_STRIDE);
 }
 
 #[test]
@@ -76,7 +82,33 @@ fn materialized_quick_cell_snapshots_are_pinned() {
     cfg.warmup_uops = (scale.target_uops / 6) as u64;
     let w = Benchmark::Tpcc2.build_with_engine(scale, 3, false);
     assert!(!w.is_streamed());
-    assert_eq!(snapshot_digests(cfg, &w), PINNED_TPCC2_QUICK);
+    assert_eq!(snapshot_digests(cfg, &w, None), PINNED_TPCC2_QUICK);
+}
+
+#[test]
+fn observed_every_engine_cell_snapshots_are_pinned() {
+    let mut cfg = SystemConfig::with_content();
+    let p = &mut cfg.prefetchers;
+    p.adaptive = Some(AdaptiveConfig::default());
+    p.markov = Some(MarkovConfig::eighth());
+    p.stream = Some(StreamConfig::default());
+    p.delta = Some(DeltaConfig::pangloss(16 * 1024));
+    p.jump = Some(JumpConfig::sized(16 * 1024));
+    p.perceptron = Some(PerceptronConfig::default());
+    let (cfg, w) = small_streamed(Benchmark::Tpcc1, cfg);
+    assert!(w.is_streamed());
+    let obs = ObsConfig {
+        trace: Some(TraceConfig {
+            capacity: 512,
+            ..TraceConfig::default()
+        }),
+        metrics_window: Some(50_000),
+        profile_hist: true,
+    };
+    assert_eq!(
+        snapshot_digests(cfg, &w, Some(&obs)),
+        PINNED_TPCC1_EVERY_ENGINE_OBSERVED
+    );
 }
 
 /// Pinned from the build that introduced this test; see the module
@@ -99,4 +131,10 @@ const PINNED_TPCC2_QUICK: [u64; 7] = [
     6_488_032_870_856_696_607,
     4_518_374_537_202_502_821,
     5_876_349_575_538_079_475,
+];
+const PINNED_TPCC1_EVERY_ENGINE_OBSERVED: [u64; 4] = [
+    10_096_239_604_662_903_981,
+    16_897_658_365_592_909_584,
+    841_212_027_204_753_077,
+    18_171_152_608_048_737_434,
 ];
