@@ -6,8 +6,8 @@
 //!
 //! Times the per-access kernels the hot-path optimization rounds target —
 //! cache access/fill, physical line reads, the VAM scan, MSHR
-//! insert/drain, snapshot encoding, streaming uop synthesis, and
-//! result-cache contention — with
+//! insert/drain, snapshot encoding, streaming uop synthesis, the core's
+//! fetch/issue/retire loop, and result-cache contention — with
 //! plain `Instant` loops, and prints one JSON object of `<kernel>_ns`
 //! point estimates to stdout (a traced `simbench` run reads it). Any
 //! argument is a usage error (exit 2).
@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use cdp_bench::time_ns_per_iter;
+use cdp_core::{Core, FixedLatencyMemory};
 use cdp_mem::{Cache, MshrFile, PhysMem};
 use cdp_obs::Json;
 use cdp_prefetch::scan_line;
@@ -179,6 +180,20 @@ fn uop_gen() -> f64 {
     ns / BURST as f64
 }
 
+/// The core's fetch/issue/retire loop alone: a fixed materialized b2e
+/// program run to completion over a 3-cycle [`FixedLatencyMemory`], so
+/// no cache, TLB or prefetcher is timed. Reported as ns per uop.
+fn core_uop() -> f64 {
+    let w = cdp_bench::bench_workload(Benchmark::B2e);
+    let cfg = SystemConfig::asplos2002().core;
+    let ns = time_ns_per_iter(5, 3, |_| {
+        let mut core = Core::new(cfg.clone(), &w.program);
+        core.run_to_completion(&mut FixedLatencyMemory { latency: 3 });
+        std::hint::black_box(core.stats().retired);
+    });
+    ns / w.program.len() as f64
+}
+
 /// Eight threads hammering a shared [`ResultCache`] with a small,
 /// fully-contended key set — the lock-acquisition pattern a parallel
 /// suite sweep with `--jobs 8` produces. Reported as ns per get(+put).
@@ -224,6 +239,7 @@ const KERNELS: &[Kernel] = &[
     ("snapshot_encode", snapshot_encode),
     ("snapshot_encode_reuse", snapshot_encode_reuse),
     ("uop_gen", uop_gen),
+    ("core_uop", core_uop),
     ("result_cache_contention", result_cache_contention),
 ];
 

@@ -19,7 +19,10 @@
 //!   crate's; samples in no crate are `std`, a shared library, or
 //!   `[kernel]` (a non-blocking system call);
 //! * the top functions anywhere in the inline chains (each counted once
-//!   per sample).
+//!   per sample);
+//! * the top source lines: the `file:line` of the innermost frame in one
+//!   of this repository's crates, with that frame's function. A function
+//!   view names where a cost is charged; this one names the statement.
 //!
 //! The child's stdout goes to stderr. The sampler traces only the child
 //! it starts, runs on one thread, and needs no hooks in the simulator,
@@ -79,6 +82,8 @@ fn load_base(maps: &[Mapping], exe: &str, position_independent: bool) -> Option<
 struct Frame {
     func: String,
     file: String,
+    /// Source line, 0 where `addr2line` gives none (`??:0`, `file:?`).
+    line: u32,
 }
 
 /// Parses `addr2line -a -f -i` output: per address, its `0x…` line, then
@@ -99,10 +104,13 @@ fn parse_addr2line(out: &str) -> HashMap<u64, Vec<Frame>> {
         let (Some(addr), Some(location)) = (current, lines.next()) else {
             break;
         };
-        let file = location.rsplit_once(':').map_or(location, |(f, _)| f);
+        // `file:line`, perhaps followed by ` (discriminator N)`.
+        let (file, line_no) = location.rsplit_once(':').unwrap_or((location, ""));
+        let line_no = line_no.split(' ').next().unwrap_or("");
         chains.entry(addr).or_default().push(Frame {
             func: strip_hash(line).to_string(),
             file: file.to_string(),
+            line: line_no.parse().unwrap_or(0),
         });
     }
     chains
@@ -156,6 +164,24 @@ fn self_crate(chain: &[Frame]) -> String {
         .unwrap_or_else(|| if chain.is_empty() { "[unknown]" } else { "std" }.to_string())
 }
 
+/// A frame's source line as the report names it, from `crates/` or
+/// `simbench/` on, if the frame lies in one of this repository's crates.
+fn workspace_line(frame: &Frame) -> Option<String> {
+    if crate_of(frame) == "std" {
+        return None;
+    }
+    let file = frame.file.as_str();
+    let at = file
+        .find("/crates/")
+        .or_else(|| file.find("/simbench/src/"))?;
+    Some(format!(
+        "{}:{}  {}",
+        &file[at + 1..],
+        frame.line,
+        frame.func
+    ))
+}
+
 /// Where one sample landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Sample {
@@ -176,6 +202,7 @@ fn report(
 ) -> String {
     let mut crates: HashMap<String, u64> = HashMap::new();
     let mut inclusive: HashMap<String, u64> = HashMap::new();
+    let mut lines: HashMap<String, u64> = HashMap::new();
     for s in samples {
         let rip = match *s {
             Sample::Kernel => {
@@ -196,6 +223,9 @@ fn report(
         }
         let chain = chains.get(&(rip - base)).map_or(&[][..], |c| c.as_slice());
         *crates.entry(self_crate(chain)).or_default() += 1;
+        if let Some(line) = chain.iter().find_map(workspace_line) {
+            *lines.entry(line).or_default() += 1;
+        }
         let mut seen = HashSet::new();
         for f in chain {
             if seen.insert(&f.func) {
@@ -224,6 +254,7 @@ fn report(
         inclusive,
         25,
     );
+    section("top source lines (innermost workspace frame):", lines, 25);
     out
 }
 
@@ -541,6 +572,7 @@ cdp_workloads::trace::TraceBuilder::chase::h0123456789abcdef
             ]
         );
         assert_eq!(issue[2].file, "/work/crates/cdp-core/src/core.rs");
+        assert_eq!((issue[1].line, issue[2].line), (195, 712));
         assert_eq!(
             chains[&0x2e000][0].func, "cdp_workloads::trace::TraceBuilder::chase",
             "the legacy symbol hash is dropped"
@@ -553,6 +585,7 @@ cdp_workloads::trace::TraceBuilder::chase::h0123456789abcdef
         let frame = |func: &str, file: &str| Frame {
             func: func.into(),
             file: file.into(),
+            line: 0,
         };
         let std_arch = "/rustc/abc/library/stdarch/crates/core_arch/src/x86/sse2.rs";
         assert_eq!(
@@ -596,6 +629,45 @@ cdp_workloads::trace::TraceBuilder::chase::h0123456789abcdef
         assert!(
             r.contains(" 33.33 %        2  alloc::collections::vec_deque::VecDeque<T,A>::to_physical_idx\n"),
             "{r}"
+        );
+    }
+
+    #[test]
+    fn line_view_names_the_innermost_workspace_line() {
+        let maps = parse_maps(MAPS);
+        let exe = "/work/target/release/experiments";
+        let base = 0x55d0_c8a0_0000;
+        let mut chains = parse_addr2line(ADDR2LINE);
+        // A fourth address: the same function as the first, another line.
+        chains.insert(
+            0x2d200,
+            parse_addr2line(
+                "0x2d200\ncdp_core::core::Core::issue_one\n/work/crates/cdp-core/src/core.rs:713\n",
+            )
+            .remove(&0x2d200)
+            .unwrap(),
+        );
+        let samples = [
+            Sample::User(base + 0x2d1a0),
+            Sample::User(base + 0x2d1a0),
+            Sample::User(base + 0x2d200),
+            Sample::User(base + 0x2e000),
+            Sample::User(base + 0x2f000),
+        ];
+        let r = report(&samples, exe, base, &maps, &chains);
+        let view = r
+            .split_once("top source lines (innermost workspace frame):\n")
+            .expect("a line section")
+            .1;
+        let rows: Vec<&str> = view.lines().collect();
+        assert_eq!(
+            rows,
+            [
+                "   40.00 %        2  crates/cdp-core/src/core.rs:712  cdp_core::core::Core::issue_one",
+                "   20.00 %        1  crates/cdp-core/src/core.rs:713  cdp_core::core::Core::issue_one",
+                "   20.00 %        1  crates/cdp-workloads/src/trace.rs:136  cdp_workloads::trace::TraceBuilder::chase",
+            ],
+            "std frames are skipped and an unsymbolized sample has no line: {r}"
         );
     }
 

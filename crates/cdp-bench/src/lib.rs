@@ -2,8 +2,9 @@
 //!
 //! The crate ships one binary, `microbench`, which times the simulator's
 //! hot kernels (flat cache access, physical line reads, VAM scans, MSHR
-//! insert/drain, snapshot encode, streaming uop synthesis, result-cache
-//! contention) with plain [`std::time::Instant`] loops. It has no
+//! insert/drain, snapshot encode, streaming uop synthesis, the core's
+//! fetch/issue/retire loop, result-cache contention) with plain
+//! [`std::time::Instant`] loops. It has no
 //! registry dependencies, so it builds inside the offline tier-1 gate;
 //! `simbench/run.sh` builds it and a traced simbench run reads its
 //! kernels.

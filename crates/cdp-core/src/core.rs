@@ -34,7 +34,9 @@ use cdp_types::{AccessKind, CoreConfig, VirtAddr};
 
 use crate::feed::{Feed, UopSource};
 use crate::gshare::Gshare;
-use crate::uop::{Program, Uop, UopKind, NUM_REGS};
+use crate::uop::{
+    Program, Uop, CLASS_ALU, CLASS_BRANCH, CLASS_FP, CLASS_LOAD, CLASS_STORE, NO_REG, NUM_REGS,
+};
 use crate::MemoryModel;
 
 /// Execution statistics.
@@ -85,81 +87,40 @@ impl CoreStats {
 const NOT_ISSUED: u64 = u64::MAX;
 /// `RobEntry::sq_free_at` sentinel: no store-queue entry to free.
 const NO_SQ: u64 = u64::MAX;
-/// `RobEntry::srcs` sentinel: source slot unused. Indexes the
-/// permanently-zero pad slot of `reg_ready`, so the per-entry readiness
-/// check is two unconditional loads and a `max` — no branches.
-const NO_REG: u8 = NUM_REGS as u8;
-
-/// Uop classes, mirrored from [`UopKind`] at dispatch, so neither issue
-/// selector reads the feed.
-const CLASS_ALU: u8 = 0;
-const CLASS_FP: u8 = 1;
-const CLASS_LOAD: u8 = 2;
-const CLASS_STORE: u8 = 3;
-const CLASS_BRANCH: u8 = 4;
-
 /// Width of the issue stage's bitmasks. A uop's mask bit ("slot") is its
 /// program index mod `SLOTS`; ROB entries hold consecutive indices, so
 /// while `rob_size <= SLOTS` no two in-flight uops share a slot.
 const SLOTS: usize = 128;
 const _: () = assert!(NUM_REGS <= 64, "`Core::has_cons` is a u64");
 
-/// One in-flight uop. Dispatch copies everything issue needs out of the
-/// uop (class, operand, pc, registers), so issue never reads the feed.
-/// A snapshot keeps only `idx`, `srcs`, `class`, `complete_at` and
-/// `sq_free_at`; restore copies the rest from the uop at `idx` again.
-#[derive(Clone, Copy, Debug, Default)]
+/// One in-flight uop. Dispatch copies the pre-decoded uop in whole, so
+/// issue reads its class, operand, pc and registers here and never the
+/// feed. A snapshot keeps only `idx`, the uop's sources and class,
+/// `complete_at` and `sq_free_at`; restore takes the uop at `idx` from
+/// the program or window again.
+#[derive(Clone, Copy, Debug)]
 struct RobEntry {
+    /// The uop, as the feed holds it. The reference scan reads its
+    /// sources for every entry every cycle; keeping them inline makes it
+    /// touch one flat array.
+    uop: Uop,
     /// Index into the program.
     idx: u32,
-    /// The uop's pc (memory accesses carry it to the hierarchy).
-    pc: u32,
-    /// The uop's operand: the latency of an ALU or FP uop, the address
-    /// of a load or store, 0 for a branch.
-    arg: u32,
-    /// Source registers, copied from the uop at dispatch ([`NO_REG`] =
-    /// slot unused). The reference scan reads them for every entry every
-    /// cycle; keeping them inline makes it touch one flat array.
-    srcs: [u8; 2],
-    /// [`CLASS_ALU`] .. [`CLASS_BRANCH`].
-    class: u8,
-    /// Destination register ([`NO_REG`] = none).
-    dst: u8,
     /// Completion cycle once issued ([`NOT_ISSUED`] before).
     complete_at: u64,
     /// For stores: cycle the store-queue entry frees (memory completion).
     sq_free_at: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<RobEntry>() == 32);
+
 impl RobEntry {
     /// The unissued entry for `uop`, program index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the uop writes a register the core does not have (the
-    /// [`NO_REG`] pad slot or above).
-    fn dispatch(idx: u32, uop: &Uop) -> Self {
-        let (class, arg) = match uop.kind {
-            UopKind::Alu { latency } => (CLASS_ALU, u32::from(latency)),
-            UopKind::Fp { latency } => (CLASS_FP, u32::from(latency)),
-            UopKind::Load { vaddr } => (CLASS_LOAD, vaddr.0),
-            UopKind::Store { vaddr } => (CLASS_STORE, vaddr.0),
-            UopKind::Branch { .. } => (CLASS_BRANCH, 0),
-        };
-        let dst = match uop.dst {
-            Some(r) => {
-                assert!(usize::from(r) < NUM_REGS, "uop writes register r{r}");
-                r
-            }
-            None => NO_REG,
-        };
+    #[inline]
+    fn dispatch(idx: u32, uop: Uop) -> Self {
         RobEntry {
+            uop,
             idx,
-            pc: uop.pc,
-            arg,
-            srcs: [uop.srcs[0].unwrap_or(NO_REG), uop.srcs[1].unwrap_or(NO_REG)],
-            class,
-            dst,
             complete_at: NOT_ISSUED,
             sq_free_at: NO_SQ,
         }
@@ -179,7 +140,8 @@ impl Rob {
     /// An empty ring holding at least `capacity` entries.
     fn new(capacity: usize) -> Self {
         Rob {
-            slots: vec![RobEntry::default(); capacity.max(1).next_power_of_two()].into(),
+            slots: vec![RobEntry::dispatch(0, Uop::alu(0)); capacity.max(1).next_power_of_two()]
+                .into(),
             head: 0,
             len: 0,
         }
@@ -206,6 +168,7 @@ impl Rob {
         (p < self.len).then(|| &self[p])
     }
 
+    #[inline]
     fn push_back(&mut self, e: RobEntry) {
         debug_assert!(self.len < self.slots.len(), "ROB ring overflow");
         let s = self.slot(self.len);
@@ -636,7 +599,7 @@ impl<'p> Core<'p> {
             match self.rob.front() {
                 Some(e) if e.complete_at != NOT_ISSUED && e.complete_at <= self.now => {
                     let e = self.rob.pop_front();
-                    if e.class == CLASS_STORE {
+                    if e.uop.class == CLASS_STORE {
                         self.rob_stores -= 1;
                     }
                     // Free queue entries whose back-pressure window ended.
@@ -712,7 +675,7 @@ impl<'p> Core<'p> {
             }
             let p = cand.trailing_zeros() as usize;
             cand &= cand - 1;
-            if !budget.take(self.rob[p].class) {
+            if !budget.take(self.rob[p].uop.class) {
                 // Ready but unit-blocked: ready again next cycle.
                 bound_valid = false;
                 continue;
@@ -733,7 +696,7 @@ impl<'p> Core<'p> {
                 while younger != 0 {
                     let q = younger.trailing_zeros() as usize;
                     younger &= younger - 1;
-                    let srcs = self.rob[q].srcs;
+                    let srcs = self.rob[q].uop.srcs;
                     let ready_at =
                         self.reg_ready[srcs[0] as usize].max(self.reg_ready[srcs[1] as usize]);
                     if ready_at <= now {
@@ -795,13 +758,13 @@ impl<'p> Core<'p> {
             unissued_left -= 1;
             // Source readiness, from the inline copies (absent sources
             // hit the zero pad slot).
-            let ready_at =
-                self.reg_ready[entry.srcs[0] as usize].max(self.reg_ready[entry.srcs[1] as usize]);
+            let srcs = entry.uop.srcs;
+            let ready_at = self.reg_ready[srcs[0] as usize].max(self.reg_ready[srcs[1] as usize]);
             if ready_at > now {
                 min_ready = min_ready.min(ready_at);
                 continue;
             }
-            if !budget.take(entry.class) {
+            if !budget.take(entry.uop.class) {
                 blocked_ready = true;
                 continue;
             }
@@ -834,10 +797,15 @@ impl<'p> Core<'p> {
     /// writes, if any, and its completion cycle.
     fn issue_one<M: MemoryModel>(&mut self, mem: &mut M, p: usize) -> (Option<u8>, u64) {
         let now = self.now;
-        let entry = self.rob[p];
-        debug_assert_eq!(entry.complete_at, NOT_ISSUED);
-        let (complete_at, sq_free_at) = match entry.class {
-            CLASS_ALU | CLASS_FP => (now + u64::from(entry.arg), NO_SQ),
+        let RobEntry {
+            uop,
+            idx,
+            complete_at,
+            ..
+        } = self.rob[p];
+        debug_assert_eq!(complete_at, NOT_ISSUED);
+        let (complete_at, sq_free_at) = match uop.class {
+            CLASS_ALU | CLASS_FP => (now + u64::from(uop.arg), NO_SQ),
             CLASS_BRANCH => {
                 // The prediction was made at fetch (`pending_redirect`);
                 // the branch resolves here.
@@ -845,7 +813,7 @@ impl<'p> Core<'p> {
                 (now + 1, NO_SQ)
             }
             CLASS_LOAD => {
-                let vaddr = VirtAddr(entry.arg);
+                let vaddr = VirtAddr(uop.arg);
                 self.stats.loads += 1;
                 // Store-to-load forwarding: a pending store to the same
                 // word supplies the data without a cache access. A
@@ -864,16 +832,16 @@ impl<'p> Core<'p> {
                         self.stats.forwarded_loads += 1;
                         ready.max(now) + 1
                     }
-                    None => mem.access(entry.pc, vaddr, AccessKind::Load, now),
+                    None => mem.access(uop.pc, vaddr, AccessKind::Load, now),
                 };
                 self.lq_busy.push(std::cmp::Reverse(done));
                 (done, NO_SQ)
             }
             // CLASS_STORE, the last class.
             _ => {
-                let vaddr = VirtAddr(entry.arg);
+                let vaddr = VirtAddr(uop.arg);
                 self.stats.stores += 1;
-                let done = mem.access(entry.pc, vaddr, AccessKind::Store, now);
+                let done = mem.access(uop.pc, vaddr, AccessKind::Store, now);
                 // Forwardable as soon as the store has its data (next
                 // cycle); the window is bounded by the SQ capacity.
                 self.forward_window.push_back((vaddr.0, now + 1));
@@ -889,13 +857,13 @@ impl<'p> Core<'p> {
         e.complete_at = complete_at;
         e.sq_free_at = sq_free_at;
         self.rob_unissued -= 1;
-        if entry.class == CLASS_LOAD {
+        if uop.class == CLASS_LOAD {
             self.rob_loads_unissued -= 1;
         }
         if self.cfg.rob_size <= SLOTS {
-            let bit = 1u128 << (entry.idx as usize % SLOTS);
+            let bit = 1u128 << (idx as usize % SLOTS);
             self.unissued &= !bit;
-            for s in entry.srcs {
+            for s in uop.srcs {
                 if s != NO_REG {
                     self.cons[s as usize] &= !bit;
                     if self.cons[s as usize] == 0 {
@@ -904,15 +872,14 @@ impl<'p> Core<'p> {
                 }
             }
         }
-        // Never the pad slot: dispatch refuses a uop naming register
-        // `NUM_REGS` or above.
-        let dst = (entry.dst != NO_REG).then_some(entry.dst);
+        // Never the pad slot: no uop names register `NUM_REGS` or above.
+        let dst = uop.dst();
         if let Some(dst) = dst {
             self.reg_ready[dst as usize] = complete_at;
         }
         // Branch redirect: if this branch was fetched mispredicted, fetch
         // resumes after it resolves plus the penalty.
-        if self.pending_redirect == Some(entry.idx as usize) {
+        if self.pending_redirect == Some(idx as usize) {
             self.pending_redirect = None;
             let resume_at = complete_at + self.cfg.mispredict_penalty;
             self.stats.redirect_stall_cycles += resume_at.saturating_sub(now);
@@ -956,8 +923,7 @@ impl<'p> Core<'p> {
             let Some(uop) = self.fetch_uop() else {
                 break;
             };
-            let entry = RobEntry::dispatch(self.fetch_idx as u32, &uop);
-            match entry.class {
+            match uop.class {
                 CLASS_LOAD
                     if self.lq_busy.len() + self.rob_loads_unissued >= self.cfg.load_buffer =>
                 {
@@ -974,8 +940,8 @@ impl<'p> Core<'p> {
             // the end of each, so the ready cycle computed here is the
             // one the next scan would compute.
             if self.issue_idle_until != 0 {
-                let ready_at = self.reg_ready[entry.srcs[0] as usize]
-                    .max(self.reg_ready[entry.srcs[1] as usize]);
+                let ready_at =
+                    self.reg_ready[uop.srcs[0] as usize].max(self.reg_ready[uop.srcs[1] as usize]);
                 self.issue_idle_until = if ready_at <= self.now {
                     0
                 } else {
@@ -984,13 +950,15 @@ impl<'p> Core<'p> {
             }
             // Branch prediction at fetch.
             let mut mispredicted = false;
-            if let UopKind::Branch { taken } = uop.kind {
+            if uop.class == CLASS_BRANCH {
+                let taken = uop.arg != 0;
                 let predicted = self.bp.predict(uop.pc);
                 self.bp.update(uop.pc, predicted, taken);
                 mispredicted = predicted != taken;
             }
+            let entry = RobEntry::dispatch(self.fetch_idx as u32, uop);
             self.rob.push_back(entry);
-            self.book(&entry);
+            self.book(entry);
             if mispredicted {
                 self.stats.mispredicts += 1;
                 self.pending_redirect = Some(self.fetch_idx);
@@ -1010,21 +978,23 @@ impl<'p> Core<'p> {
     /// count and, while the entry has not issued, the unissued counts and
     /// (when the ROB fits them) the wake-up masks. Dispatch books each
     /// new entry; [`Self::rebuild_issue_state`] books a restored ROB.
-    fn book(&mut self, e: &RobEntry) {
-        if e.class == CLASS_STORE {
+    #[inline]
+    fn book(&mut self, e: RobEntry) {
+        let class = e.uop.class;
+        if class == CLASS_STORE {
             self.rob_stores += 1;
         }
         if e.complete_at != NOT_ISSUED {
             return;
         }
         self.rob_unissued += 1;
-        if e.class == CLASS_LOAD {
+        if class == CLASS_LOAD {
             self.rob_loads_unissued += 1;
         }
         if self.cfg.rob_size <= SLOTS {
             let bit = 1u128 << (e.idx as usize % SLOTS);
             self.unissued |= bit;
-            for s in e.srcs {
+            for s in e.uop.srcs {
                 if s != NO_REG {
                     self.cons[s as usize] |= bit;
                     self.has_cons |= 1 << s;
@@ -1044,8 +1014,7 @@ impl<'p> Core<'p> {
         self.has_cons = 0;
         self.issue_idle_until = 0;
         for i in 0..self.rob.len() {
-            let e = self.rob[i];
-            self.book(&e);
+            self.book(self.rob[i]);
         }
     }
 
@@ -1077,9 +1046,9 @@ impl<'p> Core<'p> {
         enc.seq_len(self.rob.len());
         for e in self.rob.iter() {
             enc.u32(e.idx);
-            enc.u8(e.srcs[0]);
-            enc.u8(e.srcs[1]);
-            enc.u8(e.class);
+            enc.u8(e.uop.srcs[0]);
+            enc.u8(e.uop.srcs[1]);
+            enc.u8(e.uop.class);
             enc.u64(e.complete_at);
             enc.u64(e.sq_free_at);
         }
@@ -1125,7 +1094,7 @@ impl<'p> Core<'p> {
     /// class, an entry whose class or sources disagree with the uop at
     /// its index, a fetch stall with no unissued mispredicted branch to
     /// end it). The issue stage's derived state is rebuilt from the ROB,
-    /// and the fields dispatch copies from each uop are copied again.
+    /// and each entry takes its uop from the program or window again.
     pub fn restore_state(
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
@@ -1190,15 +1159,20 @@ impl<'p> Core<'p> {
                     context: "core rob class",
                 });
             }
-            // The fields dispatch copies from the uop are filled in, and
-            // checked against `class` and `srcs`, once the feed is back.
+            // A stand-in with the saved class and sources: the uop at
+            // `idx` replaces it, checked against both, once the feed is
+            // back.
             self.rob.push_back(RobEntry {
+                uop: Uop {
+                    pc: 0,
+                    arg: 0,
+                    class,
+                    dst: NO_REG,
+                    srcs,
+                },
                 idx,
-                srcs,
-                class,
                 complete_at: dec.u64("core rob complete_at")?,
                 sq_free_at: dec.u64("core rob sq_free_at")?,
-                ..RobEntry::default()
             });
         }
         // Fetch stalls at `u64::MAX` exactly while a mispredicted branch
@@ -1209,7 +1183,7 @@ impl<'p> Core<'p> {
             Some(i) => i.checked_sub(first).is_some_and(|p| {
                 self.rob
                     .get(p)
-                    .is_some_and(|e| e.class == CLASS_BRANCH && e.complete_at == NOT_ISSUED)
+                    .is_some_and(|e| e.uop.class == CLASS_BRANCH && e.complete_at == NOT_ISSUED)
             }),
             None => true,
         };
@@ -1281,25 +1255,20 @@ impl<'p> Core<'p> {
             }
         }
         for p in 0..self.rob.len() {
-            let e = self.rob[p];
-            let idx = e.idx as usize;
+            let idx = self.rob[p].idx as usize;
             // In range: `idx < fetch_idx <= len` for a whole program, and
             // the coverage check above for a stream.
             let uop = match &self.feed {
                 Feed::Whole(prog) => prog.uops[idx],
                 Feed::Stream(s) => s.window[idx - s.base],
             };
-            let copy = RobEntry::dispatch(e.idx, &uop);
-            if copy.class != e.class || copy.srcs != e.srcs {
+            let saved = &mut self.rob[p].uop;
+            if uop.class != saved.class || uop.srcs != saved.srcs {
                 return Err(SnapshotError::Corrupt {
                     context: "core rob entry disagrees with its uop",
                 });
             }
-            self.rob[p] = RobEntry {
-                complete_at: e.complete_at,
-                sq_free_at: e.sq_free_at,
-                ..copy
-            };
+            *saved = uop;
         }
         Ok(())
     }
@@ -1482,12 +1451,7 @@ mod tests {
     #[test]
     fn single_fp_unit_serializes_fp_work() {
         let fp: Program = (0..300)
-            .map(|i| Uop {
-                pc: i * 4,
-                kind: UopKind::Fp { latency: 1 },
-                dst: None,
-                srcs: [None, None],
-            })
+            .map(|i| Uop::new(i * 4, crate::UopKind::Fp { latency: 1 }, None, [None, None]))
             .collect();
         let s_fp = run(&fp, 3);
         let alu: Program = (0..300).map(|i| Uop::alu(i * 4)).collect();
@@ -1814,7 +1778,7 @@ mod tests {
         let non_branch = core
             .rob
             .iter()
-            .find(|e| e.class != CLASS_BRANCH)
+            .find(|e| e.uop.class != CLASS_BRANCH)
             .expect("a load in the ROB")
             .idx as usize;
         for (what, idx) in [

@@ -10,9 +10,11 @@
 
 use std::collections::VecDeque;
 
-use cdp_types::{SnapshotError, VirtAddr};
+use cdp_types::SnapshotError;
 
-use crate::uop::{Program, Uop, UopKind, NUM_REGS};
+use crate::uop::{
+    Program, Uop, CLASS_ALU, CLASS_BRANCH, CLASS_FP, CLASS_LOAD, CLASS_STORE, NO_REG, NUM_REGS,
+};
 
 /// A chunked, deterministic uop generator driven by the core's fetch
 /// stage.
@@ -174,45 +176,26 @@ impl StreamFeed {
 /// Smallest encoded uop (branch): pc + tag + taken + dst + 2 srcs.
 const MIN_UOP_BYTES: usize = 4 + 1 + 1 + 1 + 2;
 
-fn save_uop(enc: &mut cdp_snap::Enc, u: &Uop) {
-    enc.u32(u.pc);
-    match u.kind {
-        UopKind::Alu { latency } => {
-            enc.u8(0);
-            enc.u8(latency);
-        }
-        UopKind::Fp { latency } => {
-            enc.u8(1);
-            enc.u8(latency);
-        }
-        UopKind::Load { vaddr } => {
-            enc.u8(2);
-            enc.u32(vaddr.0);
-        }
-        UopKind::Store { vaddr } => {
-            enc.u8(3);
-            enc.u32(vaddr.0);
-        }
-        UopKind::Branch { taken } => {
-            enc.u8(4);
-            enc.bool(taken);
-        }
-    }
-    enc.u8(reg_byte(u.dst));
-    enc.u8(reg_byte(u.srcs[0]));
-    enc.u8(reg_byte(u.srcs[1]));
-}
-
+/// Register byte of an absent register in the encoding.
 const NO_REG_BYTE: u8 = 0xff;
 
-fn reg_byte(r: Option<u8>) -> u8 {
-    r.unwrap_or(NO_REG_BYTE)
+fn save_uop(enc: &mut cdp_snap::Enc, u: &Uop) {
+    enc.u32(u.pc);
+    enc.u8(u.class);
+    match u.class {
+        CLASS_ALU | CLASS_FP => enc.u8(u.arg as u8),
+        CLASS_LOAD | CLASS_STORE => enc.u32(u.arg),
+        _ => enc.bool(u.arg != 0),
+    }
+    for r in [u.dst, u.srcs[0], u.srcs[1]] {
+        enc.u8(if r == NO_REG { NO_REG_BYTE } else { r });
+    }
 }
 
-fn byte_reg(b: u8) -> Result<Option<u8>, SnapshotError> {
+fn byte_reg(b: u8) -> Result<u8, SnapshotError> {
     match b {
-        NO_REG_BYTE => Ok(None),
-        r if (r as usize) < NUM_REGS => Ok(Some(r)),
+        NO_REG_BYTE => Ok(NO_REG),
+        r if (r as usize) < NUM_REGS => Ok(r),
         _ => Err(SnapshotError::Corrupt {
             context: "feed uop register",
         }),
@@ -221,22 +204,11 @@ fn byte_reg(b: u8) -> Result<Option<u8>, SnapshotError> {
 
 fn restore_uop(dec: &mut cdp_snap::Dec<'_>) -> Result<Uop, SnapshotError> {
     let pc = dec.u32("feed uop pc")?;
-    let kind = match dec.u8("feed uop kind")? {
-        0 => UopKind::Alu {
-            latency: dec.u8("feed uop latency")?,
-        },
-        1 => UopKind::Fp {
-            latency: dec.u8("feed uop latency")?,
-        },
-        2 => UopKind::Load {
-            vaddr: VirtAddr(dec.u32("feed uop vaddr")?),
-        },
-        3 => UopKind::Store {
-            vaddr: VirtAddr(dec.u32("feed uop vaddr")?),
-        },
-        4 => UopKind::Branch {
-            taken: dec.bool("feed uop taken")?,
-        },
+    let class = dec.u8("feed uop kind")?;
+    let arg = match class {
+        CLASS_ALU | CLASS_FP => u32::from(dec.u8("feed uop latency")?),
+        CLASS_LOAD | CLASS_STORE => dec.u32("feed uop vaddr")?,
+        CLASS_BRANCH => u32::from(dec.bool("feed uop taken")?),
         _ => {
             return Err(SnapshotError::Corrupt {
                 context: "feed uop kind",
@@ -245,7 +217,8 @@ fn restore_uop(dec: &mut cdp_snap::Dec<'_>) -> Result<Uop, SnapshotError> {
     };
     Ok(Uop {
         pc,
-        kind,
+        arg,
+        class,
         dst: byte_reg(dec.u8("feed uop dst")?)?,
         srcs: [
             byte_reg(dec.u8("feed uop src0")?)?,

@@ -929,15 +929,19 @@ mod tests {
         // One load's address, or one word of the image, changed.
         use cdp_core::UopKind;
         let (i, addr) = (w.program.uops.iter().enumerate())
-            .find_map(|(i, u)| match u.kind {
+            .find_map(|(i, u)| match u.kind() {
                 UopKind::Load { vaddr } => Some((i, vaddr)),
                 _ => None,
             })
             .expect("a load");
         let mut moved = w.clone();
-        moved.program.uops[i].kind = UopKind::Load {
-            vaddr: addr.offset(4),
-        };
+        let load = w.program.uops[i];
+        moved.program.uops[i] = cdp_core::Uop::load(
+            load.pc,
+            addr.offset(4),
+            load.dst().expect("a load writes"),
+            load.srcs()[0],
+        );
         let mut rewritten = w.clone();
         let word = rewritten.space.read_u32(addr);
         rewritten.space.write_u32(addr, word ^ 1);

@@ -43,7 +43,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn replay(h: &mut Hierarchy<'_>, uops: &[cdp_core::Uop], mut now: u64) -> u64 {
     for u in uops {
         let Some(vaddr) = u.vaddr() else { continue };
-        let kind = match u.kind {
+        let kind = match u.kind() {
             UopKind::Store { .. } => AccessKind::Store,
             _ => AccessKind::Load,
         };

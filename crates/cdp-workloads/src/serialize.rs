@@ -107,7 +107,7 @@ pub fn to_text(w: &Workload) -> String {
     let _ = writeln!(out, "cursors {nu} {nt} {mp}");
     let _ = writeln!(out, "uops {}", w.program.len());
     for u in &w.program.uops {
-        let (tag, field): (char, String) = match u.kind {
+        let (tag, field): (char, String) = match u.kind() {
             UopKind::Alu { latency } => ('A', latency.to_string()),
             UopKind::Fp { latency } => ('F', latency.to_string()),
             UopKind::Load { vaddr } => ('L', format!("{:x}", vaddr.0)),
@@ -118,9 +118,9 @@ pub fn to_text(w: &Workload) -> String {
             out,
             "{tag} {} {field} {} {} {}",
             u.pc,
-            reg_str(u.dst),
-            reg_str(u.srcs[0]),
-            reg_str(u.srcs[1])
+            reg_str(u.dst()),
+            reg_str(u.srcs()[0]),
+            reg_str(u.srcs()[1])
         );
     }
     let frames: Vec<_> = w.space.phys().frames().collect();
@@ -212,12 +212,8 @@ pub fn from_text(text: &str) -> Result<Workload, ParseError> {
             },
             _ => return Err(ParseError::BadLine(lineno)),
         };
-        uops.push(Uop {
-            pc,
-            kind,
-            dst,
-            srcs: [s0, s1],
-        });
+        // `parse_reg` refused any register `Uop::new` would.
+        uops.push(Uop::new(pc, kind, dst, [s0, s1]));
     }
 
     let (n, frames_line) = next()?;
@@ -316,7 +312,7 @@ mod tests {
             format!("CDPWORKLOAD 1\nname x\nsuite Server\ncursors 1 2 3\nuops 1\nA 0 1 {reg} 255 255\nframes 0\n")
         };
         let w = from_text(&one_uop(63)).expect("the last register parses");
-        assert_eq!(w.program.uops[0].dst, Some(63));
+        assert_eq!(w.program.uops[0].dst(), Some(63));
         for reg in [64, 100, 256] {
             assert_eq!(
                 from_text(&one_uop(reg)).unwrap_err(),

@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cdp_core::{Program, Uop, UopKind, UopSource};
+use cdp_core::{Program, Uop, UopSource};
 use cdp_mem::AddressSpace;
 use cdp_types::rng::Rng;
 use cdp_types::SnapshotError;
@@ -245,25 +245,20 @@ impl Workload {
             h.write_u64(spec.seed);
         } else {
             h.write_u64(self.program.uops.len() as u64);
-            // Each uop is two words (pc and payload; kind and registers),
-            // each absorbed by a hasher of its own so that the two
-            // multiply chains overlap.
+            // Each uop is two words (pc and operand; class and registers,
+            // 0xff for none), each absorbed by a hasher of its own so that
+            // the two multiply chains overlap.
             let (mut first, mut second) =
                 (cdp_snap::WordHasher::new(), cdp_snap::WordHasher::new());
+            let reg = |r: Option<u8>| r.unwrap_or(0xff);
             for u in &self.program.uops {
-                let (tag, payload) = match u.kind {
-                    UopKind::Alu { latency } => (0u8, u32::from(latency)),
-                    UopKind::Fp { latency } => (1, u32::from(latency)),
-                    UopKind::Load { vaddr } => (2, vaddr.0),
-                    UopKind::Store { vaddr } => (3, vaddr.0),
-                    UopKind::Branch { taken } => (4, u32::from(taken)),
-                };
-                first.write_u64(u64::from(u.pc) | (u64::from(payload) << 32));
+                let [s0, s1] = u.srcs();
+                first.write_u64(u64::from(u.pc) | (u64::from(u.operand()) << 32));
                 second.write_u32(u32::from_le_bytes([
-                    tag,
-                    u.dst.map_or(0xff, |r| r),
-                    u.srcs[0].map_or(0xff, |r| r),
-                    u.srcs[1].map_or(0xff, |r| r),
+                    u.class(),
+                    reg(u.dst()),
+                    reg(s0),
+                    reg(s1),
                 ]));
             }
             h.write_u64(first.finish());
@@ -1193,7 +1188,7 @@ mod tests {
                 w.program
                     .uops
                     .iter()
-                    .any(|u| matches!(u.kind, UopKind::Fp { .. })),
+                    .any(|u| matches!(u.kind(), UopKind::Fp { .. })),
                 "{b} must contain FP work"
             );
         }
@@ -1203,7 +1198,7 @@ mod tests {
                 !w.program
                     .uops
                     .iter()
-                    .any(|u| matches!(u.kind, UopKind::Fp { .. })),
+                    .any(|u| matches!(u.kind(), UopKind::Fp { .. })),
                 "{b} is integer-only"
             );
         }
@@ -1389,7 +1384,7 @@ mod tests {
             .program
             .uops
             .iter()
-            .any(|u| matches!(u.kind, cdp_core::UopKind::Fp { .. }));
+            .any(|u| matches!(u.kind(), cdp_core::UopKind::Fp { .. }));
         assert!(has_fp);
         let tpcc = Benchmark::Tpcc1.build(Scale::smoke(), 1);
         assert!(tpcc.program.num_stores() > 0);

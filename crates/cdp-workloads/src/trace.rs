@@ -114,12 +114,12 @@ impl TraceBuilder {
     pub fn fp_burst(&mut self, site: u32, n: usize, latency: u8) {
         for i in 0..n {
             let dst = self.scratch();
-            self.uops.push_back(Uop {
-                pc: Self::pc(site, (i % 16) as u32),
-                kind: cdp_core::UopKind::Fp { latency },
-                dst: Some(dst),
-                srcs: [None, None],
-            });
+            self.uops.push_back(Uop::new(
+                Self::pc(site, (i % 16) as u32),
+                cdp_core::UopKind::Fp { latency },
+                Some(dst),
+                [None, None],
+            ));
         }
     }
 
@@ -569,18 +569,18 @@ mod tests {
         let next_loads: Vec<&Uop> = p
             .uops
             .iter()
-            .filter(|u| matches!(u.kind, UopKind::Load { .. }) && u.dst == Some(1))
+            .filter(|u| matches!(u.kind(), UopKind::Load { .. }) && u.dst() == Some(1))
             .collect();
         assert_eq!(next_loads.len(), 10);
         for u in next_loads {
-            assert_eq!(u.srcs[0], Some(1));
+            assert_eq!(u.srcs()[0], Some(1));
         }
         // Addresses follow the traversal order.
         let addrs: Vec<u32> = p
             .uops
             .iter()
-            .filter_map(|u| match u.kind {
-                UopKind::Load { vaddr } if u.dst == Some(1) => Some(vaddr.0 - NEXT_OFFSET),
+            .filter_map(|u| match u.kind() {
+                UopKind::Load { vaddr } if u.dst() == Some(1) => Some(vaddr.0 - NEXT_OFFSET),
                 _ => None,
             })
             .collect();
@@ -598,7 +598,7 @@ mod tests {
         let outcomes: Vec<bool> = p
             .uops
             .iter()
-            .filter_map(|u| match u.kind {
+            .filter_map(|u| match u.kind() {
                 UopKind::Branch { taken } => Some(taken),
                 _ => None,
             })
@@ -614,7 +614,7 @@ mod tests {
         let loads: Vec<&Uop> = p
             .uops
             .iter()
-            .filter(|u| matches!(u.kind, UopKind::Load { .. }))
+            .filter(|u| matches!(u.kind(), UopKind::Load { .. }))
             .collect();
         assert_eq!(loads.len(), 8);
         let pc0 = loads[0].pc;
@@ -682,8 +682,8 @@ mod tests {
         assert_eq!(p.num_loads(), 40, "two loads per hop");
         // Every load reads and writes the graph cursor register.
         for u in p.uops.iter().filter(|u| u.is_mem()) {
-            assert_eq!(u.dst, Some(4));
-            assert_eq!(u.srcs[0], Some(4));
+            assert_eq!(u.dst(), Some(4));
+            assert_eq!(u.srcs()[0], Some(4));
         }
     }
 
@@ -704,7 +704,7 @@ mod tests {
         let taken = p
             .uops
             .iter()
-            .filter(|u| matches!(u.kind, UopKind::Branch { taken: true }))
+            .filter(|u| matches!(u.kind(), UopKind::Branch { taken: true }))
             .count();
         assert!((100..200).contains(&taken), "taken {taken}");
     }

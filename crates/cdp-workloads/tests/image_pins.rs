@@ -34,7 +34,7 @@ fn fingerprints_and_text_of_smoke_images_are_pinned() {
     for (bench, seed, fingerprint, text_digest) in PINNED {
         let w = bench.build(Scale::smoke(), seed);
         for u in &w.program.uops {
-            kinds[match u.kind {
+            kinds[match u.kind() {
                 UopKind::Alu { .. } => 0,
                 UopKind::Fp { .. } => 1,
                 UopKind::Load { .. } => 2,

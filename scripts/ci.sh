@@ -29,6 +29,21 @@ echo "== benchmark build + tests (simbench, its own workspace) =="
 # the benchmark would otherwise surface only at the next benchmark run.
 cargo test -q --release --manifest-path simbench/Cargo.toml
 
+echo "== microbench smoke (the kernels simbench reads, plus core_uop) =="
+# A traced simbench run reads seven of microbench's keys, so a dropped or
+# renamed key would otherwise surface only there. Each must be a positive
+# number, as must the core's own kernel.
+./target/release/microbench > /tmp/cdp-microbench.json
+for key in cache_access_hit cache_fill_evict phys_read_line_into mshr_insert_drain \
+    vam_scan_line uop_gen snapshot_encode core_uop; do
+    value=$(grep -Eo "\"${key}_ns\":[^,}]*" /tmp/cdp-microbench.json | cut -d: -f2)
+    awk -v v="$value" 'BEGIN { exit !(v ~ /^[0-9.eE+-]+$/ && v + 0 > 0) }' || {
+        echo "microbench smoke: ${key}_ns is missing or not a positive number" >&2
+        cat /tmp/cdp-microbench.json >&2
+        exit 1
+    }
+done
+
 echo "== experiments all --smoke --jobs 2 =="
 ./target/release/experiments all --smoke --jobs 2 > /dev/null
 
@@ -53,6 +68,13 @@ else
     grep -Eq '^pcsample: [1-9][0-9]* samples .*\(exit 0\)$' /tmp/cdp-pcsample.out \
         && grep -Eq '%  +[0-9]+  cdp-core$' /tmp/cdp-pcsample.out || {
         echo "pcsample smoke: no samples attributed to cdp-core" >&2
+        cat /tmp/cdp-pcsample.out >&2
+        exit 1
+    }
+    # The line view names a crate's source line for the hottest samples.
+    sed -n '/^top source lines/,$p' /tmp/cdp-pcsample.out \
+        | grep -Eq '%  +[0-9]+  crates/cdp-[a-z]+/src/[^ ]+\.rs:[1-9][0-9]*  ' || {
+        echo "pcsample smoke: no top source lines in a crate" >&2
         cat /tmp/cdp-pcsample.out >&2
         exit 1
     }

@@ -102,12 +102,9 @@ fn random_program(rng: &mut Rng, regs: u8, fp: bool) -> Program {
                 UopKind::Store { .. } | UopKind::Branch { .. } => 0.3,
                 _ => 0.85,
             };
-            Uop {
-                pc,
-                kind,
-                dst: reg(rng, writes),
-                srcs: [reg(rng, 0.7), reg(rng, 0.4)],
-            }
+            let dst = reg(rng, writes);
+            let srcs = [reg(rng, 0.7), reg(rng, 0.4)];
+            Uop::new(pc, kind, dst, srcs)
         })
         .collect();
     Program::new(uops)
@@ -260,12 +257,11 @@ fn rob_deeper_than_the_masks_takes_the_scan_and_completes() {
 #[test]
 fn targeted_write_orders_match_the_reference() {
     let load = |pc: u32, dst: u8, src: Option<u8>| Uop::load(pc, VirtAddr(0x2000 + pc), dst, src);
-    let zero = |pc: u32, dst: u8, src: Option<u8>| Uop {
-        pc,
-        kind: UopKind::Alu { latency: 0 },
-        dst: Some(dst),
-        srcs: [src, None],
+    let zero = |pc: u32, dst: u8, src: Option<u8>| {
+        Uop::new(pc, UopKind::Alu { latency: 0 }, Some(dst), [src, None])
     };
+    // A store and a branch that write a register.
+    let writing = |u: Uop, dst: u8| Uop::new(u.pc, u.kind(), Some(dst), u.srcs());
     let programs = [
         // An older consumer of r1 waits on a load; a younger zero-latency
         // write to r1 makes it ready on the next cycle.
@@ -290,14 +286,8 @@ fn targeted_write_orders_match_the_reference() {
         ],
         // A store and a branch that write registers.
         vec![
-            Uop {
-                dst: Some(1),
-                ..Uop::store(0, VirtAddr(0x3000), None, None)
-            },
-            Uop {
-                dst: Some(2),
-                ..Uop::branch(4, false, Some(1))
-            },
+            writing(Uop::store(0, VirtAddr(0x3000), None, None), 1),
+            writing(Uop::branch(4, false, Some(1)), 2),
             Uop::load(8, VirtAddr(0x3000), 3, Some(2)),
         ],
     ];
